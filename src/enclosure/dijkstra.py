@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Tuple
 from .dp import _closed_ids
 from .errors import CapacityError, NonpositiveWeight
 from .freespace import FreeSpaceGraph
-from .geometry import orient
 from .instance import MAX_REQUIRED
 from .walks import Walk, make_walk
 
@@ -44,12 +43,6 @@ class Label:
     value: float
     rule: str
     ops: Tuple = ()
-
-    # Walk reconstruction reuses the breakpoint helpers, which only touch
-    # .key, .rule and .ops.
-    @property
-    def t(self) -> int:  # pragma: no cover - parity with dp breakpoints
-        return -1
 
 
 def assert_superiority(fsg: FreeSpaceGraph) -> None:
@@ -70,19 +63,10 @@ def _search(fsg: FreeSpaceGraph, early_stop: bool, stats: Optional[dict] = None)
     Returns (answer, fin_C, fin_M) where answer is the first finalized
     closed-walk label covering every required object (None if the queue
     drains first), and fin_C / fin_M map finalized states to labels.  With
-    early_stop=False the whole fixed point is computed, which the inverted
-    solver needs for its pocket values.
+    early_stop=False the whole fixed point is computed.
     """
     n = fsg.n
     full = fsg.full_mask
-    verts = fsg.vertices
-    ccw: Dict[Tuple[int, int], frozenset] = {}
-    for p in range(n):
-        for q in range(n):
-            if p != q:
-                ccw[(p, q)] = frozenset(
-                    r for r in range(n) if r != p and r != q
-                    and orient(verts[p], verts[r], verts[q]) > 0)
 
     fin_C: Dict[Tuple[int, int], Label] = {}
     fin_M: Dict[Tuple[int, int, int], Label] = {}
@@ -131,7 +115,7 @@ def _search(fsg: FreeSpaceGraph, early_stop: bool, stats: Optional[dict] = None)
                 continue
             fin_M[state] = label
             popped += 1
-            _relax_M(fsg, ccw, label, fin_M_from, fin_M_to, push)
+            _relax_M(fsg, label, fin_M_from, fin_M_to, push)
             fin_M_from[key[0]].append(label)
             fin_M_to[key[1]].append(label)
 
@@ -184,16 +168,17 @@ def _relax_C(fsg: FreeSpaceGraph, label: Label, fin_C_at, push) -> None:
                      label.value + other.value, "C2", (label, other))
 
 
-def _relax_M(fsg: FreeSpaceGraph, ccw, label: Label,
+def _relax_M(fsg: FreeSpaceGraph, label: Label,
              fin_M_from, fin_M_to, push) -> None:
     a, b = label.key
     if fsg.has_edge(b, a):
         push("C", (b,), label.mask, label.value + fsg.weight(b, a), "C1",
              (a, label))
+    is_ccw = fsg.is_ccw
     # As the left part M(p, r) of a triangle prq: partners start at r.
     for other in fin_M_from[b]:
         q = other.key[1]
-        if q == a or b not in ccw.get((a, q), ()):  # needs triangle abq ccw
+        if not is_ccw(a, b, q):
             continue
         cmask, cpen = fsg.triangle_content(a, b, q)
         if cpen == INF or (cmask & label.mask) or (cmask & other.mask) \
@@ -204,7 +189,7 @@ def _relax_M(fsg: FreeSpaceGraph, ccw, label: Label,
     # As the right part M(r, q): partners end at r = a.
     for other in fin_M_to[a]:
         p = other.key[0]
-        if p == b or a not in ccw.get((p, b), ()):
+        if not is_ccw(p, a, b):
             continue
         cmask, cpen = fsg.triangle_content(p, a, b)
         if cpen == INF or (cmask & label.mask) or (cmask & other.mask) \

@@ -32,7 +32,6 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import CapacityError
 from .freespace import FreeSpaceGraph
-from .geometry import orient
 from .instance import MAX_REQUIRED
 from .walks import Walk, make_walk
 
@@ -111,16 +110,6 @@ def compute_dp_tables(fsg: FreeSpaceGraph, t_max: Optional[int] = None) -> DPTab
     if n == 0:
         return tables
 
-    verts = fsg.vertices
-    # ccw[(p, q)] holds the r with triangle prq strictly ccw.
-    ccw: Dict[Tuple[int, int], frozenset] = {}
-    for p in range(n):
-        for q in range(n):
-            if p != q:
-                ccw[(p, q)] = frozenset(
-                    r for r in range(n) if r != p and r != q
-                    and orient(verts[p], verts[r], verts[q]) > 0)
-
     buckets: List[list] = [[] for _ in range(t_max + 1)]
     seq = 0
 
@@ -150,13 +139,13 @@ def compute_dp_tables(fsg: FreeSpaceGraph, t_max: Optional[int] = None) -> DPTab
                             mask, t, value, rule, ops)
             stair.append(bp)
             if kind == "C":
-                _propagate_C(tables, ccw, push, key, bp)
+                _propagate_C(tables, push, key, bp)
             else:
-                _propagate_M(tables, ccw, push, key, bp)
+                _propagate_M(tables, push, key, bp)
     return tables
 
 
-def _propagate_C(tables: DPTables, ccw, push, p: int, bp: Breakpoint) -> None:
+def _propagate_C(tables: DPTables, push, p: int, bp: Breakpoint) -> None:
     fsg = tables.fsg
     # M1: append a free-space edge pq on top of the closed walk at p.
     for q, w in fsg.adjacency[p]:
@@ -171,9 +160,10 @@ def _propagate_C(tables: DPTables, ccw, push, p: int, bp: Breakpoint) -> None:
                      bp.value + bp2.value, "C2", (bp, bp2))
 
 
-def _propagate_M(tables: DPTables, ccw, push, key: Tuple[int, int],
+def _propagate_M(tables: DPTables, push, key: Tuple[int, int],
                  bp: Breakpoint) -> None:
     fsg = tables.fsg
+    is_ccw = fsg.is_ccw
     a, b = key
     # C1: an open walk a -> b closes into a walk through b via the edge ba.
     if fsg.has_edge(b, a):
@@ -183,7 +173,7 @@ def _propagate_M(tables: DPTables, ccw, push, key: Tuple[int, int],
     # triangle prq ccw, combining with right parts M(r, q).
     p, r = a, b
     for q in range(fsg.n):
-        if q == p or q == r or r not in ccw[(p, q)]:
+        if not is_ccw(p, r, q):
             continue
         cmask, cpen = fsg.triangle_content(p, r, q)
         if cmask & bp.mask or cpen == INF:
@@ -198,7 +188,7 @@ def _propagate_M(tables: DPTables, ccw, push, key: Tuple[int, int],
     # M2 with bp as the right part M(r, q).
     r2, q2 = a, b
     for p2 in range(fsg.n):
-        if p2 == r2 or p2 == q2 or r2 not in ccw[(p2, q2)]:
+        if not is_ccw(p2, r2, q2):
             continue
         cmask, cpen = fsg.triangle_content(p2, r2, q2)
         if cmask & bp.mask or cpen == INF:
@@ -247,9 +237,8 @@ def dp_cell_M(tables: DPTables, p: int, q: int, t: int, mask: int) -> float:
         v = tables.value_C(p, t - 1, mask)
         if v < INF:
             best = fsg.weight(p, q) + v
-    verts = fsg.vertices
     for r in range(fsg.n):
-        if r == p or r == q or orient(verts[p], verts[r], verts[q]) <= 0:
+        if not fsg.is_ccw(p, r, q):
             continue
         cmask, cpen = fsg.triangle_content(p, r, q)
         if (cmask & mask) != cmask or cpen == INF:

@@ -36,9 +36,9 @@ from typing import Dict, Optional, Tuple
 
 from .dijkstra import Label, assert_superiority
 from .dp import _open_ids
-from .errors import CapacityError
+from .errors import CapacityError, InternalError, SchemaError
 from .freespace import FreeSpaceGraph
-from .geometry import Point, orient
+from .geometry import Point
 from .instance import MAX_REQUIRED, Instance
 from .walks import Walk, make_walk
 
@@ -54,26 +54,12 @@ class RegionContent:
 def halfplane_content(v: Point, side: str, fsg: FreeSpaceGraph) -> RegionContent:
     """Content of the vertical half-plane through v; points exactly on the
     line belong to the left side."""
-    assert side in ("left", "right")
-    mask = 0
-    pen = 0.0
-    for bit, ref in fsg._required_refs:
-        if (ref.x <= v.x) == (side == "left"):
-            mask |= 1 << bit
-    for penalty, ref in fsg._optional_refs:
-        if (ref.x <= v.x) == (side == "left"):
-            pen += penalty
-    return RegionContent(mask, pen)
-
-
-def _in_plank(ref: Point, a: Point, b: Point, direction: str) -> bool:
-    if a.x == b.x:
-        return False  # vertical chords span empty planks
-    lo, hi = (a, b) if a.x < b.x else (b, a)
-    if not (lo.x < ref.x <= hi.x):  # strip half-open on the right boundary
-        return False
-    side = orient(lo, hi, ref)
-    return side > 0 if direction == "up" else side < 0
+    if side not in ("left", "right"):
+        raise SchemaError(f"side must be 'left' or 'right', got {side!r}")
+    inside = fsg.x_at_most(v.x)
+    if side == "right":
+        inside = fsg._all & ~inside
+    return RegionContent(*fsg.split_content(inside))
 
 
 def plank_content(a: Point, b: Point, direction: str,
@@ -81,16 +67,15 @@ def plank_content(a: Point, b: Point, direction: str,
     """Content of the region strictly above (up) or strictly below (down)
     segment ab, between the vertical lines through its endpoints, half-open
     on the right vertical boundary."""
-    assert direction in ("up", "down")
-    mask = 0
-    pen = 0.0
-    for bit, ref in fsg._required_refs:
-        if _in_plank(ref, a, b, direction):
-            mask |= 1 << bit
-    for penalty, ref in fsg._optional_refs:
-        if _in_plank(ref, a, b, direction):
-            pen += penalty
-    return RegionContent(mask, pen)
+    if direction not in ("up", "down"):
+        raise SchemaError(f"direction must be 'up' or 'down', got {direction!r}")
+    if a.x == b.x:
+        return RegionContent(0, 0.0)  # vertical chords span empty planks
+    lo, hi = (a, b) if a.x < b.x else (b, a)
+    strip = fsg.x_at_most(hi.x) & ~fsg.x_at_most(lo.x)
+    # Above the chord is left of lo -> hi, below it is left of hi -> lo.
+    side = fsg.left_of(lo, hi) if direction == "up" else fsg.left_of(hi, lo)
+    return RegionContent(*fsg.split_content(strip & side))
 
 
 def _compute_mouths(fsg: FreeSpaceGraph) -> Dict[Tuple[int, int, int], Label]:
@@ -104,15 +89,7 @@ def _compute_mouths(fsg: FreeSpaceGraph) -> Dict[Tuple[int, int, int], Label]:
     """
     assert_superiority(fsg)
     n = fsg.n
-    verts = fsg.vertices
-    ccw: Dict[Tuple[int, int], frozenset] = {}
-    for p in range(n):
-        for q in range(n):
-            if p != q:
-                ccw[(p, q)] = frozenset(
-                    r for r in range(n) if r != p and r != q
-                    and orient(verts[p], verts[r], verts[q]) > 0)
-
+    is_ccw = fsg.is_ccw
     fin: Dict[Tuple[int, int, int], Label] = {}
     fin_from: Dict[int, list] = {p: [] for p in range(n)}
     fin_to: Dict[int, list] = {p: [] for p in range(n)}
@@ -141,7 +118,7 @@ def _compute_mouths(fsg: FreeSpaceGraph) -> Dict[Tuple[int, int, int], Label]:
         # As the left part M(p, r): partners start at r = b.
         for other in fin_from[b]:
             q = other.key[1]
-            if q == a or b not in ccw.get((a, q), ()):
+            if not is_ccw(a, b, q):
                 continue
             cmask, cpen = fsg.triangle_content(a, b, q)
             if cpen == INF or (cmask & label.mask) or (cmask & other.mask) \
@@ -152,7 +129,7 @@ def _compute_mouths(fsg: FreeSpaceGraph) -> Dict[Tuple[int, int, int], Label]:
         # As the right part M(r, q): partners end at r = a.
         for other in fin_to[a]:
             p = other.key[0]
-            if p == b or a not in ccw.get((p, b), ()):
+            if not is_ccw(p, a, b):
                 continue
             cmask, cpen = fsg.triangle_content(p, a, b)
             if cpen == INF or (cmask & label.mask) or (cmask & other.mask) \
@@ -293,6 +270,7 @@ def solve_inverted(inst: Instance, fsg: FreeSpaceGraph,
     if best_label is None:
         return INF, None
     ids = _u_walk_ids(best_label)
-    assert ids[0] == ids[-1]
+    if ids[0] != ids[-1]:
+        raise InternalError(f"inverted walk does not close: {ids[0]} != {ids[-1]}")
     pts = [verts[i] for i in ids[:-1]] if len(ids) > 1 else [verts[ids[0]]]
     return best, make_walk(inst, pts, closed=True)

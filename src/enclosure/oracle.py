@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Dict, List, Optional, Tuple
 
-from .errors import GenerationFailure, OnBoundary, SearchSpaceTooLarge
+from .errors import GenerationFailure, InternalError, OnBoundary, SearchSpaceTooLarge
 from .geometry import winding_number
 from .freespace import FreeSpaceGraph
 from .instance import Instance, parse_instance, validate_and_subdivide
@@ -157,8 +157,9 @@ def brute_force(inst: Instance, fsg: FreeSpaceGraph,
     if best_walk is not None and len(best_walk.points) > 1:
         candidate, _report = uncross(inst, best_walk)
         sol = evaluate_solution(inst, candidate, mode=mode, check_simple=False)
-        assert sol.feasible and abs(sol.cost - best_cost) <= 1e-9 * max(1.0, abs(best_cost)), \
-            "uncrossed best walk must reproduce the enumerated cost"
+        if not (sol.feasible
+                and abs(sol.cost - best_cost) <= 1e-9 * max(1.0, abs(best_cost))):
+            raise InternalError("uncrossed best walk must reproduce the enumerated cost")
         best_walk = candidate
     return OracleResult(best_cost, best_walk, examined, True)
 

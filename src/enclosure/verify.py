@@ -12,7 +12,7 @@ Adversarial walks may be over-rejected, never over-accepted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -23,6 +23,7 @@ from .geometry import (
     Segment,
     distance,
     segments_properly_cross,
+    signed_area2,
     winding_number,
 )
 from .instance import Instance
@@ -114,8 +115,12 @@ def _side_samples(walk_pts: List[Point], all_edges: List[Segment]) -> List[Point
 
 def check_weak_simplicity(walk: Walk, diagnostics: Optional[dict] = None) -> bool:
     """Necessary conditions for a closed walk to be perturbable into a
-    simple polygon; see the module docstring."""
+    simple polygon; see the module docstring.  A clockwise walk (negative
+    signed area, as the inverted solver returns) is weakly simple exactly
+    when its reversal is, so it is judged by its reversal."""
     diag = diagnostics if diagnostics is not None else {}
+    if signed_area2(walk.points) < 0:
+        walk = replace(walk, points=tuple(reversed(walk.points)))
     pts = _clean_points(walk)
     if len(pts) <= 2:
         diag.update(crossings=True, multiplicity=True, winding=True, pairing=True)

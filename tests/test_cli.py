@@ -133,3 +133,16 @@ def test_svg_deterministic(tmp_path):
     assert text == b.read_text()
     assert text.startswith("<svg") or "<svg" in text
     assert "polygon" in text or "path" in text
+
+
+def test_verify_flag_accepts_clockwise_inverted_solution(tmp_path, capsys):
+    # The inverted solver returns the square clockwise; the verifier must
+    # judge such a walk by its reversal, not reject it for winding -1.
+    path = _write(tmp_path, {"mode": "invert",
+                             "polygons": [opt("B", square(0, 0, 4), 40)]})
+    assert run(["--input", path, "--verify"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert len(out["walk"]) == 4
+    assert out["cost"] == pytest.approx(16.0)
+    assert out["checks"]["weakly_simple"] is True
+    assert out["checks"]["cost_matches_solver"] is True

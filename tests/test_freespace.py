@@ -3,7 +3,8 @@ import math
 import pytest
 
 from enclosure import Point, compute_free_space_edges, segment_in_free_space
-from enclosure.errors import DegenerateTriangle
+from enclosure.errors import DegenerateTriangle, SchemaError
+from enclosure.instance import parse_instance
 from enclosure.geometry import in_open_segment
 from conftest import build, opt, req, square
 
@@ -16,6 +17,12 @@ def test_segment_in_free_space_basics():
                                 opt("B", square(4, 0, 2), 1)]})
     assert segment_in_free_space(Point(3, -5), Point(3, 5), inst2)  # through the gap
     assert segment_in_free_space(Point(2, 0), Point(4, 2), inst2)
+
+
+def test_unvalidated_instance_rejected():
+    inst = parse_instance({"polygons": [req("A", square(0, 0, 2))]})
+    with pytest.raises(SchemaError):
+        compute_free_space_edges(inst)
 
 
 def test_single_triangle_exact_edges():

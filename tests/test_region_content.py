@@ -1,0 +1,119 @@
+"""Differential tests of the bitmask region-content kernel against
+brute-force loops over the reference points with the exact predicates."""
+
+import dataclasses
+import itertools
+from fractions import Fraction
+
+import pytest
+
+from enclosure import (
+    Point,
+    compute_free_space_edges,
+    halfplane_content,
+    plank_content,
+    random_instance,
+)
+from enclosure.errors import SchemaError
+from enclosure.geometry import orient, point_in_triangle_halfopen
+from conftest import build, opt, req, square
+
+
+def _brute_triangle(fsg, p, r, q):
+    P, R, Q = fsg.vertices[p], fsg.vertices[r], fsg.vertices[q]
+    mask = 0
+    for bit, ref in fsg._required_refs:
+        if point_in_triangle_halfopen(ref, P, R, Q):
+            mask |= 1 << bit
+    pen = 0.0
+    for penalty, ref in fsg._optional_refs:
+        if point_in_triangle_halfopen(ref, P, R, Q):
+            pen += penalty
+    return mask, pen
+
+
+def _in_plank(ref, a, b, direction):
+    if a.x == b.x:
+        return False
+    lo, hi = (a, b) if a.x < b.x else (b, a)
+    if not (lo.x < ref.x <= hi.x):
+        return False
+    side = orient(lo, hi, ref)
+    return side > 0 if direction == "up" else side < 0
+
+
+def _brute_region(fsg, inside):
+    mask = 0
+    for bit, ref in fsg._required_refs:
+        if inside(ref):
+            mask |= 1 << bit
+    pen = 0.0
+    for penalty, ref in fsg._optional_refs:
+        if inside(ref):
+            pen += penalty
+    return mask, pen
+
+
+def _check_against_brute_force(fsg, extra_points=()):
+    verts = fsg.vertices
+    ccw = 0
+    for p, r, q in itertools.permutations(range(fsg.n), 3):
+        assert fsg.is_ccw(p, r, q) == (orient(verts[p], verts[r], verts[q]) > 0)
+        if fsg.is_ccw(p, r, q):
+            # Penalty sums must be bit-identical, not merely close.
+            assert fsg.triangle_content(p, r, q) == _brute_triangle(fsg, p, r, q)
+            ccw += 1
+    assert ccw > 0
+    points = list(verts) + list(extra_points)
+    for a in points:
+        left = halfplane_content(a, "left", fsg)
+        right = halfplane_content(a, "right", fsg)
+        assert (left.required_mask, left.penalty_sum) == \
+            _brute_region(fsg, lambda ref: ref.x <= a.x)
+        assert (right.required_mask, right.penalty_sum) == \
+            _brute_region(fsg, lambda ref: ref.x > a.x)
+        for b in points:
+            if a == b:
+                continue
+            for direction in ("up", "down"):
+                got = plank_content(a, b, direction, fsg)
+                assert (got.required_mask, got.penalty_sum) == _brute_region(
+                    fsg, lambda ref: _in_plank(ref, a, b, direction)), (a, b, direction)
+
+
+@pytest.mark.parametrize("seed", [3, 8, 21, 34])
+def test_kernel_matches_brute_force_random(seed):
+    inst = random_instance(seed, n_objects=3, k=seed % 3, max_side=2)
+    fsg = compute_free_space_edges(inst)
+    refs = [ref for _b, ref in fsg._required_refs] + \
+        [ref for _p, ref in fsg._optional_refs]
+    assert any(isinstance(c, Fraction) for ref in refs for c in ref)
+    _check_against_brute_force(fsg)
+
+
+def test_kernel_matches_brute_force_collinear_references():
+    # Validation moves reference points into general position, so the
+    # references are replaced afterwards by points on vertex chords, on
+    # their extensions and on a vertex itself: the "on the line" masks
+    # and the half-open triangle rule decide every one of them.
+    fsg = compute_free_space_edges(build({"polygons": [
+        req("A", square(0, 0, 2)),
+        opt("B", square(4, 0, 2), 3),
+        opt("C", [[0, 4], [3, 4], [0, 7]], 1.5),
+    ]}))
+    fsg = dataclasses.replace(
+        fsg,
+        _required_refs=[(0, Point(1, 1)), (1, Point(Fraction(3, 2), 4))],
+        _optional_refs=[(0.1, Point(3, 0)), (0.2, Point(2, 2)),
+                        (0.7, Point(Fraction(5, 2), Fraction(7, 2))),
+                        (2.5, Point(Fraction(1, 3), 5))])
+    _check_against_brute_force(
+        fsg, extra_points=[Point(1, 3), Point(Fraction(7, 2), Fraction(-1, 2))])
+
+
+def test_content_arguments_are_checked():
+    fsg = compute_free_space_edges(build({"polygons": [req("A", square(0, 0, 2))]}))
+    with pytest.raises(SchemaError):
+        halfplane_content(Point(0, 0), "up", fsg)
+    with pytest.raises(SchemaError):
+        plank_content(Point(0, 0), Point(2, 0), "left", fsg)

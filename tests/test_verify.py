@@ -52,11 +52,23 @@ def test_double_wound_square_rejected():
 def test_mixed_orientation_theta_rejected():
     # Two lobes of opposite orientation joined by a doubled corridor: every
     # atom has multiplicity <= 2 and no edges cross, but windings are -1/+1.
-    pts = [(0, 0), (0, 2), (1, 2), (1, 0), (3, 0), (3, 3), (6, 3), (6, 0),
+    pts = [(0, 0), (0, 2), (1, 2), (1, 0), (3, 0), (6, 0), (6, 3), (3, 3),
            (3, 0), (1, 0)]
     diag = {}
     assert not check_weak_simplicity(_walk(EMPTY_INSTANCE, pts), diag)
     assert diag["winding"] is False
+    assert diag["sampled_windings"] == [-1, 0, 1]
+
+
+def test_clockwise_dumbbell_accepted():
+    # Both lobes clockwise, joined by a doubled corridor: windings 0/-1, a
+    # weakly simple clockwise curve, judged by its counterclockwise reversal.
+    pts = [(0, 0), (0, 2), (1, 2), (1, 0), (3, 0), (3, 3), (6, 3), (6, 0),
+           (3, 0), (1, 0)]
+    diag = {}
+    assert check_weak_simplicity(_walk(EMPTY_INSTANCE, pts), diag)
+    assert diag["sampled_windings"] == [0, 1]
+    assert check_weak_simplicity(_walk(EMPTY_INSTANCE, pts[::-1]))
 
 
 def test_evaluate_required_square():
