@@ -14,35 +14,30 @@ finalized — every label still in the queue is at least as expensive.
 Asymptotically this needs O(3^k n^3) time and O(2^k n^2) space for n
 vertices and k required objects, against the budgeted program's extra factor
 of n; in practice it visits only labels cheaper than the optimum.
+
+With the closing rule C1 switched off the same loop computes the inverted
+solver's mouths.  The rule ranks, the label type, the capacity guard, the
+trivial answer, the M2 join test and the walk rebuild come from
+`recursion.py`.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
-from .dp import _closed_ids
-from .errors import CapacityError, NonpositiveWeight
+from .errors import NonpositiveWeight
 from .freespace import FreeSpaceGraph
-from .instance import MAX_REQUIRED
-from .walks import Walk, make_walk
-
-INF = math.inf
-
-_RANK = {"base": 0, "C1": 1, "M1": 1, "C2": 2, "M2": 2}
-
-
-@dataclass(frozen=True)
-class Label:
-    """A finalized state value with enough provenance to rebuild the walk."""
-    kind: str             # "C" or "M"
-    key: Tuple[int, ...]  # (p,) or (p, q)
-    mask: int
-    value: float
-    rule: str
-    ops: Tuple = ()
+from .recursion import (
+    INF,
+    RANK,
+    Label,
+    check_capacity,
+    closed_walk,
+    m2_join,
+    trivial_answer,
+)
+from .walks import Walk
 
 
 def assert_superiority(fsg: FreeSpaceGraph) -> None:
@@ -57,37 +52,34 @@ def assert_superiority(fsg: FreeSpaceGraph) -> None:
             raise NonpositiveWeight(f"negative penalty {penalty}")
 
 
-def _search(fsg: FreeSpaceGraph, early_stop: bool, stats: Optional[dict] = None):
+def _search(fsg: FreeSpaceGraph, early_stop: bool, closures: bool,
+            stats: Optional[dict] = None):
     """Run the label-setting loop.
 
-    Returns (answer, fin_C, fin_M) where answer is the first finalized
+    Returns (answer, fin, fin_M_from, fin_M_to): the first finalized
     closed-walk label covering every required object (None if the queue
-    drains first), and fin_C / fin_M map finalized states to labels.  With
-    early_stop=False the whole fixed point is computed.
+    drains first); the finalized labels by state, (p, mask) for C and
+    (p, q, mask) for M; and the finalized M labels by start and by end
+    vertex, in finalization order.  With early_stop=False the whole fixed
+    point is computed.  With closures=False rule C1 is off: the only
+    closed walks are point walks, and the M labels are the mouths.
     """
     n = fsg.n
     full = fsg.full_mask
 
-    fin_C: Dict[Tuple[int, int], Label] = {}
-    fin_M: Dict[Tuple[int, int, int], Label] = {}
+    fin: Dict[Tuple[int, ...], Label] = {}
     fin_C_at: Dict[int, List[Label]] = {p: [] for p in range(n)}
     fin_M_from: Dict[int, List[Label]] = {p: [] for p in range(n)}
     fin_M_to: Dict[int, List[Label]] = {p: [] for p in range(n)}
 
     heap: list = []
     seq = 0
-    popped = 0
 
     def push(kind, key, mask, value, rule, ops):
         nonlocal seq
-        if value == INF:
+        if value == INF or key + (mask,) in fin:
             return
-        if kind == "C":
-            if (key[0], mask) in fin_C:
-                return
-        elif (key[0], key[1], mask) in fin_M:
-            return
-        heappush(heap, (value, _RANK[rule], kind, key, mask, seq,
+        heappush(heap, (value, RANK[rule], kind, key, mask, seq,
                         Label(kind, key, mask, value, rule, ops)))
         seq += 1
 
@@ -97,12 +89,11 @@ def _search(fsg: FreeSpaceGraph, early_stop: bool, stats: Optional[dict] = None)
     answer: Optional[Label] = None
     while heap:
         value, _rank, kind, key, mask, _s, label = heappop(heap)
+        state = key + (mask,)
+        if state in fin:
+            continue
+        fin[state] = label
         if kind == "C":
-            state = (key[0], mask)
-            if state in fin_C:
-                continue
-            fin_C[state] = label
-            popped += 1
             if mask == full and answer is None:
                 answer = label
                 if early_stop:
@@ -110,51 +101,39 @@ def _search(fsg: FreeSpaceGraph, early_stop: bool, stats: Optional[dict] = None)
             _relax_C(fsg, label, fin_C_at, push)
             fin_C_at[key[0]].append(label)
         else:
-            state = (key[0], key[1], mask)
-            if state in fin_M:
-                continue
-            fin_M[state] = label
-            popped += 1
-            _relax_M(fsg, label, fin_M_from, fin_M_to, push)
+            _relax_M(fsg, label, fin_M_from, fin_M_to, push, closures)
             fin_M_from[key[0]].append(label)
             fin_M_to[key[1]].append(label)
 
     if stats is not None:
-        stats["finalized"] = popped
+        stats["finalized"] = len(fin)
         stats["pushed"] = seq
-    return answer, fin_C, fin_M
+    return answer, fin, fin_M_from, fin_M_to
 
 
 def solve_dijkstra(fsg: FreeSpaceGraph,
                    stats: Optional[dict] = None) -> Tuple[float, Optional[Walk]]:
     """Minimum enclosure cost and an optimal closed walk (None if infeasible)."""
-    k = len(fsg._required_refs)
-    if k > MAX_REQUIRED:
-        raise CapacityError(f"{k} required objects exceeds the supported {MAX_REQUIRED}")
+    check_capacity(fsg)
     assert_superiority(fsg)
-    if fsg.full_mask == 0:
-        if fsg.n == 0:
-            return 0.0, Walk((), True, 0.0)
-        return 0.0, make_walk(fsg.instance, [fsg.vertices[0]], closed=True)
-    answer, _fin_C, _fin_M = _search(fsg, early_stop=True, stats=stats)
+    trivial = trivial_answer(fsg)
+    if trivial is not None:
+        return trivial
+    answer, _fin, _from, _to = _search(fsg, early_stop=True, closures=True,
+                                       stats=stats)
     if answer is None:
         return INF, None
-    ids = _closed_ids(answer)
-    pts = [fsg.vertices[i] for i in ids]
-    return answer.value, make_walk(fsg.instance, pts, closed=True)
+    return answer.value, closed_walk(fsg, answer)
 
 
 def compute_all_labels(fsg: FreeSpaceGraph):
     """Finalize the entire fixed point; returns (fin_C, fin_M) keyed by
     (p, mask) and (p, q, mask)."""
-    k = len(fsg._required_refs)
-    if k > MAX_REQUIRED:
-        raise CapacityError(f"{k} required objects exceeds the supported {MAX_REQUIRED}")
+    check_capacity(fsg)
     assert_superiority(fsg)
-    if fsg.n == 0:
-        return {}, {}
-    _answer, fin_C, fin_M = _search(fsg, early_stop=False)
-    return fin_C, fin_M
+    _answer, fin, _from, _to = _search(fsg, early_stop=False, closures=True)
+    return ({s: lab for s, lab in fin.items() if lab.kind == "C"},
+            {s: lab for s, lab in fin.items() if lab.kind == "M"})
 
 
 def _relax_C(fsg: FreeSpaceGraph, label: Label, fin_C_at, push) -> None:
@@ -169,31 +148,22 @@ def _relax_C(fsg: FreeSpaceGraph, label: Label, fin_C_at, push) -> None:
 
 
 def _relax_M(fsg: FreeSpaceGraph, label: Label,
-             fin_M_from, fin_M_to, push) -> None:
+             fin_M_from, fin_M_to, push, closures: bool) -> None:
     a, b = label.key
-    if fsg.has_edge(b, a):
+    if closures and fsg.has_edge(b, a):
         push("C", (b,), label.mask, label.value + fsg.weight(b, a), "C1",
              (a, label))
-    is_ccw = fsg.is_ccw
     # As the left part M(p, r) of a triangle prq: partners start at r.
     for other in fin_M_from[b]:
         q = other.key[1]
-        if not is_ccw(a, b, q):
-            continue
-        cmask, cpen = fsg.triangle_content(a, b, q)
-        if cpen == INF or (cmask & label.mask) or (cmask & other.mask) \
-                or (label.mask & other.mask):
-            continue
-        push("M", (a, q), label.mask | other.mask | cmask,
-             label.value + other.value + cpen, "M2", (b, label, other))
+        join = m2_join(fsg, a, b, q, label.mask, other.mask)
+        if join is not None:
+            push("M", (a, q), join[0], label.value + other.value + join[1],
+                 "M2", (b, label, other))
     # As the right part M(r, q): partners end at r = a.
     for other in fin_M_to[a]:
         p = other.key[0]
-        if not is_ccw(p, a, b):
-            continue
-        cmask, cpen = fsg.triangle_content(p, a, b)
-        if cpen == INF or (cmask & label.mask) or (cmask & other.mask) \
-                or (label.mask & other.mask):
-            continue
-        push("M", (p, b), label.mask | other.mask | cmask,
-             label.value + other.value + cpen, "M2", (a, other, label))
+        join = m2_join(fsg, p, a, b, other.mask, label.mask)
+        if join is not None:
+            push("M", (p, b), join[0], label.value + other.value + join[1],
+                 "M2", (a, other, label))

@@ -4,54 +4,43 @@ State: for every vertex p, edge budget t and subset B of required objects,
 C(p, t, B) is the cheapest closed walk through p with at most t edges whose
 interior triangulation covers exactly the required set B; M(pq, t, B) is the
 analogous open-walk ("mouth") value for walks from p to q whose region
-together with the chord qp covers B.  The recursion:
-
-  * C base:   C(p, 0, {}) = 0 (the point walk);
-  * C1:       close an open walk q -> p with the edge pq;
-  * C2:       concatenate two closed walks at p over disjoint nonempty sets;
-  * M1:       a single free-space edge pq on top of a closed walk at p;
-  * M2:       split the mouth pq at r with a ccw triangle prq, paying the
-              optional penalties inside the triangle and claiming the
-              required references inside it.
-
-The answer is min over p of C(p, 6n, all-required): cheapest uncrossed
-solutions use at most 6n free-space edge traversals.
+together with the chord qp covers B.  The rules C base, C1, C2, M1 and M2
+are those of `recursion.py`, each adding the edge budgets it combines (plus
+one per new edge).  The answer is min over p of C(p, 6n, all-required):
+cheapest uncrossed solutions use at most 6n free-space edge traversals.
 
 Tables are stored as staircases: per (state, B) a list of breakpoints
 (t, value) with strictly increasing t and strictly decreasing value, filled
 in a single pass over a bucket queue ordered by t.  Only improvements are
 stored, which keeps the tables sparse; combination rules always produce
 strictly larger budgets, so each bucket is complete when it is processed.
+
+The rule ranks, the label type, the capacity guard, the trivial answer,
+the M2 join test and the walk rebuild come from `recursion.py`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .errors import CapacityError
 from .freespace import FreeSpaceGraph
-from .instance import MAX_REQUIRED
-from .walks import Walk, make_walk
-
-INF = math.inf
-
-# Rule ranks for deterministic tie-breaking inside a bucket: single-edge
-# extensions win over compositions at equal value.
-_RANK = {"base": 0, "C1": 1, "M1": 1, "C2": 2, "M2": 2}
+from .recursion import (
+    INF,
+    RANK,
+    Label,
+    check_capacity,
+    closed_walk,
+    m2_join,
+    trivial_answer,
+)
+from .walks import Walk
 
 
 @dataclass(frozen=True)
-class Breakpoint:
+class Breakpoint(Label):
     """One staircase corner: cheapest value first achieved at budget t."""
-    kind: str            # "C" or "M"
-    key: Tuple[int, ...]  # (p,) or (p, q)
-    mask: int
-    t: int
-    value: float
-    rule: str
-    ops: Tuple = ()
+    t: int = 0
 
 
 class DPTables:
@@ -78,7 +67,7 @@ class DPTables:
     def best(self, p: int, mask: int) -> Tuple[float, Optional[Breakpoint]]:
         stair = self._stair("C", p, mask)
         if mask == 0:
-            base = Breakpoint("C", (p,), 0, 0, 0.0, "base")
+            base = Breakpoint("C", (p,), 0, 0.0, "base")
             return 0.0, base
         if not stair:
             return INF, None
@@ -101,9 +90,7 @@ def _stair_value(stair: List[Breakpoint], t: int) -> float:
 def compute_dp_tables(fsg: FreeSpaceGraph, t_max: Optional[int] = None) -> DPTables:
     """Fill the staircase tables by increasing edge budget."""
     n = fsg.n
-    k = len(fsg._required_refs)
-    if k > MAX_REQUIRED:
-        raise CapacityError(f"{k} required objects exceeds the supported {MAX_REQUIRED}")
+    check_capacity(fsg)
     if t_max is None:
         t_max = 6 * n
     tables = DPTables(fsg, t_max)
@@ -120,23 +107,21 @@ def compute_dp_tables(fsg: FreeSpaceGraph, t_max: Optional[int] = None) -> DPTab
         stair = tables._stair(kind, key, mask)
         if stair and stair[-1].value <= value:
             return
-        buckets[t].append((value, _RANK[rule], kind, key, mask, seq, rule, ops))
+        buckets[t].append((value, RANK[rule], kind, key, mask, seq, rule, ops))
         seq += 1
 
     for p in range(n):
         push("C", p, 0, 0, 0.0, "base", ())
 
     for t in range(t_max + 1):
-        for value, _rank, kind, key, mask, _seq, rule, ops in sorted(
-                buckets[t],
-                key=lambda e: (e[0], e[1], e[2], e[3] if e[2] == "M" else (e[3],),
-                               e[4], e[5])):
+        # Entries order by (value, rank, kind, key, mask, seq); seq is unique.
+        for value, _rank, kind, key, mask, _seq, rule, ops in sorted(buckets[t]):
             table = tables.C if kind == "C" else tables.M
             stair = table.setdefault(key, {}).setdefault(mask, [])
             if stair and stair[-1].value <= value:
                 continue
             bp = Breakpoint(kind, key if kind == "M" else (key,),
-                            mask, t, value, rule, ops)
+                            mask, value, rule, ops, t)
             stair.append(bp)
             if kind == "C":
                 _propagate_C(tables, push, key, bp)
@@ -163,43 +148,40 @@ def _propagate_C(tables: DPTables, push, p: int, bp: Breakpoint) -> None:
 def _propagate_M(tables: DPTables, push, key: Tuple[int, int],
                  bp: Breakpoint) -> None:
     fsg = tables.fsg
-    is_ccw = fsg.is_ccw
     a, b = key
     # C1: an open walk a -> b closes into a walk through b via the edge ba.
     if fsg.has_edge(b, a):
         push("C", b, bp.mask, bp.t + 1, bp.value + fsg.weight(b, a), "C1",
              (a, bp))
     # M2 with bp as the left part M(p, r): extend the mouth to every q with
-    # triangle prq ccw, combining with right parts M(r, q).
+    # triangle prq ccw, combining with right parts M(r, q).  The join test
+    # runs once per q with the right mask left out; each right part's mask
+    # is then checked against the joined mask `used`.
     p, r = a, b
     for q in range(fsg.n):
-        if not is_ccw(p, r, q):
+        partners = tables.M.get((r, q))
+        join = partners and m2_join(fsg, p, r, q, bp.mask, 0)
+        if not join:
             continue
-        cmask, cpen = fsg.triangle_content(p, r, q)
-        if cmask & bp.mask or cpen == INF:
-            continue
-        used = bp.mask | cmask
-        for mask2, stair2 in tables.M.get((r, q), {}).items():
-            if mask2 & used:
-                continue
-            for bp2 in stair2:
-                push("M", (p, q), used | mask2, bp.t + bp2.t,
-                     bp.value + bp2.value + cpen, "M2", (r, bp, bp2))
+        used, cpen = join
+        for mask2, stair2 in partners.items():
+            if not mask2 & used:
+                for bp2 in stair2:
+                    push("M", (p, q), used | mask2, bp.t + bp2.t,
+                         bp.value + bp2.value + cpen, "M2", (r, bp, bp2))
     # M2 with bp as the right part M(r, q).
     r2, q2 = a, b
     for p2 in range(fsg.n):
-        if not is_ccw(p2, r2, q2):
+        partners = tables.M.get((p2, r2))
+        join = partners and m2_join(fsg, p2, r2, q2, 0, bp.mask)
+        if not join:
             continue
-        cmask, cpen = fsg.triangle_content(p2, r2, q2)
-        if cmask & bp.mask or cpen == INF:
-            continue
-        used = bp.mask | cmask
-        for mask1, stair1 in tables.M.get((p2, r2), {}).items():
-            if mask1 & used:
-                continue
-            for bp1 in stair1:
-                push("M", (p2, q2), used | mask1, bp1.t + bp.t,
-                     bp1.value + bp.value + cpen, "M2", (r2, bp1, bp))
+        used, cpen = join
+        for mask1, stair1 in partners.items():
+            if not mask1 & used:
+                for bp1 in stair1:
+                    push("M", (p2, q2), used | mask1, bp1.t + bp.t,
+                         bp1.value + bp.value + cpen, "M2", (r2, bp1, bp))
 
 
 def dp_cell_C(tables: DPTables, p: int, t: int, mask: int) -> float:
@@ -259,48 +241,12 @@ def dp_cell_M(tables: DPTables, p: int, q: int, t: int, mask: int) -> float:
     return best
 
 
-def _closed_ids(bp: Breakpoint) -> List[int]:
-    """Cyclic vertex-id list of the closed walk a C breakpoint stands for."""
-    p = bp.key[0]
-    if bp.rule == "base":
-        return [p]
-    if bp.rule == "C1":
-        _q, mbp = bp.ops
-        open_ids = _open_ids(mbp)
-        return [p] + open_ids[:-1]
-    if bp.rule == "C2":
-        bp1, bp2 = bp.ops
-        return _closed_ids(bp1) + _closed_ids(bp2)
-    raise AssertionError(bp.rule)
-
-
-def _open_ids(bp: Breakpoint) -> List[int]:
-    """Explicit vertex-id path of the open walk an M breakpoint stands for."""
-    p, q = bp.key
-    if bp.rule == "M1":
-        (cbp,) = bp.ops
-        closed = _closed_ids(cbp)
-        return (closed + [closed[0], q]) if len(closed) > 1 else [p, q]
-    if bp.rule == "M2":
-        _r, left, right = bp.ops
-        return _open_ids(left) + _open_ids(right)[1:]
-    raise AssertionError(bp.rule)
-
-
-def extract_walk(tables: DPTables, bp: Breakpoint) -> Walk:
-    ids = _closed_ids(bp)
-    pts = [tables.fsg.vertices[i] for i in ids]
-    return make_walk(tables.fsg.instance, pts, closed=True)
-
-
 def solve_dp(fsg: FreeSpaceGraph) -> Tuple[float, Optional[Walk]]:
     """Minimum enclosure cost and an optimal closed walk (None if infeasible)."""
+    trivial = trivial_answer(fsg)
+    if trivial is not None:
+        return trivial
     full = fsg.full_mask
-    if full == 0:
-        if fsg.n == 0:
-            return 0.0, Walk((), True, 0.0)
-        p = 0
-        return 0.0, make_walk(fsg.instance, [fsg.vertices[p]], closed=True)
     tables = compute_dp_tables(fsg)
     best, best_bp = INF, None
     for p in range(fsg.n):
@@ -309,4 +255,4 @@ def solve_dp(fsg: FreeSpaceGraph) -> Tuple[float, Optional[Walk]]:
             best, best_bp = v, bp
     if best_bp is None:
         return INF, None
-    return best, extract_walk(tables, best_bp)
+    return best, closed_walk(fsg, best_bp)

@@ -28,6 +28,7 @@ from .geometry import (
     distance,
     in_open_segment,
     segments_properly_cross,
+    sort_along,
 )
 from .instance import Instance
 
@@ -51,7 +52,8 @@ def _homogeneous(p: Point) -> Tuple[int, int, int]:
 def segment_in_free_space(a: Point, b: Point, inst: Instance) -> bool:
     """True iff the closed segment ab avoids every polygon's open interior
     (running along boundaries is allowed)."""
-    assert a != b
+    if a == b:
+        raise SchemaError(f"segment endpoints coincide at {a}")
     seg = Segment(a, b)
     for poly in inst.polygons:
         for c, d in poly.edges():
@@ -59,21 +61,10 @@ def segment_in_free_space(a: Point, b: Point, inst: Instance) -> bool:
                 return False
         # No proper crossings: the segment meets the boundary only at
         # touch points.  Split at them and test each open piece's midpoint.
-        use_x = abs(b.x - a.x) >= abs(b.y - a.y)
-
-        def param(p: Point) -> Fraction:
-            if use_x:
-                return Fraction(p.x - a.x, b.x - a.x)
-            return Fraction(p.y - a.y, b.y - a.y)
-
-        ts = {Fraction(0), Fraction(1)}
-        for v in poly.vertices:
-            if in_open_segment(v, a, b):
-                ts.add(param(v))
-        cuts = sorted(ts)
-        for t0, t1 in zip(cuts, cuts[1:]):
-            tm = (t0 + t1) / 2
-            mid = Point(a.x + tm * (b.x - a.x), a.y + tm * (b.y - a.y))
+        touches = [v for v in poly.vertices if in_open_segment(v, a, b)]
+        chain = [a] + sort_along(a, b, touches) + [b]
+        for u, v in zip(chain, chain[1:]):
+            mid = Point(Fraction(u.x + v.x, 2), Fraction(u.y + v.y, 2))
             if poly.contains(mid) == "inside":
                 return False
     return True

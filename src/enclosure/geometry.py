@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Union
+from typing import Callable, List, NamedTuple, Sequence, Tuple, Union
 
 from .errors import DegenerateTriangle, OnBoundary
 
@@ -58,6 +58,25 @@ def on_segment(x: Point, a: Point, b: Point) -> bool:
 def in_open_segment(x: Point, a: Point, b: Point) -> bool:
     """True iff x lies in the relative interior of segment ab."""
     return on_segment(x, a, b) and x != a and x != b
+
+
+def sort_along(a: Point, b: Point, points: Sequence[Point]) -> List[Point]:
+    """Points of the line ab sorted from a towards b, by their exact
+    parameter along ab on its dominant axis."""
+    if abs(b.x - a.x) >= abs(b.y - a.y):
+        return sorted(points, key=lambda p: Fraction(p.x - a.x, b.x - a.x))
+    return sorted(points, key=lambda p: Fraction(p.y - a.y, b.y - a.y))
+
+
+def angular_key(origin: Point) -> Callable[[Point], Tuple]:
+    """Sort key ordering points counterclockwise by their exact direction
+    from origin, starting at the +x direction; points in one direction tie."""
+    def key(p: Point) -> Tuple:
+        dx, dy = p.x - origin.x, p.y - origin.y
+        # Within each half-turn the angle grows with -dx/dy.
+        return (dy < 0 or (dy == 0 and dx < 0), dy != 0,
+                -Fraction(dx, dy) if dy else 0)
+    return key
 
 
 def segments_properly_cross(s: Segment, t: Segment) -> bool:

@@ -35,6 +35,7 @@ from .geometry import (
     point_in_polygon,
     segments_properly_cross,
     signed_area2,
+    sort_along,
     winding_number,
 )
 
@@ -299,9 +300,8 @@ def _subdivide_polygon(poly: InputPolygon, all_vertices) -> InputPolygon:
     new_verts: List[Point] = []
     for a, b in poly.edges():
         new_verts.append(a)
-        interior = [v for v in all_vertices if in_open_segment(v, a, b)]
-        interior.sort(key=lambda v: (abs(v.x - a.x), abs(v.y - a.y)))
-        new_verts.extend(interior)
+        new_verts.extend(sort_along(
+            a, b, [v for v in all_vertices if in_open_segment(v, a, b)]))
     return replace(poly, vertices=tuple(new_verts))
 
 

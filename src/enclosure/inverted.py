@@ -25,24 +25,25 @@ Transitions, validated against the brute-force oracle:
 
 All combining values are strictly positive beyond their operands, so the
 same label-setting order as the standard solver applies.
+
+The mouths come from the label-setting search of `dijkstra.py` with the
+closing rule C1 off; the capacity guard, the label type and the rebuild of
+a mouth's walk come from `recursion.py`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, Optional, Tuple
 
-from .dijkstra import Label, assert_superiority
-from .dp import _open_ids
-from .errors import CapacityError, InternalError, SchemaError
+from .dijkstra import _search, assert_superiority
+from .errors import InternalError, SchemaError
 from .freespace import FreeSpaceGraph
 from .geometry import Point
-from .instance import MAX_REQUIRED, Instance
+from .instance import Instance
+from .recursion import INF, check_capacity, open_ids
 from .walks import Walk, make_walk
-
-INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -78,70 +79,6 @@ def plank_content(a: Point, b: Point, direction: str,
     return RegionContent(*fsg.split_content(strip & side))
 
 
-def _compute_mouths(fsg: FreeSpaceGraph) -> Dict[Tuple[int, int, int], Label]:
-    """Fixed point of the mouth recursion without closed-loop attachments.
-
-    A counterclockwise loop hanging off the curve would give its interior
-    winding +1, which no clockwise weakly simple curve has, so pockets of
-    the inverted problem are open walks with triangle attachments only:
-    base M(p, q, {}) = w_pq for free-space edges, composed by the usual
-    ccw-triangle rule.
-    """
-    assert_superiority(fsg)
-    n = fsg.n
-    is_ccw = fsg.is_ccw
-    fin: Dict[Tuple[int, int, int], Label] = {}
-    fin_from: Dict[int, list] = {p: [] for p in range(n)}
-    fin_to: Dict[int, list] = {p: [] for p in range(n)}
-    heap: list = []
-    seq = 0
-
-    def push(key, mask, value, rule, ops):
-        nonlocal seq
-        if value == INF or (key[0], key[1], mask) in fin:
-            return
-        heappush(heap, (value, key, mask, seq, Label("M", key, mask, value, rule, ops)))
-        seq += 1
-
-    trivial = {p: Label("C", (p,), 0, 0.0, "base") for p in range(n)}
-    for p in range(n):
-        for q, w in fsg.adjacency[p]:
-            push((p, q), 0, w, "M1", (trivial[p],))
-
-    while heap:
-        value, key, mask, _s, label = heappop(heap)
-        a, b = key
-        state = (a, b, mask)
-        if state in fin:
-            continue
-        fin[state] = label
-        # As the left part M(p, r): partners start at r = b.
-        for other in fin_from[b]:
-            q = other.key[1]
-            if not is_ccw(a, b, q):
-                continue
-            cmask, cpen = fsg.triangle_content(a, b, q)
-            if cpen == INF or (cmask & label.mask) or (cmask & other.mask) \
-                    or (label.mask & other.mask):
-                continue
-            push((a, q), label.mask | other.mask | cmask,
-                 label.value + other.value + cpen, "M2", (b, label, other))
-        # As the right part M(r, q): partners end at r = a.
-        for other in fin_to[a]:
-            p = other.key[0]
-            if not is_ccw(p, a, b):
-                continue
-            cmask, cpen = fsg.triangle_content(p, a, b)
-            if cpen == INF or (cmask & label.mask) or (cmask & other.mask) \
-                    or (label.mask & other.mask):
-                continue
-            push((p, b), label.mask | other.mask | cmask,
-                 label.value + other.value + cpen, "M2", (a, other, label))
-        fin_from[a].append(label)
-        fin_to[b].append(label)
-    return fin
-
-
 @dataclass(frozen=True)
 class ULabel:
     p: int
@@ -157,8 +94,8 @@ def _u_walk_ids(lab: ULabel):
         return [lab.p]
     mouth, parent = lab.ops
     if lab.rule == "down":
-        return _open_ids(mouth) + _u_walk_ids(parent)[1:]
-    return _u_walk_ids(parent) + _open_ids(mouth)[1:]
+        return open_ids(mouth) + _u_walk_ids(parent)[1:]
+    return _u_walk_ids(parent) + open_ids(mouth)[1:]
 
 
 def solve_inverted(inst: Instance, fsg: FreeSpaceGraph,
@@ -167,9 +104,7 @@ def solve_inverted(inst: Instance, fsg: FreeSpaceGraph,
 
     A point walk (or the empty walk on empty instances) stands for
     enclosing nothing and paying every optional penalty."""
-    k = len(fsg._required_refs)
-    if k > MAX_REQUIRED:
-        raise CapacityError(f"{k} required objects exceeds the supported {MAX_REQUIRED}")
+    check_capacity(fsg)
     full = fsg.full_mask
 
     all_pen = sum(p for p, _ in fsg._optional_refs)
@@ -177,30 +112,21 @@ def solve_inverted(inst: Instance, fsg: FreeSpaceGraph,
         # Nothing can be enclosed: everything is outside the empty curve.
         return (all_pen, Walk((), True, 0.0)) if full == 0 else (INF, None)
 
-    fin_M = _compute_mouths(fsg)
-    # Mouth labels grouped by endpoints for the plank transitions.
-    mouths_from: Dict[int, list] = {p: [] for p in range(fsg.n)}
-    mouths_to: Dict[int, list] = {p: [] for p in range(fsg.n)}
-    for (a, b, _mask), lab in fin_M.items():
-        mouths_from[a].append(lab)
-        mouths_to[b].append(lab)
+    # A counterclockwise loop hanging off the curve would give its interior
+    # winding +1, which no clockwise weakly simple curve has, so pockets are
+    # mouths without closed-loop attachments: rule C1 is off.
+    assert_superiority(fsg)
+    _answer, _fin, mouths_from, mouths_to = _search(
+        fsg, early_stop=False, closures=False)
 
     verts = fsg.vertices
-    down_cache: Dict[Tuple[int, int], RegionContent] = {}
-    up_cache: Dict[Tuple[int, int], RegionContent] = {}
+    plank_memo: Dict[Tuple[int, int, str], RegionContent] = {}
 
-    def down(a: int, b: int) -> RegionContent:
-        c = down_cache.get((a, b))
+    def plank(a: int, b: int, direction: str) -> RegionContent:
+        c = plank_memo.get((a, b, direction))
         if c is None:
-            c = plank_content(verts[a], verts[b], "down", fsg)
-            down_cache[(a, b)] = c
-        return c
-
-    def up(a: int, b: int) -> RegionContent:
-        c = up_cache.get((a, b))
-        if c is None:
-            c = plank_content(verts[a], verts[b], "up", fsg)
-            up_cache[(a, b)] = c
+            c = plank_memo[(a, b, direction)] = plank_content(
+                verts[a], verts[b], direction, fsg)
         return c
 
     heap: list = []
@@ -243,7 +169,7 @@ def solve_inverted(inst: Instance, fsg: FreeSpaceGraph,
             p2 = mouth.key[0]
             if p2 == p or verts[p2].x < verts[p].x:
                 continue
-            c = down(p2, p)
+            c = plank(p2, p, "down")
             if (mask & mouth.mask) or (mask & c.required_mask) \
                     or (mouth.mask & c.required_mask) or c.penalty_sum == INF:
                 continue
@@ -255,7 +181,7 @@ def solve_inverted(inst: Instance, fsg: FreeSpaceGraph,
             q2 = mouth.key[1]
             if q2 == q or verts[q2].x < verts[q].x:
                 continue
-            c = up(q, q2)
+            c = plank(q, q2, "up")
             if (mask & mouth.mask) or (mask & c.required_mask) \
                     or (mouth.mask & c.required_mask) or c.penalty_sum == INF:
                 continue

@@ -10,14 +10,14 @@ a squeezed edge carrying the given weight.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import EmbeddingError, SchemaError, TagError
 from .geometry import (
     Point,
     Segment,
+    angular_key,
     in_open_segment,
     on_segment,
     segments_properly_cross,
@@ -114,22 +114,6 @@ def _check_embedding(g: PlaneGraphInput) -> None:
             raise SchemaError("graph is not connected")
 
 
-def _rotation_order(origin: Point, neighbors: Sequence[Point]) -> List[Point]:
-    """Neighbors sorted counterclockwise by angle around origin, exactly."""
-    def half(d):
-        return 0 if (d.y > 0 or (d.y == 0 and d.x > 0)) else 1
-
-    def cmp(p, q):
-        dp = Point(p.x - origin.x, p.y - origin.y)
-        dq = Point(q.x - origin.x, q.y - origin.y)
-        if half(dp) != half(dq):
-            return half(dp) - half(dq)
-        cross = dp.x * dq.y - dp.y * dq.x
-        return -1 if cross > 0 else (1 if cross < 0 else 0)
-
-    return sorted(neighbors, key=functools.cmp_to_key(cmp))
-
-
 def extract_faces(g: PlaneGraphInput) -> List[Tuple[Point, ...]]:
     """All face boundary walks of the drawing; bounded faces are ccw, the
     outer face is cw (it is the one with nonpositive signed area)."""
@@ -138,7 +122,7 @@ def extract_faces(g: PlaneGraphInput) -> List[Tuple[Point, ...]]:
         a, b = g.vertices[u], g.vertices[v]
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
-    rot = {v: _rotation_order(v, ns) for v, ns in adj.items()}
+    rot = {v: sorted(ns, key=angular_key(v)) for v, ns in adj.items()}
     index = {v: {w: i for i, w in enumerate(order)} for v, order in rot.items()}
 
     faces: List[Tuple[Point, ...]] = []

@@ -16,19 +16,19 @@ polygon; it is finally oriented counterclockwise.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from .errors import DisconnectedAfterReduction, NotConnected, NotEulerian
 from .geometry import (
     Point,
     Segment,
+    angular_key,
     crossing_point,
     in_open_segment,
     segments_properly_cross,
     signed_area2,
+    sort_along,
 )
 from .instance import Instance
 from .walks import Walk, make_walk
@@ -93,13 +93,7 @@ def subdivide_walk(walk: Walk) -> Tuple[PlaneMultigraph, UncrossReport]:
     for a, b in edges:
         interior = [p for p in cut_candidates if in_open_segment(p, a, b)]
         fork_points.update(p for p in interior if p not in crossings)
-        use_x = abs(b.x - a.x) >= abs(b.y - a.y)
-
-        def param(p: Point) -> Fraction:
-            return Fraction(p.x - a.x, b.x - a.x) if use_x \
-                else Fraction(p.y - a.y, b.y - a.y)
-
-        chain = [a] + sorted(interior, key=param) + [b]
+        chain = [a] + sort_along(a, b, interior) + [b]
         for u, v in zip(chain, chain[1:]):
             key = _edge_key(u, v)
             multiplicity[key] = multiplicity.get(key, 0) + 1
@@ -144,21 +138,6 @@ def _connected(g: PlaneMultigraph) -> bool:
     return len(seen) == len(adj)
 
 
-def _angular_cmp(origin: Point):
-    def half(d):
-        return 0 if (d.y > 0 or (d.y == 0 and d.x > 0)) else 1
-
-    def cmp(p, q):
-        dp = Point(p.x - origin.x, p.y - origin.y)
-        dq = Point(q.x - origin.x, q.y - origin.y)
-        if half(dp) != half(dq):
-            return half(dp) - half(dq)
-        cross = dp.x * dq.y - dp.y * dq.x
-        return -1 if cross > 0 else (1 if cross < 0 else 0)
-
-    return functools.cmp_to_key(cmp)
-
-
 def non_crossing_euler_tour(g: PlaneMultigraph) -> List[Point]:
     """Closed vertex sequence using every edge copy exactly once, with a
     non-crossing transition pairing at every vertex."""
@@ -178,7 +157,7 @@ def non_crossing_euler_tour(g: PlaneMultigraph) -> List[Point]:
     for v, ends in ends_at.items():
         if len(ends) % 2:
             raise NotEulerian(f"odd degree at {v}")
-        keyf = _angular_cmp(v)
+        keyf = angular_key(v)
         # Parallel copies of one atom run on separate tracks; a planar
         # realization lists the tracks in opposite order at the two
         # endpoints, so mirror the copy order at the larger endpoint.
@@ -198,22 +177,26 @@ def non_crossing_euler_tour(g: PlaneMultigraph) -> List[Point]:
         for i, (_other, cid) in enumerate(ends):
             slot_of[(cid, v)] = i
 
+    def trail_from(start: int) -> List[Tuple[int, Point]]:
+        """(copy id, entry vertex) along the closed trail through copy
+        start under the current pairing, entering start at its first end."""
+        steps: List[Tuple[int, Point]] = []
+        cid, enter = start, copies[start][0]
+        while not steps or cid != start:
+            steps.append((cid, enter))
+            a, b = copies[cid]
+            out = b if enter == a else a
+            cid, enter = ends_at[out][partner[(out, slot_of[(cid, out)])]][1], out
+        return steps
+
     def trails() -> Dict[int, int]:
         """Map copy id -> trail id under the current pairing."""
         trail: Dict[int, int] = {}
         tid = 0
         for start in range(len(copies)):
-            if start in trail:
-                continue
-            cid, enter = start, copies[start][0]
-            while cid not in trail:
-                trail[cid] = tid
-                a, b = copies[cid]
-                out = b if enter == a else a
-                slot = partner[(out, slot_of[(cid, out)])]
-                _other, cid2 = ends_at[out][slot]
-                cid, enter = cid2, out
-            tid += 1
+            if start not in trail:
+                trail.update((cid, tid) for cid, _enter in trail_from(start))
+                tid += 1
         return trail
 
     trail = trails()
@@ -241,16 +224,7 @@ def non_crossing_euler_tour(g: PlaneMultigraph) -> List[Point]:
         trail = trails()
 
     # Walk the single trail starting from copy 0 out of its smaller endpoint.
-    tour: List[Point] = []
-    cid, enter = 0, copies[0][0]
-    for _ in range(len(copies)):
-        tour.append(enter)
-        a, b = copies[cid]
-        out = b if enter == a else a
-        slot = partner[(out, slot_of[(cid, out)])]
-        _other, cid2 = ends_at[out][slot]
-        cid, enter = cid2, out
-    return tour
+    return [enter for _cid, enter in trail_from(0)]
 
 
 def uncross(inst: Instance, walk: Walk) -> Tuple[Walk, UncrossReport]:

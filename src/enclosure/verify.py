@@ -21,13 +21,16 @@ from .freespace import segment_in_free_space
 from .geometry import (
     Point,
     Segment,
+    angular_key,
     distance,
+    in_open_segment,
     segments_properly_cross,
     signed_area2,
+    sort_along,
     winding_number,
 )
 from .instance import Instance
-from .uncrossing import PlaneMultigraph, _angular_cmp, _clean_points, subdivide_walk
+from .uncrossing import PlaneMultigraph, _clean_points, subdivide_walk
 from .walks import Walk
 
 INF = math.inf
@@ -163,18 +166,10 @@ def _transitions_non_crossing(pts: List[Point], g: PlaneMultigraph) -> bool:
     vset = set(g.vertices)
     seq: List[Point] = []
     m = len(pts)
-    from .geometry import in_open_segment
     for i in range(m):
         a, b = pts[i], pts[(i + 1) % m]
-        interior = [v for v in vset if in_open_segment(v, a, b)]
-        use_x = abs(b.x - a.x) >= abs(b.y - a.y)
-
-        def param(p):
-            return Fraction(p.x - a.x, b.x - a.x) if use_x \
-                else Fraction(p.y - a.y, b.y - a.y)
-
         seq.append(a)
-        seq.extend(sorted(interior, key=param))
+        seq.extend(sort_along(a, b, [v for v in vset if in_open_segment(v, a, b)]))
 
     n = len(seq)
     # Angular group index of each neighbor direction around each vertex.
@@ -185,7 +180,7 @@ def _transitions_non_crossing(pts: List[Point], g: PlaneMultigraph) -> bool:
         chords.setdefault(seq[i], []).append((prev_pt, next_pt))
 
     for v, pairs in chords.items():
-        dirs = sorted({d for pair in pairs for d in pair}, key=_angular_cmp(v))
+        dirs = sorted({d for pair in pairs for d in pair}, key=angular_key(v))
         group = {d: gi for gi, d in enumerate(dirs)}
         k = len(dirs)
         labelled = [(group[a], group[b]) for a, b in pairs]

@@ -10,8 +10,9 @@ from enclosure import (
     solve_dijkstra,
     solve_dp,
 )
-from enclosure.dijkstra import assert_superiority
-from enclosure.errors import NonpositiveWeight
+from enclosure.dijkstra import _search, assert_superiority
+from enclosure.errors import InternalError, NonpositiveWeight
+from enclosure.recursion import Label, closed_ids, m2_join, open_ids
 from conftest import build, opt, rel_close, req, square
 
 
@@ -94,6 +95,57 @@ def test_finalized_labels_stable_under_reevaluation():
             if (m1 & mask) == m1 and (p, m1) in fin_C and (p, mask ^ m1) in fin_C:
                 best = min(best, fin_C[(p, m1)].value + fin_C[(p, mask ^ m1)].value)
         assert rel_close(best, lab.value), (p, mask)
+
+
+def _m_right_hand_side(fsg, fin_C, fin_M, p, q, mask):
+    """Min over the M1 and M2 rules for state (p, q, mask), read from the
+    finalized labels."""
+    best = math.inf
+    c = fin_C.get((p, mask))
+    if c is not None and fsg.has_edge(p, q):
+        best = c.value + fsg.weight(p, q)
+    for (a, r, m1), left in fin_M.items():
+        if a != p:
+            continue
+        for (r2, q2, m2), right in fin_M.items():
+            if r2 != r or q2 != q:
+                continue
+            join = m2_join(fsg, p, r, q, m1, m2)
+            if join is not None and join[0] == mask:
+                best = min(best, left.value + right.value + join[1])
+    return best
+
+
+def test_finalized_m_labels_stable_under_reevaluation():
+    # The same soundness check for M labels, over the full fixed point and
+    # over the closure-free mouths the inverted solver uses.
+    inst = build({"polygons": [req("A", square(0, 0, 2)),
+                               opt("B", square(5, 1, 2), 3)]})
+    fsg = compute_free_space_edges(inst)
+    fin_C, fin_M = compute_all_labels(fsg)
+    _answer, fin, _from, _to = _search(fsg, early_stop=False, closures=False)
+    base_C = {s: lab for s, lab in fin.items() if lab.kind == "C"}
+    mouths = {s: lab for s, lab in fin.items() if lab.kind == "M"}
+    assert all(lab.rule == "base" for lab in base_C.values())
+    for labels_C, labels_M in ((fin_C, fin_M), (base_C, mouths)):
+        assert labels_M
+        for (p, q, mask), lab in labels_M.items():
+            best = _m_right_hand_side(fsg, labels_C, labels_M, p, q, mask)
+            assert rel_close(best, lab.value), (p, q, mask)
+    # Pockets carry no closed loop: every M1 mouth sits on a point walk.
+    for lab in mouths.values():
+        if lab.rule == "M1":
+            (base,) = lab.ops
+            assert base.rule == "base" and base.mask == 0 and lab.mask == 0
+            assert open_ids(lab) == list(lab.key)
+
+
+def test_walk_rebuild_rejects_unknown_rule():
+    bad = Label("C", (0,), 1, 1.0, "M2", (1, None, None))
+    with pytest.raises(InternalError):
+        closed_ids(bad)
+    with pytest.raises(InternalError):
+        open_ids(Label("M", (0, 1), 0, 1.0, "C1", (1, bad)))
 
 
 def test_deterministic_walks():

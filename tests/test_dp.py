@@ -12,9 +12,9 @@ from enclosure import (
     solve_dp,
     winding_cost,
 )
-from enclosure.dp import extract_walk
 from enclosure.errors import ReferenceOnWalk
 from enclosure.geometry import winding_number
+from enclosure.recursion import closed_walk
 from conftest import build, opt, rel_close, req, square
 
 INF = math.inf
@@ -118,7 +118,7 @@ def test_extract_walk_reevaluates_to_cell_value():
             value, bp = tables.best(p, mask)
             if bp is None or value == INF:
                 continue
-            walk = extract_walk(tables, bp)
+            walk = closed_walk(fsg, bp)
             c = winding_cost(inst, walk)
             # The DP value counts only penalties inside its triangulated
             # region; for mask-complete roots it equals the winding cost.

@@ -19,6 +19,12 @@ def test_segment_in_free_space_basics():
     assert segment_in_free_space(Point(2, 0), Point(4, 2), inst2)
 
 
+def test_segment_in_free_space_rejects_zero_length():
+    inst = build({"polygons": [req("A", square(0, 0, 2))]})
+    with pytest.raises(SchemaError):
+        segment_in_free_space(Point(5, 5), Point(5, 5), inst)
+
+
 def test_unvalidated_instance_rejected():
     inst = parse_instance({"polygons": [req("A", square(0, 0, 2))]})
     with pytest.raises(SchemaError):

@@ -6,6 +6,7 @@ import pytest
 from enclosure import Point, Segment, orient, signed_area2, winding_number
 from enclosure.errors import DegenerateTriangle, OnBoundary
 from enclosure.geometry import (
+    angular_key,
     collinear_overlap,
     crossing_point,
     in_open_segment,
@@ -13,6 +14,7 @@ from enclosure.geometry import (
     point_in_polygon,
     point_in_triangle_halfopen,
     segments_properly_cross,
+    sort_along,
 )
 
 SQUARE = [Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)]
@@ -154,3 +156,32 @@ def test_segment_predicates():
 def test_signed_area():
     assert signed_area2(SQUARE) == 2
     assert signed_area2(list(reversed(SQUARE))) == -2
+
+
+@pytest.mark.parametrize("a, b, inner", [
+    (Point(2, 0), Point(2, 9), [Point(2, 1), Point(2, 4), Point(2, 8)]),  # vertical
+    (Point(7, 3), Point(-1, 3), [Point(6, 3), Point(5, 3), Point(0, 3)]),  # horizontal
+    (Point(0, 0), Point(6, -6), [Point(1, -1), Point(2, -2), Point(5, -5)]),  # diagonal
+    (Point(0, 0), Point(1, 3),  # rational points on a steep line
+     [Point(Fraction(1, 3), 1), Point(Fraction(1, 2), Fraction(3, 2)),
+      Point(Fraction(2, 3), 2)]),
+])
+def test_sort_along(a, b, inner):
+    for perm in (inner, inner[::-1], inner[1:] + inner[:1]):
+        assert sort_along(a, b, perm) == inner
+        assert sort_along(b, a, perm) == inner[::-1]
+    assert sort_along(a, b, []) == []
+
+
+def test_angular_key_counterclockwise_from_positive_x():
+    o = Point(1, 1)
+    ring = [Point(5, 1), Point(3, 2), Point(1, 4), Point(0, 3), Point(-2, 1),
+            Point(0, 0), Point(1, Fraction(1, 2)), Point(2, Fraction(-1, 2))]
+    rng = random.Random(3)
+    for _ in range(5):
+        shuffled = ring[:]
+        rng.shuffle(shuffled)
+        assert sorted(shuffled, key=angular_key(o)) == ring
+    key = angular_key(o)
+    assert key(Point(2, 2)) == key(Point(5, 5))  # one direction, one place
+    assert key(Point(3, 1)) == key(Point(9, 1))
