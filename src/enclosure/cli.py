@@ -14,7 +14,6 @@ import json
 import math
 import sys
 import time
-from typing import Optional
 
 from .dijkstra import solve_dijkstra
 from .dp import solve_dp
@@ -26,7 +25,6 @@ from .oracle import brute_force, random_instance
 from .svg import render_svg
 from .uncrossing import uncross
 from .verify import _fmt_cost, evaluate_solution
-from .walks import Walk
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -23,7 +23,8 @@ class OverlapError(EnclosureError):
 
 
 class DegeneratePolygon(EnclosureError):
-    """Polygon has an empty interior."""
+    """Polygon has an empty interior, or no interior reference point in
+    general position with the polygon vertices."""
 
 
 class DegenerateTriangle(EnclosureError):

@@ -43,6 +43,14 @@ def orient(p: Point, q: Point, r: Point) -> int:
     return 0
 
 
+def homogeneous(p: Point) -> Tuple[int, int, int]:
+    """Integers (X, Y, W), W > 0, with p = (X/W, Y/W)."""
+    x, y = Fraction(p.x), Fraction(p.y)
+    w = math.lcm(x.denominator, y.denominator)
+    return (x.numerator * (w // x.denominator),
+            y.numerator * (w // y.denominator), w)
+
+
 def distance(a: Point, b: Point) -> float:
     return math.hypot(float(b.x - a.x), float(b.y - a.y))
 
@@ -77,6 +85,13 @@ def angular_key(origin: Point) -> Callable[[Point], Tuple]:
         return (dy < 0 or (dy == 0 and dx < 0), dy != 0,
                 -Fraction(dx, dy) if dy else 0)
     return key
+
+
+def boxes_meet(s: Tuple[Coord, Coord, Coord, Coord],
+               t: Tuple[Coord, Coord, Coord, Coord]) -> bool:
+    """True iff the closed boxes (xmin, ymin, xmax, ymax) s and t share a
+    point."""
+    return s[0] <= t[2] and t[0] <= s[2] and s[1] <= t[3] and t[1] <= s[3]
 
 
 def segments_properly_cross(s: Segment, t: Segment) -> bool:

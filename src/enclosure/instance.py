@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -28,7 +28,9 @@ from .errors import (
 from .geometry import (
     Point,
     Segment,
+    boxes_meet,
     distance,
+    homogeneous,
     in_open_segment,
     on_segment,
     orient,
@@ -58,6 +60,17 @@ class InputPolygon:
         m = len(self.vertices)
         for i in range(m):
             yield self.vertices[i], self.vertices[(i + 1) % m]
+
+    @cached_property
+    def box(self) -> Optional[Tuple[int, int, int, int]]:
+        """Closed bounding box (xmin, ymin, xmax, ymax) of a bounded
+        polygon, which holds its interior; None for the unbounded polygon,
+        whose interior lies outside its boundary."""
+        if self.unbounded:
+            return None
+        xs = [v.x for v in self.vertices]
+        ys = [v.y for v in self.vertices]
+        return (min(xs), min(ys), max(xs), max(ys))
 
     def contains(self, x: Point) -> str:
         """Classify x against this polygon: 'inside', 'boundary', 'outside'.
@@ -315,9 +328,16 @@ def _edge_traversal_counts(polygons) -> Dict[FrozenSet[Point], int]:
 
 
 def _check_disjoint_interiors(polygons) -> None:
+    """Raise OverlapError for the first pair of polygons whose interiors
+    meet.  Two bounded polygons whose closed boxes are disjoint are skipped:
+    a bounded polygon's interior, and its reference point once settled,
+    lie in its box."""
     for i in range(len(polygons)):
         for j in range(i + 1, len(polygons)):
             P, Q = polygons[i], polygons[j]
+            if P.box is not None and Q.box is not None \
+                    and not boxes_meet(P.box, Q.box):
+                continue
             for a, b in P.edges():
                 for c, d in Q.edges():
                     if segments_properly_cross(Segment(a, b), Segment(c, d)):
@@ -362,13 +382,29 @@ def _resplit_squeezed(squeezed, polygons) -> Dict[FrozenSet[Point], float]:
     return out
 
 
-def _in_general_position(x: Point, vertices) -> bool:
-    """True iff x is not collinear with any two distinct polygon vertices."""
-    vs = list(vertices)
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            if orient(vs[i], vs[j], x) == 0:
-                return False
+def _in_general_position(x: Point, vertices: Sequence[Point]) -> bool:
+    """True iff x is not collinear with any two of the (integer) polygon
+    vertices.
+
+    O(n) in the number of vertices, exact: with x = (X/W, Y/W), the line
+    through x and a vertex v has the integer direction
+    (v.x*W - X, v.y*W - Y), reduced by its gcd and signed so that its first
+    nonzero entry is positive.  x is collinear with two vertices exactly
+    when two of them share a line, or x is itself a vertex.
+    """
+    X, Y, W = homogeneous(x)
+    lines = set()
+    for v in vertices:
+        dx, dy = v.x * W - X, v.y * W - Y
+        g = math.gcd(dx, dy)
+        if g == 0:      # x is v: collinear with v and any other vertex
+            return len(vertices) < 2
+        if dx < 0 or (dx == 0 and dy < 0):
+            g = -g
+        line = (dx // g, dy // g)
+        if line in lines:
+            return False
+        lines.add(line)
     return True
 
 
@@ -417,7 +453,8 @@ def pick_reference_point(poly: InputPolygon) -> Point:
 
 def _settle_reference_point(poly: InputPolygon, all_vertices) -> Point:
     """Choose/adjust the reference point: strictly interior, integer grid if
-    possible, and in general position w.r.t. all polygon vertices."""
+    possible, and in general position w.r.t. all polygon vertices.  Raises
+    DegeneratePolygon when no candidate is in general position."""
     cand = poly.reference_point
     if cand is None:
         if poly.unbounded:
@@ -441,9 +478,8 @@ def _settle_reference_point(poly: InputPolygon, all_vertices) -> Point:
             p = Point(cand.x + Fraction(dx, 997 * d), cand.y + Fraction(dy, 997 * d))
             if poly.contains(p) == "inside" and _in_general_position(p, all_vertices):
                 return p
-    warnings.warn(f"reference point of polygon {poly.id!r} is not in general "
-                  f"position; degenerate mouth incidences may be reported")
-    return cand
+    raise DegeneratePolygon(
+        f"polygon {poly.id!r}: no reference point in general position found")
 
 
 def validate_and_subdivide(inst: Instance) -> Instance:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from random import Random
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import GenerationFailure, InternalError, OnBoundary, SearchSpaceTooLarge
 from .geometry import winding_number
