@@ -113,20 +113,6 @@ def crossing_point(s: Segment, t: Segment) -> Point:
     return Point(ax + lam * dx, ay + lam * dy)
 
 
-def collinear_overlap(s: Segment, t: Segment) -> bool:
-    """True iff s and t are collinear and share more than one point."""
-    if orient(s.a, s.b, t.a) != 0 or orient(s.a, s.b, t.b) != 0:
-        return False
-    # Project on the dominant axis and intersect the parameter intervals.
-    if abs(s.b.x - s.a.x) >= abs(s.b.y - s.a.y):
-        lo1, hi1 = sorted((s.a.x, s.b.x))
-        lo2, hi2 = sorted((t.a.x, t.b.x))
-    else:
-        lo1, hi1 = sorted((s.a.y, s.b.y))
-        lo2, hi2 = sorted((t.a.y, t.b.y))
-    return max(lo1, lo2) < min(hi1, hi2)
-
-
 def winding_number(walk: Sequence[Point], x: Point) -> int:
     """Winding number of the closed walk around x.
 

@@ -164,10 +164,18 @@ def _parse_penalty(value, where: str) -> float:
     if value == "inf":
         return math.inf
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if value < 0:
+        if not value >= 0:  # also rejects NaN, which JSON accepts
             raise SchemaError(f"{where}: penalty must be nonnegative, got {value}")
         return float(value)
     raise SchemaError(f"{where}: penalty must be a number or \"inf\", got {value!r}")
+
+
+def _parse_weight(value, where: str) -> float:
+    """A squeezed-edge or plane-graph edge weight: a number > 0, so not NaN."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool) \
+            or not value > 0:
+        raise SchemaError(f"{where}: weight must be a number > 0, got {value!r}")
+    return float(value)
 
 
 def _epsilon_triangle(at: Point, eps: int) -> Tuple[Point, ...]:
@@ -294,13 +302,11 @@ def parse_instance(data) -> Instance:
         b = _parse_point(sd["b"], f"{where}.b")
         if a == b:
             raise SchemaError(f"{where}: degenerate squeezed edge")
-        w = sd["weight"]
-        if not isinstance(w, (int, float)) or isinstance(w, bool):
-            raise SchemaError(f"{where}: weight must be a number")
+        w = _parse_weight(sd["weight"], where)
         key = frozenset((a, b))
         if key in squeezed:
             raise SchemaError(f"{where}: duplicate squeezed edge")
-        squeezed[key] = float(w)
+        squeezed[key] = w
 
     return Instance(tuple(polygons), squeezed, mode, scale, eps)
 

@@ -26,9 +26,10 @@ Transitions, validated against the brute-force oracle:
 All combining values are strictly positive beyond their operands, so the
 same label-setting order as the standard solver applies.
 
-The mouths come from the label-setting search of `dijkstra.py` with the
-closing rule C1 off; the capacity guard, the label type and the rebuild of
-a mouth's walk come from `recursion.py`.
+The mouths are the open labels of the label-setting search of `dijkstra.py`
+with the closing rule C1 off, read from its settled-label index; the rules
+that build them (`relax`), the capacity guard, the label type and the
+rebuild of a mouth's walk come from `recursion.py`.
 """
 
 from __future__ import annotations
@@ -116,8 +117,7 @@ def solve_inverted(inst: Instance, fsg: FreeSpaceGraph,
     # winding +1, which no clockwise weakly simple curve has, so pockets are
     # mouths without closed-loop attachments: rule C1 is off.
     assert_superiority(fsg)
-    _answer, _fin, mouths_from, mouths_to = _search(
-        fsg, early_stop=False, closures=False)
+    _answer, _fin, mouths = _search(fsg, early_stop=False, closures=False)
 
     verts = fsg.vertices
     plank_memo: Dict[Tuple[int, int, str], RegionContent] = {}
@@ -165,29 +165,31 @@ def solve_inverted(inst: Instance, fsg: FreeSpaceGraph,
                     best, best_label = total, lab
 
         # Down-plank: prepend a chord p2 -> p with p2.x >= p.x.
-        for mouth in mouths_to[p]:
-            p2 = mouth.key[0]
-            if p2 == p or verts[p2].x < verts[p].x:
+        for p2, ending in mouths.open_to[p].items():
+            if verts[p2].x < verts[p].x:
                 continue
             c = plank(p2, p, "down")
-            if (mask & mouth.mask) or (mask & c.required_mask) \
-                    or (mouth.mask & c.required_mask) or c.penalty_sum == INF:
+            if c.penalty_sum == INF or mask & c.required_mask:
                 continue
-            push(ULabel(p2, q, mask | mouth.mask | c.required_mask,
-                        value + mouth.value + c.penalty_sum, "down",
-                        (mouth, lab)))
+            used = mask | c.required_mask
+            for mouth in ending:
+                if not used & mouth.mask:
+                    push(ULabel(p2, q, used | mouth.mask,
+                                value + mouth.value + c.penalty_sum, "down",
+                                (mouth, lab)))
         # Up-plank: append a chord q -> q2 with q2.x >= q.x.
-        for mouth in mouths_from[q]:
-            q2 = mouth.key[1]
-            if q2 == q or verts[q2].x < verts[q].x:
+        for q2, starting in mouths.open_from[q].items():
+            if verts[q2].x < verts[q].x:
                 continue
             c = plank(q, q2, "up")
-            if (mask & mouth.mask) or (mask & c.required_mask) \
-                    or (mouth.mask & c.required_mask) or c.penalty_sum == INF:
+            if c.penalty_sum == INF or mask & c.required_mask:
                 continue
-            push(ULabel(p, q2, mask | mouth.mask | c.required_mask,
-                        value + mouth.value + c.penalty_sum, "up",
-                        (mouth, lab)))
+            used = mask | c.required_mask
+            for mouth in starting:
+                if not used & mouth.mask:
+                    push(ULabel(p, q2, used | mouth.mask,
+                                value + mouth.value + c.penalty_sum, "up",
+                                (mouth, lab)))
 
     if stats is not None:
         stats["finalized"] = popped

@@ -24,7 +24,8 @@ from .geometry import (
     signed_area2,
     winding_number,
 )
-from .instance import OPTIONAL, REQUIRED, InputPolygon, Instance, _parse_penalty, _parse_point
+from .instance import (OPTIONAL, REQUIRED, InputPolygon, Instance, _parse_penalty,
+                       _parse_point, _parse_weight)
 from .errors import OnBoundary
 
 
@@ -61,13 +62,12 @@ def parse_plane_graph(data) -> PlaneGraphInput:
         if not isinstance(u, int) or not isinstance(v, int) \
                 or not (0 <= u < len(vertices)) or not (0 <= v < len(vertices)) or u == v:
             raise SchemaError(f"graph.edges[{i}]: invalid endpoints {u}, {v}")
-        if not isinstance(w, (int, float)) or isinstance(w, bool) or w <= 0:
-            raise SchemaError(f"graph.edges[{i}]: weight must be strictly positive")
+        w = _parse_weight(w, f"graph.edges[{i}]")
         key = frozenset((u, v))
         if key in seen:
             raise SchemaError(f"graph.edges[{i}]: duplicate edge {u}-{v}")
         seen.add(key)
-        edges.append((u, v, float(w)))
+        edges.append((u, v, w))
     tags = []
     for i, t in enumerate(data.get("faces", [])):
         if not isinstance(t, dict):

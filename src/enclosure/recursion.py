@@ -12,16 +12,20 @@ walks C(p, B) and open walks ("mouths") M(pq, B):
               paying the optional penalties inside the triangle and
               claiming the required references inside it.
 
-This module holds what they share: the rule ranks, the label type, the
-capacity guard, the answer on instances with nothing required, the M2 join
-test, and the rebuild of a walk from a label's provenance.
+This module holds the recursion itself: `relax` enumerates the four rules
+once, for every solver, reading the settled labels from one index
+(`Settled`).  Each solver keeps only its own queue and acceptance test: the
+label-setting search settles the cheapest label first and keeps the first
+label per state, the DP settles by edge budget and keeps a label only if it
+improves its state's staircase.  Also here: the rule ranks, the label type,
+the capacity guard, the answer on instances with nothing required, the M2
+join test, and the rebuild of a walk from a label's provenance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import CapacityError, InternalError
 from .freespace import FreeSpaceGraph
@@ -35,18 +39,19 @@ INF = math.inf
 RANK = {"base": 0, "C1": 1, "M1": 1, "C2": 2, "M2": 2}
 
 
-@dataclass(frozen=True)
-class Label:
+class Label(NamedTuple):
     """A state value with enough provenance to rebuild the walk.
 
     ops by rule: base (); C1 (q, M label); C2 (C label, C label);
-    M1 (C label,); M2 (r, left M label, right M label)."""
+    M1 (C label,); M2 (r, left M label, right M label).  A named tuple:
+    the label-setting search builds one per push."""
     kind: str             # "C" or "M"
     key: Tuple[int, ...]  # (p,) or (p, q)
     mask: int
     value: float
     rule: str
     ops: Tuple = ()
+    t: int = 0            # free-space edges in the walk
 
 
 def check_capacity(fsg: FreeSpaceGraph) -> None:
@@ -79,6 +84,73 @@ def m2_join(fsg: FreeSpaceGraph, p: int, r: int, q: int,
             or (left_mask & right_mask):
         return None
     return left_mask | right_mask | cmask, cpen
+
+
+class Settled:
+    """The settled labels, indexed the way `relax` reads them: closed labels
+    by vertex, open labels by start then end vertex and by end then start
+    vertex, each list in settling order."""
+
+    def __init__(self, n: int):
+        self.closed: List[List[Label]] = [[] for _ in range(n)]
+        self.open_from: List[Dict[int, List[Label]]] = [{} for _ in range(n)]
+        self.open_to: List[Dict[int, List[Label]]] = [{} for _ in range(n)]
+
+    def add(self, label: Label) -> None:
+        if label.kind == "C":
+            self.closed[label.key[0]].append(label)
+        else:
+            p, q = label.key
+            self.open_from[p].setdefault(q, []).append(label)
+            self.open_to[q].setdefault(p, []).append(label)
+
+
+def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
+          closures: bool = True) -> None:
+    """Derive every label one rule builds from `label` and the settled
+    labels, and hand each to push(kind, key, mask, value, t, rule, ops).
+
+    A label never combines with itself, so it may be settled before or
+    after this call.  With closures=False rule C1 is off."""
+    value, mask, t = label.value, label.mask, label.t
+    if label.kind == "C":
+        p = label.key[0]
+        # M1: a free-space edge pq on top of the closed walk at p.
+        for q, w in fsg.adjacency[p]:
+            push("M", (p, q), mask, value + w, t + 1, "M1", (label,))
+        # C2: concatenate with a closed walk at p over a disjoint nonempty set.
+        if mask:
+            for other in settled.closed[p]:
+                if other.mask and not other.mask & mask:
+                    push("C", (p,), mask | other.mask, value + other.value,
+                         t + other.t, "C2", (label, other))
+        return
+    a, b = label.key
+    # C1: the open walk a -> b closes into a walk through b via the edge ba.
+    if closures and fsg.has_edge(b, a):
+        push("C", (b,), mask, value + fsg.weight(b, a), t + 1, "C1", (a, label))
+    # M2 with the label as left part M(p, r) = M(a, b), right parts M(b, q);
+    # then as right part M(r, q) = M(a, b), left parts M(p, a).  The join
+    # test runs once per apex with the partner mask left out; each
+    # partner's mask is then checked against the joined mask `used`.
+    for q, partners in settled.open_from[b].items():
+        join = m2_join(fsg, a, b, q, mask, 0)
+        if join is not None:
+            used, cpen = join
+            for other in partners:
+                if not other.mask & used:
+                    push("M", (a, q), used | other.mask,
+                         value + other.value + cpen, t + other.t, "M2",
+                         (b, label, other))
+    for p, partners in settled.open_to[a].items():
+        join = m2_join(fsg, p, a, b, 0, mask)
+        if join is not None:
+            used, cpen = join
+            for other in partners:
+                if not other.mask & used:
+                    push("M", (p, b), used | other.mask,
+                         other.value + value + cpen, other.t + t, "M2",
+                         (a, other, label))
 
 
 def closed_ids(label: Label) -> List[int]:

@@ -16,7 +16,7 @@ polygon; it is finally oriented counterclockwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .errors import DisconnectedAfterReduction, NotConnected, NotEulerian
@@ -40,9 +40,13 @@ class PlaneMultigraph:
 
     Invariants: no two distinct segments properly cross or overlap, no
     vertex lies in a segment's interior, multiplicities are >= 1.
+    `traversal` is the walk split at every vertex lying inside one of its
+    edges, a closed vertex sequence in walk order (set by `subdivide_walk`,
+    empty after reduction).
     """
     vertices: List[Point]
     multiplicity: Dict[Tuple[Point, Point], int]
+    traversal: List[Point] = field(default_factory=list)
 
     def degree(self, v: Point) -> int:
         return sum(m for (a, b), m in self.multiplicity.items() if v in (a, b))
@@ -89,17 +93,19 @@ def subdivide_walk(walk: Walk) -> Tuple[PlaneMultigraph, UncrossReport]:
     cut_candidates = set(pts) | crossings
 
     multiplicity: Dict[Tuple[Point, Point], int] = {}
+    traversal: List[Point] = []
     fork_points = set()
     for a, b in edges:
         interior = [p for p in cut_candidates if in_open_segment(p, a, b)]
         fork_points.update(p for p in interior if p not in crossings)
         chain = [a] + sort_along(a, b, interior) + [b]
+        traversal += chain[:-1]
         for u, v in zip(chain, chain[1:]):
             key = _edge_key(u, v)
             multiplicity[key] = multiplicity.get(key, 0) + 1
 
     vertices = sorted({v for key in multiplicity for v in key}) or pts[:1]
-    g = PlaneMultigraph(vertices, multiplicity)
+    g = PlaneMultigraph(vertices, multiplicity, traversal)
     return g, UncrossReport(t=len(edges), s=s, forks=len(fork_points), discarded=0)
 
 

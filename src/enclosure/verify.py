@@ -23,14 +23,11 @@ from .geometry import (
     Segment,
     angular_key,
     distance,
-    in_open_segment,
-    segments_properly_cross,
     signed_area2,
-    sort_along,
     winding_number,
 )
 from .instance import Instance
-from .uncrossing import PlaneMultigraph, _clean_points, subdivide_walk
+from .uncrossing import _clean_points, subdivide_walk
 from .walks import Walk
 
 INF = math.inf
@@ -129,14 +126,12 @@ def check_weak_simplicity(walk: Walk, diagnostics: Optional[dict] = None) -> boo
         diag.update(crossings=True, multiplicity=True, winding=True, pairing=True)
         return True
 
-    edges = [Segment(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts))]
-    ok_cross = not any(segments_properly_cross(edges[i], edges[j])
-                       for i in range(len(edges)) for j in range(i + 1, len(edges)))
+    g, report = subdivide_walk(walk)
+    ok_cross = report.s == 0
     diag["crossings"] = ok_cross
     if not ok_cross:
         return False
 
-    g, _report = subdivide_walk(walk)
     ok_mult = all(m <= 2 for m in g.multiplicity.values())
     diag["multiplicity"] = ok_mult
 
@@ -152,25 +147,16 @@ def check_weak_simplicity(walk: Walk, diagnostics: Optional[dict] = None) -> boo
     diag["winding"] = ok_wind
     diag["sampled_windings"] = sorted(windings)
 
-    ok_pair = _transitions_non_crossing(pts, g)
+    ok_pair = _transitions_non_crossing(g.traversal)
     diag["pairing"] = ok_pair
     return ok_cross and ok_mult and ok_wind and ok_pair
 
 
-def _transitions_non_crossing(pts: List[Point], g: PlaneMultigraph) -> bool:
+def _transitions_non_crossing(seq: List[Point]) -> bool:
     """The walk's own transition chords at every subdivision vertex must be
     pairwise non-crossing in the rotation order (coincident directions share
-    an angular group and never count as crossing)."""
-    # Rebuild the subdivided traversal: split every walk edge at the
-    # multigraph vertices lying on it.
-    vset = set(g.vertices)
-    seq: List[Point] = []
-    m = len(pts)
-    for i in range(m):
-        a, b = pts[i], pts[(i + 1) % m]
-        seq.append(a)
-        seq.extend(sort_along(a, b, [v for v in vset if in_open_segment(v, a, b)]))
-
+    an angular group and never count as crossing).  `seq` is the subdivided
+    traversal of the walk (`PlaneMultigraph.traversal`)."""
     n = len(seq)
     # Angular group index of each neighbor direction around each vertex.
     chords: Dict[Point, List[Tuple[Point, Point]]] = {}

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -39,9 +40,14 @@ def test_matches_dp_on_random_instances():
 
 
 def test_superiority_rejects_nonpositive_weight():
+    # The parser rejects a zero weight, so the zero-weight squeezed wall is
+    # put into the validated instance directly.
     data = {"polygons": [req("A", square(0, 0, 2)), opt("B", square(2, 0, 2), 1)],
-            "squeezed_edges": [{"a": [2, 0], "b": [2, 2], "weight": 0}]}
-    fsg = compute_free_space_edges(build(data))
+            "squeezed_edges": [{"a": [2, 0], "b": [2, 2], "weight": 1}]}
+    inst = build(data)
+    zero = replace(inst, squeezed={key: 0.0 for key in inst.squeezed})
+    fsg = compute_free_space_edges(zero)
+    assert any(e.weight == 0.0 for e in fsg.edges)
     with pytest.raises(NonpositiveWeight):
         solve_dijkstra(fsg)
     data["squeezed_edges"][0]["weight"] = 1e-12  # positive, however tiny
@@ -123,7 +129,7 @@ def test_finalized_m_labels_stable_under_reevaluation():
                                opt("B", square(5, 1, 2), 3)]})
     fsg = compute_free_space_edges(inst)
     fin_C, fin_M = compute_all_labels(fsg)
-    _answer, fin, _from, _to = _search(fsg, early_stop=False, closures=False)
+    _answer, fin, _settled = _search(fsg, early_stop=False, closures=False)
     base_C = {s: lab for s, lab in fin.items() if lab.kind == "C"}
     mouths = {s: lab for s, lab in fin.items() if lab.kind == "M"}
     assert all(lab.rule == "base" for lab in base_C.values())

@@ -7,7 +7,6 @@ from enclosure import Point, Segment, orient, signed_area2, winding_number
 from enclosure.errors import DegenerateTriangle, OnBoundary
 from enclosure.geometry import (
     angular_key,
-    collinear_overlap,
     crossing_point,
     in_open_segment,
     on_segment,
@@ -129,15 +128,6 @@ def test_crossing_point_exact():
     assert orient(Point(0, 0), Point(3, 3), x) == 0
     assert orient(t2.a, t2.b, x) == 0
     assert x == Point(Fraction(3, 4), Fraction(3, 4))
-
-
-def test_collinear_overlap():
-    assert collinear_overlap(Segment(Point(0, 0), Point(3, 0)),
-                             Segment(Point(1, 0), Point(2, 0)))
-    assert not collinear_overlap(Segment(Point(0, 0), Point(1, 0)),
-                                 Segment(Point(1, 0), Point(2, 0)))  # touch only
-    assert not collinear_overlap(Segment(Point(0, 0), Point(1, 0)),
-                                 Segment(Point(0, 1), Point(1, 1)))
 
 
 def test_point_in_polygon():

@@ -42,6 +42,48 @@ def test_negative_penalty_rejected():
         parse_instance({"polygons": [opt("B", square(0, 0, 2), -1)]})
 
 
+def _squeezed_document(weight):
+    """Two touching required unit squares with their shared wall squeezed,
+    plus one optional triangle."""
+    return {"polygons": [req("A", square(0, 0, 1)), req("B", square(1, 0, 1)),
+                         opt("C", [[3, 0], [4, 0], [3, 1]], 1)],
+            "squeezed_edges": [{"a": [1, 0], "b": [1, 1], "weight": weight}]}
+
+
+def _graph_document(weight):
+    return {"graph": {"vertices": [[0, 0], [6, 0], [0, 6]],
+                      "edges": [[0, 1, 2], [1, 2, weight], [2, 0, 4]],
+                      "faces": [{"point": [1, 1], "kind": "required"}]}}
+
+
+@pytest.mark.parametrize("weight", [-5, 0, math.nan], ids=["negative", "zero", "nan"])
+@pytest.mark.parametrize("document", [_squeezed_document, _graph_document],
+                         ids=["squeezed", "graph"])
+def test_nonpositive_or_nan_weight_rejected(document, weight):
+    with pytest.raises(SchemaError, match="weight"):
+        parse_instance(document(weight))
+    with pytest.raises(SchemaError, match="weight"):  # JSON spells NaN out
+        parse_instance(json.dumps(document(weight)))
+    assert parse_instance(document(0.5)).squeezed
+
+
+@pytest.mark.parametrize("form", ["polygon", "point", "face"])
+def test_nan_penalty_rejected(form):
+    nan = math.nan
+    document = {
+        "polygon": {"polygons": [opt("B", square(0, 0, 2), nan)]},
+        "point": {"points": [{"kind": "optional", "at": [0, 0], "penalty": nan}]},
+        "face": {"graph": {"vertices": [[0, 0], [6, 0], [0, 6]],
+                           "edges": [[0, 1, 2], [1, 2, 3], [2, 0, 4]],
+                           "faces": [{"point": [1, 1], "kind": "optional",
+                                      "penalty": nan}]}},
+    }[form]
+    with pytest.raises(SchemaError, match="penalty"):
+        parse_instance(document)
+    with pytest.raises(SchemaError, match="penalty"):
+        parse_instance(json.dumps(document))
+
+
 def test_required_penalty_rejected():
     bad = req("A", square(0, 0, 2))
     bad["penalty"] = 1

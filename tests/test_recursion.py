@@ -1,0 +1,110 @@
+"""The shared recursion kernel (`recursion.relax`) as all three of its
+drivers run it: the budgeted DP, the label-setting search and the
+closure-free mouths of the inverted solver."""
+
+import inspect
+import math
+
+import pytest
+
+from enclosure import (
+    brute_force,
+    compute_all_labels,
+    compute_dp_tables,
+    compute_free_space_edges,
+    dp_cell_C,
+    dp_cell_M,
+    random_instance,
+)
+from enclosure import oracle
+from enclosure.dijkstra import _search
+from enclosure.recursion import closed_ids, open_ids
+from conftest import build, opt, rel_close, req, square
+from test_dijkstra import _m_right_hand_side
+
+INSTANCES = {
+    "cross": lambda: build({"polygons": [
+        req("T", [[0, 0], [2, 0], [0, 2]]),
+        req("S", square(5, 0, 2)),
+        opt("O", square(2, 5, 2), 1.5),
+    ]}),
+    # Required squares touching at a corner, optional squares in the other
+    # two quadrants: the optimum is a figure eight, so it needs rule C2.
+    "pinched": lambda: build({"polygons": [
+        req("A", square(0, 0, 2)), req("B", square(2, 2, 2)),
+        opt("X", square(2, 0, 2), 10), opt("Y", square(0, 2, 2), 10),
+    ]}),
+    "random3": lambda: random_instance(3, n_objects=3, k=2),
+    "random5": lambda: random_instance(5, n_objects=3, k=1),
+    "random8": lambda: random_instance(8, n_objects=3, k=2),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(INSTANCES))
+def fsg(request):
+    return compute_free_space_edges(INSTANCES[request.param]())
+
+
+def test_dp_best_matches_label_setting_fixed_point(fsg):
+    # Per state, not only per answer: the DP's cheapest C(p, t_max, B) is
+    # the value the label-setting fixed point settles for C(p, B).
+    tables = compute_dp_tables(fsg)
+    fin_C, _fin_M = compute_all_labels(fsg)
+    for p in range(fsg.n):
+        for mask in range(fsg.full_mask + 1):
+            value, _label = tables.best(p, mask)
+            label = fin_C.get((p, mask))
+            expected = math.inf if label is None else label.value
+            assert rel_close(value, expected), (p, mask, value, expected)
+
+
+def _check_edge_counts(labels):
+    checked = 0
+    for lab in labels:
+        if lab.kind == "C":
+            if lab.t > 0:
+                assert lab.t == len(closed_ids(lab)), lab.key
+                checked += 1
+            else:
+                assert lab.rule == "base"
+        else:
+            assert lab.t == len(open_ids(lab)) - 1, lab.key
+            checked += 1
+    return checked
+
+
+def test_label_edge_count_matches_rebuilt_walk(fsg):
+    fin_C, fin_M = compute_all_labels(fsg)
+    assert _check_edge_counts([*fin_C.values(), *fin_M.values()])
+    _answer, fin, _settled = _search(fsg, early_stop=False, closures=False)
+    assert _check_edge_counts(fin.values())
+    tables = compute_dp_tables(fsg)
+    stored = [lab for stair in tables.stairs.values() for lab in stair]
+    assert _check_edge_counts(stored)
+    # A staircase stores strictly fewer edges for strictly more value.
+    for stair in tables.stairs.values():
+        for lo, hi in zip(stair, stair[1:]):
+            assert lo.t < hi.t and lo.value > hi.value
+
+
+def test_settled_index_holds_every_finalized_label(fsg):
+    _answer, fin, settled = _search(fsg, early_stop=False, closures=True)
+    closed = [lab for labels in settled.closed for lab in labels]
+    by_start = [lab for ends in settled.open_from for labs in ends.values()
+                for lab in labs]
+    by_end = [lab for starts in settled.open_to for labs in starts.values()
+              for lab in labs]
+    assert sorted(id(lab) for lab in closed + by_start) == \
+        sorted(id(lab) for lab in fin.values())
+    assert sorted(map(id, by_start)) == sorted(map(id, by_end))
+    for p, ends in enumerate(settled.open_from):
+        for q, labs in ends.items():
+            assert all(lab.key == (p, q) for lab in labs)
+
+
+def test_reference_enumerations_stay_independent_of_the_kernel():
+    # The direct cell evaluations, the M right-hand side of the soundness
+    # tests and the brute-force oracle check `relax`; none may call it.
+    for fn in (dp_cell_C, dp_cell_M, _m_right_hand_side, brute_force):
+        assert "relax" not in inspect.getsource(fn), fn.__name__
+    assert "relax" not in inspect.getsource(oracle)

@@ -28,6 +28,17 @@ def test_bowtie_rejected():
     assert diag["crossings"] is False
 
 
+def test_crossing_through_an_edge_interior_rejected():
+    # The walk runs down through (2, 0), which lies inside its edge
+    # (0, 0)-(4, 0): no two edges cross properly, but at that point the
+    # transition north -> south crosses the edge's own west -> east pass.
+    diag = {}
+    pts = [(0, 0), (4, 0), (2, 2), (2, 0), (2, -2)]
+    assert not check_weak_simplicity(_walk(EMPTY_INSTANCE, pts), diag)
+    assert diag["crossings"] is True and diag["multiplicity"] is True
+    assert diag["pairing"] is False
+
+
 def test_digon_accepted():
     assert check_weak_simplicity(_walk(EMPTY_INSTANCE, [(0, 0), (3, 1)]))
     assert check_weak_simplicity(make_walk(EMPTY_INSTANCE, [Point(2, 2)]))
