@@ -15,49 +15,35 @@ Asymptotically this needs O(3^k n^3) time and O(2^k n^2) space for n
 vertices and k required objects, against the budgeted program's extra factor
 of n; in practice it visits only labels cheaper than the optimum.
 
-With the closing rule C1 switched off the same loop computes the inverted
-solver's mouths.  The rules themselves (`relax`, over the settled-label
-index `Settled`), the rule ranks, the label type, the capacity guard, the
-trivial answer and the walk rebuild come from `recursion.py`; this module
-keeps only the queue and its acceptance test (the first settled label per
-state wins).
+With the closing rule C1 switched off the same search computes the inverted
+solver's mouths.  The queue (`label_setting`: first settled label per state
+wins, stop at the first settled closed label covering every required
+object), the rules (`relax`, over the settled-label index `Settled`), the
+rule ranks, the label type, the precondition check, the trivial answer and
+the walk rebuild come from `recursion.py`; this module only builds the
+index and expands each settled label by `relax`.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
-from .errors import NonpositiveWeight
 from .freespace import FreeSpaceGraph
 from .recursion import (
     INF,
-    RANK,
-    Label,
     Settled,
-    check_capacity,
+    check_solvable,
     closed_walk,
+    label_setting,
     relax,
     trivial_answer,
 )
 from .walks import Walk
 
 
-def assert_superiority(fsg: FreeSpaceGraph) -> None:
-    """Label setting is only sound when every edge weight is strictly
-    positive and every penalty nonnegative; fail loudly otherwise."""
-    for e in fsg.edges:
-        if not e.weight > 0:
-            raise NonpositiveWeight(
-                f"free-space edge {e.a}-{e.b} has weight {e.weight}")
-    for penalty, _ref in fsg._optional_refs:
-        if penalty < 0:
-            raise NonpositiveWeight(f"negative penalty {penalty}")
-
-
 def _search(fsg: FreeSpaceGraph, early_stop: bool, closures: bool,
             stats: Optional[dict] = None):
-    """Run the label-setting loop.
+    """Run the label-setting search from the point walks C(p, {}) = 0.
 
     Returns (answer, fin, settled): the first finalized closed-walk label
     covering every required object (None if the queue drains first); the
@@ -66,48 +52,21 @@ def _search(fsg: FreeSpaceGraph, early_stop: bool, closures: bool,
     fixed point is computed.  With closures=False rule C1 is off: the only
     closed walks are point walks, and the M labels are the mouths.
     """
-    full = fsg.full_mask
-    fin: Dict[Tuple[int, ...], Label] = {}
     settled = Settled(fsg.n)
-    heap: list = []
-    seq = 0
 
-    def push(kind, key, mask, value, t, rule, ops):
-        nonlocal seq
-        if value == INF or key + (mask,) in fin:
-            return
-        heappush(heap, (value, RANK[rule], kind, key, mask, seq,
-                        Label(kind, key, mask, value, rule, ops, t)))
-        seq += 1
-
-    for p in range(fsg.n):
-        push("C", (p,), 0, 0.0, 0, "base", ())
-
-    answer: Optional[Label] = None
-    while heap:
-        value, _rank, kind, key, mask, _s, label = heappop(heap)
-        state = key + (mask,)
-        if state in fin:
-            continue
-        fin[state] = label
-        if kind == "C" and mask == full and answer is None:
-            answer = label
-            if early_stop:
-                break
+    def expand(label, push):
         settled.add(label)
         relax(fsg, label, settled, push, closures)
 
-    if stats is not None:
-        stats["finalized"] = len(fin)
-        stats["pushed"] = seq
+    seeds = [("C", (p,), 0, 0.0, 0, "base", ()) for p in range(fsg.n)]
+    answer, fin = label_setting(seeds, expand, fsg.full_mask, early_stop, stats)
     return answer, fin, settled
 
 
 def solve_dijkstra(fsg: FreeSpaceGraph,
                    stats: Optional[dict] = None) -> Tuple[float, Optional[Walk]]:
     """Minimum enclosure cost and an optimal closed walk (None if infeasible)."""
-    check_capacity(fsg)
-    assert_superiority(fsg)
+    check_solvable(fsg)
     trivial = trivial_answer(fsg)
     if trivial is not None:
         return trivial
@@ -121,8 +80,7 @@ def solve_dijkstra(fsg: FreeSpaceGraph,
 def compute_all_labels(fsg: FreeSpaceGraph):
     """Finalize the entire fixed point; returns (fin_C, fin_M) keyed by
     (p, mask) and (p, q, mask)."""
-    check_capacity(fsg)
-    assert_superiority(fsg)
+    check_solvable(fsg)
     _answer, fin, _settled = _search(fsg, early_stop=False, closures=True)
     return ({s: lab for s, lab in fin.items() if lab.kind == "C"},
             {s: lab for s, lab in fin.items() if lab.kind == "M"})

@@ -17,7 +17,7 @@ strictly larger budgets, so each bucket is complete when it is processed.
 
 The rules themselves (`relax`, over the settled-label index `Settled`,
 which holds every stored label), the rule ranks, the label type with its
-edge count t, the capacity guard, the trivial answer and the walk rebuild
+edge count t, the precondition check, the trivial answer and the walk rebuild
 come from `recursion.py`; this module keeps only the bucket queue and its
 acceptance test (a label is stored only if it improves its staircase).
 """
@@ -32,7 +32,7 @@ from .recursion import (
     RANK,
     Label,
     Settled,
-    check_capacity,
+    check_solvable,
     closed_walk,
     relax,
     trivial_answer,
@@ -81,7 +81,7 @@ def _stair_value(stair: List[Label], t: int) -> float:
 def compute_dp_tables(fsg: FreeSpaceGraph, t_max: Optional[int] = None) -> DPTables:
     """Fill the staircase tables by increasing edge budget."""
     n = fsg.n
-    check_capacity(fsg)
+    check_solvable(fsg)
     if t_max is None:
         t_max = 6 * n
     tables = DPTables(fsg, t_max)
@@ -175,6 +175,7 @@ def dp_cell_M(tables: DPTables, p: int, q: int, t: int, mask: int) -> float:
 
 def solve_dp(fsg: FreeSpaceGraph) -> Tuple[float, Optional[Walk]]:
     """Minimum enclosure cost and an optimal closed walk (None if infeasible)."""
+    check_solvable(fsg)
     trivial = trivial_answer(fsg)
     if trivial is not None:
         return trivial

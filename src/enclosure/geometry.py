@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Sequence, Tuple, Union
 
-from .errors import DegenerateTriangle, OnBoundary
+from .errors import OnBoundary
 
 Coord = Union[int, Fraction]
 
@@ -141,19 +141,6 @@ def winding_number(walk: Sequence[Point], x: Point) -> int:
             if b.y <= x.y and orient(a, b, x) < 0:
                 total -= 1
     return total
-
-
-def point_in_triangle_halfopen(x: Point, p: Point, r: Point, q: Point) -> bool:
-    """Membership in the ccw triangle prq, closed on pr and rq, open on pq.
-
-    Vertices p and q are excluded, vertex r is included.  Resolved purely by
-    exact orientation signs.
-    """
-    if orient(p, r, q) <= 0:
-        raise DegenerateTriangle(f"triangle {p}, {r}, {q} is not strictly ccw")
-    return (orient(p, r, x) >= 0
-            and orient(r, q, x) >= 0
-            and orient(q, p, x) > 0)
 
 
 def point_in_polygon(x: Point, boundary: Sequence[Point]) -> str:

@@ -21,29 +21,33 @@ Transitions, validated against the brute-force oracle:
   * up-plank: append a chord q -> q' with q'.x >= q.x symmetrically, using
     the strip strictly above and M(q, q', .);
   * finish: U(s, s, B) plus the right half-plane {x > s.x}, provided the
-    union covers every required object exactly once.
+    union covers every required object exactly once; it is a closed label
+    C((), all required) whose only operand is the U label.
 
-All combining values are strictly positive beyond their operands, so the
-same label-setting order as the standard solver applies.
+Every rule adds a positive mouth value or a nonnegative penalty to its
+operand, so the U search runs on the enclosure search's label-setting
+queue (`recursion.label_setting`).  U labels are `Label("U", (p, q), ...)`
+and all inverted rules rank with "base", so they settle by
+(value, p, q, B, push order); at equal value a finish settles before any U
+label, and the first finish settled is the answer.
 
 The mouths are the open labels of the label-setting search of `dijkstra.py`
 with the closing rule C1 off, read from its settled-label index; the rules
-that build them (`relax`), the capacity guard, the label type and the
+that build them (`relax`), the precondition check, the label type and the
 rebuild of a mouth's walk come from `recursion.py`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Dict, Optional, Tuple
 
-from .dijkstra import _search, assert_superiority
+from .dijkstra import _search
 from .errors import InternalError, SchemaError
 from .freespace import FreeSpaceGraph
 from .geometry import Point
 from .instance import Instance
-from .recursion import INF, check_capacity, open_ids
+from .recursion import INF, Label, check_solvable, label_setting, open_ids
 from .walks import Walk, make_walk
 
 
@@ -80,19 +84,10 @@ def plank_content(a: Point, b: Point, direction: str,
     return RegionContent(*fsg.split_content(strip & side))
 
 
-@dataclass(frozen=True)
-class ULabel:
-    p: int
-    q: int
-    mask: int
-    value: float
-    rule: str            # "base" | "down" | "up"
-    ops: Tuple = ()      # down: (mouth Label, parent); up: (mouth Label, parent)
-
-
-def _u_walk_ids(lab: ULabel):
+def _u_walk_ids(lab: Label):
+    """Vertex-id path p ... q of the walk a U label stands for."""
     if lab.rule == "base":
-        return [lab.p]
+        return [lab.key[0]]
     mouth, parent = lab.ops
     if lab.rule == "down":
         return open_ids(mouth) + _u_walk_ids(parent)[1:]
@@ -105,7 +100,7 @@ def solve_inverted(inst: Instance, fsg: FreeSpaceGraph,
 
     A point walk (or the empty walk on empty instances) stands for
     enclosing nothing and paying every optional penalty."""
-    check_capacity(fsg)
+    check_solvable(fsg)
     full = fsg.full_mask
 
     all_pen = sum(p for p, _ in fsg._optional_refs)
@@ -116,7 +111,6 @@ def solve_inverted(inst: Instance, fsg: FreeSpaceGraph,
     # A counterclockwise loop hanging off the curve would give its interior
     # winding +1, which no clockwise weakly simple curve has, so pockets are
     # mouths without closed-loop attachments: rule C1 is off.
-    assert_superiority(fsg)
     _answer, _fin, mouths = _search(fsg, early_stop=False, closures=False)
 
     verts = fsg.vertices
@@ -129,41 +123,13 @@ def solve_inverted(inst: Instance, fsg: FreeSpaceGraph,
                 verts[a], verts[b], direction, fsg)
         return c
 
-    heap: list = []
-    seq = 0
-    finalized: Dict[Tuple[int, int, int], ULabel] = {}
-
-    def push(lab: ULabel):
-        nonlocal seq
-        if lab.value == INF or (lab.p, lab.q, lab.mask) in finalized:
-            return
-        heappush(heap, (lab.value, lab.p, lab.q, lab.mask, seq, lab))
-        seq += 1
-
-    for v in range(fsg.n):
-        c = halfplane_content(verts[v], "left", fsg)
-        push(ULabel(v, v, c.required_mask, c.penalty_sum, "base"))
-
-    best = INF
-    best_label: Optional[ULabel] = None
-    popped = 0
-    while heap:
-        value, p, q, mask, _s, lab = heappop(heap)
-        if value >= best:
-            break
-        if (p, q, mask) in finalized:
-            continue
-        finalized[(p, q, mask)] = lab
-        popped += 1
-
+    def expand(lab: Label, push) -> None:
+        p, q = lab.key
+        mask, value, t = lab.mask, lab.value, lab.t
         if p == q:
             rh = halfplane_content(verts[p], "right", fsg)
-            if not (rh.required_mask & mask) and (rh.required_mask | mask) == full \
-                    and rh.penalty_sum < INF:
-                total = value + rh.penalty_sum
-                if total < best:
-                    best, best_label = total, lab
-
+            if not (rh.required_mask & mask) and (rh.required_mask | mask) == full:
+                push("C", (), full, value + rh.penalty_sum, t, "finish", (lab,))
         # Down-plank: prepend a chord p2 -> p with p2.x >= p.x.
         for p2, ending in mouths.open_to[p].items():
             if verts[p2].x < verts[p].x:
@@ -174,9 +140,9 @@ def solve_inverted(inst: Instance, fsg: FreeSpaceGraph,
             used = mask | c.required_mask
             for mouth in ending:
                 if not used & mouth.mask:
-                    push(ULabel(p2, q, used | mouth.mask,
-                                value + mouth.value + c.penalty_sum, "down",
-                                (mouth, lab)))
+                    push("U", (p2, q), used | mouth.mask,
+                         value + mouth.value + c.penalty_sum, mouth.t + t,
+                         "down", (mouth, lab))
         # Up-plank: append a chord q -> q2 with q2.x >= q.x.
         for q2, starting in mouths.open_from[q].items():
             if verts[q2].x < verts[q].x:
@@ -187,18 +153,20 @@ def solve_inverted(inst: Instance, fsg: FreeSpaceGraph,
             used = mask | c.required_mask
             for mouth in starting:
                 if not used & mouth.mask:
-                    push(ULabel(p, q2, used | mouth.mask,
-                                value + mouth.value + c.penalty_sum, "up",
-                                (mouth, lab)))
+                    push("U", (p, q2), used | mouth.mask,
+                         value + mouth.value + c.penalty_sum, t + mouth.t,
+                         "up", (mouth, lab))
 
-    if stats is not None:
-        stats["finalized"] = popped
-        stats["pushed"] = seq
+    seeds = []
+    for v in range(fsg.n):
+        c = halfplane_content(verts[v], "left", fsg)
+        seeds.append(("U", (v, v), c.required_mask, c.penalty_sum, 0, "base", ()))
+    answer, _fin = label_setting(seeds, expand, full, early_stop=True, stats=stats)
 
-    if best_label is None:
+    if answer is None:
         return INF, None
-    ids = _u_walk_ids(best_label)
+    ids = _u_walk_ids(answer.ops[0])
     if ids[0] != ids[-1]:
         raise InternalError(f"inverted walk does not close: {ids[0]} != {ids[-1]}")
     pts = [verts[i] for i in ids[:-1]] if len(ids) > 1 else [verts[ids[0]]]
-    return best, make_walk(inst, pts, closed=True)
+    return answer.value, make_walk(inst, pts, closed=True)

@@ -14,20 +14,23 @@ walks C(p, B) and open walks ("mouths") M(pq, B):
 
 This module holds the recursion itself: `relax` enumerates the four rules
 once, for every solver, reading the settled labels from one index
-(`Settled`).  Each solver keeps only its own queue and acceptance test: the
-label-setting search settles the cheapest label first and keeps the first
-label per state, the DP settles by edge budget and keeps a label only if it
+(`Settled`).  `label_setting` is the one label-setting queue (cheapest
+first, the first label per state wins); the enclosure search drives it with
+`relax`, the inverted U search with its plank and finish rules.  The DP
+keeps its bucket queue by edge budget, where a label is kept only if it
 improves its state's staircase.  Also here: the rule ranks, the label type,
-the capacity guard, the answer on instances with nothing required, the M2
-join test, and the rebuild of a walk from a label's provenance.
+the precondition check of every solver entry, the answer on instances with
+nothing required, the M2 join test, and the rebuild of a walk from a
+label's provenance.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .errors import CapacityError, InternalError
+from .errors import CapacityError, InternalError, NonpositiveWeight
 from .freespace import FreeSpaceGraph
 from .instance import MAX_REQUIRED
 from .walks import Walk, make_walk
@@ -35,18 +38,21 @@ from .walks import Walk, make_walk
 INF = math.inf
 
 # Rank of each rule for deterministic tie-breaking at equal value:
-# single-edge extensions win over compositions.
-RANK = {"base": 0, "C1": 1, "M1": 1, "C2": 2, "M2": 2}
+# single-edge extensions win over compositions.  The inverted rules all
+# rank with "base".
+RANK = {"base": 0, "C1": 1, "M1": 1, "C2": 2, "M2": 2,
+        "down": 0, "up": 0, "finish": 0}
 
 
 class Label(NamedTuple):
     """A state value with enough provenance to rebuild the walk.
 
     ops by rule: base (); C1 (q, M label); C2 (C label, C label);
-    M1 (C label,); M2 (r, left M label, right M label).  A named tuple:
-    the label-setting search builds one per push."""
-    kind: str             # "C" or "M"
-    key: Tuple[int, ...]  # (p,) or (p, q)
+    M1 (C label,); M2 (r, left M label, right M label); and in the inverted
+    solver down and up (M label, U label), finish (U label,).  A named
+    tuple: the label-setting queue builds one per push."""
+    kind: str             # "C", "M" or the inverted solver's "U"
+    key: Tuple[int, ...]  # (p,), (p, q), or () for the inverted finish
     mask: int
     value: float
     rule: str
@@ -54,11 +60,20 @@ class Label(NamedTuple):
     t: int = 0            # free-space edges in the walk
 
 
-def check_capacity(fsg: FreeSpaceGraph) -> None:
-    """Subset-indexed states need k <= MAX_REQUIRED required objects."""
+def check_solvable(fsg: FreeSpaceGraph) -> None:
+    """Every solver's preconditions: subset-indexed states need
+    k <= MAX_REQUIRED required objects, and the recursion is only sound with
+    strictly positive edge weights and nonnegative penalties."""
     k = len(fsg._required_refs)
     if k > MAX_REQUIRED:
         raise CapacityError(f"{k} required objects exceeds the supported {MAX_REQUIRED}")
+    for e in fsg.edges:
+        if not e.weight > 0:
+            raise NonpositiveWeight(
+                f"free-space edge {e.a}-{e.b} has weight {e.weight}")
+    for penalty, _ref in fsg._optional_refs:
+        if penalty < 0:
+            raise NonpositiveWeight(f"negative penalty {penalty}")
 
 
 def trivial_answer(fsg: FreeSpaceGraph) -> Optional[Tuple[float, Walk]]:
@@ -103,6 +118,51 @@ class Settled:
             p, q = label.key
             self.open_from[p].setdefault(q, []).append(label)
             self.open_to[q].setdefault(p, []).append(label)
+
+
+def label_setting(seeds: Iterable[tuple], expand, full: int, early_stop: bool,
+                  stats: Optional[dict] = None):
+    """Settle pending labels cheapest first, keep the first settled label
+    per state (key, mask), and hand it to expand(label, push), which derives
+    new labels through push(kind, key, mask, value, t, rule, ops) as `relax`
+    does; each seed is a tuple of push's arguments.  Ties break by
+    (RANK[rule], kind, key, mask, push order).  Returns (answer, fin): the
+    first settled "C" label with mask `full` (None if the queue drains) and
+    the settled labels by state.  With early_stop the loop ends at the
+    answer, else it computes the whole fixed point.  Exact as long as no
+    rule derives a label cheaper than the one it expands (`check_solvable`)."""
+    fin: Dict[Tuple[int, ...], Label] = {}
+    heap: list = []
+    seq = 0
+
+    def push(kind, key, mask, value, t, rule, ops):
+        nonlocal seq
+        if value == INF or key + (mask,) in fin:
+            return
+        heappush(heap, (value, RANK[rule], kind, key, mask, seq,
+                        Label(kind, key, mask, value, rule, ops, t)))
+        seq += 1
+
+    for seed in seeds:
+        push(*seed)
+
+    answer: Optional[Label] = None
+    while heap:
+        _value, _rank, kind, key, mask, _s, label = heappop(heap)
+        state = key + (mask,)
+        if state in fin:
+            continue
+        fin[state] = label
+        if kind == "C" and mask == full and answer is None:
+            answer = label
+            if early_stop:
+                break
+        expand(label, push)
+
+    if stats is not None:
+        stats["finalized"] = len(fin)
+        stats["pushed"] = seq
+    return answer, fin
 
 
 def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,

@@ -11,8 +11,10 @@ from enclosure import (
     parse_instance,
     solve_dijkstra,
     solve_dp,
+    orient,
     validate_and_subdivide,
 )
+from enclosure.errors import DegenerateTriangle
 
 
 def build(data):
@@ -30,6 +32,20 @@ def req(pid, verts):
 
 def opt(pid, verts, penalty=0):
     return {"id": pid, "kind": "optional", "penalty": penalty, "vertices": verts}
+
+
+def point_in_triangle_halfopen(x, p, r, q):
+    """Membership in the ccw triangle prq, closed on pr and rq, open on pq.
+
+    Vertices p and q are excluded, vertex r is included.  Resolved purely by
+    exact orientation signs; the brute-force oracle for the solvers' bitmask
+    triangle contents.
+    """
+    if orient(p, r, q) <= 0:
+        raise DegenerateTriangle(f"triangle {p}, {r}, {q} is not strictly ccw")
+    return (orient(p, r, x) >= 0
+            and orient(r, q, x) >= 0
+            and orient(q, p, x) > 0)
 
 
 def solved(inst):

@@ -11,9 +11,10 @@ from enclosure import (
     solve_dijkstra,
     solve_dp,
 )
-from enclosure.dijkstra import _search, assert_superiority
+from enclosure.dijkstra import _search
 from enclosure.errors import InternalError, NonpositiveWeight
-from enclosure.recursion import Label, closed_ids, m2_join, open_ids
+from enclosure.inverted import solve_inverted
+from enclosure.recursion import Label, check_solvable, closed_ids, m2_join, open_ids
 from conftest import build, opt, rel_close, req, square
 
 
@@ -40,21 +41,32 @@ def test_matches_dp_on_random_instances():
 
 
 def test_superiority_rejects_nonpositive_weight():
-    # The parser rejects a zero weight, so the zero-weight squeezed wall is
-    # put into the validated instance directly.
-    data = {"polygons": [req("A", square(0, 0, 2)), opt("B", square(2, 0, 2), 1)],
-            "squeezed_edges": [{"a": [2, 0], "b": [2, 2], "weight": 1}]}
-    inst = build(data)
-    zero = replace(inst, squeezed={key: 0.0 for key in inst.squeezed})
-    fsg = compute_free_space_edges(zero)
-    assert any(e.weight == 0.0 for e in fsg.edges)
-    with pytest.raises(NonpositiveWeight):
-        solve_dijkstra(fsg)
-    data["squeezed_edges"][0]["weight"] = 1e-12  # positive, however tiny
-    fsg2 = compute_free_space_edges(build(data))
-    assert_superiority(fsg2)
-    cost, _ = solve_dijkstra(fsg2)
-    assert cost < math.inf
+    # The parser rejects a weight that is not positive, so the squeezed
+    # wall's weight is put into the validated instance directly.  Every
+    # solver entry runs the same check, also when nothing is required.
+    def solvers(inst):
+        return {"dijkstra": solve_dijkstra, "dp": solve_dp,
+                "inverted": lambda fsg: solve_inverted(inst, fsg)}
+
+    for first in (req("A", square(0, 0, 2)), opt("A", square(0, 0, 2), 3)):
+        data = {"polygons": [first, opt("B", square(2, 0, 2), 1)],
+                "squeezed_edges": [{"a": [2, 0], "b": [2, 2], "weight": 1}]}
+        inst = build(data)
+        for weight in (0.0, -5.0):
+            bad = replace(inst, squeezed={key: weight for key in inst.squeezed})
+            fsg = compute_free_space_edges(bad)
+            assert any(e.weight == weight for e in fsg.edges)
+            for name, solve in solvers(bad).items():
+                with pytest.raises(NonpositiveWeight):
+                    solve(fsg)
+                    pytest.fail(f"{name} accepted weight {weight}")
+        data["squeezed_edges"][0]["weight"] = 1e-12  # positive, however tiny
+        inst2 = build(data)
+        fsg2 = compute_free_space_edges(inst2)
+        check_solvable(fsg2)
+        for solve in solvers(inst2).values():
+            cost, _ = solve(fsg2)
+            assert cost < math.inf
 
 
 def test_finalization_bound_and_stats():

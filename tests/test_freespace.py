@@ -6,7 +6,7 @@ from enclosure import Point, compute_free_space_edges, segment_in_free_space
 from enclosure.errors import DegenerateTriangle, SchemaError
 from enclosure.instance import parse_instance
 from enclosure.geometry import in_open_segment
-from conftest import build, opt, req, square
+from conftest import build, opt, point_in_triangle_halfopen, req, square
 
 
 def test_segment_in_free_space_basics():
@@ -120,7 +120,6 @@ def test_triangle_content_open_mouth_excludes():
     # A reference point exactly on the open mouth contributes nothing.  The
     # settled reference points are in general position (never on a chord
     # between vertices), so build the check directly on the primitive.
-    from enclosure.geometry import point_in_triangle_halfopen
     assert not point_in_triangle_halfopen(Point(2, 0), Point(0, 0),
                                           Point(2, -3), Point(4, 0))
 
@@ -133,7 +132,7 @@ def test_triangle_additivity_split():
     # are in general position, so none lies on the internal chords.
     import itertools
 
-    from enclosure.geometry import orient, point_in_triangle_halfopen
+    from enclosure.geometry import orient
 
     fsg = _content_fsg()
     verts = fsg.vertices

@@ -11,10 +11,10 @@ from enclosure.geometry import (
     in_open_segment,
     on_segment,
     point_in_polygon,
-    point_in_triangle_halfopen,
     segments_properly_cross,
     sort_along,
 )
+from conftest import point_in_triangle_halfopen
 
 SQUARE = [Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)]
 

@@ -156,23 +156,53 @@ def test_tiling_partition():
 
 
 def test_random_knapsack_matches_oracle():
+    # k=1 keeps one required object outside, so the finish label's
+    # covering test is checked against the oracle too.
     from enclosure import random_instance
-    checked = 0
-    seed = 0
-    while checked < 8:
-        seed += 1
-        try:
-            inst = random_instance(seed, n_objects=2 + seed % 2, k=0,
-                                   mode="invert", max_side=2)
-        except Exception:
-            continue
-        fsg = compute_free_space_edges(inst)
-        if fsg.n > 10:
-            continue
-        cost, walk = solve_inverted(inst, fsg)
-        ores = brute_force(inst, fsg)
-        assert rel_close(cost, ores.best_cost), (seed, cost, ores.best_cost)
-        if cost < INF and walk is not None and len(walk.points) > 1:
-            sol = evaluate_solution(inst, walk, check_simple=False)
-            assert sol.feasible and rel_close(sol.cost, cost)
-        checked += 1
+    for k in (0, 1):
+        checked = 0
+        seed = 0
+        while checked < 8:
+            seed += 1
+            try:
+                inst = random_instance(seed, n_objects=2 + seed % 2, k=k,
+                                       mode="invert", max_side=2)
+            except Exception:
+                continue
+            fsg = compute_free_space_edges(inst)
+            if fsg.n > 10:
+                continue
+            cost, walk = solve_inverted(inst, fsg)
+            ores = brute_force(inst, fsg)
+            assert rel_close(cost, ores.best_cost), (k, seed, cost, ores.best_cost)
+            if cost < INF and walk is not None and len(walk.points) > 1:
+                sol = evaluate_solution(inst, walk, check_simple=False)
+                assert sol.feasible and rel_close(sol.cost, cost)
+            checked += 1
+
+
+def test_equal_cost_tie_keeps_first_settled_finish():
+    # Enclosing either unit square saves its penalty 5 for a boundary of 4;
+    # both optima cost 9.  Finishes of equal value settle in push order,
+    # so the left square's walk wins.
+    inst, fsg = _fsg({"polygons": [opt("A", square(0, 0, 1), 5),
+                                   opt("B", square(10, 0, 1), 5)],
+                      "mode": "invert"})
+    cost, walk = solve_inverted(inst, fsg)
+    assert cost == 9.0
+    assert walk.points == (Point(1, 0), Point(0, 0), Point(0, 1), Point(1, 1))
+
+
+def test_required_in_notch_stays_outside():
+    # The hull of the notched optional object (boundary 40) would also
+    # enclose the required square in its notch.  The finish test must
+    # reject that curve; the optimum dips into the notch around the
+    # square's bottom edge instead.
+    notched = [[0, 0], [10, 0], [10, 10], [7, 10], [7, 3], [3, 3], [3, 10], [0, 10]]
+    inst, fsg = _fsg({"polygons": [opt("U", notched, 100), req("R", square(4, 5, 2))],
+                      "mode": "invert"})
+    cost, walk = solve_inverted(inst, fsg)
+    assert cost == pytest.approx(38.0 + 2 * math.sqrt(26))
+    assert winding_number(walk.points, inst.polygons[1].reference_point) == 0
+    sol = evaluate_solution(inst, walk, check_simple=False)
+    assert sol.feasible and rel_close(sol.cost, cost)

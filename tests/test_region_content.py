@@ -15,8 +15,8 @@ from enclosure import (
     random_instance,
 )
 from enclosure.errors import SchemaError
-from enclosure.geometry import orient, point_in_triangle_halfopen
-from conftest import build, opt, req, square
+from enclosure.geometry import orient
+from conftest import build, opt, point_in_triangle_halfopen, req, square
 
 
 def _brute_triangle(fsg, p, r, q):
