@@ -11,9 +11,12 @@ cheapest tentative label; at that moment its value is optimal.  The search
 stops as soon as a closed-walk label covering all required objects is
 finalized — every label still in the queue is at least as expensive.
 
-Asymptotically this needs O(3^k n^3) time and O(2^k n^2) space for n
+Asymptotically this needs O(4^k n^3) time and O(2^k n^2) space for n
 vertices and k required objects, against the budgeted program's extra factor
-of n; in practice it visits only labels cheaper than the optimum.
+of n: the partner scans of `relax` try every pair of masks, where the
+paper's O(3^k n^3) enumerates submasks (ROADMAP item 1(b)).  In practice it
+settles only labels cheaper than the optimum, and the queue drops pushes
+that cannot beat their state's pending label or the cheapest complete walk.
 
 With the closing rule C1 switched off the same search computes the inverted
 solver's mouths.  The queue (`label_setting`: first settled label per state
@@ -54,9 +57,9 @@ def _search(fsg: FreeSpaceGraph, early_stop: bool, closures: bool,
     """
     settled = Settled(fsg.n)
 
-    def expand(label, push):
+    def expand(label, push, bound):
         settled.add(label)
-        relax(fsg, label, settled, push, closures)
+        relax(fsg, label, settled, push, closures, bound)
 
     seeds = [("C", (p,), 0, 0.0, 0, "base", ()) for p in range(fsg.n)]
     answer, fin = label_setting(seeds, expand, fsg.full_mask, early_stop, stats)

@@ -140,6 +140,11 @@ class FreeSpaceGraph:
             right = self._vertex_sides(p, q)
         return (right >> r) & 1 == 1
 
+    def left_vertices(self, a: int, b: int) -> int:
+        """Mask of the vertices r strictly left of a -> b (abr strictly ccw)."""
+        left = self._right[b * len(self.vertices) + a]
+        return self._vertex_sides(b, a) if left is None else left
+
     def _vertex_sides(self, p: int, q: int) -> int:
         """Memoize the vertex masks strictly right of p -> q and of q -> p;
         returns the first."""

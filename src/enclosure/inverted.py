@@ -29,7 +29,8 @@ operand, so the U search runs on the enclosure search's label-setting
 queue (`recursion.label_setting`).  U labels are `Label("U", (p, q), ...)`
 and all inverted rules rank with "base", so they settle by
 (value, p, q, B, push order); at equal value a finish settles before any U
-label, and the first finish settled is the answer.
+label, and the first finish settled is the answer.  Mouth lists are in
+settling order, so a plank scan stops at the queue's bound.
 
 The mouths are the open labels of the label-setting search of `dijkstra.py`
 with the closing rule C1 off, read from its settled-label index; the rules
@@ -111,7 +112,9 @@ def solve_inverted(inst: Instance, fsg: FreeSpaceGraph,
     # A counterclockwise loop hanging off the curve would give its interior
     # winding +1, which no clockwise weakly simple curve has, so pockets are
     # mouths without closed-loop attachments: rule C1 is off.
-    _answer, _fin, mouths = _search(fsg, early_stop=False, closures=False)
+    counts: dict = {}
+    _answer, _fin, mouths = _search(fsg, early_stop=False, closures=False,
+                                    stats=counts)
 
     verts = fsg.vertices
     plank_memo: Dict[Tuple[int, int, str], RegionContent] = {}
@@ -123,45 +126,41 @@ def solve_inverted(inst: Instance, fsg: FreeSpaceGraph,
                 verts[a], verts[b], direction, fsg)
         return c
 
-    def expand(lab: Label, push) -> None:
+    def expand(lab: Label, push, bound: float) -> None:
         p, q = lab.key
         mask, value, t = lab.mask, lab.value, lab.t
         if p == q:
             rh = halfplane_content(verts[p], "right", fsg)
             if not (rh.required_mask & mask) and (rh.required_mask | mask) == full:
                 push("C", (), full, value + rh.penalty_sum, t, "finish", (lab,))
-        # Down-plank: prepend a chord p2 -> p with p2.x >= p.x.
-        for p2, ending in mouths.open_to[p].items():
-            if verts[p2].x < verts[p].x:
-                continue
-            c = plank(p2, p, "down")
-            if c.penalty_sum == INF or mask & c.required_mask:
-                continue
-            used = mask | c.required_mask
-            for mouth in ending:
-                if not used & mouth.mask:
-                    push("U", (p2, q), used | mouth.mask,
-                         value + mouth.value + c.penalty_sum, mouth.t + t,
-                         "down", (mouth, lab))
-        # Up-plank: append a chord q -> q2 with q2.x >= q.x.
-        for q2, starting in mouths.open_from[q].items():
-            if verts[q2].x < verts[q].x:
-                continue
-            c = plank(q, q2, "up")
-            if c.penalty_sum == INF or mask & c.required_mask:
-                continue
-            used = mask | c.required_mask
-            for mouth in starting:
-                if not used & mouth.mask:
-                    push("U", (p, q2), used | mouth.mask,
-                         value + mouth.value + c.penalty_sum, t + mouth.t,
-                         "up", (mouth, lab))
+        # Down-plank: prepend a chord far -> p with far.x >= p.x; up-plank:
+        # append a chord q -> far with far.x >= q.x.  The chord is the key of
+        # every mouth in its group.
+        for rule, near, groups in (("down", p, mouths.open_to[p]),
+                                   ("up", q, mouths.open_from[q])):
+            for far, group in groups.items():
+                if verts[far].x < verts[near].x or value + group[0].value > bound:
+                    continue
+                c = plank(*group[0].key, rule)
+                if c.penalty_sum == INF or mask & c.required_mask:
+                    continue
+                key = (far, q) if rule == "down" else (p, far)
+                used = mask | c.required_mask
+                for mouth in group:
+                    total = value + mouth.value + c.penalty_sum
+                    if total > bound:
+                        break
+                    if not used & mouth.mask:
+                        push("U", key, used | mouth.mask, total, t + mouth.t,
+                             rule, (mouth, lab))
 
     seeds = []
     for v in range(fsg.n):
         c = halfplane_content(verts[v], "left", fsg)
         seeds.append(("U", (v, v), c.required_mask, c.penalty_sum, 0, "base", ()))
     answer, _fin = label_setting(seeds, expand, full, early_stop=True, stats=stats)
+    if stats is not None:  # count the mouth search too
+        stats.update({name: stats[name] + counts[name] for name in counts})
 
     if answer is None:
         return INF, None

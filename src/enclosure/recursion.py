@@ -15,13 +15,13 @@ walks C(p, B) and open walks ("mouths") M(pq, B):
 This module holds the recursion itself: `relax` enumerates the four rules
 once, for every solver, reading the settled labels from one index
 (`Settled`).  `label_setting` is the one label-setting queue (cheapest
-first, the first label per state wins); the enclosure search drives it with
-`relax`, the inverted U search with its plank and finish rules.  The DP
-keeps its bucket queue by edge budget, where a label is kept only if it
-improves its state's staircase.  Also here: the rule ranks, the label type,
-the precondition check of every solver entry, the answer on instances with
-nothing required, the M2 join test, and the rebuild of a walk from a
-label's provenance.
+first, the first label per state wins, pushes that cannot win dropped); the
+enclosure search drives it with `relax`, the inverted U search with its
+plank and finish rules.  The DP keeps its bucket queue by edge budget, where
+a label is kept only if it improves its state's staircase.  Also here: the
+rule ranks, the label type, the precondition check of every solver entry,
+the answer on instances with nothing required, the M2 join test, and the
+rebuild of a walk from a label's provenance.
 """
 
 from __future__ import annotations
@@ -123,23 +123,38 @@ class Settled:
 def label_setting(seeds: Iterable[tuple], expand, full: int, early_stop: bool,
                   stats: Optional[dict] = None):
     """Settle pending labels cheapest first, keep the first settled label
-    per state (key, mask), and hand it to expand(label, push), which derives
-    new labels through push(kind, key, mask, value, t, rule, ops) as `relax`
-    does; each seed is a tuple of push's arguments.  Ties break by
+    per state (key, mask), and hand it to expand(label, push, bound), which
+    derives new labels through push(kind, key, mask, value, t, rule, ops) as
+    `relax` does; each seed is a tuple of push's arguments.  Ties break by
     (RANK[rule], kind, key, mask, push order).  Returns (answer, fin): the
     first settled "C" label with mask `full` (None if the queue drains) and
     the settled labels by state.  With early_stop the loop ends at the
-    answer, else it computes the whole fixed point.  Exact as long as no
-    rule derives a label cheaper than the one it expands (`check_solvable`)."""
+    answer, else it computes the whole fixed point.
+
+    Exact as long as no rule derives a label cheaper than the one it expands
+    (`check_solvable`), so labels settle in nondecreasing value.  Pushes that
+    cannot change a settled label are dropped: one whose state is settled or
+    that does not beat its state's pending (value, rank), as it would lose
+    on push order; and one dearer than `bound` (strictly), the cheapest
+    full-mask "C" value pushed under early_stop (else INF), as the answer
+    settles no later than that label."""
+    pending: Dict[Tuple[int, ...], Tuple[float, int]] = {}
     fin: Dict[Tuple[int, ...], Label] = {}
     heap: list = []
     seq = 0
+    bound = INF
 
     def push(kind, key, mask, value, t, rule, ops):
-        nonlocal seq
-        if value == INF or key + (mask,) in fin:
+        nonlocal seq, bound
+        if value == INF or value > bound:
             return
-        heappush(heap, (value, RANK[rule], kind, key, mask, seq,
+        state, rank = key + (mask,), RANK[rule]
+        if pending.get(state, (INF, 0)) <= (value, rank):
+            return
+        pending[state] = (value, rank)
+        if early_stop and kind == "C" and mask == full:
+            bound = value
+        heappush(heap, (value, rank, kind, key, mask, seq,
                         Label(kind, key, mask, value, rule, ops, t)))
         seq += 1
 
@@ -153,11 +168,12 @@ def label_setting(seeds: Iterable[tuple], expand, full: int, early_stop: bool,
         if state in fin:
             continue
         fin[state] = label
+        pending[state] = (-INF, 0)  # below every push
         if kind == "C" and mask == full and answer is None:
             answer = label
             if early_stop:
                 break
-        expand(label, push)
+        expand(label, push, bound)
 
     if stats is not None:
         stats["finalized"] = len(fin)
@@ -166,12 +182,16 @@ def label_setting(seeds: Iterable[tuple], expand, full: int, early_stop: bool,
 
 
 def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
-          closures: bool = True) -> None:
+          closures: bool = True, bound: float = INF) -> None:
     """Derive every label one rule builds from `label` and the settled
     labels, and hand each to push(kind, key, mask, value, t, rule, ops).
 
     A label never combines with itself, so it may be settled before or
-    after this call.  With closures=False rule C1 is off."""
+    after this call.  With closures=False rule C1 is off.  In both M2 roles
+    of M(a, b) the apex lies strictly left of a -> b.  A finite `bound` needs
+    each `settled` list in nondecreasing value, as `label_setting` settles
+    them: a partner scan stops at the first label dearer than `bound`.  The
+    DP's lists are not sorted, so it passes no bound."""
     value, mask, t = label.value, label.mask, label.t
     if label.kind == "C":
         p = label.key[0]
@@ -181,6 +201,8 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
         # C2: concatenate with a closed walk at p over a disjoint nonempty set.
         if mask:
             for other in settled.closed[p]:
+                if value + other.value > bound:
+                    break
                 if other.mask and not other.mask & mask:
                     push("C", (p,), mask | other.mask, value + other.value,
                          t + other.t, "C2", (label, other))
@@ -193,24 +215,33 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
     # then as right part M(r, q) = M(a, b), left parts M(p, a).  The join
     # test runs once per apex with the partner mask left out; each
     # partner's mask is then checked against the joined mask `used`.
+    left = fsg.left_vertices(a, b)
     for q, partners in settled.open_from[b].items():
+        if not (left >> q) & 1 or value + partners[0].value > bound:
+            continue
         join = m2_join(fsg, a, b, q, mask, 0)
         if join is not None:
             used, cpen = join
             for other in partners:
+                total = value + other.value + cpen
+                if total > bound:
+                    break
                 if not other.mask & used:
-                    push("M", (a, q), used | other.mask,
-                         value + other.value + cpen, t + other.t, "M2",
-                         (b, label, other))
+                    push("M", (a, q), used | other.mask, total, t + other.t,
+                         "M2", (b, label, other))
     for p, partners in settled.open_to[a].items():
+        if not (left >> p) & 1 or value + partners[0].value > bound:
+            continue
         join = m2_join(fsg, p, a, b, 0, mask)
         if join is not None:
             used, cpen = join
             for other in partners:
+                total = other.value + value + cpen
+                if total > bound:
+                    break
                 if not other.mask & used:
-                    push("M", (p, b), used | other.mask,
-                         other.value + value + cpen, other.t + t, "M2",
-                         (a, other, label))
+                    push("M", (p, b), used | other.mask, total, other.t + t,
+                         "M2", (a, other, label))
 
 
 def closed_ids(label: Label) -> List[int]:

@@ -14,7 +14,8 @@ from enclosure import (
 from enclosure.dijkstra import _search
 from enclosure.errors import InternalError, NonpositiveWeight
 from enclosure.inverted import solve_inverted
-from enclosure.recursion import Label, check_solvable, closed_ids, m2_join, open_ids
+from enclosure.recursion import (
+    RANK, Label, check_solvable, closed_ids, m2_join, open_ids)
 from conftest import build, opt, rel_close, req, square
 
 
@@ -92,6 +93,44 @@ def test_full_fixed_point_is_superset():
     # The optimum appears among the full-mask labels.
     cost, _ = solve_dijkstra(fsg)
     assert rel_close(min(l.value for (p, m), l in fin_C.items() if m == 1), cost)
+
+
+def test_bound_pruned_search_settles_fixed_point_labels():
+    # The early-stop search drops dominated and over-bound pushes and cuts
+    # its partner scans at the bound.  Every derived label is dearer than
+    # the one it expands, so the full fixed point, which runs without a
+    # bound, settles in (value, rank, kind, key, mask) order; the search
+    # must settle exactly its labels up to the answer, ties included.
+    def order(lab):
+        return lab.value, RANK[lab.rule], lab.kind, lab.key, lab.mask
+
+    instances = [build({"polygons": [req("A", square(0, 0, 2)),
+                                     req("B", square(4, 0, 2))]})]
+    instances += [random_instance(seed, n_objects=4, k=k)
+                  for seed, k in ((1, 1), (2, 2), (4, 3), (6, 2), (9, 3))]
+    for inst in instances:
+        fsg = compute_free_space_edges(inst)
+        fin_C, fin_M = compute_all_labels(fsg)
+        fixed = {**fin_C, **fin_M}
+        answer, fin, _settled = _search(fsg, early_stop=True, closures=True)
+        assert set(fin) == {s for s, lab in fixed.items()
+                            if order(lab) <= order(answer)}
+        for state, lab in fin.items():
+            ref = fixed[state]
+            assert (lab.value, lab.rule, lab.t) == (ref.value, ref.rule, ref.t), state
+        assert len(fin) < len(fixed)
+
+
+def test_k_scaling_instance_push_budget():
+    # The k = 3 member of the k-scaling family (n = 33, 242 free-space
+    # edges).  Without push pruning the search pushes 148,596 labels for
+    # the same 6,284 settled ones and the same answer.
+    inst = random_instance(11, n_objects=9, k=3, grid=30, penalty_pool=(1, 2, 5))
+    stats = {}
+    cost, _walk = solve_dijkstra(compute_free_space_edges(inst), stats=stats)
+    assert cost == 58.46560917300654
+    assert stats["finalized"] == 6284
+    assert stats["pushed"] <= 15000
 
 
 def test_finalized_labels_stable_under_reevaluation():

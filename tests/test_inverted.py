@@ -181,6 +181,32 @@ def test_random_knapsack_matches_oracle():
             checked += 1
 
 
+def test_stats_count_both_searches(monkeypatch):
+    # solve_inverted runs the mouth fixed point, then the U search; its
+    # counters are the sums of the two label-setting runs.
+    from enclosure import dijkstra, inverted, recursion
+    runs = []
+
+    def counted(seeds, expand, full, early_stop, stats=None):
+        own = {}
+        result = recursion.label_setting(seeds, expand, full, early_stop, own)
+        runs.append(own)
+        if stats is not None:
+            stats.update(own)
+        return result
+
+    monkeypatch.setattr(dijkstra, "label_setting", counted)
+    monkeypatch.setattr(inverted, "label_setting", counted)
+    inst, fsg = _fsg({"polygons": [opt("A", square(0, 0, 2), 10),
+                                   opt("B", square(5, 1, 2), 3)],
+                      "mode": "invert"})
+    stats = {}
+    solve_inverted(inst, fsg, stats=stats)
+    mouths, u_search = runs
+    assert mouths["finalized"] and u_search["finalized"]
+    assert stats == {c: mouths[c] + u_search[c] for c in ("pushed", "finalized")}
+
+
 def test_equal_cost_tie_keeps_first_settled_finish():
     # Enclosing either unit square saves its penalty 5 for a boundary of 4;
     # both optima cost 9.  Finishes of equal value settle in push order,
