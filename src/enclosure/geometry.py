@@ -113,19 +113,24 @@ def crossing_point(s: Segment, t: Segment) -> Point:
     return Point(ax + lam * dx, ay + lam * dy)
 
 
-def winding_number(walk: Sequence[Point], x: Point) -> int:
-    """Winding number of the closed walk around x.
+def ray_crossing(a: Point, b: Point, x: Point) -> int:
+    """Signed crossing of the directed edge ab with the +x ray from x, by
+    the half-open rule: ab counts iff exactly one of a, b has y strictly
+    above x.y and ab passes strictly right of x; upward gives +1, downward
+    -1.  This makes vertex-on-ray degeneracies impossible by construction,
+    and an edge through x (orientation 0) counts 0."""
+    if a.y <= x.y:
+        return 1 if b.y > x.y and orient(a, b, x) > 0 else 0
+    return -1 if b.y <= x.y and orient(a, b, x) < 0 else 0
 
-    Uses a horizontal +x ray with the half-open crossing rule: a directed
-    edge ab counts iff exactly one of a, b has y strictly below x.y, signed
-    by direction (upward crossing right of x gives +1, downward -1).  This
-    makes vertex-on-ray degeneracies impossible by construction.
+
+def winding_number(walk: Sequence[Point], x: Point) -> int:
+    """Winding number of the closed walk around x: the sum of
+    `ray_crossing` over its edges.
 
     Raises OnBoundary if x lies on a vertex or edge of the walk.
     """
     m = len(walk)
-    if m == 0:
-        return 0
     total = 0
     for i in range(m):
         a = walk[i]
@@ -134,12 +139,7 @@ def winding_number(walk: Sequence[Point], x: Point) -> int:
             continue
         if on_segment(x, a, b):
             raise OnBoundary(f"point {x} lies on the walk")
-        if a.y <= x.y:
-            if b.y > x.y and orient(a, b, x) > 0:
-                total += 1
-        else:
-            if b.y <= x.y and orient(a, b, x) < 0:
-                total -= 1
+        total += ray_crossing(a, b, x)
     return total
 
 

@@ -18,13 +18,12 @@ from dataclasses import dataclass
 from random import Random
 from typing import List, Optional, Tuple
 
-from .errors import GenerationFailure, InternalError, OnBoundary, SearchSpaceTooLarge
-from .geometry import winding_number
+from .errors import GenerationFailure, InternalError, ReferenceOnWalk, SearchSpaceTooLarge
 from .freespace import FreeSpaceGraph
 from .instance import Instance, parse_instance, validate_and_subdivide
 from .uncrossing import uncross
 from .verify import evaluate_solution
-from .walks import Walk, make_walk
+from .walks import Walk, make_walk, reference_windings, winding_rule
 
 INF = math.inf
 
@@ -84,7 +83,6 @@ def brute_force(inst: Instance, fsg: FreeSpaceGraph,
     best_walk: Optional[Walk] = None
     examined = 0
     seen: set = set()
-    refs = [(p.kind, p.penalty, p.reference_point) for p in inst.polygons]
 
     def consider(points) -> None:
         """Score a raw enumerated walk by the winding-number cost.
@@ -100,21 +98,14 @@ def brute_force(inst: Instance, fsg: FreeSpaceGraph,
         examined += 1
         walk = make_walk(inst, points, closed=True)
         try:
-            winds = [winding_number(walk.points, r) if len(points) > 1 else 0
-                     for _k, _p, r in refs]
-        except OnBoundary:
+            winds = reference_windings(inst, walk.points)
+        except ReferenceOnWalk:
             return
         if any(w < 0 for w in winds):
             winds = [-w for w in winds]
         if any(w not in (0, 1) for w in winds):
             return
-        cost = walk.weight
-        feasible = True
-        for (kind, penalty, _r), w in zip(refs, winds):
-            if kind == "required":
-                feasible &= (w == 0) if mode == "invert" else (w == 1)
-            elif (w == 0) if mode == "invert" else (w == 1):
-                cost += penalty
+        cost, _enclosed, feasible = winding_rule(inst, walk.weight, winds, mode)
         if feasible and cost < best_cost:
             best_cost = cost
             best_walk = walk

@@ -90,10 +90,10 @@ def m2_join(fsg: FreeSpaceGraph, p: int, r: int, q: int,
             left_mask: int, right_mask: int) -> Optional[Tuple[int, float]]:
     """(required mask, triangle penalty) of the M2 join of mouths M(p, r)
     and M(r, q) with the given masks, or None when the join is not allowed:
-    prq is not strictly ccw, the triangle holds an infinite penalty, or the
-    three required sets are not pairwise disjoint."""
-    if not fsg.is_ccw(p, r, q):
-        return None
+    the triangle holds an infinite penalty, or the three required sets are
+    not pairwise disjoint.  prq must be strictly ccw, as `relax` ensures by
+    taking apexes from `left_vertices`; `triangle_content` raises
+    DegenerateTriangle otherwise."""
     cmask, cpen = fsg.triangle_content(p, r, q)
     if cpen == INF or (cmask & left_mask) or (cmask & right_mask) \
             or (left_mask & right_mask):

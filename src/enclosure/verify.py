@@ -4,7 +4,7 @@ winding-number-weighted penalties).
 
 The weak-simplicity check certifies four necessary conditions that are
 jointly sufficient for walks produced by the uncrossing pipeline:
-no proper edge crossings, atom multiplicity at most 2, sampled winding
+no proper edge crossings, atom multiplicity at most 2, exact face winding
 numbers in {0, 1}, and a non-crossing transition pairing at every vertex.
 Adversarial walks may be over-rejected, never over-accepted.
 """
@@ -14,23 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from .errors import FreeSpaceViolation, OnBoundary, ReferenceOnWalk
+from .errors import FreeSpaceViolation
 from .freespace import segment_in_free_space
-from .geometry import (
-    Point,
-    Segment,
-    angular_key,
-    distance,
-    signed_area2,
-    winding_number,
-)
+from .geometry import Point, angular_key, ray_crossing, signed_area2
 from .instance import Instance
-from .uncrossing import _clean_points, subdivide_walk
-from .walks import Walk
-
-INF = math.inf
+from .uncrossing import PlaneMultigraph, _clean_points, subdivide_walk
+from .walks import Walk, reference_windings, winding_rule
 
 
 @dataclass
@@ -66,53 +57,6 @@ def _fmt_cost(x: float):
     return float(f"{x:.12g}")
 
 
-def _point_seg_dist(x: Point, s: Segment) -> float:
-    ax, ay = float(s.a.x), float(s.a.y)
-    bx, by = float(s.b.x), float(s.b.y)
-    px, py = float(x.x), float(x.y)
-    dx, dy = bx - ax, by - ay
-    den = dx * dx + dy * dy
-    t = 0.0 if den == 0 else max(0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / den))
-    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
-
-
-def _side_samples(walk_pts: List[Point], all_edges: List[Segment]) -> List[Point]:
-    """One sample point on each side of each edge's midpoint, pushed off by
-    less than half the distance to the nearest other edge so the sample
-    lands in a face adjacent to the edge."""
-    samples: List[Point] = []
-    for seg in all_edges:
-        a, b = seg
-        mid = Point(Fraction(a.x + b.x, 2), Fraction(a.y + b.y, 2))
-        d = min((_point_seg_dist(mid, s2) for s2 in all_edges if s2 is not seg),
-                default=1.0)
-        if d <= 0:
-            d = 1e-9
-        length = distance(a, b)
-        if length == 0:
-            continue
-        # Unit normal scaled to a small exact rational offset.
-        eps = Fraction(max(min(d, length) / 4, 1e-12)).limit_denominator(10 ** 9)
-        nx = Fraction(-(b.y - a.y)) / Fraction(length).limit_denominator(10 ** 9)
-        ny = Fraction(b.x - a.x) / Fraction(length).limit_denominator(10 ** 9)
-        for sign in (1, -1):
-            candidate = Point(mid.x + sign * eps * nx, mid.y + sign * eps * ny)
-            tries = 0
-            while tries < 60:
-                try:
-                    winding_number(walk_pts, candidate)
-                    break
-                except OnBoundary:
-                    eps2 = eps / (2 ** (tries + 1))
-                    candidate = Point(mid.x + sign * eps2 * nx,
-                                      mid.y + sign * eps2 * ny)
-                    tries += 1
-            else:
-                continue
-            samples.append(candidate)
-    return samples
-
-
 def check_weak_simplicity(walk: Walk, diagnostics: Optional[dict] = None) -> bool:
     """Necessary conditions for a closed walk to be perturbable into a
     simple polygon; see the module docstring.  A clockwise walk (negative
@@ -135,21 +79,31 @@ def check_weak_simplicity(walk: Walk, diagnostics: Optional[dict] = None) -> boo
     ok_mult = all(m <= 2 for m in g.multiplicity.values())
     diag["multiplicity"] = ok_mult
 
-    atoms = [Segment(a, b) for a, b in g.multiplicity]
-    samples = _side_samples(pts, atoms)
-    windings = set()
-    for x in samples:
-        try:
-            windings.add(winding_number(pts, x))
-        except OnBoundary:  # pragma: no cover - samples avoid the walk
-            continue
+    windings = _face_windings(g)
     ok_wind = windings <= {0, 1}
     diag["winding"] = ok_wind
-    diag["sampled_windings"] = sorted(windings)
+    diag["face_windings"] = sorted(windings)
 
     ok_pair = _transitions_non_crossing(g.traversal)
     diag["pairing"] = ok_pair
     return ok_cross and ok_mult and ok_wind and ok_pair
+
+
+def _face_windings(g: PlaneMultigraph) -> Set[int]:
+    """Exact winding numbers of the faces of a subdivided closed walk with
+    no proper crossing (`g` as `subdivide_walk` returns it).
+
+    Counted in doubled coordinates, so that midpoints stay integral when
+    the walk is, the +x ray from the midpoint M of an atom gives the winding
+    of the face on the atom's +x side (above it, when it is horizontal): no
+    other atom passes through M, and the atom's own darts count 0 since M
+    lies on them.  Every face is on the +x side of some atom, because a
+    generic leftward ray from inside it (from right of the walk, for the
+    unbounded face) first meets the walk inside a non-horizontal atom."""
+    doubled = [Point(2 * p.x, 2 * p.y) for p in g.traversal]
+    darts = list(zip(doubled, doubled[1:] + doubled[:1]))
+    return {sum(ray_crossing(u, v, Point(a.x + b.x, a.y + b.y)) for u, v in darts)
+            for a, b in g.multiplicity}
 
 
 def _transitions_non_crossing(seq: List[Point]) -> bool:
@@ -194,7 +148,6 @@ def evaluate_solution(inst: Instance, walk: Walk, mode: Optional[str] = None,
     """Re-derive cost and feasibility of a closed walk from first principles."""
     mode = mode or inst.mode
     checks: Dict[str, bool] = {}
-    pts = list(walk.points)
     for a, b in walk.edges():
         if a != b and not segment_in_free_space(a, b, inst):
             raise FreeSpaceViolation(f"edge {a}-{b} enters a polygon interior")
@@ -203,39 +156,7 @@ def evaluate_solution(inst: Instance, walk: Walk, mode: Optional[str] = None,
     if check_simple:
         checks["weakly_simple"] = check_weak_simplicity(walk)
 
-    windings: Dict[str, int] = {}
-    for poly in inst.polygons:
-        try:
-            windings[poly.id] = winding_number(pts, poly.reference_point) \
-                if len(pts) >= 2 else 0
-        except OnBoundary as e:
-            raise ReferenceOnWalk(
-                f"reference point of {poly.id!r} lies on the walk") from e
-
-    cost = walk.weight
-    enclosed: List[str] = []
-    feasible = True
-    if mode == "invert":
-        for poly in inst.polygons:
-            w = windings[poly.id]
-            if poly.kind == "required":
-                if w != 0:
-                    feasible = False
-            else:
-                if w == 0:
-                    cost += poly.penalty
-                else:
-                    enclosed.append(poly.id)
-    else:
-        for poly in inst.polygons:
-            w = windings[poly.id]
-            if poly.kind == "required":
-                if w != 1:
-                    feasible = False
-            else:
-                if w != 0:
-                    enclosed.append(poly.id)
-                    cost += w * poly.penalty if not math.isinf(poly.penalty) \
-                        else INF
+    windings = reference_windings(inst, walk.points)
+    cost, enclosed, feasible = winding_rule(inst, walk.weight, windings, mode)
     checks["feasible"] = feasible
     return Solution(walk, cost, enclosed, feasible, mode, checks)

@@ -145,7 +145,7 @@ def test_criterion_3_solution_invariants():
         out, report = uncross(inst, walk)
         diag = {}
         assert check_weak_simplicity(out, diag), seed
-        assert all(w in (0, 1) for w in diag["sampled_windings"]), seed
+        assert all(w in (0, 1) for w in diag["face_windings"]), seed
         sol = evaluate_solution(inst, out)
         assert sol.feasible, seed
         assert rel_close(sol.cost, cost), (seed, sol.cost, cost)

@@ -4,6 +4,7 @@ import pytest
 
 from enclosure import (
     Point,
+    Walk,
     compute_dp_tables,
     compute_free_space_edges,
     dp_cell_C,
@@ -186,6 +187,14 @@ def test_winding_cost_inf_and_on_walk():
     if through is not None:
         with pytest.raises(ReferenceOnWalk):
             winding_cost(inst, through)
+
+
+def test_winding_cost_lets_other_errors_through():
+    # Only a reference point on the walk becomes ReferenceOnWalk.
+    inst = build({"polygons": [opt("B", square(1, 1, 2), 5)]})
+    bad = Walk((Point(0, 0), Point(4, None), Point(0, 4)), True, 0.0)
+    with pytest.raises(TypeError):
+        winding_cost(inst, bad)
 
 
 def test_optional_penalty_steering():

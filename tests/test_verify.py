@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,10 +9,15 @@ from enclosure import (
     check_weak_simplicity,
     evaluate_solution,
     make_walk,
+    signed_area2,
+    uncross,
+    winding_cost,
+    winding_number,
 )
 from enclosure.errors import FreeSpaceViolation, ReferenceOnWalk
+from enclosure.uncrossing import subdivide_walk
 from enclosure.verify import _fmt_cost
-from conftest import EMPTY_INSTANCE, build, opt, req, square
+from conftest import EMPTY_INSTANCE, build, opt, random_closed_walk, req, square
 
 
 def _walk(inst, pts):
@@ -68,7 +75,7 @@ def test_mixed_orientation_theta_rejected():
     diag = {}
     assert not check_weak_simplicity(_walk(EMPTY_INSTANCE, pts), diag)
     assert diag["winding"] is False
-    assert diag["sampled_windings"] == [-1, 0, 1]
+    assert diag["face_windings"] == [-1, 0, 1]
 
 
 def test_clockwise_dumbbell_accepted():
@@ -78,8 +85,71 @@ def test_clockwise_dumbbell_accepted():
            (3, 0), (1, 0)]
     diag = {}
     assert check_weak_simplicity(_walk(EMPTY_INSTANCE, pts), diag)
-    assert diag["sampled_windings"] == [0, 1]
+    assert diag["face_windings"] == [0, 1]
     assert check_weak_simplicity(_walk(EMPTY_INSTANCE, pts[::-1]))
+
+
+def _offset_windings(walk):
+    """Windings of an integer walk at M +- (d, 0), or M +- (0, d) for a
+    horizontal atom, around the midpoint M of every atom, d = 1/(4G) for the
+    walk's coordinate span G.  Another atom's line runs through two grid
+    points of that span, so along either axis it is at least 1/(2G) from M,
+    or passes through M with the atom itself at least 1/2 away: the offset
+    point lies in a face next to the atom.  Oriented as the check orients
+    the walk."""
+    pts = walk.points if signed_area2(walk.points) >= 0 else walk.points[::-1]
+    span = max(max(c) - min(c) for c in zip(*pts))
+    d = Fraction(1, 4 * span)
+    out = set()
+    for a, b in subdivide_walk(walk)[0].multiplicity:
+        mx, my = Fraction(a.x + b.x, 2), Fraction(a.y + b.y, 2)
+        dx, dy = (0, d) if a.y == b.y else (d, 0)
+        out.update(winding_number(pts, Point(mx + s * dx, my + s * dy)) for s in (1, -1))
+    return out
+
+
+def _face_windings(walk):
+    diag = {}
+    check_weak_simplicity(walk, diag)
+    return set(diag["face_windings"]) if "face_windings" in diag else None
+
+
+def _scaled_to_integers(walk):
+    scale = math.lcm(*(Fraction(c).denominator for p in walk.points for c in p))
+    return make_walk(EMPTY_INSTANCE, [Point(int(p.x * scale), int(p.y * scale))
+                                      for p in walk.points])
+
+
+def test_face_windings_match_offset_oracle():
+    # Random integer walks with no proper crossing on grids of span 3 to 6;
+    # the crossing ones go through `uncross` and are checked, with rational
+    # vertices, against the oracle on an integer-scaled copy.
+    rng = random.Random(8)
+    plain = uncrossed = 0
+    for i in range(1200):
+        walk = random_closed_walk(rng, n_points=3 + i % 4, grid=3 + (i // 4) % 4)
+        windings = _face_windings(walk)
+        if windings is not None:
+            assert windings == _offset_windings(walk), walk.points
+            plain += 1
+        elif uncrossed < 150:
+            out, _report = uncross(EMPTY_INSTANCE, walk)
+            windings = _face_windings(out)
+            if windings is not None:
+                assert windings == _offset_windings(_scaled_to_integers(out))
+                uncrossed += 1
+    assert plain > 300 and uncrossed == 150
+
+
+def test_face_windings_of_an_uncrossed_rational_walk():
+    # The edges (0, 0)-(5, 2) and (5, 0)-(1, 3) cross at (75/23, 30/23).
+    walk = make_walk(EMPTY_INSTANCE, [Point(0, 0), Point(5, 2), Point(5, 0), Point(1, 3)])
+    assert _face_windings(walk) is None
+    out, report = uncross(EMPTY_INSTANCE, walk)
+    assert report.s == 1
+    assert Point(Fraction(75, 23), Fraction(30, 23)) in out.points
+    assert _face_windings(out) == {0, 1}
+    assert _face_windings(out) == _offset_windings(_scaled_to_integers(out))
 
 
 def test_evaluate_required_square():
@@ -131,6 +201,8 @@ def test_invert_mode_costs():
     sol2 = evaluate_solution(inst, ring)
     assert sol2.cost == pytest.approx(16.0)
     assert sol2.enclosed_optional == ["B"]
+    # winding_cost applies the same rule in the instance's mode.
+    assert (winding_cost(inst, point), winding_cost(inst, ring)) == (sol.cost, sol2.cost)
 
 
 def test_invert_required_must_stay_outside():
