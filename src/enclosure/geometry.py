@@ -8,6 +8,14 @@ the 3-point orientation determinant stays well inside machine-int range, but
 Python integers are exact at any magnitude, so this is a convention rather
 than a hard limit.
 
+Winding tests (`ray_crossing`, `homogeneous_winding`) take the query point
+in homogeneous form (X, Y, W) and compare it with the walk's vertices
+scaled by W, so an integer walk, such as every input polygon, is tested in
+integers even at a rational query point (a reference point, a doubled
+segment midpoint).  Rationals remain in `crossing_point`, whose results
+uncrossing adds to walks and the verifier then sees, in rational reference
+points as stored (converted once by `homogeneous`), and in `angular_key`.
+
 Euclidean lengths are the only inexact quantities; they are computed in
 double precision and compared with a relative tolerance of 1e-9 elsewhere.
 """
@@ -21,6 +29,9 @@ from typing import Callable, List, NamedTuple, Sequence, Tuple, Union
 from .errors import OnBoundary
 
 Coord = Union[int, Fraction]
+# A point (X/W, Y/W) as (X, Y, W), W a positive integer; X and Y are
+# integers except where the point is built from rational coordinates.
+Homogeneous = Tuple[Coord, Coord, int]
 
 
 class Point(NamedTuple):
@@ -44,8 +55,12 @@ def orient(p: Point, q: Point, r: Point) -> int:
 
 
 def homogeneous(p: Point) -> Tuple[int, int, int]:
-    """Integers (X, Y, W), W > 0, with p = (X/W, Y/W)."""
-    x, y = Fraction(p.x), Fraction(p.y)
+    """Integers (X, Y, W), W > 0, with p = (X/W, Y/W); W = 1 for an
+    integer point."""
+    x, y = p
+    if isinstance(x, int) and isinstance(y, int):
+        return x, y, 1
+    x, y = Fraction(x), Fraction(y)
     w = math.lcm(x.denominator, y.denominator)
     return (x.numerator * (w // x.denominator),
             y.numerator * (w // y.denominator), w)
@@ -69,11 +84,13 @@ def in_open_segment(x: Point, a: Point, b: Point) -> bool:
 
 
 def sort_along(a: Point, b: Point, points: Sequence[Point]) -> List[Point]:
-    """Points of the line ab sorted from a towards b, by their exact
-    parameter along ab on its dominant axis."""
+    """Points of the line ab sorted from a towards b, by their signed
+    offset from a on the dominant axis of ab (ties keep their order)."""
     if abs(b.x - a.x) >= abs(b.y - a.y):
-        return sorted(points, key=lambda p: Fraction(p.x - a.x, b.x - a.x))
-    return sorted(points, key=lambda p: Fraction(p.y - a.y, b.y - a.y))
+        sign = 1 if b.x > a.x else -1
+        return sorted(points, key=lambda p: (p.x - a.x) * sign)
+    sign = 1 if b.y > a.y else -1
+    return sorted(points, key=lambda p: (p.y - a.y) * sign)
 
 
 def angular_key(origin: Point) -> Callable[[Point], Tuple]:
@@ -113,48 +130,55 @@ def crossing_point(s: Segment, t: Segment) -> Point:
     return Point(ax + lam * dx, ay + lam * dy)
 
 
-def ray_crossing(a: Point, b: Point, x: Point) -> int:
-    """Signed crossing of the directed edge ab with the +x ray from x, by
-    the half-open rule: ab counts iff exactly one of a, b has y strictly
-    above x.y and ab passes strictly right of x; upward gives +1, downward
-    -1.  This makes vertex-on-ray degeneracies impossible by construction,
-    and an edge through x (orientation 0) counts 0."""
-    if a.y <= x.y:
-        return 1 if b.y > x.y and orient(a, b, x) > 0 else 0
-    return -1 if b.y <= x.y and orient(a, b, x) < 0 else 0
+def ray_crossing(a: Point, b: Point, x: Homogeneous) -> int:
+    """Signed crossing of the directed edge ab with the +x ray from the
+    point x = (X/W, Y/W), given as (X, Y, W) with W > 0, by the half-open
+    rule: ab counts iff exactly one of a, b has y strictly above Y/W and ab
+    passes strictly right of x; upward gives +1, downward -1.  This makes
+    vertex-on-ray degeneracies impossible by construction, and an edge
+    through x (orientation 0) counts 0.
+
+    Evaluated on the scaled vertices (a.x*W, a.y*W), so integer vertices
+    and an integer (X, Y) build no `Fraction`."""
+    X, Y, W = x
+    ay, by = a.y * W, b.y * W
+    if (ay <= Y) == (by <= Y):
+        return 0
+    # W times the orientation of (a, b, x).
+    d = (b.x - a.x) * (Y - ay) - (b.y - a.y) * (X - a.x * W)
+    if ay <= Y:
+        return 1 if d > 0 else 0
+    return -1 if d < 0 else 0
 
 
-def winding_number(walk: Sequence[Point], x: Point) -> int:
-    """Winding number of the closed walk around x: the sum of
-    `ray_crossing` over its edges.
+def homogeneous_winding(walk: Sequence[Point], x: Homogeneous) -> int:
+    """Winding number of the closed walk around the point x = (X/W, Y/W),
+    given as (X, Y, W) with W > 0: the sum of `ray_crossing` over its
+    edges.  An edge whose y-range misses Y/W can neither cross the ray nor
+    hold x, so only the others are looked at.
 
     Raises OnBoundary if x lies on a vertex or edge of the walk.
     """
-    m = len(walk)
+    X, Y, W = x
     total = 0
-    for i in range(m):
-        a = walk[i]
-        b = walk[(i + 1) % m]
-        if a == b:
-            continue
-        if on_segment(x, a, b):
-            raise OnBoundary(f"point {x} lies on the walk")
-        total += ray_crossing(a, b, x)
+    a = walk[-1] if walk else None
+    for b in walk:
+        ay, by = a.y * W, b.y * W
+        if (ay <= Y or by <= Y) and (ay >= Y or by >= Y) and a != b:
+            if (b.x - a.x) * (Y - ay) == (b.y - a.y) * (X - a.x * W) \
+                    and min(a.x, b.x) * W <= X <= max(a.x, b.x) * W:
+                raise OnBoundary(f"point (X, Y, W) = {x} lies on the walk")
+            total += ray_crossing(a, b, x)
+        a = b
     return total
 
 
-def point_in_polygon(x: Point, boundary: Sequence[Point]) -> str:
-    """Classify x against a (ccw, almost-simple) polygon boundary walk.
+def winding_number(walk: Sequence[Point], x: Point) -> int:
+    """Winding number of the closed walk around x (`homogeneous_winding`).
 
-    Returns 'inside', 'boundary' or 'outside'.  Interior points of a ccw
-    walk have nonzero winding number; boundary walks of faces may repeat
-    edges (bridges), which cancel out in the winding count.
+    Raises OnBoundary if x lies on a vertex or edge of the walk.
     """
-    try:
-        w = winding_number(boundary, x)
-    except OnBoundary:
-        return "boundary"
-    return "inside" if w != 0 else "outside"
+    return homogeneous_winding(walk, homogeneous(x))
 
 
 def signed_area2(walk: Sequence[Point]) -> Coord:

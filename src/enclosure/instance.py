@@ -11,6 +11,7 @@ box, at least 1).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -21,24 +22,25 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from .errors import (
     CapacityError,
     DegeneratePolygon,
+    OnBoundary,
     OverlapError,
     ParseError,
     SchemaError,
 )
 from .geometry import (
+    Homogeneous,
     Point,
     Segment,
     boxes_meet,
     distance,
     homogeneous,
+    homogeneous_winding,
     in_open_segment,
     on_segment,
     orient,
-    point_in_polygon,
     segments_properly_cross,
     signed_area2,
     sort_along,
-    winding_number,
 )
 
 REQUIRED = "required"
@@ -75,15 +77,20 @@ class InputPolygon:
     def contains(self, x: Point) -> str:
         """Classify x against this polygon: 'inside', 'boundary', 'outside'.
 
-        For the unbounded polygon 'inside' means the outer region (its
-        boundary walk is clockwise around the bounded part of the plane).
+        By the winding number of the boundary walk around x: nonzero inside
+        a bounded polygon (bridges, walked twice, cancel out); zero inside
+        the unbounded polygon, the outer region, since its walk is
+        clockwise around the bounded part of the plane.
         """
-        cls = point_in_polygon(x, self.vertices)
-        if self.unbounded:
-            if cls == "boundary":
-                return "boundary"
-            return "inside" if winding_number(self.vertices, x) == 0 else "outside"
-        return cls
+        return self.contains_homogeneous(homogeneous(x))
+
+    def contains_homogeneous(self, x: Homogeneous) -> str:
+        """`contains` for the point (X/W, Y/W), given as x = (X, Y, W)."""
+        try:
+            w = homogeneous_winding(self.vertices, x)
+        except OnBoundary:
+            return "boundary"
+        return "inside" if (w == 0) == self.unbounded else "outside"
 
 
 @dataclass(frozen=True)
@@ -350,11 +357,10 @@ def _check_disjoint_interiors(polygons) -> None:
                         raise OverlapError(P.id, Q.id)
             for A, B in ((P, Q), (Q, P)):
                 for v in A.vertices:
-                    if B.contains(v) == "inside":
+                    if B.contains_homogeneous((v.x, v.y, 1)) == "inside":
                         raise OverlapError(P.id, Q.id)
-                for a, b in A.edges():
-                    mid = Point(Fraction(a.x + b.x, 2), Fraction(a.y + b.y, 2))
-                    if B.contains(mid) == "inside":
+                for a, b in A.edges():      # the midpoint, doubled
+                    if B.contains_homogeneous((a.x + b.x, a.y + b.y, 2)) == "inside":
                         raise OverlapError(P.id, Q.id)
                 if A.reference_point is not None and B.contains(A.reference_point) == "inside":
                     raise OverlapError(P.id, Q.id)
@@ -388,17 +394,17 @@ def _resplit_squeezed(squeezed, polygons) -> Dict[FrozenSet[Point], float]:
     return out
 
 
-def _in_general_position(x: Point, vertices: Sequence[Point]) -> bool:
-    """True iff x is not collinear with any two of the (integer) polygon
-    vertices.
+def _in_general_position(x: Homogeneous, vertices: Sequence[Point]) -> bool:
+    """True iff the point x = (X/W, Y/W), given as (X, Y, W) with W > 0,
+    is not collinear with any two of the (integer) polygon vertices.
 
-    O(n) in the number of vertices, exact: with x = (X/W, Y/W), the line
-    through x and a vertex v has the integer direction
-    (v.x*W - X, v.y*W - Y), reduced by its gcd and signed so that its first
-    nonzero entry is positive.  x is collinear with two vertices exactly
-    when two of them share a line, or x is itself a vertex.
+    O(n) in the number of vertices, exact: the line through x and a vertex
+    v has the integer direction (v.x*W - X, v.y*W - Y), reduced by its gcd
+    and signed so that its first nonzero entry is positive.  x is collinear
+    with two vertices exactly when two of them share a line, or x is itself
+    a vertex.
     """
-    X, Y, W = homogeneous(x)
+    X, Y, W = x
     lines = set()
     for v in vertices:
         dx, dy = v.x * W - X, v.y * W - Y
@@ -414,6 +420,12 @@ def _in_general_position(x: Point, vertices: Sequence[Point]) -> bool:
     return True
 
 
+def _point(x: Homogeneous) -> Point:
+    """The point (X/W, Y/W) with `Fraction` coordinates."""
+    X, Y, W = x
+    return Point(Fraction(X, W), Fraction(Y, W))
+
+
 def pick_reference_point(poly: InputPolygon) -> Point:
     """A point strictly interior to a bounded almost-simple polygon.
 
@@ -421,7 +433,8 @@ def pick_reference_point(poly: InputPolygon) -> Point:
     empty of other walk vertices its centroid is interior, otherwise a point
     between v and the contained vertex farthest from line ab is.  The result
     is verified by an exact winding test and kept at sub-grid (rational)
-    precision when needed.
+    precision when needed.  Candidates are homogeneous integers (X, Y, W),
+    built one at a time.
     """
     verts = poly.vertices
     m = len(verts)
@@ -434,33 +447,32 @@ def pick_reference_point(poly: InputPolygon) -> Point:
     if corner is None:
         raise DegeneratePolygon(f"polygon {poly.id!r} has empty interior")
 
-    candidates: List[Point] = []
     i = corner
     a, v, b = verts[(i - 1) % m], verts[i], verts[(i + 1) % m]
     inside = [u for u in verts
               if u not in (a, v, b)
               and orient(a, v, u) >= 0 and orient(v, b, u) >= 0 and orient(b, a, u) >= 0]
     if not inside:
-        candidates.append(Point(Fraction(a.x + v.x + b.x, 3),
-                                Fraction(a.y + v.y + b.y, 3)))
+        first = (a.x + v.x + b.x, a.y + v.y + b.y, 3)
     else:
         q = max(inside, key=lambda u: abs((b.x - a.x) * (u.y - a.y)
                                           - (b.y - a.y) * (u.x - a.x)))
-        candidates.append(Point(Fraction(v.x + q.x, 2), Fraction(v.y + q.y, 2)))
-    # Fallbacks: approach the convex corner from inside, ever closer.
-    for t in (4, 8, 16, 64, 256, 1024, 4096):
-        candidates.append(Point(v.x + Fraction(a.x - v.x, t) + Fraction(b.x - v.x, t),
-                                v.y + Fraction(a.y - v.y, t) + Fraction(b.y - v.y, t)))
-    for cand in candidates:
-        if point_in_polygon(cand, verts) == "inside":
-            return cand
+        first = (v.x + q.x, v.y + q.y, 2)
+    # Fallbacks: approach the convex corner from inside, ever closer, at
+    # v + (a - v)/t + (b - v)/t.
+    fallbacks = (((t - 2) * v.x + a.x + b.x, (t - 2) * v.y + a.y + b.y, t)
+                 for t in (4, 8, 16, 64, 256, 1024, 4096))
+    for cand in itertools.chain((first,), fallbacks):
+        if poly.contains_homogeneous(cand) == "inside":
+            return _point(cand)
     raise DegeneratePolygon(f"polygon {poly.id!r}: no interior point found")
 
 
 def _settle_reference_point(poly: InputPolygon, all_vertices) -> Point:
     """Choose/adjust the reference point: strictly interior, integer grid if
     possible, and in general position w.r.t. all polygon vertices.  Raises
-    DegeneratePolygon when no candidate is in general position."""
+    DegeneratePolygon when no candidate is in general position.  Candidates
+    are tested in homogeneous integer form (X, Y, W)."""
     cand = poly.reference_point
     if cand is None:
         if poly.unbounded:
@@ -470,20 +482,25 @@ def _settle_reference_point(poly: InputPolygon, all_vertices) -> Point:
                          max(ys) + (max(ys) - min(ys)) + 3)
         else:
             cand = pick_reference_point(poly)
-    if poly.contains(cand) != "inside":
+    X, Y, W = h = homogeneous(cand)
+    if poly.contains_homogeneous(h) != "inside":
         raise SchemaError(
             f"reference point {cand} of polygon {poly.id!r} is not strictly interior")
-    rounded = Point(int(round(float(cand.x))), int(round(float(cand.y))))
-    if poly.contains(rounded) == "inside" and _in_general_position(rounded, all_vertices):
-        return rounded
-    if _in_general_position(cand, all_vertices):
+    rounded = (round(X / W), round(Y / W), 1)
+    if poly.contains_homogeneous(rounded) == "inside" \
+            and _in_general_position(rounded, all_vertices):
+        return Point(rounded[0], rounded[1])
+    if _in_general_position(h, all_vertices):
         return cand
-    # Perturb at a fine sub-grid scale until in general position.
+    # Perturb at a fine sub-grid scale until in general position: by
+    # (dx, dy) / (997 d), that is, to (X*s + dx*W, Y*s + dy*W, W*s).
     for d in range(1, 40):
+        s = 997 * d
         for dx, dy in ((1, 2), (-2, 1), (3, -1), (-1, -3), (2, 3), (-3, 2)):
-            p = Point(cand.x + Fraction(dx, 997 * d), cand.y + Fraction(dy, 997 * d))
-            if poly.contains(p) == "inside" and _in_general_position(p, all_vertices):
-                return p
+            p = (X * s + dx * W, Y * s + dy * W, W * s)
+            if poly.contains_homogeneous(p) == "inside" \
+                    and _in_general_position(p, all_vertices):
+                return _point(p)
     raise DegeneratePolygon(
         f"polygon {poly.id!r}: no reference point in general position found")
 

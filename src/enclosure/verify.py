@@ -93,16 +93,16 @@ def _face_windings(g: PlaneMultigraph) -> Set[int]:
     """Exact winding numbers of the faces of a subdivided closed walk with
     no proper crossing (`g` as `subdivide_walk` returns it).
 
-    Counted in doubled coordinates, so that midpoints stay integral when
-    the walk is, the +x ray from the midpoint M of an atom gives the winding
-    of the face on the atom's +x side (above it, when it is horizontal): no
+    The +x ray from the midpoint M of an atom, given homogeneously with
+    W = 2 so that it stays integral when the walk is, gives the winding of
+    the face on the atom's +x side (above it, when it is horizontal): no
     other atom passes through M, and the atom's own darts count 0 since M
     lies on them.  Every face is on the +x side of some atom, because a
     generic leftward ray from inside it (from right of the walk, for the
     unbounded face) first meets the walk inside a non-horizontal atom."""
-    doubled = [Point(2 * p.x, 2 * p.y) for p in g.traversal]
-    darts = list(zip(doubled, doubled[1:] + doubled[:1]))
-    return {sum(ray_crossing(u, v, Point(a.x + b.x, a.y + b.y)) for u, v in darts)
+    pts = g.traversal
+    darts = list(zip(pts, pts[1:] + pts[:1]))
+    return {sum(ray_crossing(u, v, (a.x + b.x, a.y + b.y, 2)) for u, v in darts)
             for a, b in g.multiplicity}
 
 

@@ -1,33 +1,59 @@
-"""The geometry front end (general-position test, free-space edges,
-segment test, interior-overlap check) against brute-force oracles: the
-O(n^2) collinearity scan, the all-pairs free-space builder with its O(n)
-blocking-vertex scan, and the segment and overlap tests without bounding
-boxes."""
+"""The geometry front end (general-position test, winding tests,
+reference points, free-space edges, segment test, interior-overlap check)
+against brute-force oracles: the O(n^2) collinearity scan, the `Fraction`
+winding test, containment and reference-point choice the library used
+before it went to homogeneous integers, the all-pairs free-space builder
+with its O(n) blocking-vertex scan, and the segment and overlap tests
+without bounding boxes."""
 
+import dataclasses
+import importlib.util
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from enclosure import Point, compute_free_space_edges, segment_in_free_space
-from enclosure.errors import DegeneratePolygon, OverlapError
+from enclosure import (
+    Point,
+    compute_free_space_edges,
+    segment_in_free_space,
+    uncross,
+)
+from enclosure.errors import (
+    DegeneratePolygon,
+    OnBoundary,
+    OverlapError,
+    SchemaError,
+)
 from enclosure.geometry import (
     Segment,
     distance,
+    homogeneous,
+    homogeneous_winding,
     in_open_segment,
+    on_segment,
     orient,
     segments_properly_cross,
     sort_along,
+    winding_number,
 )
 from enclosure.instance import (
+    InputPolygon,
     _check_disjoint_interiors,
     _in_general_position,
+    _settle_reference_point,
     parse_instance,
+    pick_reference_point,
     validate_and_subdivide,
 )
 from enclosure.oracle import random_instance
-from conftest import build, opt, req, square
+from enclosure.planegraph import extract_faces, parse_plane_graph
+from enclosure.uncrossing import subdivide_walk
+from enclosure.verify import _face_windings
+from conftest import EMPTY_INSTANCE, build, opt, random_closed_walk, req, square
 from test_planegraph import grid_graph
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
@@ -44,6 +70,94 @@ def general_position_oracle(x, vertices):
                for i in range(len(vs)) for j in range(i + 1, len(vs)))
 
 
+def ray_crossing_oracle(a, b, x):
+    """The half-open crossing rule on a `Point` query, by `orient`."""
+    if a.y <= x.y:
+        return 1 if b.y > x.y and orient(a, b, x) > 0 else 0
+    return -1 if b.y <= x.y and orient(a, b, x) < 0 else 0
+
+
+def winding_oracle(walk, x):
+    """Winding number by `Fraction` arithmetic on the query point."""
+    m = len(walk)
+    total = 0
+    for i in range(m):
+        a, b = walk[i], walk[(i + 1) % m]
+        if a == b:
+            continue
+        if on_segment(x, a, b):
+            raise OnBoundary(f"point {x} lies on the walk")
+        total += ray_crossing_oracle(a, b, x)
+    return total
+
+
+def contains_oracle(poly, x):
+    try:
+        w = winding_oracle(poly.vertices, x)
+    except OnBoundary:
+        return "boundary"
+    return "inside" if (w == 0) == poly.unbounded else "outside"
+
+
+def pick_reference_oracle(poly):
+    """Every candidate built up front, as `Fraction` points."""
+    verts = poly.vertices
+    m = len(verts)
+    corner = None
+    for i in range(m):
+        a, v, b = verts[(i - 1) % m], verts[i], verts[(i + 1) % m]
+        if orient(a, v, b) > 0:
+            if corner is None or (v.y, v.x) < (verts[corner].y, verts[corner].x):
+                corner = i
+    if corner is None:
+        raise DegeneratePolygon(poly.id)
+    a, v, b = verts[(corner - 1) % m], verts[corner], verts[(corner + 1) % m]
+    inside = [u for u in verts
+              if u not in (a, v, b)
+              and orient(a, v, u) >= 0 and orient(v, b, u) >= 0 and orient(b, a, u) >= 0]
+    if not inside:
+        candidates = [Point(Fraction(a.x + v.x + b.x, 3), Fraction(a.y + v.y + b.y, 3))]
+    else:
+        q = max(inside, key=lambda u: abs((b.x - a.x) * (u.y - a.y)
+                                          - (b.y - a.y) * (u.x - a.x)))
+        candidates = [Point(Fraction(v.x + q.x, 2), Fraction(v.y + q.y, 2))]
+    for t in (4, 8, 16, 64, 256, 1024, 4096):
+        candidates.append(Point(v.x + Fraction(a.x - v.x, t) + Fraction(b.x - v.x, t),
+                                v.y + Fraction(a.y - v.y, t) + Fraction(b.y - v.y, t)))
+    for cand in candidates:
+        if contains_oracle(poly, cand) == "inside":
+            return cand
+    raise DegeneratePolygon(poly.id)
+
+
+def settle_oracle(poly, all_vertices):
+    """The reference point by `Fraction` candidates and perturbations."""
+    cand = poly.reference_point
+    if cand is None:
+        if poly.unbounded:
+            xs = [v.x for v in all_vertices]
+            ys = [v.y for v in all_vertices]
+            cand = Point(max(xs) + (max(xs) - min(xs)) + 7,
+                         max(ys) + (max(ys) - min(ys)) + 3)
+        else:
+            cand = pick_reference_oracle(poly)
+    if contains_oracle(poly, cand) != "inside":
+        raise SchemaError(poly.id)
+    rounded = Point(int(round(float(cand.x))), int(round(float(cand.y))))
+    if contains_oracle(poly, rounded) == "inside" \
+            and general_position_oracle(rounded, all_vertices):
+        return rounded
+    if general_position_oracle(cand, all_vertices):
+        return cand
+    for d in range(1, 40):
+        for dx, dy in ((1, 2), (-2, 1), (3, -1), (-1, -3), (2, 3), (-3, 2)):
+            p = Point(cand.x + Fraction(dx, 997 * d), cand.y + Fraction(dy, 997 * d))
+            if contains_oracle(poly, p) == "inside" \
+                    and general_position_oracle(p, all_vertices):
+                return p
+    raise DegeneratePolygon(poly.id)
+
+
 def segment_oracle(a, b, inst):
     seg = Segment(a, b)
     for poly in inst.polygons:
@@ -54,7 +168,7 @@ def segment_oracle(a, b, inst):
         chain = [a] + sort_along(a, b, touches) + [b]
         for u, v in zip(chain, chain[1:]):
             mid = Point(Fraction(u.x + v.x, 2), Fraction(u.y + v.y, 2))
-            if poly.contains(mid) == "inside":
+            if contains_oracle(poly, mid) == "inside":
                 return False
     return True
 
@@ -87,14 +201,14 @@ def overlap_oracle(polygons):
                         return str(OverlapError(P.id, Q.id))
             for A, B in ((P, Q), (Q, P)):
                 for v in A.vertices:
-                    if B.contains(v) == "inside":
+                    if contains_oracle(B, v) == "inside":
                         return str(OverlapError(P.id, Q.id))
                 for a, b in A.edges():
                     mid = Point(Fraction(a.x + b.x, 2), Fraction(a.y + b.y, 2))
-                    if B.contains(mid) == "inside":
+                    if contains_oracle(B, mid) == "inside":
                         return str(OverlapError(P.id, Q.id))
                 if A.reference_point is not None \
-                        and B.contains(A.reference_point) == "inside":
+                        and contains_oracle(B, A.reference_point) == "inside":
                     return str(OverlapError(P.id, Q.id))
     return None
 
@@ -194,7 +308,7 @@ _vertex = st.builds(Point, st.integers(-5, 5), st.integers(-5, 5))
                    st.fractions(-6, 6, max_denominator=3)))
 def test_general_position_matches_pair_scan(vertices, x):
     x = Point(*(c.numerator if c.denominator == 1 else c for c in x))
-    assert _in_general_position(x, tuple(vertices)) == \
+    assert _in_general_position(homogeneous(x), tuple(vertices)) == \
         general_position_oracle(x, vertices)
 
 
@@ -209,7 +323,7 @@ def test_general_position_matches_pair_scan(vertices, x):
     (Point(Fraction(1, 7), Fraction(2, 9)), (Point(0, 0), Point(1, 0), Point(0, 1))),
 ])
 def test_general_position_edge_cases(x, vertices):
-    assert _in_general_position(x, vertices) == general_position_oracle(x, vertices)
+    assert _in_general_position(homogeneous(x), vertices) == general_position_oracle(x, vertices)
 
 
 def test_reference_point_without_general_position_is_an_error(monkeypatch):
@@ -278,3 +392,206 @@ def test_overlap_check_matches_all_pairs(shapes, frame):
         polys.append(_frame(side=8, at=-1))
     polygons = _polygons({"polygons": polys})
     assert overlap_result(polygons) == overlap_oracle(polygons)
+
+
+# --------------------------------------------------------------------------
+# Winding tests and reference points against the Fraction oracles
+
+
+# Denominators of reference points and their perturbations: 2 (midpoints),
+# 3 (centroids) and 997 d.
+_DENOMINATOR = st.one_of(st.sampled_from((1, 2, 3)),
+                         st.integers(1, 39).map(lambda d: 997 * d))
+
+
+def _coord(lo, hi):
+    return _DENOMINATOR.flatmap(lambda d: st.integers(lo * d, hi * d).map(
+        lambda n: n if d == 1 else Fraction(n, d)))
+
+
+def _query(lo, hi):
+    return st.builds(Point, _coord(lo, hi), _coord(lo, hi))
+
+
+def _on_walk(data, walk):
+    """A point on a vertex or an edge of the closed walk."""
+    i = data.draw(st.integers(0, len(walk) - 1))
+    a, b = walk[i], walk[(i + 1) % len(walk)]
+    d = data.draw(_DENOMINATOR)
+    t = Fraction(data.draw(st.integers(0, d)), d)
+    return Point(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
+
+
+def _outcome(fn, *args):
+    """The result's repr (so that int and Fraction coordinates differ), or
+    the name of the exception raised."""
+    try:
+        return repr(fn(*args))
+    except (OnBoundary, SchemaError, DegeneratePolygon) as e:
+        return type(e).__name__
+
+
+def _assert_same_winding(walk, x):
+    expected = _outcome(winding_oracle, walk, x)
+    assert _outcome(winding_number, walk, x) == expected
+    X, Y, W = homogeneous(x)    # an unreduced homogeneous form
+    assert _outcome(homogeneous_winding, walk, (3 * X, 3 * Y, 3 * W)) == expected
+
+
+_int_walk = st.lists(st.builds(Point, st.integers(0, 12), st.integers(0, 12)),
+                     min_size=1, max_size=8)
+
+
+@SETTINGS
+@given(walk=_int_walk, x=_query(-2, 14), data=st.data())
+def test_winding_matches_fraction_oracle(walk, x, data):
+    _assert_same_winding(walk, x)
+    _assert_same_winding(walk, _on_walk(data, walk))
+
+
+_POLYGONS = [p for _name, inst in INSTANCES for p in inst.polygons]
+
+
+@SETTINGS
+@given(i=st.integers(0, len(_POLYGONS) - 1), data=st.data())
+def test_contains_matches_fraction_oracle(i, data):
+    poly = _POLYGONS[i]
+    xs = [v.x for v in poly.vertices]
+    ys = [v.y for v in poly.vertices]
+    x = Point(data.draw(_coord(min(xs) - 2, max(xs) + 2)),
+              data.draw(_coord(min(ys) - 2, max(ys) + 2)))
+    for q in (x, _on_walk(data, poly.vertices), poly.reference_point):
+        expected = contains_oracle(poly, q)
+        assert poly.contains(q) == expected
+        X, Y, W = homogeneous(q)
+        assert poly.contains_homogeneous((2 * X, 2 * Y, 2 * W)) == expected
+
+
+# Plane-graph faces: a grid, and a triangle with a bridge into a pendant
+# vertex, whose face walk traverses the bridge twice.
+_FACES = extract_faces(parse_plane_graph(grid_graph(4, 4))) + \
+    extract_faces(parse_plane_graph({
+        "vertices": [[0, 0], [6, 0], [0, 6], [2, 2]],
+        "edges": [[0, 1, 1], [1, 2, 1], [2, 0, 1], [0, 3, 1]]}))
+
+
+@SETTINGS
+@given(x=_query(-1, 7), data=st.data())
+def test_face_location_matches_fraction_oracle(x, data):
+    for face in _FACES:
+        _assert_same_winding(face, x)
+    _assert_same_winding(_FACES[0], _on_walk(data, _FACES[0]))
+
+
+def face_windings_oracle(g):
+    """Face windings counted on doubled `Point` coordinates."""
+    doubled = [Point(2 * p.x, 2 * p.y) for p in g.traversal]
+    darts = list(zip(doubled, doubled[1:] + doubled[:1]))
+    return {sum(ray_crossing_oracle(u, v, Point(a.x + b.x, a.y + b.y))
+                for u, v in darts)
+            for a, b in g.multiplicity}
+
+
+@SETTINGS
+@given(seed=st.integers(0, 10 ** 6), x=_query(-2, 22), data=st.data())
+def test_uncrossed_walk_windings_match_fraction_oracle(seed, x, data):
+    # Uncrossing adds the rational crossing points as walk vertices.
+    walk = random_closed_walk(random.Random(seed), n_points=6)
+    out, _report = uncross(EMPTY_INSTANCE, walk)
+    g, _ = subdivide_walk(out)
+    for pts in (walk.points, out.points, tuple(g.traversal)):
+        _assert_same_winding(pts, x)
+        _assert_same_winding(pts, _on_walk(data, pts))
+    assert _face_windings(g) == face_windings_oracle(g)
+
+
+def _histogram(x0, y0, widths, heights):
+    """A ccw histogram polygon on the base y = y0: column i spans widths[i]
+    and rises to y0 + heights[i]; equal neighbours leave collinear
+    vertices."""
+    xs = [x0]
+    for w in widths:
+        xs.append(xs[-1] + w)
+    verts = [[xs[0], y0], [xs[-1], y0]]
+    for i in reversed(range(len(widths))):
+        for p in ([xs[i + 1], y0 + heights[i]], [xs[i], y0 + heights[i]]):
+            if p != verts[-1]:
+                verts.append(p)
+    if verts[-1] == verts[0]:
+        verts.pop()
+    return verts
+
+
+_columns = st.lists(st.tuples(st.integers(1, 3), st.integers(1, 4)),
+                    min_size=1, max_size=5)
+
+
+@SETTINGS
+@given(x0=st.integers(-3, 3), y0=st.integers(-3, 3), columns=_columns,
+       extra=st.lists(st.builds(Point, st.integers(-4, 12), st.integers(-4, 12)),
+                      max_size=8),
+       given_ref=st.one_of(st.none(), _query(-3, 12)))
+def test_reference_points_match_fraction_oracle(x0, y0, columns, extra, given_ref):
+    widths, heights = zip(*columns)
+    verts = _histogram(x0, y0, widths, heights)
+    assume(len(verts) >= 3)
+    poly = parse_instance({"polygons": [req("h", verts)]}).polygons[0]
+    assert _outcome(pick_reference_point, poly) == \
+        _outcome(pick_reference_oracle, poly)
+    # Extra vertices put candidates out of general position now and then.
+    all_vertices = tuple(sorted(set(poly.vertices) | set(extra)))
+    poly = dataclasses.replace(poly, reference_point=given_ref)
+    assert _outcome(_settle_reference_point, poly, all_vertices) == \
+        _outcome(settle_oracle, poly, all_vertices)
+
+
+@SETTINGS
+@given(walk=st.lists(st.builds(Point, st.integers(0, 8), st.integers(0, 8)),
+                     min_size=3, max_size=8),
+       extra=st.lists(st.builds(Point, st.integers(0, 8), st.integers(0, 8)),
+                      max_size=4))
+def test_reference_points_on_arbitrary_walks_match_fraction_oracle(walk, extra):
+    # Self-crossing and self-touching walks make the first candidate fail
+    # now and then, so that the fallbacks, and the errors, are reached.
+    poly = InputPolygon("w", tuple(walk), "required")
+    assert _outcome(pick_reference_point, poly) == \
+        _outcome(pick_reference_oracle, poly)
+    all_vertices = tuple(sorted(set(walk) | set(extra)))
+    assert _outcome(_settle_reference_point, poly, all_vertices) == \
+        _outcome(settle_oracle, poly, all_vertices)
+
+
+@pytest.mark.parametrize("name,inst", INSTANCES, ids=[n for n, _ in INSTANCES])
+def test_settled_reference_points_match_fraction_oracle(name, inst):
+    for poly in inst.polygons:
+        unsettled = dataclasses.replace(poly, reference_point=None)
+        assert repr(_settle_reference_point(unsettled, inst.vertices)) == \
+            repr(settle_oracle(unsettled, inst.vertices))
+
+
+def _benchmark_documents(seed=1):
+    """(workload, documents) of the benchmark's generators; `pool_dp`
+    shares `pool`'s documents and is left out."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [(name, [doc for doc, _cost in generate(seed)])
+            for name, (generate, _solver) in workloads.WORKLOADS.items()
+            if name != "pool_dp"]
+
+
+@pytest.mark.parametrize("name,docs", _benchmark_documents(),
+                         ids=[n for n, _ in _benchmark_documents()])
+def test_benchmark_documents_match_fraction_oracles(name, docs):
+    for doc in docs:
+        parsed = parse_instance(doc)
+        inst = validate_and_subdivide(parsed)
+        for given_poly, poly in zip(parsed.polygons, inst.polygons):
+            unsettled = dataclasses.replace(
+                poly, reference_point=given_poly.reference_point)
+            assert repr(poly.reference_point) == \
+                repr(settle_oracle(unsettled, inst.vertices))
+        fsg = compute_free_space_edges(inst)
+        assert [(e.a, e.b, e.weight, e.squeezed) for e in fsg.edges] == \
+            edges_oracle(inst)

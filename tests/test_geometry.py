@@ -10,10 +10,10 @@ from enclosure.geometry import (
     crossing_point,
     in_open_segment,
     on_segment,
-    point_in_polygon,
     segments_properly_cross,
     sort_along,
 )
+from enclosure.instance import InputPolygon
 from conftest import point_in_triangle_halfopen
 
 SQUARE = [Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)]
@@ -131,9 +131,11 @@ def test_crossing_point_exact():
 
 
 def test_point_in_polygon():
-    assert point_in_polygon(Point(Fraction(1, 2), Fraction(1, 2)), SQUARE) == "inside"
-    assert point_in_polygon(Point(0, 0), SQUARE) == "boundary"
-    assert point_in_polygon(Point(9, 9), SQUARE) == "outside"
+    square = InputPolygon("sq", tuple(SQUARE), "required")
+    assert square.contains(Point(Fraction(1, 2), Fraction(1, 2))) == "inside"
+    assert square.contains_homogeneous((1, 1, 2)) == "inside"
+    assert square.contains(Point(0, 0)) == "boundary"
+    assert square.contains(Point(9, 9)) == "outside"
 
 
 def test_segment_predicates():
