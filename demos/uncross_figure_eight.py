@@ -29,7 +29,7 @@ def show(label, walk):
 
 
 def main():
-    walk = make_walk(EMPTY, [Point(*p) for p in FIGURE_EIGHT], closed=True)
+    walk = make_walk(EMPTY, [Point(*p) for p in FIGURE_EIGHT])
     show("input", walk)
 
     fixed, report = uncross(EMPTY, walk)

@@ -26,7 +26,7 @@ from .instance import (
     pick_reference_point,
     validate_and_subdivide,
 )
-from .inverted import halfplane_content, plank_content, solve_inverted
+from .inverted import solve_inverted
 from .oracle import OracleResult, brute_force, random_instance
 from .planegraph import extract_faces, graph_to_instance, parse_plane_graph
 from .svg import render_svg
@@ -50,10 +50,9 @@ __all__ = [
     "extract_faces", "FreeSpaceEdge", "FreeSpaceGraph",
     "compute_free_space_edges", "segment_in_free_space", "Walk", "make_walk",
     "winding_cost", "solve_dp", "compute_dp_tables", "dp_cell_C", "dp_cell_M",
-    "solve_dijkstra", "compute_all_labels", "solve_inverted",
-    "halfplane_content", "plank_content", "uncross", "subdivide_walk",
-    "reduce_multiplicities", "non_crossing_euler_tour", "PlaneMultigraph",
-    "UncrossReport", "check_weak_simplicity", "evaluate_solution", "Solution",
-    "brute_force", "random_instance", "OracleResult", "render_svg",
-    "EnclosureError",
+    "solve_dijkstra", "compute_all_labels", "solve_inverted", "uncross",
+    "subdivide_walk", "reduce_multiplicities", "non_crossing_euler_tour",
+    "PlaneMultigraph", "UncrossReport", "check_weak_simplicity",
+    "evaluate_solution", "Solution", "brute_force", "random_instance",
+    "OracleResult", "render_svg", "EnclosureError",
 ]

@@ -79,17 +79,13 @@ def run(argv=None) -> int:
         inst = _load_instance(args)
         fsg = compute_free_space_edges(inst)
         t0 = time.perf_counter()
-        if inst.mode == "invert":
-            if args.solver == "oracle":
-                res = brute_force(inst, fsg)
-                cost, walk = res.best_cost, res.best_walk
-            else:
-                cost, walk = solve_inverted(inst, fsg)
-        elif args.solver == "dp":
-            cost, walk = solve_dp(fsg)
-        elif args.solver == "oracle":
+        if args.solver == "oracle":
             res = brute_force(inst, fsg)
             cost, walk = res.best_cost, res.best_walk
+        elif inst.mode == "invert":
+            cost, walk = solve_inverted(inst, fsg)
+        elif args.solver == "dp":
+            cost, walk = solve_dp(fsg)
         else:
             cost, walk = solve_dijkstra(fsg)
         elapsed = time.perf_counter() - t0

@@ -24,6 +24,8 @@ acceptance test (a label is stored only if it improves its staircase).
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from .freespace import FreeSpaceGraph
@@ -68,14 +70,8 @@ class DPTables:
 
 def _stair_value(stair: List[Label], t: int) -> float:
     """Cheapest value at budget <= t (staircases are non-increasing in t)."""
-    lo, hi = 0, len(stair)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if stair[mid].t <= t:
-            lo = mid + 1
-        else:
-            hi = mid
-    return stair[lo - 1].value if lo else INF
+    i = bisect_right(stair, t, key=attrgetter("t"))
+    return stair[i - 1].value if i else INF
 
 
 def compute_dp_tables(fsg: FreeSpaceGraph, t_max: Optional[int] = None) -> DPTables:
@@ -175,9 +171,9 @@ def dp_cell_M(tables: DPTables, p: int, q: int, t: int, mask: int) -> float:
 
 def solve_dp(fsg: FreeSpaceGraph) -> Tuple[float, Optional[Walk]]:
     """Minimum enclosure cost and an optimal closed walk (None if infeasible)."""
-    check_solvable(fsg)
     trivial = trivial_answer(fsg)
     if trivial is not None:
+        check_solvable(fsg)  # compute_dp_tables runs it otherwise
         return trivial
     full = fsg.full_mask
     tables = compute_dp_tables(fsg)

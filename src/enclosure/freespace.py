@@ -5,16 +5,17 @@ that avoids every polygon's open interior and has no polygon vertex in its
 relative interior.  For each vertex only the nearest other vertex along
 each exact ray direction (the gcd-reduced integer offset) is a candidate,
 which rules out blocked pairs in O(n) per vertex.  Each candidate is then
-tested only against the polygons whose bounding boxes meet it, and only
-the pieces whose midpoints lie in a polygon's box get the exact winding
-test, on the doubled midpoint as homogeneous integers (X, Y, 2).  On the
-n=200, k=10 row-and-ring instance (10,495 edges) construction takes 2.3 to
-3.0 s and validation 0.03 s on a shared 2-vCPU VM (Python 3.11); most of
-the construction time is the edge-against-edge `segments_properly_cross`
+tested only against the polygons whose bounding boxes meet it, by
+`InputPolygon.segment_meets_interior`, the one segment-meets-interior test
+that validation and the verifier use too.  On the n=200, k=10
+row-and-ring instance (10,495 edges) construction takes 2.3 to 3.0 s and
+validation 0.03 s on a shared 2-vCPU VM (Python 3.11); most of the
+construction time is the edge-against-edge `segments_properly_cross`
 tests.
 
-Region contents (triangle, plank, half-plane) are bitmask lookups over
-exact integer side tests; see `FreeSpaceGraph`.
+Region contents are asked by vertex index (`triangle_content`, `plank`,
+and `x_at_most` at a vertex's abscissa for a half-plane): memoized
+bitmasks over exact integer side tests; see `FreeSpaceGraph`.
 """
 
 from __future__ import annotations
@@ -24,17 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .errors import DegenerateTriangle, SchemaError
-from .geometry import (
-    Coord,
-    Point,
-    Segment,
-    boxes_meet,
-    distance,
-    homogeneous,
-    in_open_segment,
-    segments_properly_cross,
-    sort_along,
-)
+from .geometry import Coord, Point, boxes_meet, distance, homogeneous
 from .instance import Instance
 
 
@@ -51,30 +42,16 @@ def segment_in_free_space(a: Point, b: Point, inst: Instance) -> bool:
     (running along boundaries is allowed).
 
     A bounded polygon's interior lies in its box, so a polygon whose box
-    misses the segment's box is skipped, and so is a piece whose midpoint
-    lies outside the box; both hold for any rational endpoints."""
+    misses the segment's box is skipped; the others get
+    `InputPolygon.segment_meets_interior`."""
     if a == b:
         raise SchemaError(f"segment endpoints coincide at {a}")
-    seg = Segment(a, b)
     seg_box = (min(a.x, b.x), min(a.y, b.y), max(a.x, b.x), max(a.y, b.y))
     for poly in inst.polygons:
         box = poly.box
-        if box is not None and not boxes_meet(seg_box, box):
-            continue
-        for c, d in poly.edges():
-            if segments_properly_cross(seg, Segment(c, d)):
-                return False
-        # No proper crossings: the segment meets the boundary only at
-        # touch points.  Split at them and test each open piece's midpoint.
-        touches = [v for v in poly.vertices if in_open_segment(v, a, b)]
-        chain = [a] + sort_along(a, b, touches) + [b]
-        for u, v in zip(chain, chain[1:]):
-            mx, my = u.x + v.x, u.y + v.y     # the midpoint, doubled
-            if box is not None and not (2 * box[0] <= mx <= 2 * box[2]
-                                        and 2 * box[1] <= my <= 2 * box[3]):
-                continue
-            if poly.contains_homogeneous((mx, my, 2)) == "inside":
-                return False
+        if (box is None or boxes_meet(seg_box, box)) \
+                and poly.segment_meets_interior(a, b):
+            return False
     return True
 
 
@@ -88,8 +65,9 @@ class FreeSpaceGraph:
     in `_optional_refs` order.  A directed vertex chord i -> j is resolved
     on first use into two reference masks, the points strictly left of the
     line i -> j and the points left of or on it, by the sign of
-    dx*(Y - Py*W) - dy*(X - Px*W); no `Fraction` is involved.  Triangle,
-    plank and half-plane contents are ANDs of these masks.
+    dx*(Y - Py*W) - dy*(X - Px*W); no `Fraction` is involved.  Triangle
+    contents are ANDs of these masks, and plank contents AND one of them
+    with two abscissa masks (`x_at_most`).
     """
     instance: Instance
     vertices: Tuple[Point, ...]
@@ -115,6 +93,7 @@ class FreeSpaceGraph:
         self._x_masks: Dict[Coord, int] = {}
         self._penalty_memo: Dict[int, float] = {0: 0.0}
         self._content_memo: Dict[Tuple[int, int, int], Tuple[int, float]] = {}
+        self._plank_memo: Dict[Tuple[int, int, bool], Tuple[int, float]] = {}
 
     @property
     def n(self) -> int:
@@ -164,38 +143,26 @@ class FreeSpaceGraph:
         self._right[q * n + p] = left
         return right
 
-    def _line_masks(self, P: Point, Q: Point) -> Tuple[int, int]:
-        """(left, on) reference masks of the directed line P -> Q."""
-        dx, dy = Q.x - P.x, Q.y - P.y
-        left = on = 0
-        for bit, (X, Y, W) in enumerate(self._href):
-            d = dx * (Y - P.y * W) - dy * (X - P.x * W)
-            if d > 0:
-                left |= 1 << bit
-            elif d == 0:
-                on |= 1 << bit
-        return left, on
-
     def _chord(self, i: int, j: int) -> Tuple[int, int]:
         """Memoized (left, left-or-on) reference masks of the chord i -> j."""
         n = len(self.vertices)
         masks = self._chords[i * n + j]
         if masks is None:
-            left, on = self._line_masks(self.vertices[i], self.vertices[j])
+            P, Q = self.vertices[i], self.vertices[j]
+            dx, dy = Q.x - P.x, Q.y - P.y
+            left = on = 0
+            for bit, (X, Y, W) in enumerate(self._href):
+                d = dx * (Y - P.y * W) - dy * (X - P.x * W)
+                if d > 0:
+                    left |= 1 << bit
+                elif d == 0:
+                    on |= 1 << bit
             masks = (left, left | on)
             # Strictly left of j -> i is strictly right of i -> j.
             right = self._all & ~masks[1]
             self._chords[i * n + j] = masks
             self._chords[j * n + i] = (right, right | on)
         return masks
-
-    def left_of(self, P: Point, Q: Point) -> int:
-        """Reference mask of the points strictly left of the line P -> Q
-        (memoized when both ends are vertices)."""
-        i, j = self._index.get(P), self._index.get(Q)
-        if i is None or j is None:
-            return self._line_masks(P, Q)[0]
-        return self._chord(i, j)[0]
 
     def x_at_most(self, x: Coord) -> int:
         """Reference mask of the points with abscissa <= x."""
@@ -240,6 +207,26 @@ class FreeSpaceGraph:
             raise DegenerateTriangle(f"triangle {P}, {R}, {Q} is not strictly ccw")
         inside = self._chord(p, r)[1] & self._chord(r, q)[1] & self._chord(q, p)[0]
         hit = self._content_memo[key] = self.split_content(inside)
+        return hit
+
+    def plank(self, i: int, j: int, up: bool) -> Tuple[int, float]:
+        """(required mask, penalty sum) of reference points strictly above
+        (up) or strictly below the chord between vertices i and j and in
+        the strip between the vertical lines through its ends, open on the
+        left line and closed on the right one; (0, 0.0) for a vertical
+        chord, whose strip is empty."""
+        key = (i, j, up)
+        hit = self._plank_memo.get(key)
+        if hit is None:
+            lo, hi = self.vertices[i], self.vertices[j]
+            if lo.x == hi.x:
+                return 0, 0.0
+            if lo.x > hi.x:
+                i, j, lo, hi = j, i, hi, lo
+            # Above the chord is left of lo -> hi, below it is left of hi -> lo.
+            side = self._chord(i, j)[0] if up else self._chord(j, i)[0]
+            strip = self.x_at_most(hi.x) & ~self.x_at_most(lo.x)
+            hit = self._plank_memo[key] = self.split_content(strip & side)
         return hit
 
     def to_json_dict(self) -> dict:

@@ -92,6 +92,31 @@ class InputPolygon:
             return "boundary"
         return "inside" if (w == 0) == self.unbounded else "outside"
 
+    def segment_meets_interior(self, a: Point, b: Point) -> bool:
+        """True iff the closed segment ab meets this polygon's open interior.
+
+        Either ab properly crosses an edge, or, split at the vertices in its
+        relative interior, one of its open pieces lies inside: with no
+        crossing and no vertex in it a piece lies in one face, so its
+        midpoint decides, tested doubled as (mx, my, 2).  A bounded
+        polygon's interior lies in its box, so a piece whose midpoint lies
+        outside the box is skipped; both hold for any rational endpoints."""
+        seg = Segment(a, b)
+        for c, d in self.edges():
+            if segments_properly_cross(seg, Segment(c, d)):
+                return True
+        touches = [v for v in self.vertices if in_open_segment(v, a, b)]
+        chain = [a] + sort_along(a, b, touches) + [b]
+        box = self.box
+        for u, v in zip(chain, chain[1:]):
+            mx, my = u.x + v.x, u.y + v.y     # the midpoint, doubled
+            if box is not None and not (2 * box[0] <= mx <= 2 * box[2]
+                                        and 2 * box[1] <= my <= 2 * box[3]):
+                continue
+            if self.contains_homogeneous((mx, my, 2)) == "inside":
+                return True
+        return False
+
 
 @dataclass(frozen=True)
 class Instance:
@@ -152,12 +177,11 @@ class Instance:
                 return w * float(ratio)
         return distance(a, b)
 
-    def walk_weight(self, walk: Sequence[Point], closed: bool = True) -> float:
+    def walk_weight(self, walk: Sequence[Point]) -> float:
         pts = list(walk)
         if len(pts) < 2:
             return 0.0
-        pairs = zip(pts, pts[1:] + ([pts[0]] if closed else []))
-        return sum(self.segment_weight(a, b) for a, b in pairs)
+        return sum(self.segment_weight(a, b) for a, b in zip(pts, pts[1:] + pts[:1]))
 
 
 def _parse_point(obj, where: str) -> Point:
@@ -344,25 +368,22 @@ def _check_disjoint_interiors(polygons) -> None:
     """Raise OverlapError for the first pair of polygons whose interiors
     meet.  Two bounded polygons whose closed boxes are disjoint are skipped:
     a bounded polygon's interior, and its reference point once settled,
-    lie in its box."""
+    lie in its box.
+
+    Meeting interiors put a boundary point of one polygon inside the
+    other, and so a piece of one of its edges, which
+    `segment_meets_interior` finds, unless the interiors are equal; then
+    each holds the other's reference point."""
     for i in range(len(polygons)):
         for j in range(i + 1, len(polygons)):
             P, Q = polygons[i], polygons[j]
             if P.box is not None and Q.box is not None \
                     and not boxes_meet(P.box, Q.box):
                 continue
-            for a, b in P.edges():
-                for c, d in Q.edges():
-                    if segments_properly_cross(Segment(a, b), Segment(c, d)):
-                        raise OverlapError(P.id, Q.id)
             for A, B in ((P, Q), (Q, P)):
-                for v in A.vertices:
-                    if B.contains_homogeneous((v.x, v.y, 1)) == "inside":
-                        raise OverlapError(P.id, Q.id)
-                for a, b in A.edges():      # the midpoint, doubled
-                    if B.contains_homogeneous((a.x + b.x, a.y + b.y, 2)) == "inside":
-                        raise OverlapError(P.id, Q.id)
-                if A.reference_point is not None and B.contains(A.reference_point) == "inside":
+                if any(B.segment_meets_interior(a, b) for a, b in A.edges()) \
+                        or A.reference_point is not None \
+                        and B.contains(A.reference_point) == "inside":
                     raise OverlapError(P.id, Q.id)
 
 

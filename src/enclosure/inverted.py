@@ -24,6 +24,10 @@ Transitions, validated against the brute-force oracle:
     union covers every required object exactly once; it is a closed label
     C((), all required) whose only operand is the U label.
 
+Contents are asked of the free-space graph by vertex index: a half-plane
+through v is `x_at_most(v.x)` or its complement, a plank is
+`FreeSpaceGraph.plank` of its chord; both are memoized reference masks.
+
 Every rule adds a positive mouth value or a nonnegative penalty to its
 operand, so the U search runs on the enclosure search's label-setting
 queue (`recursion.label_setting`).  U labels are `Label("U", (p, q), ...)`
@@ -40,49 +44,14 @@ rebuild of a mouth's walk come from `recursion.py`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from .dijkstra import _search
-from .errors import InternalError, SchemaError
+from .errors import InternalError
 from .freespace import FreeSpaceGraph
-from .geometry import Point
 from .instance import Instance
 from .recursion import INF, Label, check_solvable, label_setting, open_ids
 from .walks import Walk, make_walk
-
-
-@dataclass(frozen=True)
-class RegionContent:
-    required_mask: int
-    penalty_sum: float
-
-
-def halfplane_content(v: Point, side: str, fsg: FreeSpaceGraph) -> RegionContent:
-    """Content of the vertical half-plane through v; points exactly on the
-    line belong to the left side."""
-    if side not in ("left", "right"):
-        raise SchemaError(f"side must be 'left' or 'right', got {side!r}")
-    inside = fsg.x_at_most(v.x)
-    if side == "right":
-        inside = fsg._all & ~inside
-    return RegionContent(*fsg.split_content(inside))
-
-
-def plank_content(a: Point, b: Point, direction: str,
-                  fsg: FreeSpaceGraph) -> RegionContent:
-    """Content of the region strictly above (up) or strictly below (down)
-    segment ab, between the vertical lines through its endpoints, half-open
-    on the right vertical boundary."""
-    if direction not in ("up", "down"):
-        raise SchemaError(f"direction must be 'up' or 'down', got {direction!r}")
-    if a.x == b.x:
-        return RegionContent(0, 0.0)  # vertical chords span empty planks
-    lo, hi = (a, b) if a.x < b.x else (b, a)
-    strip = fsg.x_at_most(hi.x) & ~fsg.x_at_most(lo.x)
-    # Above the chord is left of lo -> hi, below it is left of hi -> lo.
-    side = fsg.left_of(lo, hi) if direction == "up" else fsg.left_of(hi, lo)
-    return RegionContent(*fsg.split_content(strip & side))
 
 
 def _u_walk_ids(lab: Label):
@@ -107,7 +76,7 @@ def solve_inverted(inst: Instance, fsg: FreeSpaceGraph,
     all_pen = sum(p for p, _ in fsg._optional_refs)
     if fsg.n == 0:
         # Nothing can be enclosed: everything is outside the empty curve.
-        return (all_pen, Walk((), True, 0.0)) if full == 0 else (INF, None)
+        return (all_pen, Walk((), 0.0)) if full == 0 else (INF, None)
 
     # A counterclockwise loop hanging off the curve would give its interior
     # winding +1, which no clockwise weakly simple curve has, so pockets are
@@ -117,22 +86,14 @@ def solve_inverted(inst: Instance, fsg: FreeSpaceGraph,
                                     stats=counts)
 
     verts = fsg.vertices
-    plank_memo: Dict[Tuple[int, int, str], RegionContent] = {}
-
-    def plank(a: int, b: int, direction: str) -> RegionContent:
-        c = plank_memo.get((a, b, direction))
-        if c is None:
-            c = plank_memo[(a, b, direction)] = plank_content(
-                verts[a], verts[b], direction, fsg)
-        return c
 
     def expand(lab: Label, push, bound: float) -> None:
         p, q = lab.key
         mask, value, t = lab.mask, lab.value, lab.t
         if p == q:
-            rh = halfplane_content(verts[p], "right", fsg)
-            if not (rh.required_mask & mask) and (rh.required_mask | mask) == full:
-                push("C", (), full, value + rh.penalty_sum, t, "finish", (lab,))
+            right, pen = fsg.split_content(fsg._all & ~fsg.x_at_most(verts[p].x))
+            if not (right & mask) and (right | mask) == full:
+                push("C", (), full, value + pen, t, "finish", (lab,))
         # Down-plank: prepend a chord far -> p with far.x >= p.x; up-plank:
         # append a chord q -> far with far.x >= q.x.  The chord is the key of
         # every mouth in its group.
@@ -141,23 +102,21 @@ def solve_inverted(inst: Instance, fsg: FreeSpaceGraph,
             for far, group in groups.items():
                 if verts[far].x < verts[near].x or value + group[0].value > bound:
                     continue
-                c = plank(*group[0].key, rule)
-                if c.penalty_sum == INF or mask & c.required_mask:
+                inside, pen = fsg.plank(*group[0].key, rule == "up")
+                if pen == INF or mask & inside:
                     continue
                 key = (far, q) if rule == "down" else (p, far)
-                used = mask | c.required_mask
+                used = mask | inside
                 for mouth in group:
-                    total = value + mouth.value + c.penalty_sum
+                    total = value + mouth.value + pen
                     if total > bound:
                         break
                     if not used & mouth.mask:
                         push("U", key, used | mouth.mask, total, t + mouth.t,
                              rule, (mouth, lab))
 
-    seeds = []
-    for v in range(fsg.n):
-        c = halfplane_content(verts[v], "left", fsg)
-        seeds.append(("U", (v, v), c.required_mask, c.penalty_sum, 0, "base", ()))
+    seeds = [("U", (v, v), *fsg.split_content(fsg.x_at_most(verts[v].x)), 0,
+              "base", ()) for v in range(fsg.n)]
     answer, _fin = label_setting(seeds, expand, full, early_stop=True, stats=stats)
     if stats is not None:  # count the mouth search too
         stats.update({name: stats[name] + counts[name] for name in counts})
@@ -168,4 +127,4 @@ def solve_inverted(inst: Instance, fsg: FreeSpaceGraph,
     if ids[0] != ids[-1]:
         raise InternalError(f"inverted walk does not close: {ids[0]} != {ids[-1]}")
     pts = [verts[i] for i in ids[:-1]] if len(ids) > 1 else [verts[ids[0]]]
-    return answer.value, make_walk(inst, pts, closed=True)
+    return answer.value, make_walk(inst, pts)

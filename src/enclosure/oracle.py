@@ -96,7 +96,7 @@ def brute_force(inst: Instance, fsg: FreeSpaceGraph,
         """
         nonlocal best_cost, best_walk, examined
         examined += 1
-        walk = make_walk(inst, points, closed=True)
+        walk = make_walk(inst, points)
         try:
             winds = reference_windings(inst, walk.points)
         except ReferenceOnWalk:
@@ -115,7 +115,7 @@ def brute_force(inst: Instance, fsg: FreeSpaceGraph,
     if fsg.n == 0:
         if not inst.required:
             pen = sum(p.penalty for p in inst.optional) if mode == "invert" else 0.0
-            return OracleResult(pen, Walk((), True, 0.0), 1, True)
+            return OracleResult(pen, Walk((), 0.0), 1, True)
         return OracleResult(INF, None, 0, True)
     consider([fsg.vertices[0]])
 
@@ -147,7 +147,7 @@ def brute_force(inst: Instance, fsg: FreeSpaceGraph,
 
     if best_walk is not None and len(best_walk.points) > 1:
         candidate, _report = uncross(inst, best_walk)
-        sol = evaluate_solution(inst, candidate, mode=mode, check_simple=False)
+        sol = evaluate_solution(inst, candidate, check_simple=False)
         if not (sol.feasible
                 and abs(sol.cost - best_cost) <= 1e-9 * max(1.0, abs(best_cost))):
             raise InternalError("uncrossed best walk must reproduce the enumerated cost")

@@ -82,8 +82,8 @@ def trivial_answer(fsg: FreeSpaceGraph) -> Optional[Tuple[float, Walk]]:
     if fsg.full_mask:
         return None
     if fsg.n == 0:
-        return 0.0, Walk((), True, 0.0)
-    return 0.0, make_walk(fsg.instance, [fsg.vertices[0]], closed=True)
+        return 0.0, Walk((), 0.0)
+    return 0.0, make_walk(fsg.instance, [fsg.vertices[0]])
 
 
 def m2_join(fsg: FreeSpaceGraph, p: int, r: int, q: int,
@@ -274,4 +274,4 @@ def open_ids(label: Label) -> List[int]:
 def closed_walk(fsg: FreeSpaceGraph, label: Label) -> Walk:
     """The closed walk a C label stands for."""
     pts = [fsg.vertices[i] for i in closed_ids(label)]
-    return make_walk(fsg.instance, pts, closed=True)
+    return make_walk(fsg.instance, pts)

@@ -17,7 +17,7 @@ polygon; it is finally oriented counterclockwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import DisconnectedAfterReduction, NotConnected, NotEulerian
 from .geometry import (
@@ -58,7 +58,6 @@ class UncrossReport:
     s: int                       # interior crossing count
     forks: int                   # vertices found in edge interiors
     discarded: int               # equal-segment pairs dropped
-    polygon: Optional[Walk] = None
 
 
 def _edge_key(a: Point, b: Point) -> Tuple[Point, Point]:
@@ -237,14 +236,10 @@ def uncross(inst: Instance, walk: Walk) -> Tuple[Walk, UncrossReport]:
     """Weakly simple closed walk of no larger weight, oriented ccw."""
     g, report = subdivide_walk(walk)
     if not g.multiplicity:
-        out = make_walk(inst, _clean_points(walk)[:1], closed=True)
-        report.polygon = out
-        return out, report
+        return make_walk(inst, _clean_points(walk)[:1]), report
     g, discarded = reduce_multiplicities(g)
     report.discarded = discarded
     tour = non_crossing_euler_tour(g)
     if signed_area2(tour) < 0:
         tour = list(reversed(tour))
-    out = make_walk(inst, tour, closed=True)
-    report.polygon = out
-    return out, report
+    return make_walk(inst, tour), report

@@ -37,7 +37,7 @@ class Solution:
         return {
             "cost": _fmt_cost(self.cost),
             "walk": [[_num(p.x), _num(p.y)] for p in self.polygon.points],
-            "closed": self.polygon.closed,
+            "closed": True,
             "weight": _fmt_cost(self.polygon.weight),
             "enclosed_optional": list(self.enclosed_optional),
             "feasible": self.feasible,
@@ -143,10 +143,9 @@ def _chords_cross(c1: Tuple[int, int], c2: Tuple[int, int], k: int) -> bool:
     return between(c, a, b) != between(d, a, b)
 
 
-def evaluate_solution(inst: Instance, walk: Walk, mode: Optional[str] = None,
+def evaluate_solution(inst: Instance, walk: Walk,
                       check_simple: bool = True) -> Solution:
     """Re-derive cost and feasibility of a closed walk from first principles."""
-    mode = mode or inst.mode
     checks: Dict[str, bool] = {}
     for a, b in walk.edges():
         if a != b and not segment_in_free_space(a, b, inst):
@@ -157,6 +156,6 @@ def evaluate_solution(inst: Instance, walk: Walk, mode: Optional[str] = None,
         checks["weakly_simple"] = check_weak_simplicity(walk)
 
     windings = reference_windings(inst, walk.points)
-    cost, enclosed, feasible = winding_rule(inst, walk.weight, windings, mode)
+    cost, enclosed, feasible = winding_rule(inst, walk.weight, windings, inst.mode)
     checks["feasible"] = feasible
-    return Solution(walk, cost, enclosed, feasible, mode, checks)
+    return Solution(walk, cost, enclosed, feasible, inst.mode, checks)

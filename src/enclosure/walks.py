@@ -1,4 +1,4 @@
-"""Walks: open or closed vertex sequences with accumulated weight, and the
+"""Walks: closed vertex sequences with accumulated weight, and the
 winding-number cost measure used to certify solver output."""
 
 from __future__ import annotations
@@ -15,28 +15,21 @@ from .instance import Instance
 @dataclass(frozen=True)
 class Walk:
     points: Tuple[Point, ...]
-    closed: bool
     weight: float
 
     @property
     def num_edges(self) -> int:
-        if len(self.points) < 2:
-            return 0
-        return len(self.points) if self.closed else len(self.points) - 1
+        return len(self.points) if len(self.points) >= 2 else 0
 
     def edges(self):
         pts = self.points
-        m = len(pts)
-        if m < 2:
-            return
-        last = m if self.closed else m - 1
-        for i in range(last):
-            yield pts[i], pts[(i + 1) % m]
+        if len(pts) >= 2:
+            yield from zip(pts, pts[1:] + pts[:1])
 
 
-def make_walk(inst: Instance, points: Sequence[Point], closed: bool = True) -> Walk:
+def make_walk(inst: Instance, points: Sequence[Point]) -> Walk:
     pts = tuple(points)
-    return Walk(pts, closed, inst.walk_weight(pts, closed))
+    return Walk(pts, inst.walk_weight(pts))
 
 
 def reference_windings(inst: Instance, points: Sequence[Point]) -> List[int]:

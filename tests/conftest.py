@@ -74,7 +74,7 @@ def random_closed_walk(rng: random.Random, n_points=8, grid=20) -> Walk:
         pts.pop()
     if len(pts) < 3:
         pts = [Point(0, 0), Point(5, 1), Point(1, 5)]
-    return make_walk(EMPTY_INSTANCE, pts, closed=True)
+    return make_walk(EMPTY_INSTANCE, pts)
 
 
 def sample_points_off(walks, rng: random.Random, count, grid=25):

@@ -119,7 +119,7 @@ def test_walk_round_trip(tmp_path, capsys):
     assert run(["--input", _write(tmp_path, data)]) == 0
     out = json.loads(capsys.readouterr().out)
     inst = validate_and_subdivide(parse_instance(data))
-    walk = make_walk(inst, [Point(x, y) for x, y in out["walk"]], closed=True)
+    walk = make_walk(inst, [Point(x, y) for x, y in out["walk"]])
     sol = evaluate_solution(inst, walk)
     assert sol.feasible
     assert sol.cost == pytest.approx(out["cost"])

@@ -192,7 +192,7 @@ def test_winding_cost_inf_and_on_walk():
 def test_winding_cost_lets_other_errors_through():
     # Only a reference point on the walk becomes ReferenceOnWalk.
     inst = build({"polygons": [opt("B", square(1, 1, 2), 5)]})
-    bad = Walk((Point(0, 0), Point(4, None), Point(0, 4)), True, 0.0)
+    bad = Walk((Point(0, 0), Point(4, None), Point(0, 4)), 0.0)
     with pytest.raises(TypeError):
         winding_cost(inst, bad)
 

@@ -30,6 +30,7 @@ from enclosure.errors import (
 )
 from enclosure.geometry import (
     Segment,
+    boxes_meet,
     distance,
     homogeneous,
     homogeneous_winding,
@@ -45,6 +46,7 @@ from enclosure.instance import (
     _check_disjoint_interiors,
     _in_general_position,
     _settle_reference_point,
+    _subdivide_polygon,
     parse_instance,
     pick_reference_point,
     validate_and_subdivide,
@@ -213,9 +215,34 @@ def overlap_oracle(polygons):
     return None
 
 
-def overlap_result(polygons):
+def disjoint_interiors_oracle(polygons):
+    """The box-pruned check with its own edge-against-edge, vertex-inside
+    and edge-midpoint loops, as validation ran it before it went to
+    `InputPolygon.segment_meets_interior`; raises OverlapError."""
+    for i in range(len(polygons)):
+        for j in range(i + 1, len(polygons)):
+            P, Q = polygons[i], polygons[j]
+            if P.box is not None and Q.box is not None \
+                    and not boxes_meet(P.box, Q.box):
+                continue
+            for a, b in P.edges():
+                for c, d in Q.edges():
+                    if segments_properly_cross(Segment(a, b), Segment(c, d)):
+                        raise OverlapError(P.id, Q.id)
+            for A, B in ((P, Q), (Q, P)):
+                for v in A.vertices:
+                    if B.contains_homogeneous((v.x, v.y, 1)) == "inside":
+                        raise OverlapError(P.id, Q.id)
+                for a, b in A.edges():
+                    if B.contains_homogeneous((a.x + b.x, a.y + b.y, 2)) == "inside":
+                        raise OverlapError(P.id, Q.id)
+                if A.reference_point is not None and B.contains(A.reference_point) == "inside":
+                    raise OverlapError(P.id, Q.id)
+
+
+def overlap_result(polygons, check=_check_disjoint_interiors):
     try:
-        _check_disjoint_interiors(polygons)
+        check(polygons)
     except OverlapError as e:
         return str(e)
     return None
@@ -392,6 +419,81 @@ def test_overlap_check_matches_all_pairs(shapes, frame):
         polys.append(_frame(side=8, at=-1))
     polygons = _polygons({"polygons": polys})
     assert overlap_result(polygons) == overlap_oracle(polygons)
+
+
+def _pair_shape(kind, x, y, s, h):
+    """Vertices of one shape: a square, a right triangle, an L, or a square
+    with a bridge (an edge walked there and back) poking in or out of its
+    top side at x + h."""
+    if kind == "square":
+        return square(x, y, s)
+    if kind == "triangle":
+        return [[x, y], [x + s, y], [x, y + s]]
+    if kind == "ell":
+        return [[x, y], [x + s, y], [x + s, y + 1], [x + 1, y + 1],
+                [x + 1, y + s], [x, y + s]]
+    tip = y + s - 1 if kind == "bridge_in" else y + s + 2
+    return [[x, y], [x + s, y], [x + s, y + s], [x + h, y + s], [x + h, tip],
+            [x + h, y + s], [x, y + s]]
+
+
+_pair_kind = st.sampled_from(("square", "triangle", "ell", "bridge_in", "bridge_out"))
+
+
+@st.composite
+def _polygon_pairs(draw):
+    """Two polygons as validation sees them: subdivided at every vertex,
+    with settled reference points.  The second is a copy of the first, the
+    first shifted (sharing an edge or a vertex, overlapping or apart), a
+    shape of its own (which may nest with the first), or the unbounded
+    polygon."""
+    kind, x, y = draw(_pair_kind), draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    s = draw(st.integers(2, 4))
+    h = draw(st.integers(1, s - 1))
+    first = opt("A", _pair_shape(kind, x, y, s, h), 1)
+    how = draw(st.sampled_from(("identical", "shifted", "other", "unbounded")))
+    if how == "identical":
+        second = opt("B", first["vertices"], 2)
+    elif how == "shifted":
+        dx, dy = draw(st.integers(-s, s)), draw(st.integers(-s, s))
+        second = opt("B", [[vx + dx, vy + dy] for vx, vy in first["vertices"]], 2)
+    elif how == "other":
+        t = draw(st.integers(2, 4))
+        second = opt("B", _pair_shape(draw(_pair_kind), draw(st.integers(0, 6)),
+                                      draw(st.integers(0, 6)), t,
+                                      draw(st.integers(1, t - 1))), 2)
+    else:
+        at, side = draw(st.integers(-2, 4)), draw(st.integers(2, 12))
+        second = _frame(side=side, at=at)
+    pair = list(_polygons({"polygons": [first, second]}))
+    if draw(st.booleans()):
+        pair.reverse()
+    all_vertices = sorted({v for poly in pair for v in poly.vertices})
+    pair = [_subdivide_polygon(poly, all_vertices) for poly in pair]
+    try:
+        return [dataclasses.replace(
+            poly, reference_point=_settle_reference_point(poly, all_vertices))
+            for poly in pair]
+    except DegeneratePolygon:
+        return pair
+
+
+@SETTINGS
+@given(pair=_polygon_pairs())
+def test_overlap_check_matches_loop_oracle_on_pairs(pair):
+    # Same OverlapError pair, or none, as the check with its own loops.
+    assert overlap_result(pair) == overlap_result(pair, disjoint_interiors_oracle)
+
+
+@pytest.mark.parametrize("name,inst", INSTANCES, ids=[n for n, _ in INSTANCES])
+def test_overlap_check_matches_loop_oracle_on_instances(name, inst):
+    polygons = list(inst.polygons)
+    assert overlap_result(polygons) is None
+    assert overlap_result(polygons, disjoint_interiors_oracle) is None
+    # Every polygon doubled: a copy holds the reference point of its twin.
+    doubled = polygons + [dataclasses.replace(p, id=f"{p.id}'") for p in polygons]
+    assert overlap_result(doubled) == \
+        overlap_result(doubled, disjoint_interiors_oracle) is not None
 
 
 # --------------------------------------------------------------------------

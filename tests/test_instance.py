@@ -257,5 +257,4 @@ def test_walk_weight():
     inst = build({"polygons": [req("A", square(0, 0, 2))]})
     pts = [Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 2)]
     assert inst.walk_weight(pts) == pytest.approx(8.0)
-    assert inst.walk_weight(pts, closed=False) == pytest.approx(6.0)
     assert inst.walk_weight([Point(0, 0)]) == 0.0

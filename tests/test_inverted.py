@@ -8,8 +8,6 @@ from enclosure import (
     brute_force,
     compute_free_space_edges,
     evaluate_solution,
-    halfplane_content,
-    plank_content,
     solve_inverted,
 )
 from enclosure.geometry import winding_number
@@ -97,32 +95,39 @@ def test_infinite_outside_penalty_infeasible():
     assert ores.best_cost == INF
 
 
+def _halfplanes(fsg, v):
+    """(left, right) contents of the vertical half-planes through vertex v;
+    points on the line belong to the left one."""
+    left = fsg.x_at_most(fsg.vertices[v].x)
+    return fsg.split_content(left), fsg.split_content(fsg._all & ~left)
+
+
 def test_halfplane_contents():
     inst, fsg = _fsg({"polygons": [req("A", square(0, 0, 2)),
                                    opt("B", square(10, 0, 2), 3)],
                       "mode": "invert"})
-    v_left = Point(2, 0)
-    left = halfplane_content(v_left, "left", fsg)
-    right = halfplane_content(v_left, "right", fsg)
-    assert left.required_mask == 1 and left.penalty_sum == 0.0
-    assert right.required_mask == 0 and right.penalty_sum == pytest.approx(3.0)
+    (left_mask, left_pen), (right_mask, right_pen) = \
+        _halfplanes(fsg, fsg.index_of(Point(2, 0)))
+    assert left_mask == 1 and left_pen == 0.0
+    assert right_mask == 0 and right_pen == pytest.approx(3.0)
     # Together the two half-planes cover every reference point exactly once.
-    assert (left.required_mask | right.required_mask) == fsg.full_mask
-    assert left.penalty_sum + right.penalty_sum == pytest.approx(3.0)
+    assert (left_mask | right_mask) == fsg.full_mask
+    assert left_pen + right_pen == pytest.approx(3.0)
 
 
 def test_plank_contents():
     inst, fsg = _fsg({"polygons": [req("A", square(0, 0, 2)),
                                    opt("B", square(0, 6, 2), 3)],
                       "mode": "invert"})
-    a, b = Point(0, 4), Point(2, 4)
-    up = plank_content(a, b, "up", fsg)
-    down = plank_content(a, b, "down", fsg)
-    assert up.penalty_sum == pytest.approx(3.0) and up.required_mask == 0
-    assert down.required_mask == 1 and down.penalty_sum == 0.0
+    # The chord from A's top-left corner to B's bottom-right one.
+    a, b = fsg.index_of(Point(0, 2)), fsg.index_of(Point(2, 6))
+    for i, j in ((a, b), (b, a)):
+        up_mask, up_pen = fsg.plank(i, j, True)
+        down_mask, down_pen = fsg.plank(i, j, False)
+        assert up_pen == pytest.approx(3.0) and up_mask == 0
+        assert down_mask == 1 and down_pen == 0.0
     # Vertical chords span empty planks.
-    v = plank_content(Point(0, 0), Point(0, 4), "up", fsg)
-    assert v.required_mask == 0 and v.penalty_sum == 0.0
+    assert fsg.plank(fsg.index_of(Point(0, 0)), a, True) == (0, 0.0)
 
 
 def test_tiling_partition():
@@ -138,21 +143,15 @@ def test_tiling_partition():
     rng = random.Random(9)
     pairs = [(i, j) for i in range(fsg.n) for j in range(fsg.n)
              if fsg.vertices[i].x < fsg.vertices[j].x]
-    for a_i, b_i in rng.sample(pairs, 40):
-        a, b = fsg.vertices[a_i], fsg.vertices[b_i]
-        left = halfplane_content(a, "left", fsg)
-        right = halfplane_content(b, "right", fsg)
-        up = plank_content(a, b, "up", fsg)
-        down = plank_content(a, b, "down", fsg)
-        masks = [left.required_mask, right.required_mask,
-                 up.required_mask, down.required_mask]
+    for a, b in rng.sample(pairs, 40):
+        contents = [_halfplanes(fsg, a)[0], _halfplanes(fsg, b)[1],
+                    fsg.plank(a, b, True), fsg.plank(a, b, False)]
         combined = 0
-        for m in masks:
+        for m, _pen in contents:
             assert combined & m == 0, (a, b)
             combined |= m
         assert combined == fsg.full_mask
-        pens = left.penalty_sum + right.penalty_sum + up.penalty_sum + down.penalty_sum
-        assert pens == pytest.approx(total_pen), (a, b)
+        assert sum(pen for _m, pen in contents) == pytest.approx(total_pen), (a, b)
 
 
 def test_random_knapsack_matches_oracle():

@@ -7,14 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from enclosure import (
-    Point,
-    compute_free_space_edges,
-    halfplane_content,
-    plank_content,
-    random_instance,
-)
-from enclosure.errors import SchemaError
+from enclosure import Point, compute_free_space_edges, random_instance
 from enclosure.geometry import orient
 from conftest import build, opt, point_in_triangle_halfopen, req, square
 
@@ -32,14 +25,14 @@ def _brute_triangle(fsg, p, r, q):
     return mask, pen
 
 
-def _in_plank(ref, a, b, direction):
+def _in_plank(ref, a, b, up):
     if a.x == b.x:
         return False
     lo, hi = (a, b) if a.x < b.x else (b, a)
     if not (lo.x < ref.x <= hi.x):
         return False
     side = orient(lo, hi, ref)
-    return side > 0 if direction == "up" else side < 0
+    return side > 0 if up else side < 0
 
 
 def _brute_region(fsg, inside):
@@ -54,7 +47,7 @@ def _brute_region(fsg, inside):
     return mask, pen
 
 
-def _check_against_brute_force(fsg, extra_points=()):
+def _check_against_brute_force(fsg, extra_xs=()):
     verts = fsg.vertices
     ccw = 0
     for p, r, q in itertools.permutations(range(fsg.n), 3):
@@ -64,21 +57,20 @@ def _check_against_brute_force(fsg, extra_points=()):
             assert fsg.triangle_content(p, r, q) == _brute_triangle(fsg, p, r, q)
             ccw += 1
     assert ccw > 0
-    points = list(verts) + list(extra_points)
-    for a in points:
-        left = halfplane_content(a, "left", fsg)
-        right = halfplane_content(a, "right", fsg)
-        assert (left.required_mask, left.penalty_sum) == \
-            _brute_region(fsg, lambda ref: ref.x <= a.x)
-        assert (right.required_mask, right.penalty_sum) == \
-            _brute_region(fsg, lambda ref: ref.x > a.x)
-        for b in points:
-            if a == b:
-                continue
-            for direction in ("up", "down"):
-                got = plank_content(a, b, direction, fsg)
-                assert (got.required_mask, got.penalty_sum) == _brute_region(
-                    fsg, lambda ref: _in_plank(ref, a, b, direction)), (a, b, direction)
+    # Half-planes through every vertex, and at the extra abscissae.
+    for x in [v.x for v in verts] + list(extra_xs):
+        left = fsg.x_at_most(x)
+        assert fsg.split_content(left) == _brute_region(fsg, lambda ref: ref.x <= x)
+        assert fsg.split_content(fsg._all & ~left) == \
+            _brute_region(fsg, lambda ref: ref.x > x)
+    # Planks of every ordered vertex pair, up and down, asked twice so
+    # that the memoized answer is checked too.
+    for i, j in itertools.permutations(range(fsg.n), 2):
+        for up in (True, False):
+            want = _brute_region(
+                fsg, lambda ref: _in_plank(ref, verts[i], verts[j], up))
+            assert fsg.plank(i, j, up) == want, (i, j, up)
+            assert fsg.plank(i, j, up) == want, (i, j, up)
 
 
 @pytest.mark.parametrize("seed", [3, 8, 21, 34])
@@ -107,13 +99,5 @@ def test_kernel_matches_brute_force_collinear_references():
         _optional_refs=[(0.1, Point(3, 0)), (0.2, Point(2, 2)),
                         (0.7, Point(Fraction(5, 2), Fraction(7, 2))),
                         (2.5, Point(Fraction(1, 3), 5))])
-    _check_against_brute_force(
-        fsg, extra_points=[Point(1, 3), Point(Fraction(7, 2), Fraction(-1, 2))])
+    _check_against_brute_force(fsg, extra_xs=[Fraction(3, 2), Fraction(7, 2)])
 
-
-def test_content_arguments_are_checked():
-    fsg = compute_free_space_edges(build({"polygons": [req("A", square(0, 0, 2))]}))
-    with pytest.raises(SchemaError):
-        halfplane_content(Point(0, 0), "up", fsg)
-    with pytest.raises(SchemaError):
-        plank_content(Point(0, 0), Point(2, 0), "left", fsg)

@@ -27,7 +27,7 @@ from conftest import (
 
 
 def _walk(pts):
-    return make_walk(EMPTY_INSTANCE, [Point(*p) for p in pts], closed=True)
+    return make_walk(EMPTY_INSTANCE, [Point(*p) for p in pts])
 
 
 def test_simple_square_unchanged():

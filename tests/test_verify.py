@@ -21,7 +21,7 @@ from conftest import EMPTY_INSTANCE, build, opt, random_closed_walk, req, square
 
 
 def _walk(inst, pts):
-    return make_walk(inst, [Point(*p) for p in pts], closed=True)
+    return make_walk(inst, [Point(*p) for p in pts])
 
 
 def test_simple_square_accepted():
@@ -181,7 +181,7 @@ def test_reference_on_walk():
     if ref == Point(1, 1):
         with pytest.raises(ReferenceOnWalk):
             evaluate_solution(inst, make_walk(
-                inst, [Point(0, 0), Point(2, 2), Point(0, 2)], closed=True),
+                inst, [Point(0, 0), Point(2, 2), Point(0, 2)]),
                 check_simple=False)
 
 
@@ -194,7 +194,7 @@ def test_infeasible_when_required_missed():
 
 def test_invert_mode_costs():
     inst = build({"polygons": [opt("B", square(0, 0, 4), 12)], "mode": "invert"})
-    point = make_walk(inst, [Point(0, 0)], closed=True)
+    point = make_walk(inst, [Point(0, 0)])
     sol = evaluate_solution(inst, point)
     assert sol.cost == pytest.approx(12.0) and sol.feasible
     ring = _walk(inst, [(0, 0), (4, 0), (4, 4), (0, 4)])
@@ -209,7 +209,7 @@ def test_invert_required_must_stay_outside():
     inst = build({"polygons": [req("A", square(1, 1, 2))], "mode": "invert"})
     sol = evaluate_solution(inst, _walk(inst, [(1, 1), (3, 1), (3, 3), (1, 3)]))
     assert not sol.feasible
-    sol2 = evaluate_solution(inst, make_walk(inst, [Point(1, 1)], closed=True))
+    sol2 = evaluate_solution(inst, make_walk(inst, [Point(1, 1)]))
     assert sol2.feasible and sol2.cost == 0.0
 
 
