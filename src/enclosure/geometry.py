@@ -17,7 +17,8 @@ uncrossing adds to walks and the verifier then sees, in rational reference
 points as stored (converted once by `homogeneous`), and in `angular_key`.
 
 Euclidean lengths are the only inexact quantities; they are computed in
-double precision and compared with a relative tolerance of 1e-9 elsewhere.
+double precision, and only costs are compared with a relative tolerance
+(1e-9); no validation decision rests on one.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
@@ -184,9 +185,15 @@ class Instance:
         return sum(self.segment_weight(a, b) for a, b in zip(pts, pts[1:] + pts[:1]))
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: `bool` subclasses `int` in Python, but true and
+    false are not numbers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_point(obj, where: str) -> Point:
     if (not isinstance(obj, (list, tuple)) or len(obj) != 2
-            or not all(isinstance(c, int) for c in obj)):
+            or not all(_is_int(c) for c in obj)):
         raise SchemaError(f"{where}: expected integer coordinate pair, got {obj!r}")
     return Point(obj[0], obj[1])
 
@@ -209,8 +216,44 @@ def _parse_weight(value, where: str) -> float:
     return float(value)
 
 
-def _epsilon_triangle(at: Point, eps: int) -> Tuple[Point, ...]:
-    return (at, Point(at.x + eps, at.y), Point(at.x, at.y + eps))
+def _parse_kind(obj: dict, where: str) -> Tuple[str, float]:
+    """Kind and penalty of a polygon, a point or a plane-graph face tag:
+    an optional object's penalty defaults to 0, a required one has none."""
+    kind = obj.get("kind")
+    if kind not in (REQUIRED, OPTIONAL):
+        raise SchemaError(f"{where}: kind must be 'required' or 'optional'")
+    if kind == OPTIONAL:
+        return kind, _parse_penalty(obj.get("penalty", 0), where)
+    if "penalty" in obj:
+        raise SchemaError(f"{where}: required objects carry no penalty")
+    return kind, 0.0
+
+
+def _claim_id(obj: dict, default: str, seen: set, where: str) -> str:
+    """The object's id (`default` if absent), which no earlier polygon or
+    point may carry."""
+    oid = obj.get("id", default)
+    if isinstance(oid, (list, dict)):
+        raise SchemaError(f"{where}: id must be a string or a number, got {oid!r}")
+    if oid in seen:
+        raise SchemaError(f"{where}: duplicate id {oid!r}")
+    seen.add(oid)
+    return oid
+
+
+def _entries(data: dict, key: str, prefix: str = "", item=dict):
+    """(index, location, entry) for each entry of the list field
+    `data[key]`, empty when absent; each entry must be an `item` (a JSON
+    object unless a list is asked for)."""
+    entries = data.get(key, [])
+    if not isinstance(entries, (list, tuple)):
+        raise SchemaError(f"{prefix}{key}: expected a list")
+    for i, entry in enumerate(entries):
+        where = f"{prefix}{key}[{i}]"
+        if not isinstance(entry, item):
+            raise SchemaError(
+                f"{where}: expected {'an object' if item is dict else 'a list'}")
+        yield i, where, entry
 
 
 def parse_instance(data) -> Instance:
@@ -227,37 +270,23 @@ def parse_instance(data) -> Instance:
             raise ParseError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}")
     if not isinstance(data, dict):
         raise SchemaError("top-level JSON value must be an object")
-
-    if "graph" in data:
-        from .planegraph import graph_to_instance, parse_plane_graph
-        inst = graph_to_instance(parse_plane_graph(data["graph"]))
-        mode = data.get("mode", "enclose")
-        if mode not in ("enclose", "invert"):
-            raise SchemaError(f"mode must be 'enclose' or 'invert', got {mode!r}")
-        return replace(inst, mode=mode)
-
-    scale = data.get("scale", 1)
-    if not isinstance(scale, int) or scale <= 0:
-        raise SchemaError(f"scale must be a positive integer, got {scale!r}")
     mode = data.get("mode", "enclose")
     if mode not in ("enclose", "invert"):
         raise SchemaError(f"mode must be 'enclose' or 'invert', got {mode!r}")
 
+    if "graph" in data:
+        from .planegraph import graph_to_instance, parse_plane_graph
+        return replace(graph_to_instance(parse_plane_graph(data["graph"])), mode=mode)
+
+    scale = data.get("scale", 1)
+    if not _is_int(scale) or scale <= 0:
+        raise SchemaError(f"scale must be a positive integer, got {scale!r}")
+
     polygons: List[InputPolygon] = []
     seen_ids = set()
-    unbounded_seen = False
-
-    for i, pd in enumerate(data.get("polygons", [])):
-        where = f"polygons[{i}]"
-        if not isinstance(pd, dict):
-            raise SchemaError(f"{where}: expected an object")
-        pid = pd.get("id", f"polygon{i}")
-        if pid in seen_ids:
-            raise SchemaError(f"{where}: duplicate id {pid!r}")
-        seen_ids.add(pid)
-        kind = pd.get("kind")
-        if kind not in (REQUIRED, OPTIONAL):
-            raise SchemaError(f"{where}: kind must be 'required' or 'optional'")
+    for i, where, pd in _entries(data, "polygons"):
+        pid = _claim_id(pd, f"polygon{i}", seen_ids, where)
+        kind, penalty = _parse_kind(pd, where)
         verts_raw = pd.get("vertices")
         if not isinstance(verts_raw, list) or len(verts_raw) < 3:
             raise SchemaError(f"{where}: vertices must be a list of at least 3 points")
@@ -266,19 +295,11 @@ def parse_instance(data) -> Instance:
         for j in range(len(verts)):
             if verts[j] == verts[(j + 1) % len(verts)]:
                 raise SchemaError(f"{where}: repeated consecutive vertex {verts[j]}")
-        unbounded = bool(pd.get("unbounded", False))
-        if unbounded:
-            if unbounded_seen:
-                raise SchemaError("at most one polygon may be unbounded")
-            if kind != OPTIONAL:
-                raise SchemaError(f"{where}: the unbounded polygon must be optional")
-            unbounded_seen = True
-        if kind == REQUIRED:
-            if "penalty" in pd:
-                raise SchemaError(f"{where}: required polygons carry no penalty")
-            penalty = 0.0
-        else:
-            penalty = _parse_penalty(pd.get("penalty", 0), where)
+        unbounded = pd.get("unbounded", False)
+        if not isinstance(unbounded, bool):
+            raise SchemaError(f"{where}: unbounded must be true or false, got {unbounded!r}")
+        if unbounded and kind != OPTIONAL:
+            raise SchemaError(f"{where}: the unbounded polygon must be optional")
         # Orient bounded walks ccw, the unbounded one cw.
         area2 = signed_area2(verts)
         if area2 == 0 and not unbounded:
@@ -289,45 +310,28 @@ def parse_instance(data) -> Instance:
         if "reference_point" in pd:
             ref = _parse_point(pd["reference_point"], f"{where}.reference_point")
         polygons.append(InputPolygon(pid, verts, kind, penalty, ref, unbounded))
+    if sum(p.unbounded for p in polygons) > 1:
+        raise SchemaError("at most one polygon may be unbounded")
 
-    points_raw = data.get("points", [])
-    eps = data.get("point_epsilon")
-    if points_raw:
+    points = [(_claim_id(pt, f"point{i}", seen_ids, where),
+               _parse_point(pt.get("at"), f"{where}.at"), *_parse_kind(pt, where))
+              for i, where, pt in _entries(data, "points")]
+    eps = 0
+    if points:
+        eps = data.get("point_epsilon")
         if eps is None:
-            xs = [v.x for p in polygons for v in p.vertices]
-            ys = [v.y for p in polygons for v in p.vertices]
-            xs += [pt["at"][0] for pt in points_raw if isinstance(pt, dict) and "at" in pt]
-            ys += [pt["at"][1] for pt in points_raw if isinstance(pt, dict) and "at" in pt]
-            extent = max(max(xs) - min(xs), max(ys) - min(ys)) if xs else 0
-            eps = max(1, extent // 10000)
-        if not isinstance(eps, int) or eps <= 0:
+            corners = [v for p in polygons for v in p.vertices] + [q[1] for q in points]
+            xs, ys = [v.x for v in corners], [v.y for v in corners]
+            eps = max(1, max(max(xs) - min(xs), max(ys) - min(ys)) // 10000)
+        if not _is_int(eps) or eps <= 0:
             raise SchemaError(f"point_epsilon must be a positive integer, got {eps!r}")
-    else:
-        eps = 0
-    for i, pt in enumerate(points_raw):
-        where = f"points[{i}]"
-        if not isinstance(pt, dict):
-            raise SchemaError(f"{where}: expected an object")
-        pid = pt.get("id", f"point{i}")
-        if pid in seen_ids:
-            raise SchemaError(f"{where}: duplicate id {pid!r}")
-        seen_ids.add(pid)
-        kind = pt.get("kind")
-        if kind not in (REQUIRED, OPTIONAL):
-            raise SchemaError(f"{where}: kind must be 'required' or 'optional'")
-        at = _parse_point(pt.get("at"), f"{where}.at")
-        if kind == REQUIRED:
-            if "penalty" in pt:
-                raise SchemaError(f"{where}: required points carry no penalty")
-            penalty = 0.0
-        else:
-            penalty = _parse_penalty(pt.get("penalty", 0), where)
-        polygons.append(InputPolygon(pid, _epsilon_triangle(at, eps), kind, penalty))
+    for pid, at, kind, penalty in points:
+        triangle = (at, Point(at.x + eps, at.y), Point(at.x, at.y + eps))
+        polygons.append(InputPolygon(pid, triangle, kind, penalty))
 
     squeezed: Dict[FrozenSet[Point], float] = {}
-    for i, sd in enumerate(data.get("squeezed_edges", [])):
-        where = f"squeezed_edges[{i}]"
-        if not isinstance(sd, dict) or "a" not in sd or "b" not in sd or "weight" not in sd:
+    for _, where, sd in _entries(data, "squeezed_edges"):
+        if not {"a", "b", "weight"} <= sd.keys():
             raise SchemaError(f"{where}: expected {{a, b, weight}}")
         a = _parse_point(sd["a"], f"{where}.a")
         b = _parse_point(sd["b"], f"{where}.b")
@@ -355,15 +359,6 @@ def _subdivide_polygon(poly: InputPolygon, all_vertices) -> InputPolygon:
     return replace(poly, vertices=tuple(new_verts))
 
 
-def _edge_traversal_counts(polygons) -> Dict[FrozenSet[Point], int]:
-    counts: Dict[FrozenSet[Point], int] = {}
-    for p in polygons:
-        for a, b in p.edges():
-            key = frozenset((a, b))
-            counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
 def _check_disjoint_interiors(polygons) -> None:
     """Raise OverlapError for the first pair of polygons whose interiors
     meet.  Two bounded polygons whose closed boxes are disjoint are skipped:
@@ -387,31 +382,28 @@ def _check_disjoint_interiors(polygons) -> None:
                     raise OverlapError(P.id, Q.id)
 
 
-def _resplit_squeezed(squeezed, polygons) -> Dict[FrozenSet[Point], float]:
-    counts = _edge_traversal_counts(polygons)
+def _resplit_squeezed(squeezed, polygons, all_vertices) -> Dict[FrozenSet[Point], float]:
+    """Split each squeezed edge uv of weight w at the vertices in its
+    relative interior.  Each piece must be a (subdivided) polygon edge with
+    polygons on both sides, that is, traversed at least twice by the
+    polygon walks, and weighs w * |piece| / |uv|."""
+    sides = Counter(frozenset(e) for p in polygons for e in p.edges())
     out: Dict[FrozenSet[Point], float] = {}
     for key, w in squeezed.items():
         u, v = tuple(key)
-        parts = [k for k in counts
-                 if all(on_segment(p, u, v) for p in k)]
-        # The subsegments must exactly tile uv.
-        covered = sorted({p for k in parts for p in k})
-        length_ok = parts and covered[0] in (u, v) and covered[-1] in (u, v)
-        if length_ok:
-            total = sum(distance(*tuple(k)) for k in set(parts))
-            length_ok = math.isclose(total, distance(u, v), rel_tol=1e-9)
-        if not length_ok:
-            raise SchemaError(
-                f"squeezed edge {u}-{v} does not coincide with polygon edges")
-        full = distance(u, v)
-        for k in set(parts):
-            a, b = tuple(k)
-            if counts[k] < 2:
+        chain = [u] + sort_along(
+            u, v, [x for x in all_vertices if in_open_segment(x, u, v)]) + [v]
+        for a, b in zip(chain, chain[1:]):
+            piece = frozenset((a, b))
+            if piece not in sides:
+                raise SchemaError(
+                    f"squeezed edge {u}-{v} does not coincide with polygon edges")
+            if sides[piece] < 2:
                 raise SchemaError(
                     f"squeezed edge {a}-{b} is not incident to polygons on both sides")
-            if k in out:
+            if piece in out:
                 raise SchemaError(f"squeezed edge {a}-{b} specified twice")
-            out[k] = w * (distance(a, b) / full)
+            out[piece] = w * (distance(a, b) / distance(u, v))
     return out
 
 
@@ -542,6 +534,6 @@ def validate_and_subdivide(inst: Instance) -> Instance:
         with_refs.append(replace(p, reference_point=ref))
     polygons = tuple(with_refs)
     _check_disjoint_interiors(polygons)
-    squeezed = _resplit_squeezed(inst.squeezed, polygons)
+    squeezed = _resplit_squeezed(inst.squeezed, polygons, all_vertices)
     return Instance(polygons, squeezed, inst.mode, inst.scale,
                     inst.point_epsilon, validated=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .errors import EmbeddingError, SchemaError, TagError
+from .errors import EmbeddingError, OnBoundary, SchemaError, TagError
 from .geometry import (
     Point,
     Segment,
@@ -24,9 +24,8 @@ from .geometry import (
     signed_area2,
     winding_number,
 )
-from .instance import (OPTIONAL, REQUIRED, InputPolygon, Instance, _parse_penalty,
-                       _parse_point, _parse_weight)
-from .errors import OnBoundary
+from .instance import (OPTIONAL, REQUIRED, InputPolygon, Instance, _entries, _is_int,
+                       _parse_kind, _parse_point, _parse_weight)
 
 
 @dataclass(frozen=True)
@@ -55,33 +54,20 @@ def parse_plane_graph(data) -> PlaneGraphInput:
         raise SchemaError("graph.vertices: duplicate coordinates")
     edges: List[Tuple[int, int, float]] = []
     seen = set()
-    for i, e in enumerate(data.get("edges", [])):
-        if not isinstance(e, (list, tuple)) or len(e) != 3:
-            raise SchemaError(f"graph.edges[{i}]: expected [i, j, weight]")
+    for _, where, e in _entries(data, "edges", "graph.", (list, tuple)):
+        if len(e) != 3:
+            raise SchemaError(f"{where}: expected [i, j, weight]")
         u, v, w = e
-        if not isinstance(u, int) or not isinstance(v, int) \
-                or not (0 <= u < len(vertices)) or not (0 <= v < len(vertices)) or u == v:
-            raise SchemaError(f"graph.edges[{i}]: invalid endpoints {u}, {v}")
-        w = _parse_weight(w, f"graph.edges[{i}]")
+        if not all(_is_int(x) and 0 <= x < len(vertices) for x in (u, v)) or u == v:
+            raise SchemaError(f"{where}: invalid endpoints {u}, {v}")
+        w = _parse_weight(w, where)
         key = frozenset((u, v))
         if key in seen:
-            raise SchemaError(f"graph.edges[{i}]: duplicate edge {u}-{v}")
+            raise SchemaError(f"{where}: duplicate edge {u}-{v}")
         seen.add(key)
         edges.append((u, v, w))
-    tags = []
-    for i, t in enumerate(data.get("faces", [])):
-        if not isinstance(t, dict):
-            raise SchemaError(f"graph.faces[{i}]: expected an object")
-        pt = _parse_point(t.get("point"), f"graph.faces[{i}].point")
-        kind = t.get("kind")
-        if kind not in (REQUIRED, OPTIONAL):
-            raise SchemaError(f"graph.faces[{i}]: kind must be 'required' or 'optional'")
-        penalty = 0.0
-        if kind == OPTIONAL:
-            penalty = _parse_penalty(t.get("penalty", 0), f"graph.faces[{i}]")
-        elif "penalty" in t:
-            raise SchemaError(f"graph.faces[{i}]: required faces carry no penalty")
-        tags.append(FaceTag(pt, kind, penalty))
+    tags = [FaceTag(_parse_point(t.get("point"), f"{where}.point"), *_parse_kind(t, where))
+            for _, where, t in _entries(data, "faces", "graph.")]
     return PlaneGraphInput(vertices, tuple(edges), tuple(tags))
 
 
@@ -96,22 +82,6 @@ def _check_embedding(g: PlaneGraphInput) -> None:
         for v in g.vertices:
             if in_open_segment(v, s.a, s.b):
                 raise EmbeddingError(f"vertex {v} lies inside edge {s.a}-{s.b}")
-    # Connectivity.
-    if g.edges or len(g.vertices) > 1:
-        adj: Dict[int, List[int]] = {i: [] for i in range(len(g.vertices))}
-        for u, v, _ in g.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        if len(seen) != len(g.vertices):
-            raise SchemaError("graph is not connected")
 
 
 def extract_faces(g: PlaneGraphInput) -> List[Tuple[Point, ...]]:
@@ -152,6 +122,12 @@ def graph_to_instance(g: PlaneGraphInput) -> Instance:
     if not g.edges:
         raise SchemaError("graph has no edges")
     faces = extract_faces(g)
+    # Euler's formula: a connected plane graph has V - E + F = 2, and its F
+    # faces are the walks traced above, one walk per face.  A walk follows
+    # the edges of one component only, so over c components with edges and
+    # i isolated vertices V - E + W = 2c + i: connected iff this is 2.
+    if len(g.vertices) - len(g.edges) + len(faces) != 2:
+        raise SchemaError("graph is not connected")
     outer = [f for f in faces if signed_area2(f) <= 0]
     bounded = [f for f in faces if signed_area2(f) > 0]
     if len(outer) != 1:

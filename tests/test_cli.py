@@ -5,6 +5,7 @@ import pytest
 
 from enclosure import Point, compute_free_space_edges, evaluate_solution, make_walk
 from enclosure.cli import run
+from enclosure.errors import SchemaError
 from enclosure.instance import parse_instance, validate_and_subdivide
 from conftest import opt, req, square
 
@@ -146,3 +147,29 @@ def test_verify_flag_accepts_clockwise_inverted_solution(tmp_path, capsys):
     assert out["cost"] == pytest.approx(16.0)
     assert out["checks"]["weakly_simple"] is True
     assert out["checks"]["cost_matches_solver"] is True
+
+
+_TRIANGLE_GRAPH = {"vertices": [[0, 0], [6, 0], [0, 6]],
+                   "edges": [[0, 1, 2], [1, 2, 3], [2, 0, 4]]}
+
+
+@pytest.mark.parametrize("document", [
+    {"points": [{"kind": "required", "at": 5}]},
+    {"points": [{"kind": "required", "at": [1]}]},
+    {"points": [{"kind": "required", "at": {}}]},
+    {"points": 5},
+    {"polygons": 5},
+    {"polygons": None},
+    {"polygons": [{"id": [1], "kind": "required", "vertices": square(0, 0, 2)}]},
+    {"squeezed_edges": 5},
+    {"graph": {**_TRIANGLE_GRAPH, "edges": 5}},
+    {"graph": {**_TRIANGLE_GRAPH, "faces": 5}},
+], ids=["at-number", "at-short", "at-object", "points-number", "polygons-number",
+        "polygons-null", "id-list", "squeezed-number", "graph-edges-number",
+        "graph-faces-number"])
+def test_malformed_document_is_a_schema_error(tmp_path, capsys, document):
+    with pytest.raises(SchemaError):
+        validate_and_subdivide(parse_instance(document))
+    assert run(["--input", _write(tmp_path, document)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

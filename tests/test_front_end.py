@@ -3,8 +3,9 @@ reference points, free-space edges, segment test, interior-overlap check)
 against brute-force oracles: the O(n^2) collinearity scan, the `Fraction`
 winding test, containment and reference-point choice the library used
 before it went to homogeneous integers, the all-pairs free-space builder
-with its O(n) blocking-vertex scan, and the segment and overlap tests
-without bounding boxes."""
+with its O(n) blocking-vertex scan, the segment and overlap tests
+without bounding boxes, and the depth-first search that checked plane-graph
+connectivity before Euler's formula did."""
 
 import dataclasses
 import importlib.util
@@ -52,7 +53,7 @@ from enclosure.instance import (
     validate_and_subdivide,
 )
 from enclosure.oracle import random_instance
-from enclosure.planegraph import extract_faces, parse_plane_graph
+from enclosure.planegraph import extract_faces, graph_to_instance, parse_plane_graph
 from enclosure.uncrossing import subdivide_walk
 from enclosure.verify import _face_windings
 from conftest import EMPTY_INSTANCE, build, opt, random_closed_walk, req, square
@@ -697,3 +698,63 @@ def test_benchmark_documents_match_fraction_oracles(name, docs):
         fsg = compute_free_space_edges(inst)
         assert [(e.a, e.b, e.weight, e.squeezed) for e in fsg.edges] == \
             edges_oracle(inst)
+
+
+def connected_oracle(g):
+    """Plane-graph connectivity by depth-first search from vertex 0."""
+    adj = {i: [] for i in range(len(g.vertices))}
+    for u, v, _ in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = {0}
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == len(g.vertices)
+
+
+@st.composite
+def _plane_graphs(draw):
+    """A straight-line plane graph with at least one edge on distinct grid
+    points, optionally inside a square frame whose bounded face then holds
+    every other component.  Drawn edges are kept when they cross no kept
+    edge and pass through no vertex, which leaves trees, bridges, isolated
+    vertices and cycles."""
+    points = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                           min_size=2, max_size=9, unique=True))
+    pairs = []
+    if draw(st.booleans()):
+        m = len(points)
+        points += [(-2, -2), (8, -2), (8, 8), (-2, 8)]
+        pairs = [(m + i, m + (i + 1) % 4) for i in range(4)]
+    verts = [Point(*p) for p in points]
+    index = st.integers(0, len(verts) - 1)
+    pairs += draw(st.lists(st.tuples(index, index), max_size=14))
+    edges = []
+    for u, v in pairs:
+        seg = Segment(verts[u], verts[v])
+        if u == v or {u, v} in [{a, b} for a, b in edges] \
+                or any(in_open_segment(x, seg.a, seg.b) for x in verts) \
+                or any(segments_properly_cross(seg, Segment(verts[a], verts[b]))
+                       for a, b in edges):
+            continue
+        edges.append((u, v))
+    assume(edges)
+    return parse_plane_graph({"vertices": [list(p) for p in points],
+                              "edges": [[u, v, 1] for u, v in edges]})
+
+
+@SETTINGS
+@given(g=_plane_graphs())
+def test_euler_connectivity_matches_depth_first_search(g):
+    try:
+        graph_to_instance(g)
+        connected = True
+    except SchemaError as e:
+        assert "not connected" in str(e)
+        connected = False
+    assert connected == connected_oracle(g)

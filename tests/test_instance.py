@@ -258,3 +258,53 @@ def test_walk_weight():
     pts = [Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 2)]
     assert inst.walk_weight(pts) == pytest.approx(8.0)
     assert inst.walk_weight([Point(0, 0)]) == 0.0
+
+
+@pytest.mark.parametrize("document", [
+    {"polygons": [req("A", [[True, False], [2, 0], [2, 2], [0, 2]])]},
+    {"polygons": [{**req("A", square(0, 0, 2)), "reference_point": [1, True]}]},
+    {"scale": True, "polygons": [req("A", square(0, 0, 2))]},
+    {"point_epsilon": True, "points": [{"kind": "required", "at": [0, 0]}]},
+    {"points": [{"kind": "required", "at": [0, True]}]},
+    {"graph": {"vertices": [[0, 0], [6, 0], [True, 6]],
+               "edges": [[0, 1, 2], [1, 2, 3], [2, 0, 4]]}},
+    {"graph": {"vertices": [[0, 0], [6, 0], [0, 6]],
+               "edges": [[0, True, 2], [1, 2, 3], [2, 0, 4]]}},
+], ids=["vertex", "reference-point", "scale", "point-epsilon", "point-at",
+        "graph-vertex", "graph-endpoint"])
+def test_booleans_are_not_numbers(document):
+    # Python's bool subclasses int; JSON true and false are not numbers.
+    with pytest.raises(SchemaError):
+        parse_instance(document)
+    with pytest.raises(SchemaError):
+        parse_instance(json.dumps(document))
+
+
+@pytest.mark.parametrize("flag", ["no", 1, 0, None, [], {}],
+                         ids=["string", "one", "zero", "null", "list", "object"])
+def test_unbounded_must_be_a_boolean(flag):
+    polygon = {**opt("B", square(0, 0, 2), 1), "unbounded": flag}
+    with pytest.raises(SchemaError, match="unbounded"):
+        parse_instance({"mode": "invert", "polygons": [polygon]})
+    polygon["unbounded"] = False
+    assert not parse_instance({"polygons": [polygon]}).polygons[0].unbounded
+
+
+def test_gapped_squeezed_edge_rejected():
+    # Two pairs of long rectangles, one above and one below y = 0, with a
+    # one-unit gap at x = 10^9: the squeezed edge along y = 0 runs over the
+    # gap, where no polygon edge lies, so it is not tiled by polygon edges.
+    # Its pieces' lengths sum to within a relative 5e-10 of its length.
+    big = 10 ** 9
+    doc = {"polygons": [
+        req("A1", [[0, 0], [big, 0], [big, 1], [0, 1]]),
+        req("A2", [[big + 1, 0], [2 * big, 0], [2 * big, 1], [big + 1, 1]]),
+        opt("B1", [[0, -1], [big, -1], [big, 0], [0, 0]], 1),
+        opt("B2", [[big + 1, -1], [2 * big, -1], [2 * big, 0], [big + 1, 0]], 1)],
+        "squeezed_edges": [{"a": [0, 0], "b": [2 * big, 0], "weight": 5}]}
+    with pytest.raises(SchemaError, match="does not coincide"):
+        build(doc)
+    # The squeezed edge between A1 and B1 alone is a polygon edge.
+    doc["squeezed_edges"][0]["b"] = [big, 0]
+    assert build(doc).squeezed == {
+        frozenset((Point(0, 0), Point(big, 0))): 5.0}
