@@ -1,17 +1,20 @@
 """Free-space edge graph construction and region contents.
 
 A free-space edge is an inclusion-minimal segment between polygon vertices
-that avoids every polygon's open interior and has no polygon vertex in its
-relative interior.  For each vertex only the nearest other vertex along
-each exact ray direction (the gcd-reduced integer offset) is a candidate,
-which rules out blocked pairs in O(n) per vertex.  Each candidate is then
-tested only against the polygons whose bounding boxes meet it, by
+that avoids every polygon's open interior, has no polygon vertex in its
+relative interior, and is tangent at both ends: it cuts no corner of a
+polygon that stands alone at its end (see `compute_free_space_edges`),
+as in the reduced visibility graph of shortest-path planning.  For each
+vertex only the nearest other vertex along each exact ray direction (the
+gcd-reduced integer offset) is a candidate, which rules out blocked pairs
+in O(n) per vertex.  The tangency test then drops a candidate with at
+most two `orient` calls per end.  Each remaining candidate is tested only
+against the polygons whose bounding boxes meet it, by
 `InputPolygon.segment_meets_interior`, the one segment-meets-interior test
 that validation and the verifier use too.  On the n=200, k=10
-row-and-ring instance (10,495 edges) construction takes 2.3 to 3.0 s and
-validation 0.03 s on a shared 2-vCPU VM (Python 3.11); most of the
-construction time is the edge-against-edge `segments_properly_cross`
-tests.
+row-and-ring instance the graph has 5,141 edges, against 10,495 free
+segments without the tangency test, and construction takes 0.91 to
+0.96 s (2.65 to 2.74 s without it) on a shared 2-vCPU VM (Python 3.11).
 
 Region contents are asked by vertex index (`triangle_content`, `plank`,
 and `x_at_most` at a vertex's abscissa for a half-plane): memoized
@@ -21,11 +24,12 @@ bitmasks over exact integer side tests; see `FreeSpaceGraph`.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .errors import DegenerateTriangle, SchemaError
-from .geometry import Coord, Point, boxes_meet, distance, homogeneous
+from .geometry import Coord, Point, boxes_meet, distance, homogeneous, orient
 from .instance import Instance
 
 
@@ -254,20 +258,77 @@ def _unblocked_after(vertices: Tuple[Point, ...], i: int) -> List[int]:
     return sorted(j for _g, j in nearest.values() if j > i)
 
 
+def _corners(inst: Instance) -> Dict[Point, Tuple[Point, Point]]:
+    """The two walk neighbours of each vertex that the polygon walks visit
+    once in all: the vertices where `compute_free_space_edges` applies its
+    tangency test."""
+    visits = Counter(u for poly in inst.polygons for u in poly.vertices)
+    corners: Dict[Point, Tuple[Point, Point]] = {}
+    for poly in inst.polygons:
+        walk = poly.vertices
+        for t, u in enumerate(walk):
+            if visits[u] == 1:
+                corners[u] = (walk[t - 1], walk[(t + 1) % len(walk)])
+    return corners
+
+
+def _tangent(u: Point, v: Point, corner: Optional[Tuple[Point, Point]]) -> bool:
+    """True iff the segment uv leaves u with both polygon neighbours of u
+    on one closed side of the line uv (always, where u has no corner)."""
+    return corner is None or orient(u, v, corner[0]) * orient(u, v, corner[1]) >= 0
+
+
 def compute_free_space_edges(inst: Instance) -> FreeSpaceGraph:
-    """All free-space edges between polygon vertices, with squeezed edges
-    flagged and carrying their specified weights, in (a, b) order, a < b."""
+    """The free-space edges that are tangent at both ends, with squeezed
+    edges flagged and carrying their specified weights, in (a, b) order,
+    a < b.
+
+    An edge uv is tangent at u when u's two polygon neighbours x and y
+    satisfy orient(u, v, x) * orient(u, v, y) >= 0.  The test applies at
+    a vertex u of a single polygon P, visited once by P's walk; near u
+    only P is present, since subdivision made every polygon that touches
+    u a polygon at u.  No squeezed edge ends at such a u unless x = y (the
+    tip of a bridge), where every edge is tangent: validation puts
+    polygons on both sides of a squeezed edge, so its walks pass its ends
+    twice or turn back at them.
+
+    Dropping the other edges keeps every optimal curve.  If x and y lie
+    strictly on opposite sides of the line uv, the line's two rays from u
+    run through the two wedges at u that the edges ux and uy bound.  The
+    segment uv is free, so its ray runs outside P and the opposite ray
+    through P's interior.  Let a curve turn at u from wu to uv (w = v for
+    a spike).  The directions from u to w and to v point outside P, and
+    so does every direction in the angle below 180 degrees between them,
+    which misses the direction opposite to v.  So for a small t > 0 the
+    triangle u, u + t(w - u), u + t(v - u) meets no polygon interior and
+    holds no reference point, as reference points are strictly interior.
+    Replacing its two legs at u by its third side changes the winding of
+    no reference point and shortens the curve, since wu and uv are not
+    squeezed and weigh their Euclidean lengths.  So no optimal curve turns
+    at u onto a non-tangent edge, and none passes straight through u on
+    one, as wu would then enter P's interior.
+
+    The argument fails at a vertex of two or more polygons and at a
+    vertex one polygon visits twice (the base of a bridge); every free
+    edge there is kept.  Plane-graph instances are not filtered, as each
+    of their vertices lies on two face walks, twice on one, or at the tip
+    of a bridge.  The test takes at most two `orient` calls per end and
+    runs before `segment_in_free_space`."""
     if not inst.validated:
         raise SchemaError("validate_and_subdivide the instance first")
     vertices = inst.vertices
     index = {v: i for i, v in enumerate(vertices)}
+    corners = _corners(inst)
     edges: List[FreeSpaceEdge] = []
     adjacency: Dict[int, List[Tuple[int, float]]] = {i: [] for i in range(len(vertices))}
     weights: Dict[Tuple[int, int], float] = {}
     for i in range(len(vertices)):
+        a = vertices[i]
+        corner = corners.get(a)
         for j in _unblocked_after(vertices, i):
-            a, b = vertices[i], vertices[j]
-            if not segment_in_free_space(a, b, inst):
+            b = vertices[j]
+            if not (_tangent(a, b, corner) and _tangent(b, a, corners.get(b))
+                    and segment_in_free_space(a, b, inst)):
                 continue
             key = frozenset((a, b))
             squeezed = key in inst.squeezed

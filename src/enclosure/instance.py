@@ -260,7 +260,8 @@ def parse_instance(data) -> Instance:
     """Parse the JSON instance format into an unvalidated Instance.
 
     Accepts bytes, a JSON string, or an already-decoded dict.  Plane-graph
-    input ({"graph": ...}) is routed through the face-extraction reduction.
+    input ({"graph": ...}, with `mode` its only other field) is routed
+    through the face-extraction reduction.
     Run validate_and_subdivide on the result before solving.
     """
     if isinstance(data, (bytes, str)):
@@ -275,6 +276,10 @@ def parse_instance(data) -> Instance:
         raise SchemaError(f"mode must be 'enclose' or 'invert', got {mode!r}")
 
     if "graph" in data:
+        extra = [key for key in ("polygons", "points", "squeezed_edges", "scale",
+                                 "point_epsilon") if key in data]
+        if extra:
+            raise SchemaError(f"a plane-graph document carries no {', '.join(extra)}")
         from .planegraph import graph_to_instance, parse_plane_graph
         return replace(graph_to_instance(parse_plane_graph(data["graph"])), mode=mode)
 

@@ -48,6 +48,25 @@ def point_in_triangle_halfopen(x, p, r, q):
             and orient(q, p, x) > 0)
 
 
+def tangent_at_both_ends(inst, a, b):
+    """Oracle for the free-space tangency filter, read off the polygon
+    walks: the segment ab is dropped when one of its ends u is visited
+    exactly once over all polygon walks, ends no squeezed edge, and has its
+    two walk neighbours strictly on opposite sides of the line ab."""
+    squeezed_ends = {u for key in inst.squeezed for u in key}
+
+    def cuts_corner(u, v):
+        visits = sum(poly.vertices.count(u) for poly in inst.polygons)
+        if visits != 1 or u in squeezed_ends:
+            return False
+        walk = next(poly.vertices for poly in inst.polygons if u in poly.vertices)
+        t = walk.index(u)
+        sides = {orient(u, v, walk[t - 1]), orient(u, v, walk[(t + 1) % len(walk)])}
+        return sides == {-1, 1}
+
+    return not cuts_corner(a, b) and not cuts_corner(b, a)
+
+
 def solved(inst):
     """(fsg, dp result, dijkstra result) for a validated instance."""
     fsg = compute_free_space_edges(inst)

@@ -6,7 +6,8 @@ from enclosure import Point, compute_free_space_edges, segment_in_free_space
 from enclosure.errors import DegenerateTriangle, SchemaError
 from enclosure.instance import parse_instance
 from enclosure.geometry import in_open_segment
-from conftest import build, opt, point_in_triangle_halfopen, req, square
+from conftest import (
+    build, opt, point_in_triangle_halfopen, req, square, tangent_at_both_ends)
 
 
 def test_segment_in_free_space_basics():
@@ -66,6 +67,9 @@ def test_two_squares_bitangents():
 
 
 def test_omitted_pairs_fail_a_condition():
+    # A pair is an edge iff its segment is free, passes through no vertex
+    # and is tangent at both ends.  (2, 0)-(5, 1) is free and unblocked, but
+    # B's neighbours (7, 1) and (5, 3) of (5, 1) lie on both sides of it.
     inst = build({"polygons": [req("A", square(0, 0, 2)),
                                opt("B", square(5, 1, 2), 1)]})
     fsg = compute_free_space_edges(inst)
@@ -75,8 +79,11 @@ def test_omitted_pairs_fail_a_condition():
         for j in range(i + 1, n):
             a, b = fsg.vertices[i], fsg.vertices[j]
             ok = segment_in_free_space(a, b, inst) and \
-                not any(in_open_segment(v, a, b) for v in fsg.vertices)
+                not any(in_open_segment(v, a, b) for v in fsg.vertices) and \
+                tangent_at_both_ends(inst, a, b)
             assert ok == (frozenset((i, j)) in present)
+    assert segment_in_free_space(Point(2, 0), Point(5, 1), inst)
+    assert not fsg.has_edge(fsg.index_of(Point(2, 0)), fsg.index_of(Point(5, 1)))
 
 
 def test_weights_symmetric_and_euclidean():

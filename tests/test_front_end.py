@@ -3,7 +3,8 @@ reference points, free-space edges, segment test, interior-overlap check)
 against brute-force oracles: the O(n^2) collinearity scan, the `Fraction`
 winding test, containment and reference-point choice the library used
 before it went to homogeneous integers, the all-pairs free-space builder
-with its O(n) blocking-vertex scan, the segment and overlap tests
+with its O(n) blocking-vertex scan (the full visibility graph, which a
+tangency oracle filters), the segment and overlap tests
 without bounding boxes, and the depth-first search that checked plane-graph
 connectivity before Euler's formula did."""
 
@@ -18,9 +19,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from enclosure import (
+    FreeSpaceEdge,
     Point,
+    brute_force,
     compute_free_space_edges,
     segment_in_free_space,
+    solve_dijkstra,
+    solve_dp,
+    solve_inverted,
     uncross,
 )
 from enclosure.errors import (
@@ -56,7 +62,9 @@ from enclosure.oracle import random_instance
 from enclosure.planegraph import extract_faces, graph_to_instance, parse_plane_graph
 from enclosure.uncrossing import subdivide_walk
 from enclosure.verify import _face_windings
-from conftest import EMPTY_INSTANCE, build, opt, random_closed_walk, req, square
+from conftest import (
+    EMPTY_INSTANCE, build, opt, random_closed_walk, rel_close, req, square,
+    tangent_at_both_ends)
 from test_planegraph import grid_graph
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
@@ -193,6 +201,14 @@ def edges_oracle(inst):
     return out
 
 
+def tangent_edges_oracle(inst):
+    """The full visibility graph of `edges_oracle` restricted to the pairs
+    tangent at both ends."""
+    vertices = inst.vertices
+    return [e for e in edges_oracle(inst)
+            if tangent_at_both_ends(inst, vertices[e[0]], vertices[e[1]])]
+
+
 def overlap_oracle(polygons):
     """The all-pairs check; returns the OverlapError message, or None."""
     for i in range(len(polygons)):
@@ -272,6 +288,14 @@ DEGENERATE = {
     "unbounded": {"polygons": [
         req("A", square(0, 0, 2)), opt("B", [[4, 4], [7, 4], [4, 7]], 2),
         opt("C", square(8, 0, 3), 1), _frame()]},
+    # A square with a slit down from its top side at (1, 3), which the
+    # walk visits twice, and a triangle above it.
+    "bridge": {"polygons": [
+        req("A", [[0, 0], [3, 0], [3, 3], [1, 3], [1, 2], [1, 3], [0, 3]]),
+        opt("B", [[4, 5], [5, 5], [4, 6]], 1)]},
+    # Two triangles meeting at (3, 3), where B's edges cut A's corner.
+    "bowtie": {"polygons": [
+        opt("A", [[3, 3], [1, 2], [1, 4]], 5), req("B", [[3, 3], [6, 2], [6, 4]])]},
 }
 
 
@@ -294,7 +318,7 @@ INSTANCES = list(_instances())
 def test_free_space_edges_match_all_pairs_builder(name, inst):
     fsg = compute_free_space_edges(inst)
     assert [(e.a, e.b, e.weight, e.squeezed) for e in fsg.edges] == \
-        edges_oracle(inst)
+        tangent_edges_oracle(inst)
 
 
 @pytest.mark.parametrize("name,inst", INSTANCES, ids=[n for n, _ in INSTANCES])
@@ -697,7 +721,7 @@ def test_benchmark_documents_match_fraction_oracles(name, docs):
                 repr(settle_oracle(unsettled, inst.vertices))
         fsg = compute_free_space_edges(inst)
         assert [(e.a, e.b, e.weight, e.squeezed) for e in fsg.edges] == \
-            edges_oracle(inst)
+            tangent_edges_oracle(inst)
 
 
 def connected_oracle(g):
@@ -758,3 +782,129 @@ def test_euler_connectivity_matches_depth_first_search(g):
         assert "not connected" in str(e)
         connected = False
     assert connected == connected_oracle(g)
+
+
+# --------------------------------------------------------------------------
+# Tangent-only free space against the full visibility graph
+
+
+def full_visibility_graph(inst):
+    """The instance's free-space graph with every edge of `edges_oracle`,
+    tangent or not."""
+    edges = [FreeSpaceEdge(*e) for e in edges_oracle(inst)]
+    adjacency = {i: [] for i in range(inst.n)}
+    for e in edges:
+        adjacency[e.a].append((e.b, e.weight))
+        adjacency[e.b].append((e.a, e.weight))
+    return dataclasses.replace(
+        compute_free_space_edges(inst), edges=edges, adjacency=adjacency,
+        _weights={(e.a, e.b): e.weight for e in edges})
+
+
+_SMALL_SCENES = ("apart", "collinear", "shared_edge", "squeezed",
+                 "shared_vertex", "bowtie", "bridge", "points", "unbounded",
+                 "graph")
+
+
+@st.composite
+def _small_documents(draw):
+    """A document of at most about ten vertices: two objects apart (they
+    may overlap and then fail validation) or on one line, sharing an edge
+    (squeezed or not) or a vertex (also as a bowtie, where one triangle's
+    edges may cut the other's corner), a square with a bridge, point
+    objects, an object in the unbounded polygon, or a plane graph; in
+    enclose or invert mode."""
+    scene = draw(st.sampled_from(_SMALL_SCENES))
+    mode = draw(st.sampled_from(("enclose", "invert")))
+
+    def at():
+        return draw(st.integers(0, 6))
+
+    def tag():
+        if draw(st.booleans()):
+            return {"kind": "required"}
+        return {"kind": "optional",
+                "penalty": draw(st.sampled_from((0, 1, 2, 5, 10, "inf")))}
+
+    def obj(name, vertices):
+        return dict(tag(), id=name, vertices=vertices)
+
+    def shape(x, y):
+        side = draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            return square(x, y, side)
+        return [[x, y], [x + side, y], [x, y + side]]
+
+    if scene == "graph":
+        centers = draw(st.lists(st.sampled_from(((1, 1), (3, 1), (1, 3), (3, 3))),
+                                unique=True, max_size=3))
+        faces = [dict(tag(), point=list(c)) for c in centers]
+        graph = grid_graph(3, 3, weight=draw(st.integers(1, 3)))
+        return {"mode": mode, "graph": dict(graph, faces=faces)}
+    data = {"mode": mode}
+    s, t = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if scene == "apart":
+        polys = [obj("A", shape(at(), at())), obj("B", shape(at(), at()))]
+    elif scene == "collinear":
+        polys = [obj("A", square(0, 0, s)), obj("B", shape(s + t, 0))]
+    elif scene in ("shared_edge", "squeezed"):
+        polys = [obj("A", square(0, 0, s)), obj("B", square(s, 0, t))]
+        if scene == "squeezed":
+            data["squeezed_edges"] = [{"a": [s, 0], "b": [s, min(s, t)],
+                                       "weight": draw(st.sampled_from((0.5, 1, 3, 9)))}]
+    elif scene == "shared_vertex":
+        polys = [obj("A", square(0, 0, s)), obj("B", shape(s, s))]
+    elif scene == "bowtie":
+        polys = [obj("A", [[3, 3], [3 - s, 2], [3 - s, 4]]),
+                 obj("B", [[3, 3], [3 + t, 2], [3 + t, 4]])]
+    elif scene == "bridge":
+        kind = draw(st.sampled_from(("bridge_in", "bridge_out")))
+        polys = [obj("A", _pair_shape(kind, 0, 0, 3, draw(st.integers(1, 2)))),
+                 obj("B", [[5, 0], [5 + s, 0], [5, s]])]
+    elif scene == "points":
+        polys = [obj("A", square(0, 0, s))]
+        data["points"] = [dict(tag(), id=f"p{i}", at=[at() + 4, at()])
+                          for i in range(draw(st.integers(1, 2)))]
+        data["point_epsilon"] = 1
+    else:
+        # A finite outside penalty: with "inf" no invert-mode curve is
+        # feasible and the brute force cannot prune.
+        frame = dict(_frame(side=12, at=-3), penalty=draw(st.sampled_from((0, 1, 5))))
+        polys = [obj("A", shape(at(), at())), frame]
+    return dict(data, polygons=polys)
+
+
+@SETTINGS
+@given(doc=_small_documents())
+def test_tangent_graph_solvers_match_brute_force_on_full_graph(doc):
+    try:
+        inst = build(doc)
+    except OverlapError:
+        assume(False)
+    assume(inst.n <= 10)
+    fsg = compute_free_space_edges(inst)
+    expected = brute_force(inst, full_visibility_graph(inst)).best_cost
+    if inst.mode == "invert":
+        costs = [solve_inverted(inst, fsg)[0]]
+    else:
+        costs = [solve_dijkstra(fsg)[0], solve_dp(fsg)[0]]
+    for cost in costs:
+        assert rel_close(cost, expected), (cost, expected)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_tangent_graph_keeps_random_instance_costs(seed):
+    # The DP and the search agree on any graph, so the search alone
+    # solves the full visibility graph.
+    for mode, ks in (("enclose", range(4)), ("invert", range(3))):
+        for k in ks:
+            inst = random_instance(seed, n_objects=6, k=k, mode=mode)
+            tangent, full = compute_free_space_edges(inst), full_visibility_graph(inst)
+            if mode == "enclose":
+                expected = solve_dijkstra(full)[0]
+                costs = [solve_dijkstra(tangent)[0], solve_dp(tangent)[0]]
+            else:
+                expected = solve_inverted(inst, full)[0]
+                costs = [solve_inverted(inst, tangent)[0]]
+            for cost in costs:
+                assert rel_close(cost, expected), (mode, k, cost, expected)

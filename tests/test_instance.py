@@ -308,3 +308,19 @@ def test_gapped_squeezed_edge_rejected():
     doc["squeezed_edges"][0]["b"] = [big, 0]
     assert build(doc).squeezed == {
         frozenset((Point(0, 0), Point(big, 0))): 5.0}
+
+
+@pytest.mark.parametrize("field,value", [
+    ("polygons", [opt("B", square(50, 50, 2), 1)]),
+    ("points", [{"kind": "required", "at": [50, 50]}]),
+    ("squeezed_edges", [{"a": [0, 0], "b": [6, 0], "weight": 1}]),
+    ("scale", 7),
+    ("point_epsilon", 1),
+], ids=["polygons", "points", "squeezed_edges", "scale", "point_epsilon"])
+def test_graph_document_carries_no_other_fields(field, value):
+    # The graph alone defines the instance; a field beside it is an error,
+    # not silently dropped.
+    document = {**_graph_document(3), field: value}
+    with pytest.raises(SchemaError, match=field):
+        parse_instance(document)
+    assert parse_instance({**_graph_document(3), "mode": "invert"}).mode == "invert"
