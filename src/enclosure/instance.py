@@ -31,7 +31,6 @@ from .errors import (
 from .geometry import (
     Homogeneous,
     Point,
-    Segment,
     boxes_meet,
     distance,
     homogeneous,
@@ -39,7 +38,6 @@ from .geometry import (
     in_open_segment,
     on_segment,
     orient,
-    segments_properly_cross,
     signed_area2,
     sort_along,
 )
@@ -101,13 +99,40 @@ class InputPolygon:
         crossing and no vertex in it a piece lies in one face, so its
         midpoint decides, tested doubled as (mx, my, 2).  A bounded
         polygon's interior lies in its box, so a piece whose midpoint lies
-        outside the box is skipped; both hold for any rational endpoints."""
-        seg = Segment(a, b)
-        for c, d in self.edges():
-            if segments_properly_cross(seg, Segment(c, d)):
-                return True
-        touches = [v for v in self.vertices if in_open_segment(v, a, b)]
-        chain = [a] + sort_along(a, b, touches) + [b]
+        outside the box is skipped; both hold for any rational endpoints.
+
+        One pass over the vertices finds both.  It takes the side
+        s(v) = (b - a) x (v - a) of each vertex v once, exactly: the
+        determinant whose sign `orient(a, b, v)` returns.  An edge cd
+        properly crosses ab iff orient(a, b, c) * orient(a, b, d) < 0 and
+        orient(c, d, a) * orient(c, d, b) < 0; the first holds iff s(c)
+        and s(d) have strictly opposite signs, so only such an edge gets
+        the two determinants of a and b against cd.  The vertices in the
+        relative interior of ab are those with s(v) = 0 in ab's closed box
+        other than a and b, kept in vertex order; with none the chain is
+        just ab."""
+        ax, ay = a
+        bx, by = b
+        dx, dy = bx - ax, by - ay
+        xlo, xhi = (ax, bx) if ax <= bx else (bx, ax)
+        ylo, yhi = (ay, by) if ay <= by else (by, ay)
+        touches = []
+        cx, cy = self.vertices[-1]
+        sc = dx * (cy - ay) - dy * (cx - ax)
+        for v in self.vertices:
+            vx, vy = v
+            sv = dx * (vy - ay) - dy * (vx - ax)
+            if sv == 0:
+                if xlo <= vx <= xhi and ylo <= vy <= yhi and v != a and v != b:
+                    touches.append(v)
+            elif sc < 0 < sv or sv < 0 < sc:
+                ex, ey = vx - cx, vy - cy
+                sa = ex * (ay - cy) - ey * (ax - cx)
+                sb = ex * (by - cy) - ey * (bx - cx)
+                if sa < 0 < sb or sb < 0 < sa:
+                    return True
+            cx, cy, sc = vx, vy, sv
+        chain = [a] + sort_along(a, b, touches) + [b] if touches else (a, b)
         box = self.box
         for u, v in zip(chain, chain[1:]):
             mx, my = u.x + v.x, u.y + v.y     # the midpoint, doubled

@@ -79,6 +79,12 @@ def brute_force(inst: Instance, fsg: FreeSpaceGraph,
             f"max_edges={max_edges} exceeds the oracle cap of {MAX_ORACLE_EDGES}")
 
     mode = inst.mode
+    # A free-space walk keeps out of the unbounded polygon's interior, so
+    # it winds 0 around that polygon's reference point: in invert mode
+    # every curve, the point walk too, pays its penalty.
+    if mode == "invert" and any(p.unbounded and math.isinf(p.penalty)
+                                for p in inst.optional):
+        return OracleResult(INF, None, 0, True)
     best_cost = INF
     best_walk: Optional[Walk] = None
     examined = 0

@@ -347,6 +347,60 @@ def test_segment_test_matches_oracle_on_rational_endpoints(a, b, which):
         assert segment_in_free_space(a, b, inst) == segment_oracle(a, b, inst)
 
 
+def _degenerate_end(data, inst):
+    """A polygon vertex, a reference point, or a point on the line through
+    a polygon edge: a vertex plus an integer or rational multiple of the
+    edge's direction."""
+    how = data.draw(st.sampled_from(("vertex", "reference", "edge_line")))
+    if how == "vertex":
+        return data.draw(st.sampled_from(inst.vertices))
+    if how == "reference":
+        return data.draw(st.sampled_from([p.reference_point for p in inst.polygons]))
+    walk = data.draw(st.sampled_from(inst.polygons)).vertices
+    i = data.draw(st.integers(0, len(walk) - 1))
+    c, d = walk[i], walk[(i + 1) % len(walk)]
+    t = data.draw(st.one_of(st.integers(-3, 3),
+                            st.fractions(-3, 3, max_denominator=4)))
+    return Point(c.x + t * (d.x - c.x), c.y + t * (d.y - c.y))
+
+
+@SETTINGS
+@given(which=st.sampled_from(sorted(DEGENERATE)), data=st.data())
+def test_segment_test_matches_oracle_on_degenerate_endpoints(which, data):
+    # Endpoints on vertices and on edge lines reach the collinear-vertex
+    # and straddling-edge cases that random rational endpoints miss.
+    inst = dict(INSTANCES)[which]
+    a, b = _degenerate_end(data, inst), _degenerate_end(data, inst)
+    if a != b:
+        assert segment_in_free_space(a, b, inst) == segment_oracle(a, b, inst)
+
+
+# A diamond whose lines through opposite corners run through its interior:
+# a corner beyond a segment on such a line is no touch point.
+_NAMED_SCENES = dict(INSTANCES, diamond=build({"polygons": [
+    req("A", [[2, 0], [4, 2], [2, 4], [0, 2]])]}))
+
+
+@pytest.mark.parametrize("which,a,b,free", [
+    ("collinear_chain", (-1, 0), (6, 0), True),   # along three bottom edges
+    ("collinear_chain", (1, 0), (2, 0), True),    # the gap between two of them
+    ("shared", (-1, -1), (1, 1), False),          # through A's corner, inside
+    ("shared", (1, -1), (-1, 1), True),           # grazes A's corner (0, 0)
+    ("shared", (2, 0), (2, 2), True),             # the squeezed wall
+    ("bowtie", (3, 1), (3, 5), True),             # through the shared tip
+    ("bridge", (1, 4), (1, 2), True),             # down the bridge to its tip
+    ("bridge", (1, 3), (1, 1), False),            # past the tip, inside A
+    ("bridge", (0, 3), (3, 3), True),             # along the top, over its base
+    ("diamond", (2, -3), (2, 0), True),           # up to a corner
+    ("diamond", (-3, 2), (0, 2), True),           # right to a corner
+    ("diamond", (2, -1), (2, 1), False),          # through a corner, inside
+])
+def test_segment_test_named_degenerate_cases(which, a, b, free):
+    inst = _NAMED_SCENES[which]
+    a, b = Point(*a), Point(*b)
+    assert segment_in_free_space(a, b, inst) == segment_oracle(a, b, inst) == free
+
+
 # --------------------------------------------------------------------------
 # General position
 
@@ -908,3 +962,17 @@ def test_tangent_graph_keeps_random_instance_costs(seed):
                 costs = [solve_inverted(inst, tangent)[0]]
             for cost in costs:
                 assert rel_close(cost, expected), (mode, k, cost, expected)
+
+
+def test_oracle_answers_invert_mode_with_infinite_outside_penalty_at_once():
+    # Every curve leaves the frame's reference point outside and pays its
+    # infinite penalty; enumerating the 21 full-visibility edges up to the
+    # default budget took minutes.
+    inst = build({"mode": "invert", "polygons": [
+        opt("A", square(0, 0, 1), 10), dict(_frame(side=12, at=-3), penalty="inf")]})
+    full = full_visibility_graph(inst)
+    assert (inst.n, len(full.edges)) == (8, 21)
+    res = brute_force(inst, full)
+    assert res.best_cost == solve_inverted(inst, compute_free_space_edges(inst))[0] \
+        == float("inf")
+    assert res.best_walk is None and res.walks_examined == 0
