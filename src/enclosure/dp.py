@@ -14,6 +14,29 @@ strictly increasing edge count t and strictly decreasing value, filled in a
 single pass over a bucket queue ordered by t.  Only improvements are
 stored, which keeps the tables sparse; combination rules always produce
 strictly larger budgets, so each bucket is complete when it is processed.
+A bucket holds one entry per state: a later push replaces the entry only
+with a strictly smaller (value, rank), so the earliest push wins ties.  The
+bucket is processed in (value, rank, kind, key, mask) order; the entries
+this drops would have come after the kept one and failed its staircase
+test, so the stored labels and their order are those of keeping every
+push.
+
+`compute_dp_tables` fills every staircase up to t_max.  `solve_dp` fills
+only what the answer can use: it keeps `bound`, the value of the cheapest
+full-mask C label pushed so far, and drops every push dearer than it
+(strictly: equal values are kept, since ties decide the walk), and skips
+every bucket entry dearer than it, as the bound may have fallen since the
+entry was pushed.  That label's state ends at or below `bound`, so the
+answer costs at most `bound`.  This is exact:
+
+  * `check_solvable` makes every rule derive a value at least as large as
+    each operand, so every label in the answer's derivation costs at most
+    the answer, which is at most `bound`;
+  * labels of value <= answer are never dropped, and their staircase tests
+    and processing order come out the same: a dropped label costs more
+    than any of them, so it can neither reject nor displace one;
+  * so `solve_dp` returns the same answer label as the full fill, hence
+    the same cost and walk.
 
 The rules themselves (`relax`, over the settled-label index `Settled`,
 which holds every stored label), the rule ranks, the label type with its
@@ -76,32 +99,53 @@ def _stair_value(stair: List[Label], t: int) -> float:
 
 def compute_dp_tables(fsg: FreeSpaceGraph, t_max: Optional[int] = None) -> DPTables:
     """Fill the staircase tables by increasing edge budget."""
-    n = fsg.n
+    return _fill(fsg, t_max, bounded=False)
+
+
+def _fill(fsg: FreeSpaceGraph, t_max: Optional[int], bounded: bool,
+          stats: Optional[dict] = None) -> DPTables:
+    """The bucket loop.  With `bounded`, pushes and entries dearer than the
+    cheapest full-mask C label pushed so far are dropped (module docstring);
+    else every staircase is filled.  `stats` gets "pushed" (entries that
+    reached a bucket) and "finalized" (labels stored)."""
+    n, full = fsg.n, fsg.full_mask
     check_solvable(fsg)
     if t_max is None:
         t_max = 6 * n
     tables = DPTables(fsg, t_max)
     stairs = tables.stairs
     settled = Settled(n)
-    buckets: List[list] = [[] for _ in range(t_max + 1)]
-    seq = 0
+    buckets: List[Optional[dict]] = [{} for _ in range(t_max + 1)]
+    pushed = 0
+    bound = INF
 
     def push(kind, key, mask, value, t, rule, ops):
-        nonlocal seq
-        if t > t_max or value == INF:
+        nonlocal pushed, bound
+        if t > t_max or value == INF or value > bound:
             return
-        stair = stairs.get(key + (mask,))
+        state = key + (mask,)
+        stair = stairs.get(state)
         if stair and stair[-1].value <= value:
             return
-        buckets[t].append((value, RANK[rule], kind, key, mask, seq, rule, ops))
-        seq += 1
+        bucket, rank = buckets[t], RANK[rule]
+        old = bucket.get(state)
+        if old is not None and old[:2] <= (value, rank):
+            return
+        bucket[state] = (value, rank, kind, key, mask, rule, ops)
+        pushed += 1
+        if bounded and kind == "C" and mask == full:
+            bound = value
 
     for p in range(n):
         push("C", (p,), 0, 0.0, 0, "base", ())
 
     for t in range(t_max + 1):
-        # Entries order by (value, rank, kind, key, mask, seq); seq is unique.
-        for value, _rank, kind, key, mask, _seq, rule, ops in sorted(buckets[t]):
+        # One entry per state: (value, rank, kind, key, mask) never ties.
+        entries = sorted(buckets[t].values())
+        buckets[t] = None
+        for value, _rank, kind, key, mask, rule, ops in entries:
+            if value > bound:
+                break  # the rest are dearer still
             stair = stairs.setdefault(key + (mask,), [])
             if stair and stair[-1].value <= value:
                 continue
@@ -109,6 +153,9 @@ def compute_dp_tables(fsg: FreeSpaceGraph, t_max: Optional[int] = None) -> DPTab
             stair.append(label)
             settled.add(label)
             relax(fsg, label, settled, push)
+    if stats is not None:
+        stats["pushed"] = pushed
+        stats["finalized"] = sum(map(len, stairs.values()))
     return tables
 
 
@@ -169,14 +216,19 @@ def dp_cell_M(tables: DPTables, p: int, q: int, t: int, mask: int) -> float:
     return best
 
 
-def solve_dp(fsg: FreeSpaceGraph) -> Tuple[float, Optional[Walk]]:
-    """Minimum enclosure cost and an optimal closed walk (None if infeasible)."""
+def solve_dp(fsg: FreeSpaceGraph,
+             stats: Optional[dict] = None) -> Tuple[float, Optional[Walk]]:
+    """Minimum enclosure cost and an optimal closed walk (None if infeasible).
+
+    Only labels no dearer than the cheapest complete walk are filled; with a
+    `stats` dict, its "pushed" and "finalized" count the bucket entries and
+    the stored labels."""
     trivial = trivial_answer(fsg)
     if trivial is not None:
-        check_solvable(fsg)  # compute_dp_tables runs it otherwise
+        check_solvable(fsg)  # _fill runs it otherwise
         return trivial
     full = fsg.full_mask
-    tables = compute_dp_tables(fsg)
+    tables = _fill(fsg, None, bounded=True, stats=stats)
     best, best_bp = INF, None
     for p in range(fsg.n):
         v, bp = tables.best(p, full)

@@ -10,13 +10,16 @@ from enclosure import (
     dp_cell_C,
     dp_cell_M,
     make_walk,
+    random_instance,
     solve_dp,
     winding_cost,
 )
+from enclosure.dp import _fill
 from enclosure.errors import ReferenceOnWalk
 from enclosure.geometry import winding_number
-from enclosure.recursion import closed_walk
+from enclosure.recursion import RANK, Label, Settled, closed_walk, relax
 from conftest import build, opt, rel_close, req, square
+from test_recursion import INSTANCES as RECURSION_INSTANCES
 
 INF = math.inf
 
@@ -211,3 +214,86 @@ def test_optional_penalty_steering():
     dear = run(1000)
     assert cheap < dear < cheap + 1000
     assert run(0.01) == pytest.approx(cheap + 0.01)
+
+
+# --------------------------------------------------------------------------
+# The bounded fill of solve_dp against the full tables
+
+
+def _every_push_tables(fsg):
+    """The staircase fill with every push kept in its bucket and the
+    buckets sorted by (value, rank, kind, key, mask, push order): the
+    reference for one entry per state and bucket."""
+    t_max = 6 * fsg.n
+    stairs, settled = {}, Settled(fsg.n)
+    buckets = [[] for _ in range(t_max + 1)]
+    seq = 0
+
+    def push(kind, key, mask, value, t, rule, ops):
+        nonlocal seq
+        stair = stairs.get(key + (mask,))
+        if t <= t_max and value < INF and not (stair and stair[-1].value <= value):
+            buckets[t].append((value, RANK[rule], kind, key, mask, seq, rule, ops))
+            seq += 1
+
+    for p in range(fsg.n):
+        push("C", (p,), 0, 0.0, 0, "base", ())
+    for t in range(t_max + 1):
+        for value, _rank, kind, key, mask, _seq, rule, ops in sorted(buckets[t]):
+            stair = stairs.setdefault(key + (mask,), [])
+            if not (stair and stair[-1].value <= value):
+                label = Label(kind, key, mask, value, rule, ops, t)
+                stair.append(label)
+                settled.add(label)
+                relax(fsg, label, settled, push)
+    return stairs
+
+
+def _check_bounded_fill(fsg):
+    full = compute_dp_tables(fsg)
+    answer, answer_label = INF, None
+    for p in range(fsg.n):
+        value, label = full.best(p, fsg.full_mask)
+        if value < answer:
+            answer, answer_label = value, label
+    stats = {}
+    cost, walk = solve_dp(fsg, stats=stats)
+    assert cost == answer
+    if answer_label is None:
+        assert walk is None
+    else:
+        assert walk.points == closed_walk(fsg, answer_label).points
+    # Every label no dearer than the answer is stored, the same, in the
+    # same place of its staircase; the bounded fill stores nothing else
+    # that cheap.
+    bounded = _fill(fsg, full.t_max, bounded=True)
+    for state in full.stairs.keys() | bounded.stairs.keys():
+        cheap = [[lab for lab in tables.stairs.get(state, []) if lab.value <= answer]
+                 for tables in (full, bounded)]
+        assert cheap[0] == cheap[1], state
+    stored = sum(map(len, bounded.stairs.values()))
+    assert stats["finalized"] == stored <= sum(map(len, full.stairs.values()))
+    assert stats["pushed"] >= stored
+    return full
+
+
+@pytest.mark.parametrize("name", sorted(RECURSION_INSTANCES))
+def test_bounded_fill_matches_full_tables_on_recursion_instances(name):
+    fsg = compute_free_space_edges(RECURSION_INSTANCES[name]())
+    full = _check_bounded_fill(fsg)
+    assert full.stairs == _every_push_tables(fsg)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_bounded_fill_matches_full_tables_on_random_instances(seed):
+    for k in (1, 2, 3):
+        fsg = compute_free_space_edges(random_instance(seed, n_objects=5, k=k))
+        full = _check_bounded_fill(fsg)
+        if seed < 5:  # the every-push fill is slow
+            assert full.stairs == _every_push_tables(fsg), k
+
+
+@pytest.mark.parametrize("k", (2, 3))
+def test_bounded_fill_matches_full_tables_on_k_scaling_family(k):
+    _check_bounded_fill(compute_free_space_edges(random_instance(
+        11, n_objects=9, k=k, grid=30, penalty_pool=(1, 2, 5))))

@@ -921,9 +921,8 @@ def _small_documents(draw):
                           for i in range(draw(st.integers(1, 2)))]
         data["point_epsilon"] = 1
     else:
-        # A finite outside penalty: with "inf" no invert-mode curve is
-        # feasible and the brute force cannot prune.
-        frame = dict(_frame(side=12, at=-3), penalty=draw(st.sampled_from((0, 1, 5))))
+        frame = dict(_frame(side=12, at=-3),
+                     penalty=draw(st.sampled_from((0, 1, 5, "inf"))))
         polys = [obj("A", shape(at(), at())), frame]
     return dict(data, polygons=polys)
 
