@@ -17,6 +17,11 @@ of n: the partner scans of `relax` try every pair of masks, where the
 paper's O(3^k n^3) enumerates submasks (ROADMAP item 1(b)).  In practice it
 settles only labels cheaper than the optimum, and the queue drops pushes
 that cannot beat their state's pending label or the cheapest complete walk.
+`relax` now asks the queue's pending map before the M2 join itself: for a
+full-mask label, an apex group whose one target state is settled or
+pending at no more than the group's lower bound is skipped before its
+triangle content is looked up, and any join that cannot beat its target's
+pending label is skipped before its push is built.
 
 With the closing rule C1 switched off the same search computes the inverted
 solver's mouths.  The queue (`label_setting`: first settled label per state
@@ -57,9 +62,9 @@ def _search(fsg: FreeSpaceGraph, early_stop: bool, closures: bool,
     """
     settled = Settled(fsg.n)
 
-    def expand(label, push, bound):
+    def expand(label, push, bound, pending):
         settled.add(label)
-        relax(fsg, label, settled, push, closures, bound)
+        relax(fsg, label, settled, push, closures, bound, pending)
 
     seeds = [("C", (p,), 0, 0.0, 0, "base", ()) for p in range(fsg.n)]
     answer, fin = label_setting(seeds, expand, fsg.full_mask, early_stop, stats)

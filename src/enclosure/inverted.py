@@ -34,7 +34,14 @@ queue (`recursion.label_setting`).  U labels are `Label("U", (p, q), ...)`
 and all inverted rules rank with "base", so they settle by
 (value, p, q, B, push order); at equal value a finish settles before any U
 label, and the first finish settled is the answer.  Mouth lists are in
-settling order, so a plank scan stops at the queue's bound.
+settling order, so a plank scan stops at the queue's bound, and its group's
+first mouth gives a lower bound on every plank through that chord.  Before
+it looks up a plank's content, the scan asks the queue's pending map for
+the target state: when the U label's mask is already full (always when
+k = 0) every plank of the group lands on one state, and the group is
+skipped if that state is settled or pending at no more than the lower
+bound; each mouth's exact target is asked again before its push.  Either
+way only pushes the queue would drop are skipped.
 
 The mouths are the open labels of the label-setting search of `dijkstra.py`
 with the closing rule C1 off, read from its settled-label index; the rules
@@ -50,7 +57,8 @@ from .dijkstra import _search
 from .errors import InternalError
 from .freespace import FreeSpaceGraph
 from .instance import Instance
-from .recursion import INF, Label, check_solvable, label_setting, open_ids
+from .recursion import (
+    INF, RANK, UNSEEN, Label, check_solvable, label_setting, open_ids)
 from .walks import Walk, make_walk
 
 
@@ -87,7 +95,7 @@ def solve_inverted(inst: Instance, fsg: FreeSpaceGraph,
 
     verts = fsg.vertices
 
-    def expand(lab: Label, push, bound: float) -> None:
+    def expand(lab: Label, push, bound: float, pending: dict) -> None:
         p, q = lab.key
         mask, value, t = lab.mask, lab.value, lab.t
         if p == q:
@@ -96,24 +104,33 @@ def solve_inverted(inst: Instance, fsg: FreeSpaceGraph,
                 push("C", (), full, value + pen, t, "finish", (lab,))
         # Down-plank: prepend a chord far -> p with far.x >= p.x; up-plank:
         # append a chord q -> far with far.x >= q.x.  The chord is the key of
-        # every mouth in its group.
+        # every mouth in its group.  With `mask` full every allowed plank
+        # lands on (key, full), so that state is asked before the plank.
         for rule, near, groups in (("down", p, mouths.open_to[p]),
                                    ("up", q, mouths.open_from[q])):
+            rank = RANK[rule]
             for far, group in groups.items():
-                if verts[far].x < verts[near].x or value + group[0].value > bound:
+                if verts[far].x < verts[near].x:
+                    continue
+                key = (far, q) if rule == "down" else (p, far)
+                low = value + group[0].value
+                if low > bound or mask == full and \
+                        pending.get(key + (full,), UNSEEN) <= (low, rank):
                     continue
                 inside, pen = fsg.plank(*group[0].key, rule == "up")
                 if pen == INF or mask & inside:
                     continue
-                key = (far, q) if rule == "down" else (p, far)
                 used = mask | inside
                 for mouth in group:
                     total = value + mouth.value + pen
                     if total > bound:
                         break
-                    if not used & mouth.mask:
-                        push("U", key, used | mouth.mask, total, t + mouth.t,
-                             rule, (mouth, lab))
+                    joined = used | mouth.mask
+                    if used & mouth.mask or pending.get(
+                            key + (joined,), UNSEEN) <= (total, rank):
+                        continue
+                    push("U", key, joined, total, t + mouth.t, rule,
+                         (mouth, lab))
 
     seeds = [("U", (v, v), *fsg.split_content(fsg.x_at_most(verts[v].x)), 0,
               "base", ()) for v in range(fsg.n)]

@@ -17,10 +17,11 @@ once, for every solver, reading the settled labels from one index
 (`Settled`).  `label_setting` is the one label-setting queue (cheapest
 first, the first label per state wins, pushes that cannot win dropped); the
 enclosure search drives it with `relax`, the inverted U search with its
-plank and finish rules.  The DP keeps its bucket queue by edge budget, where
-a label is kept only if it improves its state's staircase.  Also here: the
-rule ranks, the label type, the precondition check of every solver entry,
-the answer on instances with nothing required, the M2 join test, and the
+plank and finish rules, and both ask its pending map before they derive a
+label that could only be dropped.  The DP keeps its bucket queue by edge
+budget, where a label is kept only if it improves its state's staircase.
+Also here: the rule ranks, the label type, the precondition check of every
+solver entry, the answer on instances with nothing required, and the
 rebuild of a walk from a label's provenance.
 """
 
@@ -42,6 +43,9 @@ INF = math.inf
 # rank with "base".
 RANK = {"base": 0, "C1": 1, "M1": 1, "C2": 2, "M2": 2,
         "down": 0, "up": 0, "finish": 0}
+
+# The pending (value, rank) of a state nothing has been pushed to.
+UNSEEN = (INF, 0)
 
 
 class Label(NamedTuple):
@@ -86,21 +90,6 @@ def trivial_answer(fsg: FreeSpaceGraph) -> Optional[Tuple[float, Walk]]:
     return 0.0, make_walk(fsg.instance, [fsg.vertices[0]])
 
 
-def m2_join(fsg: FreeSpaceGraph, p: int, r: int, q: int,
-            left_mask: int, right_mask: int) -> Optional[Tuple[int, float]]:
-    """(required mask, triangle penalty) of the M2 join of mouths M(p, r)
-    and M(r, q) with the given masks, or None when the join is not allowed:
-    the triangle holds an infinite penalty, or the three required sets are
-    not pairwise disjoint.  prq must be strictly ccw, as `relax` ensures by
-    taking apexes from `left_vertices`; `triangle_content` raises
-    DegenerateTriangle otherwise."""
-    cmask, cpen = fsg.triangle_content(p, r, q)
-    if cpen == INF or (cmask & left_mask) or (cmask & right_mask) \
-            or (left_mask & right_mask):
-        return None
-    return left_mask | right_mask | cmask, cpen
-
-
 class Settled:
     """The settled labels, indexed the way `relax` reads them: closed labels
     by vertex, open labels by start then end vertex and by end then start
@@ -123,13 +112,14 @@ class Settled:
 def label_setting(seeds: Iterable[tuple], expand, full: int, early_stop: bool,
                   stats: Optional[dict] = None):
     """Settle pending labels cheapest first, keep the first settled label
-    per state (key, mask), and hand it to expand(label, push, bound), which
-    derives new labels through push(kind, key, mask, value, t, rule, ops) as
-    `relax` does; each seed is a tuple of push's arguments.  Ties break by
-    (RANK[rule], kind, key, mask, push order).  Returns (answer, fin): the
-    first settled "C" label with mask `full` (None if the queue drains) and
-    the settled labels by state.  With early_stop the loop ends at the
-    answer, else it computes the whole fixed point.
+    per state (key, mask), and hand it to expand(label, push, bound,
+    pending), which derives new labels through
+    push(kind, key, mask, value, t, rule, ops) as `relax` does; each seed is
+    a tuple of push's arguments.  Ties break by (RANK[rule], kind, key,
+    mask, push order).  Returns (answer, fin): the first settled "C" label
+    with mask `full` (None if the queue drains) and the settled labels by
+    state.  With early_stop the loop ends at the answer, else it computes
+    the whole fixed point.
 
     Exact as long as no rule derives a label cheaper than the one it expands
     (`check_solvable`), so labels settle in nondecreasing value.  Pushes that
@@ -137,7 +127,13 @@ def label_setting(seeds: Iterable[tuple], expand, full: int, early_stop: bool,
     that does not beat its state's pending (value, rank), as it would lose
     on push order; and one dearer than `bound` (strictly), the cheapest
     full-mask "C" value pushed under early_stop (else INF), as the answer
-    settles no later than that label."""
+    settles no later than that label.
+
+    `pending` maps each state pushed so far to its (value, rank); a settled
+    state holds (-INF, 0).  Its entries only fall, so expand may skip,
+    without deriving it, any label whose (value, rank) is not below
+    pending.get(state, UNSEEN): push would drop it.  A dropped push takes no
+    sequence number, so skipping it changes nothing."""
     pending: Dict[Tuple[int, ...], Tuple[float, int]] = {}
     fin: Dict[Tuple[int, ...], Label] = {}
     heap: list = []
@@ -149,7 +145,7 @@ def label_setting(seeds: Iterable[tuple], expand, full: int, early_stop: bool,
         if value == INF or value > bound:
             return
         state, rank = key + (mask,), RANK[rule]
-        if pending.get(state, (INF, 0)) <= (value, rank):
+        if pending.get(state, UNSEEN) <= (value, rank):
             return
         pending[state] = (value, rank)
         if early_stop and kind == "C" and mask == full:
@@ -173,7 +169,7 @@ def label_setting(seeds: Iterable[tuple], expand, full: int, early_stop: bool,
             answer = label
             if early_stop:
                 break
-        expand(label, push, bound)
+        expand(label, push, bound, pending)
 
     if stats is not None:
         stats["finalized"] = len(fin)
@@ -182,7 +178,8 @@ def label_setting(seeds: Iterable[tuple], expand, full: int, early_stop: bool,
 
 
 def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
-          closures: bool = True, bound: float = INF) -> None:
+          closures: bool = True, bound: float = INF,
+          pending: Optional[dict] = None) -> None:
     """Derive every label one rule builds from `label` and the settled
     labels, and hand each to push(kind, key, mask, value, t, rule, ops).
 
@@ -190,8 +187,24 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
     after this call.  With closures=False rule C1 is off.  In both M2 roles
     of M(a, b) the apex lies strictly left of a -> b.  A finite `bound` needs
     each `settled` list in nondecreasing value, as `label_setting` settles
-    them: a partner scan stops at the first label dearer than `bound`.  The
-    DP's lists are not sorted, so it passes no bound."""
+    them: a partner scan stops at the first label dearer than `bound`.
+
+    `pending` is `label_setting`'s map, and needs the same sorted lists.
+    M2 consults it twice before it derives a label:
+      * per apex group: when `mask` is already full (always when k = 0),
+        every allowed join of the group lands on one state, the joined
+        mouth's key with mask `full`, and costs at least
+        value + partners[0].value, since penalties are nonnegative and the
+        list is sorted; if that state's pending (value, rank) is no larger
+        than (that lower bound, RANK["M2"]), the group is skipped before
+        its triangle content is looked up;
+      * per partner: a join whose exact (state, total) does not beat the
+        state's pending entry is not pushed.
+    Either way the skipped label is one push would drop: its value is at
+    least the tested one and pending entries only fall.  The DP's lists
+    are not sorted, and it keeps a dearer label at a smaller edge budget
+    (a staircase per state, not one pending entry), so it passes neither
+    `bound` nor `pending`."""
     value, mask, t = label.value, label.mask, label.t
     if label.kind == "C":
         p = label.key[0]
@@ -213,35 +226,55 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
         push("C", (b,), mask, value + fsg.weight(b, a), t + 1, "C1", (a, label))
     # M2 with the label as left part M(p, r) = M(a, b), right parts M(b, q);
     # then as right part M(r, q) = M(a, b), left parts M(p, a).  The join
-    # test runs once per apex with the partner mask left out; each
-    # partner's mask is then checked against the joined mask `used`.
+    # test runs once per apex: the triangle holds no infinite penalty and
+    # no required reference of `mask`; each partner's mask is then checked
+    # against the joined mask `used`.
     left = fsg.left_vertices(a, b)
+    memo = fsg._content_memo
+    rank = RANK["M2"]
+    whole = pending is not None and mask == fsg.full_mask
     for q, partners in settled.open_from[b].items():
-        if not (left >> q) & 1 or value + partners[0].value > bound:
+        if not (left >> q) & 1:
             continue
-        join = m2_join(fsg, a, b, q, mask, 0)
-        if join is not None:
-            used, cpen = join
-            for other in partners:
-                total = value + other.value + cpen
-                if total > bound:
-                    break
-                if not other.mask & used:
-                    push("M", (a, q), used | other.mask, total, t + other.t,
-                         "M2", (b, label, other))
+        low = value + partners[0].value
+        if low > bound or \
+                whole and pending.get((a, q, mask), UNSEEN) <= (low, rank):
+            continue
+        cmask, cpen = memo.get((a, b, q)) or fsg.triangle_content(a, b, q)
+        if cpen == INF or cmask & mask:
+            continue
+        used = mask | cmask
+        for other in partners:
+            total = value + other.value + cpen
+            if total > bound:
+                break
+            joined = used | other.mask
+            if other.mask & used or pending is not None and \
+                    pending.get((a, q, joined), UNSEEN) <= (total, rank):
+                continue
+            push("M", (a, q), joined, total, t + other.t,
+                 "M2", (b, label, other))
     for p, partners in settled.open_to[a].items():
-        if not (left >> p) & 1 or value + partners[0].value > bound:
+        if not (left >> p) & 1:
             continue
-        join = m2_join(fsg, p, a, b, 0, mask)
-        if join is not None:
-            used, cpen = join
-            for other in partners:
-                total = other.value + value + cpen
-                if total > bound:
-                    break
-                if not other.mask & used:
-                    push("M", (p, b), used | other.mask, total, other.t + t,
-                         "M2", (a, other, label))
+        low = partners[0].value + value
+        if low > bound or \
+                whole and pending.get((p, b, mask), UNSEEN) <= (low, rank):
+            continue
+        cmask, cpen = memo.get((p, a, b)) or fsg.triangle_content(p, a, b)
+        if cpen == INF or cmask & mask:
+            continue
+        used = mask | cmask
+        for other in partners:
+            total = other.value + value + cpen
+            if total > bound:
+                break
+            joined = used | other.mask
+            if other.mask & used or pending is not None and \
+                    pending.get((p, b, joined), UNSEEN) <= (total, rank):
+                continue
+            push("M", (p, b), joined, total, other.t + t,
+                 "M2", (a, other, label))
 
 
 def closed_ids(label: Label) -> List[int]:

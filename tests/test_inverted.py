@@ -231,3 +231,22 @@ def test_required_in_notch_stays_outside():
     assert winding_number(walk.points, inst.polygons[1].reference_point) == 0
     sol = evaluate_solution(inst, walk, check_simple=False)
     assert sol.feasible and rel_close(sol.cost, cost)
+
+
+def test_knapsack_skips_joins_the_queue_would_drop():
+    # A k = 0 instance of three unit squares and three unit triangles.  The
+    # mouth search and the plank scans ask the queue before a triangle or
+    # plank lookup; a join whose target is settled or pending no dearer is
+    # never built.  The counters are those of a search that derives every
+    # join and lets the queue drop it; such a search computes 3,455
+    # triangle contents here, against 613.
+    inst, fsg = _fsg({"polygons": [
+        opt("A", square(10, 4), 1), opt("B", square(29, 34), "inf"),
+        opt("C", square(29, 13), 2), opt("D", [[21, 1], [22, 1], [21, 2]], 0),
+        opt("E", [[10, 30], [11, 30], [10, 31]], 0),
+        opt("F", [[13, 20], [14, 20], [13, 21]], 10)], "mode": "invert"})
+    stats = {}
+    cost, walk = solve_inverted(inst, fsg, stats=stats)
+    assert cost == 17.0 and len(walk.points) == 4
+    assert stats == {"pushed": 1123, "finalized": 511}
+    assert len(fsg._content_memo) == 613
