@@ -8,7 +8,7 @@ pay for optional objects left outside — a geometric knapsack when nothing
 is required).
 """
 
-from .dijkstra import compute_all_labels, solve_dijkstra
+from .dijkstra import solve_dijkstra
 from .dp import compute_dp_tables, dp_cell_C, dp_cell_M, solve_dp
 from .errors import *  # noqa: F401,F403
 from .errors import EnclosureError
@@ -50,7 +50,7 @@ __all__ = [
     "extract_faces", "FreeSpaceEdge", "FreeSpaceGraph",
     "compute_free_space_edges", "segment_in_free_space", "Walk", "make_walk",
     "winding_cost", "solve_dp", "compute_dp_tables", "dp_cell_C", "dp_cell_M",
-    "solve_dijkstra", "compute_all_labels", "solve_inverted", "uncross",
+    "solve_dijkstra", "solve_inverted", "uncross",
     "subdivide_walk", "reduce_multiplicities", "non_crossing_euler_tour",
     "PlaneMultigraph", "UncrossReport", "check_weak_simplicity",
     "evaluate_solution", "Solution", "brute_force", "random_instance",

@@ -23,18 +23,27 @@ push.
 
 `compute_dp_tables` fills every staircase up to t_max.  `solve_dp` fills
 only what the answer can use: it keeps `bound`, the value of the cheapest
-full-mask C label pushed so far, and drops every push dearer than it
-(strictly: equal values are kept, since ties decide the walk), and skips
-every bucket entry dearer than it, as the bound may have fallen since the
-entry was pushed.  That label's state ends at or below `bound`, so the
+full-mask C label pushed so far, and drops every push whose
+f = value + h exceeds it (strictly: an equal f is kept, since ties
+decide the walk), and skips every bucket entry whose f exceeds it, as the
+bound may have fallen since the entry was pushed.  h is the label-setting
+search's future cost (`recursion.FutureCost`): c·|pq| for M(p, q), 0 for a
+closed label; it is looked up only once the bound is finite.  The bucket
+is sorted by value, not f, so a scan stops at the first entry whose value
+exceeds the bound and skips the others whose f does.  The bound's label
+ends at or below `bound`, so the
 answer costs at most `bound`.  This is exact:
 
   * `check_solvable` makes every rule derive a value at least as large as
-    each operand, so every label in the answer's derivation costs at most
-    the answer, which is at most `bound`;
-  * labels of value <= answer are never dropped, and their staircase tests
-    and processing order come out the same: a dropped label costs more
-    than any of them, so it can neither reject nor displace one;
+    each operand, and h is consistent (`recursion.py`): no rule derives a
+    label whose f is below an operand's, with a margin far above float
+    rounding.  So every label in the answer's derivation has f at most
+    the answer's f, its value (h = 0), which is at most `bound`;
+  * labels with f <= answer are never dropped, and their staircase tests
+    and processing order come out the same: a label is rejected or
+    displaced only by one of the same state, which shares its h, so a
+    dropped label (f > answer) can neither reject nor displace one of
+    them, and every label derived from it has f > answer too;
   * so `solve_dp` returns the same answer label as the full fill, hence
     the same cost and walk.
 
@@ -55,6 +64,7 @@ from .freespace import FreeSpaceGraph
 from .recursion import (
     INF,
     RANK,
+    FutureCost,
     Label,
     Settled,
     check_solvable,
@@ -104,10 +114,11 @@ def compute_dp_tables(fsg: FreeSpaceGraph, t_max: Optional[int] = None) -> DPTab
 
 def _fill(fsg: FreeSpaceGraph, t_max: Optional[int], bounded: bool,
           stats: Optional[dict] = None) -> DPTables:
-    """The bucket loop.  With `bounded`, pushes and entries dearer than the
-    cheapest full-mask C label pushed so far are dropped (module docstring);
-    else every staircase is filled.  `stats` gets "pushed" (entries that
-    reached a bucket) and "finalized" (labels stored)."""
+    """The bucket loop.  With `bounded`, pushes and entries whose
+    f = value + h exceeds the cheapest full-mask C label pushed so far are
+    dropped (module docstring); else every staircase is filled.  `stats`
+    gets "pushed" (entries that reached a bucket) and "finalized" (labels
+    stored)."""
     n, full = fsg.n, fsg.full_mask
     check_solvable(fsg)
     if t_max is None:
@@ -118,10 +129,12 @@ def _fill(fsg: FreeSpaceGraph, t_max: Optional[int], bounded: bool,
     buckets: List[Optional[dict]] = [{} for _ in range(t_max + 1)]
     pushed = 0
     bound = INF
+    h = FutureCost(fsg, fsg.h_scale)
 
     def push(kind, key, mask, value, t, rule, ops):
         nonlocal pushed, bound
-        if t > t_max or value == INF or value > bound:
+        if t > t_max or value == INF or value > bound or kind == "M" and \
+                bound < INF and value + h[key[0]][key[1]] > bound:
             return
         state = key + (mask,)
         stair = stairs.get(state)
@@ -146,6 +159,9 @@ def _fill(fsg: FreeSpaceGraph, t_max: Optional[int], bounded: bool,
         for value, _rank, kind, key, mask, rule, ops in entries:
             if value > bound:
                 break  # the rest are dearer still
+            if kind == "M" and bound < INF and \
+                    value + h[key[0]][key[1]] > bound:
+                continue  # its f is over the bound
             stair = stairs.setdefault(key + (mask,), [])
             if stair and stair[-1].value <= value:
                 continue
@@ -220,9 +236,9 @@ def solve_dp(fsg: FreeSpaceGraph,
              stats: Optional[dict] = None) -> Tuple[float, Optional[Walk]]:
     """Minimum enclosure cost and an optimal closed walk (None if infeasible).
 
-    Only labels no dearer than the cheapest complete walk are filled; with a
-    `stats` dict, its "pushed" and "finalized" count the bucket entries and
-    the stored labels."""
+    Only labels whose value plus future cost is no more than the cheapest
+    complete walk are filled; with a `stats` dict, its "pushed" and
+    "finalized" count the bucket entries and the stored labels."""
     trivial = trivial_answer(fsg)
     if trivial is not None:
         check_solvable(fsg)  # _fill runs it otherwise

@@ -78,6 +78,12 @@ class FreeSpaceGraph:
     dx*(Y - Py*W) - dy*(X - Px*W); no `Fraction` is involved.  Triangle
     contents are ANDs of these masks, and plank contents AND one of them
     with two abscissa masks (`x_at_most`).
+
+    `h_scale` is c, the least weight/length ratio over the edges and 1
+    (the ratio of an unsqueezed edge), shaved by a factor (1 - 1e-9), or
+    0.0 without edges: every edge ab weighs at least c·|ab|, so c·|pq| is
+    a lower bound on the weight of any walk from p to q, the future cost
+    the searches of `recursion.py` use.
     """
     instance: Instance
     vertices: Tuple[Point, ...]
@@ -87,6 +93,7 @@ class FreeSpaceGraph:
     _required_refs: List[Tuple[int, Point]] = field(default_factory=list)
     _optional_refs: List[Tuple[float, Point]] = field(default_factory=list)
     _index: Dict[Point, int] = field(default_factory=dict)
+    h_scale: float = 0.0
 
     def __post_init__(self) -> None:
         n = len(self.vertices)
@@ -328,6 +335,7 @@ def compute_free_space_edges(inst: Instance) -> FreeSpaceGraph:
     edges: List[FreeSpaceEdge] = []
     adjacency: Dict[int, List[Tuple[int, float]]] = {i: [] for i in range(len(vertices))}
     weights: Dict[Tuple[int, int], float] = {}
+    ratio = 1.0  # the least weight/length so far; 1 for an unsqueezed edge
     for i in range(len(vertices)):
         a = vertices[i]
         corner = corners.get(a)
@@ -339,6 +347,8 @@ def compute_free_space_edges(inst: Instance) -> FreeSpaceGraph:
             key = frozenset((a, b))
             squeezed = key in inst.squeezed
             w = inst.squeezed[key] if squeezed else distance(a, b)
+            if squeezed:
+                ratio = min(ratio, w / distance(a, b))
             edges.append(FreeSpaceEdge(i, j, w, squeezed))
             adjacency[i].append((j, w))
             adjacency[j].append((i, w))
@@ -350,4 +360,4 @@ def compute_free_space_edges(inst: Instance) -> FreeSpaceGraph:
         [(bit, poly.reference_point) for bit, poly in enumerate(required)],
         [(poly.penalty, poly.reference_point)
          for poly in inst.polygons if poly.kind == "optional"],
-        index)
+        index, max(ratio, 0.0) * (1 - 1e-9) if edges else 0.0)

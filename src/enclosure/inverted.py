@@ -30,21 +30,30 @@ through v is `x_at_most(v.x)` or its complement, a plank is
 
 Every rule adds a positive mouth value or a nonnegative penalty to its
 operand, so the U search runs on the enclosure search's label-setting
-queue (`recursion.label_setting`).  U labels are `Label("U", (p, q), ...)`
-and all inverted rules rank with "base", so they settle by
-(value, p, q, B, push order); at equal value a finish settles before any U
-label, and the first finish settled is the answer.  Mouth lists are in
-settling order, so a plank scan stops at the queue's bound, and its group's
-first mouth gives a lower bound on every plank through that chord.  Before
-it looks up a plank's content, the scan asks the queue's pending map for
-the target state: when the U label's mask is already full (always when
-k = 0) every plank of the group lands on one state, and the group is
-skipped if that state is settled or pending at no more than the lower
-bound; each mouth's exact target is asked again before its push.  Either
-way only pushes the queue would drop are skipped.
+queue (`recursion.label_setting`), in A* order by f = value + h.  A U label
+U(p, q) gets h = c·|pq| (c as in `recursion.py`), the finish h = 0.  h is
+consistent: a walk that closes U(p, q) must still get from q back to p, and
+each down or up plank adds a mouth worth at least c times the length of
+its chord, so by the triangle inequality a plank from U(p, q) to U(far, q)
+raises h by at most c·|far p|, no more than the mouth adds; the finish
+takes U(s, s), whose h is 0.  U labels are `Label("U", (p, q), ...)` and
+all inverted rules rank with "base", so they settle by (f, value, p, q, B,
+push order); at equal f and value a finish settles before any U label,
+and the first finish settled is the answer.  Mouth lists are in settling
+order and one group's targets share their h, so a plank scan stops at the
+queue's bound less the target's h, and its group's first mouth gives a
+lower bound on every plank through that chord.  Before it looks up a
+plank's content, the scan asks the queue's pending map for the target
+state: when the U label's mask is already full (always when k = 0) every
+plank of the group lands on one state, and the group is skipped if that
+state is settled or pending at no more than the lower bound; each mouth's
+exact target is asked again before its push, and so is the finish's, as
+the queue requires.  Either way only labels that could not win are
+skipped.
 
 The mouths are the open labels of the label-setting search of `dijkstra.py`
-with the closing rule C1 off, read from its settled-label index; the rules
+with the closing rule C1 off (a full fixed point, unbounded, so it runs
+with h = 0), read from its settled-label index; the rules
 that build them (`relax`), the precondition check, the label type and the
 rebuild of a mouth's walk come from `recursion.py`.
 """
@@ -58,7 +67,7 @@ from .errors import InternalError
 from .freespace import FreeSpaceGraph
 from .instance import Instance
 from .recursion import (
-    INF, RANK, UNSEEN, Label, check_solvable, label_setting, open_ids)
+    INF, UNSEEN, Label, check_solvable, label_setting, open_ids)
 from .walks import Walk, make_walk
 
 
@@ -94,47 +103,56 @@ def solve_inverted(inst: Instance, fsg: FreeSpaceGraph,
                                     stats=counts)
 
     verts = fsg.vertices
+    n, k = fsg.n, fsg._k
 
-    def expand(lab: Label, push, bound: float, pending: dict) -> None:
+    def expand(lab: Label, push, bound: float, pending: dict, h) -> None:
         p, q = lab.key
         mask, value, t = lab.mask, lab.value, lab.t
-        if p == q:
+        if p == q:  # a finish ranks 0, as every rule into its state does
             right, pen = fsg.split_content(fsg._all & ~fsg.x_at_most(verts[p].x))
-            if not (right & mask) and (right | mask) == full:
+            if not (right & mask) and (right | mask) == full and \
+                    pending.get(-1 << k | full, UNSEEN)[0] > value + pen:
                 push("C", (), full, value + pen, t, "finish", (lab,))
         # Down-plank: prepend a chord far -> p with far.x >= p.x; up-plank:
         # append a chord q -> far with far.x >= q.x.  The chord is the key of
-        # every mouth in its group.  With `mask` full every allowed plank
-        # lands on (key, full), so that state is asked before the plank.
-        for rule, near, groups in (("down", p, mouths.open_to[p]),
-                                   ("up", q, mouths.open_from[q])):
-            rank = RANK[rule]
+        # every mouth in its group, and the group's target U(far, q) or
+        # U(p, far) has one h, h(far, q) = h[q][far] or h(p, far) =
+        # h[p][far], and one state code base (`recursion.py`: code << k,
+        # with code n + p·n + q for U(p, q) and -1 for the finish).  With
+        # `mask` full every allowed plank lands on (key, full), so that
+        # state is asked before the plank.
+        # Every rule into a U state ranks 0, so pending (value, rank) is no
+        # larger than (total, 0) exactly when its value is <= total.
+        for down, near, groups in ((True, p, mouths.open_to[p]),
+                                   (False, q, mouths.open_from[q])):
+            rule, h_near = ("down", h[q]) if down else ("up", h[p])
             for far, group in groups.items():
                 if verts[far].x < verts[near].x:
                     continue
-                key = (far, q) if rule == "down" else (p, far)
-                low = value + group[0].value
-                if low > bound or mask == full and \
-                        pending.get(key + (full,), UNSEEN) <= (low, rank):
+                low, cut = value + group[0].value, bound - h_near[far]
+                code = (n + far * n + q if down else n + p * n + far) << k
+                if low > cut or mask == full and pending.get(
+                        code | full, UNSEEN)[0] <= low:
                     continue
-                inside, pen = fsg.plank(*group[0].key, rule == "up")
+                inside, pen = fsg.plank(*group[0].key, not down)
                 if pen == INF or mask & inside:
                     continue
                 used = mask | inside
+                key = (far, q) if down else (p, far)
                 for mouth in group:
                     total = value + mouth.value + pen
-                    if total > bound:
+                    if total > cut:
                         break
                     joined = used | mouth.mask
                     if used & mouth.mask or pending.get(
-                            key + (joined,), UNSEEN) <= (total, rank):
+                            code | joined, UNSEEN)[0] <= total:
                         continue
                     push("U", key, joined, total, t + mouth.t, rule,
                          (mouth, lab))
 
     seeds = [("U", (v, v), *fsg.split_content(fsg.x_at_most(verts[v].x)), 0,
               "base", ()) for v in range(fsg.n)]
-    answer, _fin = label_setting(seeds, expand, full, early_stop=True, stats=stats)
+    answer, _fin = label_setting(fsg, seeds, expand, early_stop=True, stats=stats)
     if stats is not None:  # count the mouth search too
         stats.update({name: stats[name] + counts[name] for name in counts})
 

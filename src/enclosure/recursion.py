@@ -14,15 +14,53 @@ walks C(p, B) and open walks ("mouths") M(pq, B):
 
 This module holds the recursion itself: `relax` enumerates the four rules
 once, for every solver, reading the settled labels from one index
-(`Settled`).  `label_setting` is the one label-setting queue (cheapest
-first, the first label per state wins, pushes that cannot win dropped); the
+(`Settled`).  `label_setting` is the one label-setting queue, an A* search:
+it settles labels by f = value + h, where h is a lower bound on what a
+label's walk still has to pay before it closes (`FutureCost`); the first
+label per state wins, and pushes that cannot win are dropped.  The
 enclosure search drives it with `relax`, the inverted U search with its
 plank and finish rules, and both ask its pending map before they derive a
 label that could only be dropped.  The DP keeps its bucket queue by edge
-budget, where a label is kept only if it improves its state's staircase.
-Also here: the rule ranks, the label type, the precondition check of every
-solver entry, the answer on instances with nothing required, and the
-rebuild of a walk from a label's provenance.
+budget, where a label is kept only if it improves its state's staircase,
+and bounds it by the same f.  Also here: the rule ranks, the label type,
+the precondition check of every solver entry, the answer on instances with
+nothing required, and the rebuild of a walk from a label's provenance.
+
+The future cost.  With c = `FreeSpaceGraph.h_scale`, the least
+weight/length ratio of the free-space edges (at most 1) shaved by
+(1 - 1e-9), an open label M(p, q) or U(p, q) gets h = c·|pq|, a closed
+label h = 0.  In exact arithmetic h is consistent: no rule derives a label
+whose f is below the f of an operand it was derived from.
+  * Every edge ab weighs at least c·|ab|, so a walk from p to q, and with
+    nonnegative penalties every mouth M(p, q), is worth at least c·|pq|.
+  * C1 closes M(a, b) with an edge of weight >= c·|ab| = h(M(a, b)); M1
+    puts h(M(p, q)) >= 0 = h(C) on top; C2 adds two h = 0 labels.
+  * M2 joins M(p, r) and M(r, q) into M(p, q) with a nonnegative penalty:
+    v(M(r, q)) + c·|pq| >= c·|rq| + c·|pq| >= c·|pr| by the triangle
+    inequality, so f(M(p, q)) >= f(M(p, r)), and symmetrically for the
+    right part.
+  * The inverted down and up planks add a mouth M(far, p) (resp.
+    M(q, far)) to U(p, q), so the triangle inequality over |far p|,
+    |far q| and |pq| covers them the same way, and the finish takes
+    U(s, s), whose h is 0.
+The shave leaves a margin in each of these inequalities of at least 1e-9·c
+times the length of the edge or mouth the rule adds, far above the
+rounding of a float sum, so the computed f keeps the order the proof
+needs: the first label settled for a state is still its cheapest.  A*
+with a consistent h is Hart, Nilsson & Raphael (1968); for the
+superior-function recursion here it is the future-cost variant of
+generalized Dijkstra (Hougardy, Silvanus & Vygen, "Dijkstra meets
+Steiner", Math. Prog. Comp. 2017).  All labels of one state share h, and
+so do all labels of one partner group (same key), so any two of them
+still compare by value: settled lists stay sorted by value and the
+partner scans' cutoffs stay valid.
+
+States are coded as one int, code << k | mask for k required objects,
+with code(C(p)) = p, code(M(p, q)) = code(U(p, q)) = n + p·n + q and
+code(C(())) = -1 for the inverted finish.  Within one run ("C" with "M",
+or "C" with "U") the code is increasing in (kind, key, mask), so the
+queue order (f, value, rank, state) breaks ties exactly as
+(f, value, rank, kind, key, mask) would.
 """
 
 from __future__ import annotations
@@ -44,8 +82,10 @@ INF = math.inf
 RANK = {"base": 0, "C1": 1, "M1": 1, "C2": 2, "M2": 2,
         "down": 0, "up": 0, "finish": 0}
 
-# The pending (value, rank) of a state nothing has been pushed to.
+# The pending (value, rank) of a state nothing has been pushed to, and of a
+# settled one: below every push.
 UNSEEN = (INF, 0)
+SETTLED = (-INF, 0)
 
 
 class Label(NamedTuple):
@@ -109,48 +149,80 @@ class Settled:
             self.open_to[q].setdefault(p, []).append(label)
 
 
-def label_setting(seeds: Iterable[tuple], expand, full: int, early_stop: bool,
-                  stats: Optional[dict] = None):
-    """Settle pending labels cheapest first, keep the first settled label
-    per state (key, mask), and hand it to expand(label, push, bound,
-    pending), which derives new labels through
-    push(kind, key, mask, value, t, rule, ops) as `relax` does; each seed is
-    a tuple of push's arguments.  Ties break by (RANK[rule], kind, key,
-    mask, push order).  Returns (answer, fin): the first settled "C" label
-    with mask `full` (None if the queue drains) and the settled labels by
-    state.  With early_stop the loop ends at the answer, else it computes
-    the whole fixed point.
+class FutureCost(dict):
+    """h(p, q) = scale·|pq| as self[p][q], the future cost of an open label
+    M(p, q) or U(p, q) (module docstring).  |pq| is the float distance the
+    edge weights use, the hypotenuse of the exact coordinate differences.
+    A row is built on first use, and h(p, q) == h(q, p) exactly.  A closed
+    label's h is 0."""
 
-    Exact as long as no rule derives a label cheaper than the one it expands
-    (`check_solvable`), so labels settle in nondecreasing value.  Pushes that
-    cannot change a settled label are dropped: one whose state is settled or
-    that does not beat its state's pending (value, rank), as it would lose
-    on push order; and one dearer than `bound` (strictly), the cheapest
-    full-mask "C" value pushed under early_stop (else INF), as the answer
-    settles no later than that label.
+    def __init__(self, fsg: FreeSpaceGraph, scale: float):
+        super().__init__()
+        self.scale = scale
+        self.points = [(v.x, v.y) for v in fsg.vertices]
 
-    `pending` maps each state pushed so far to its (value, rank); a settled
-    state holds (-INF, 0).  Its entries only fall, so expand may skip,
-    without deriving it, any label whose (value, rank) is not below
-    pending.get(state, UNSEEN): push would drop it.  A dropped push takes no
-    sequence number, so skipping it changes nothing."""
-    pending: Dict[Tuple[int, ...], Tuple[float, int]] = {}
-    fin: Dict[Tuple[int, ...], Label] = {}
+    def __missing__(self, p: int) -> List[float]:
+        scale, (x, y), hypot = self.scale, self.points[p], math.hypot
+        row = self[p] = [scale * hypot(u - x, v - y) for u, v in self.points] \
+            if scale else [0.0] * len(self.points)
+        return row
+
+
+def label_setting(fsg: FreeSpaceGraph, seeds: Iterable[tuple], expand,
+                  early_stop: bool, stats: Optional[dict] = None):
+    """Settle pending labels by f = value + h, keep the first settled label
+    per state, and hand it to expand(label, push, bound, pending, h), which
+    derives new labels through push(kind, key, mask, value, t, rule, ops)
+    as `relax` does; each seed is a tuple of push's arguments, one per
+    state.  Ties break by (value, RANK[rule], kind, key, mask): the int
+    state code orders like (kind, key, mask) (module docstring), and two
+    entries of one state never tie, as a label is pushed only if it beats
+    its state's pending (value, rank).  Returns (answer, fin): the first
+    settled "C" label with mask `fsg.full_mask` (None if the queue drains)
+    and the settled labels by state code.  With early_stop the loop ends
+    at the answer, else it computes the whole fixed point.
+
+    h is `FutureCost` at scale `fsg.h_scale` under early_stop.  Without
+    it nothing is bounded, so h could only reorder the fixed point; it
+    runs with h = 0 and settles in value order.  Exact as long as no rule
+    derives a label cheaper than the one it expands (`check_solvable`) and
+    h is consistent: labels settle in nondecreasing f, and a state's first
+    settled label is its cheapest.  Pushes that cannot change a settled
+    label are not queued: push drops one whose f exceeds `bound`
+    (strictly), the cheapest full-mask "C" value pushed under early_stop
+    (else INF), as the answer settles no later than that label and every
+    label it is derived from has f <= its value.
+
+    `pending` maps each state code pushed so far to its (value, rank); a
+    settled state holds SETTLED.  Its entries only fall.  push does not
+    read it: expand must skip every label whose (value, rank) is not below
+    pending.get(state, UNSEEN), as its state is settled or it would lose
+    to the pending label on push order.  It may also skip, without
+    deriving it, any label whose value exceeds bound - h: push would drop
+    it.  A skipped or dropped push takes no sequence number, so skipping
+    it changes nothing."""
+    n, k, full = fsg.n, fsg._k, fsg.full_mask
+    h = FutureCost(fsg, fsg.h_scale if early_stop else 0.0)
+    pending: Dict[int, Tuple[float, int]] = {}
+    fin: Dict[int, Label] = {}
     heap: list = []
     seq = 0
     bound = INF
 
     def push(kind, key, mask, value, t, rule, ops):
         nonlocal seq, bound
-        if value == INF or value > bound:
+        if kind == "C":
+            f, state = value, (key[0] if key else -1) << k | mask
+        else:
+            p, q = key
+            f, state = value + h[p][q], (n + p * n + q) << k | mask
+        if value == INF or f > bound:
             return
-        state, rank = key + (mask,), RANK[rule]
-        if pending.get(state, UNSEEN) <= (value, rank):
-            return
+        rank = RANK[rule]
         pending[state] = (value, rank)
         if early_stop and kind == "C" and mask == full:
             bound = value
-        heappush(heap, (value, rank, kind, key, mask, seq,
+        heappush(heap, (f, value, rank, state,
                         Label(kind, key, mask, value, rule, ops, t)))
         seq += 1
 
@@ -159,17 +231,16 @@ def label_setting(seeds: Iterable[tuple], expand, full: int, early_stop: bool,
 
     answer: Optional[Label] = None
     while heap:
-        _value, _rank, kind, key, mask, _s, label = heappop(heap)
-        state = key + (mask,)
+        state, label = heappop(heap)[3:]
         if state in fin:
             continue
         fin[state] = label
-        pending[state] = (-INF, 0)  # below every push
-        if kind == "C" and mask == full and answer is None:
+        pending[state] = SETTLED
+        if label.kind == "C" and label.mask == full and answer is None:
             answer = label
             if early_stop:
                 break
-        expand(label, push, bound, pending)
+        expand(label, push, bound, pending, h)
 
     if stats is not None:
         stats["finalized"] = len(fin)
@@ -179,99 +250,129 @@ def label_setting(seeds: Iterable[tuple], expand, full: int, early_stop: bool,
 
 def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
           closures: bool = True, bound: float = INF,
-          pending: Optional[dict] = None) -> None:
+          pending: Optional[dict] = None,
+          h: Optional[FutureCost] = None) -> None:
     """Derive every label one rule builds from `label` and the settled
     labels, and hand each to push(kind, key, mask, value, t, rule, ops).
 
     A label never combines with itself, so it may be settled before or
     after this call.  With closures=False rule C1 is off.  In both M2 roles
-    of M(a, b) the apex lies strictly left of a -> b.  A finite `bound` needs
-    each `settled` list in nondecreasing value, as `label_setting` settles
-    them: a partner scan stops at the first label dearer than `bound`.
+    of M(a, b) the apex lies strictly left of a -> b.
 
-    `pending` is `label_setting`'s map, and needs the same sorted lists.
-    M2 consults it twice before it derives a label:
-      * per apex group: when `mask` is already full (always when k = 0),
-        every allowed join of the group lands on one state, the joined
-        mouth's key with mask `full`, and costs at least
+    `label_setting` passes its `bound`, `pending` map and future cost `h`;
+    its settled lists are in nondecreasing value within each partner
+    group, whose labels share their target's h.  Every push is then
+    checked first:
+      * M1, C1 and each C2 or M2 join is pushed only if it beats its
+        target state's pending (value, rank), as `label_setting` requires;
+        for C2 and M2 (rank 2, the largest rank) that is pending value >
+        total;
+      * a C2 or M2 partner scan stops at the first join dearer than
+        bound - h(target), where push would drop it and every later one;
+      * per M2 apex group: when `mask` is already full (always when
+        k = 0), every allowed join of the group lands on one state, the
+        joined mouth's key with mask `full`, and costs at least
         value + partners[0].value, since penalties are nonnegative and the
-        list is sorted; if that state's pending (value, rank) is no larger
-        than (that lower bound, RANK["M2"]), the group is skipped before
-        its triangle content is looked up;
-      * per partner: a join whose exact (state, total) does not beat the
-        state's pending entry is not pushed.
-    Either way the skipped label is one push would drop: its value is at
+        list is sorted; the group is skipped before its triangle content
+        is looked up if that lower bound exceeds bound - h(target) or does
+        not beat the state's pending value.
+    Each skipped label could not change a settled label: its value is at
     least the tested one and pending entries only fall.  The DP's lists
     are not sorted, and it keeps a dearer label at a smaller edge budget
-    (a staircase per state, not one pending entry), so it passes neither
-    `bound` nor `pending`."""
+    (a staircase per state, not one pending entry), so it passes none of
+    the three, and pays for no state code and no cutoff."""
     value, mask, t = label.value, label.mask, label.t
+    search = pending is not None
+    if search:
+        n, k = fsg.n, fsg._k
     if label.kind == "C":
         p = label.key[0]
         # M1: a free-space edge pq on top of the closed walk at p.
+        if search:
+            row, m1 = n + p * n, RANK["M1"]
         for q, w in fsg.adjacency[p]:
-            push("M", (p, q), mask, value + w, t + 1, "M1", (label,))
+            total = value + w
+            if search and \
+                    pending.get((row + q) << k | mask, UNSEEN) <= (total, m1):
+                continue
+            push("M", (p, q), mask, total, t + 1, "M1", (label,))
         # C2: concatenate with a closed walk at p over a disjoint nonempty set.
         if mask:
             for other in settled.closed[p]:
-                if value + other.value > bound:
+                total = value + other.value
+                if total > bound:
                     break
                 if other.mask and not other.mask & mask:
-                    push("C", (p,), mask | other.mask, value + other.value,
-                         t + other.t, "C2", (label, other))
+                    joined = mask | other.mask
+                    if search and \
+                            pending.get(p << k | joined, UNSEEN)[0] <= total:
+                        continue
+                    push("C", (p,), joined, total, t + other.t, "C2",
+                         (label, other))
         return
     a, b = label.key
     # C1: the open walk a -> b closes into a walk through b via the edge ba.
     if closures and fsg.has_edge(b, a):
-        push("C", (b,), mask, value + fsg.weight(b, a), t + 1, "C1", (a, label))
+        total = value + fsg.weight(b, a)
+        if not search or \
+                pending.get(b << k | mask, UNSEEN) > (total, RANK["C1"]):
+            push("C", (b,), mask, total, t + 1, "C1", (a, label))
     # M2 with the label as left part M(p, r) = M(a, b), right parts M(b, q);
     # then as right part M(r, q) = M(a, b), left parts M(p, a).  The join
     # test runs once per apex: the triangle holds no infinite penalty and
     # no required reference of `mask`; each partner's mask is then checked
-    # against the joined mask `used`.
+    # against the joined mask `used`.  h(p, b) is read as h[b][p].
     left = fsg.left_vertices(a, b)
     memo = fsg._content_memo
-    rank = RANK["M2"]
-    whole = pending is not None and mask == fsg.full_mask
+    whole = search and mask == fsg.full_mask
+    cut = bound
+    if search:
+        row, h_a, h_b = n + a * n, h[a], h[b]
     for q, partners in settled.open_from[b].items():
         if not (left >> q) & 1:
             continue
-        low = value + partners[0].value
-        if low > bound or \
-                whole and pending.get((a, q, mask), UNSEEN) <= (low, rank):
-            continue
+        if search:
+            code = (row + q) << k
+            low, cut = value + partners[0].value, bound - h_a[q]
+            if low > cut or whole and pending.get(code | mask, UNSEEN)[0] <= low:
+                continue
         cmask, cpen = memo.get((a, b, q)) or fsg.triangle_content(a, b, q)
         if cpen == INF or cmask & mask:
             continue
         used = mask | cmask
         for other in partners:
             total = value + other.value + cpen
-            if total > bound:
+            if total > cut:
                 break
+            if other.mask & used:
+                continue
             joined = used | other.mask
-            if other.mask & used or pending is not None and \
-                    pending.get((a, q, joined), UNSEEN) <= (total, rank):
+            if search and pending.get(code | joined, UNSEEN)[0] <= total:
                 continue
             push("M", (a, q), joined, total, t + other.t,
                  "M2", (b, label, other))
+    if search:
+        row = n + b
     for p, partners in settled.open_to[a].items():
         if not (left >> p) & 1:
             continue
-        low = partners[0].value + value
-        if low > bound or \
-                whole and pending.get((p, b, mask), UNSEEN) <= (low, rank):
-            continue
+        if search:
+            code = (row + p * n) << k
+            low, cut = partners[0].value + value, bound - h_b[p]
+            if low > cut or whole and pending.get(code | mask, UNSEEN)[0] <= low:
+                continue
         cmask, cpen = memo.get((p, a, b)) or fsg.triangle_content(p, a, b)
         if cpen == INF or cmask & mask:
             continue
         used = mask | cmask
         for other in partners:
             total = other.value + value + cpen
-            if total > bound:
+            if total > cut:
                 break
+            if other.mask & used:
+                continue
             joined = used | other.mask
-            if other.mask & used or pending is not None and \
-                    pending.get((p, b, joined), UNSEEN) <= (total, rank):
+            if search and pending.get(code | joined, UNSEEN)[0] <= total:
                 continue
             push("M", (p, b), joined, total, other.t + t,
                  "M2", (a, other, label))

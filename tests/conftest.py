@@ -73,6 +73,24 @@ def solved(inst):
     return fsg, solve_dp(fsg), solve_dijkstra(fsg)
 
 
+def by_state(fin, kind=None):
+    """The settled labels of `label_setting` (keyed by int state code)
+    keyed by key + (mask,), of one kind or of every kind."""
+    return {lab.key + (lab.mask,): lab for lab in fin.values()
+            if kind is None or lab.kind == kind}
+
+
+def compute_all_labels(fsg):
+    """Finalize the entire fixed point of the label-setting search; returns
+    (fin_C, fin_M) keyed by (p, mask) and (p, q, mask)."""
+    from enclosure.dijkstra import _search
+    from enclosure.recursion import check_solvable
+
+    check_solvable(fsg)
+    _answer, fin, _settled = _search(fsg, early_stop=False, closures=True)
+    return by_state(fin, "C"), by_state(fin, "M")
+
+
 def rel_close(a, b, tol=1e-9):
     if math.isinf(a) or math.isinf(b):
         return a == b

@@ -5,7 +5,6 @@ import pytest
 
 from enclosure import (
     Point,
-    compute_all_labels,
     compute_free_space_edges,
     random_instance,
     solve_dijkstra,
@@ -15,8 +14,8 @@ from enclosure.dijkstra import _search
 from enclosure.errors import InternalError, NonpositiveWeight
 from enclosure.inverted import solve_inverted
 from enclosure.recursion import (
-    INF, RANK, Label, check_solvable, closed_ids, open_ids)
-from conftest import build, opt, rel_close, req, square
+    INF, RANK, FutureCost, Label, check_solvable, closed_ids, open_ids)
+from conftest import build, by_state, compute_all_labels, opt, rel_close, req, square
 
 
 def test_single_square_perimeter():
@@ -96,13 +95,15 @@ def test_full_fixed_point_is_superset():
 
 
 def test_bound_pruned_search_settles_fixed_point_labels():
-    # The early-stop search drops dominated and over-bound pushes and cuts
-    # its partner scans at the bound.  Every derived label is dearer than
-    # the one it expands, so the full fixed point, which runs without a
-    # bound, settles in (value, rank, kind, key, mask) order; the search
-    # must settle exactly its labels up to the answer, ties included.
+    # The early-stop search settles by f = value + h with a consistent h,
+    # drops dominated pushes and pushes with f over the bound, and cuts its
+    # partner scans at bound - h.  No derived label has f below an
+    # operand's, so the search must settle exactly the full fixed point's
+    # states up to the answer in (f, value, rank, kind, key, mask) order,
+    # ties included, each with the fixed point's label.
     def order(lab):
-        return lab.value, RANK[lab.rule], lab.kind, lab.key, lab.mask
+        f = lab.value + (h[lab.key[0]][lab.key[1]] if lab.kind == "M" else 0.0)
+        return f, lab.value, RANK[lab.rule], lab.kind, lab.key, lab.mask
 
     instances = [build({"polygons": [req("A", square(0, 0, 2)),
                                      req("B", square(4, 0, 2))]})]
@@ -110,9 +111,11 @@ def test_bound_pruned_search_settles_fixed_point_labels():
                   for seed, k in ((1, 1), (2, 2), (4, 3), (6, 2), (9, 3))]
     for inst in instances:
         fsg = compute_free_space_edges(inst)
+        h = FutureCost(fsg, fsg.h_scale)
         fin_C, fin_M = compute_all_labels(fsg)
         fixed = {**fin_C, **fin_M}
         answer, fin, _settled = _search(fsg, early_stop=True, closures=True)
+        fin = by_state(fin)
         assert set(fin) == {s for s, lab in fixed.items()
                             if order(lab) <= order(answer)}
         for state, lab in fin.items():
@@ -123,16 +126,17 @@ def test_bound_pruned_search_settles_fixed_point_labels():
 
 def test_k_scaling_instance_push_budget():
     # The k = 3 member of the k-scaling family (n = 33; 152 free-space
-    # edges, of the 242 in the full visibility graph).  On the full graph
-    # the search settles 6,284 labels, and without push pruning it pushed
-    # 148,596 there for the same answer.  `pushed` is exact: a check in
+    # edges, of the 242 in the full visibility graph).  In value order
+    # (h = 0) the search settles 6,138 labels and pushes 11,373 for the
+    # same answer; on the full graph it settled 6,284, and without push
+    # pruning it pushed 148,596 there.  `pushed` is exact: a check in
     # `relax` that skipped a push the queue would keep would change it.
     inst = random_instance(11, n_objects=9, k=3, grid=30, penalty_pool=(1, 2, 5))
     stats = {}
     cost, _walk = solve_dijkstra(compute_free_space_edges(inst), stats=stats)
     assert cost == 58.46560917300654
-    assert stats["finalized"] == 6138
-    assert stats["pushed"] == 11373
+    assert stats["finalized"] == 3925
+    assert stats["pushed"] == 8060
 
 
 def test_finalized_labels_stable_under_reevaluation():
@@ -196,8 +200,7 @@ def test_finalized_m_labels_stable_under_reevaluation():
     fsg = compute_free_space_edges(inst)
     fin_C, fin_M = compute_all_labels(fsg)
     _answer, fin, _settled = _search(fsg, early_stop=False, closures=False)
-    base_C = {s: lab for s, lab in fin.items() if lab.kind == "C"}
-    mouths = {s: lab for s, lab in fin.items() if lab.kind == "M"}
+    base_C, mouths = by_state(fin, "C"), by_state(fin, "M")
     assert all(lab.rule == "base" for lab in base_C.values())
     for labels_C, labels_M in ((fin_C, fin_M), (base_C, mouths)):
         assert labels_M

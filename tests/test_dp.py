@@ -17,7 +17,8 @@ from enclosure import (
 from enclosure.dp import _fill
 from enclosure.errors import ReferenceOnWalk
 from enclosure.geometry import winding_number
-from enclosure.recursion import RANK, Label, Settled, closed_walk, relax
+from enclosure.recursion import (
+    RANK, FutureCost, Label, Settled, closed_walk, relax)
 from conftest import build, opt, rel_close, req, square
 from test_recursion import INSTANCES as RECURSION_INSTANCES
 
@@ -263,12 +264,17 @@ def _check_bounded_fill(fsg):
         assert walk is None
     else:
         assert walk.points == closed_walk(fsg, answer_label).points
-    # Every label no dearer than the answer is stored, the same, in the
-    # same place of its staircase; the bounded fill stores nothing else
-    # that cheap.
+    # Every label whose f = value + h is no larger than the answer is
+    # stored, the same, in the same place of its staircase; the bounded
+    # fill stores nothing else that cheap.
+    h = FutureCost(fsg, fsg.h_scale)
+
+    def f(lab):
+        return lab.value + (h[lab.key[0]][lab.key[1]] if lab.kind == "M" else 0.0)
+
     bounded = _fill(fsg, full.t_max, bounded=True)
     for state in full.stairs.keys() | bounded.stairs.keys():
-        cheap = [[lab for lab in tables.stairs.get(state, []) if lab.value <= answer]
+        cheap = [[lab for lab in tables.stairs.get(state, []) if f(lab) <= answer]
                  for tables in (full, bounded)]
         assert cheap[0] == cheap[1], state
     stored = sum(map(len, bounded.stairs.values()))

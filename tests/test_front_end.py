@@ -23,6 +23,7 @@ from enclosure import (
     Point,
     brute_force,
     compute_free_space_edges,
+    evaluate_solution,
     segment_in_free_space,
     solve_dijkstra,
     solve_dp,
@@ -943,6 +944,32 @@ def test_tangent_graph_solvers_match_brute_force_on_full_graph(doc):
         costs = [solve_dijkstra(fsg)[0], solve_dp(fsg)[0]]
     for cost in costs:
         assert rel_close(cost, expected), (cost, expected)
+
+
+@SETTINGS
+@given(doc=_small_documents())
+def test_solver_walks_verify_on_degenerate_scenes(doc):
+    # Costs alone do not show a walk is right.  Every enclose-mode walk of
+    # the search and the DP, uncrossed, and every inverted walk as it is
+    # must verify: feasible, every check true, at the solver's cost.
+    try:
+        inst = build(doc)
+    except OverlapError:
+        assume(False)
+    fsg = compute_free_space_edges(inst)
+    if inst.mode == "invert":
+        results = [solve_inverted(inst, fsg)]
+    else:
+        results = [solve_dijkstra(fsg), solve_dp(fsg)]
+    for cost, walk in results:
+        if walk is None:
+            assert cost == float("inf")
+            continue
+        if inst.mode == "enclose":
+            walk, _report = uncross(inst, walk)
+        sol = evaluate_solution(inst, walk, check_simple=True)
+        assert sol.feasible and all(sol.checks.values()), sol.checks
+        assert rel_close(sol.cost, cost), (sol.cost, cost)
 
 
 @pytest.mark.parametrize("seed", range(25))

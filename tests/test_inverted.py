@@ -186,9 +186,9 @@ def test_stats_count_both_searches(monkeypatch):
     from enclosure import dijkstra, inverted, recursion
     runs = []
 
-    def counted(seeds, expand, full, early_stop, stats=None):
+    def counted(fsg, seeds, expand, early_stop, stats=None):
         own = {}
-        result = recursion.label_setting(seeds, expand, full, early_stop, own)
+        result = recursion.label_setting(fsg, seeds, expand, early_stop, own)
         runs.append(own)
         if stats is not None:
             stats.update(own)
@@ -238,8 +238,9 @@ def test_knapsack_skips_joins_the_queue_would_drop():
     # mouth search and the plank scans ask the queue before a triangle or
     # plank lookup; a join whose target is settled or pending no dearer is
     # never built.  The counters are those of a search that derives every
-    # join and lets the queue drop it; such a search computes 3,455
-    # triangle contents here, against 613.
+    # join and drops, at the push, each that does not beat its state's
+    # pending label; such a search computes 3,455 triangle contents here,
+    # against 613.
     inst, fsg = _fsg({"polygons": [
         opt("A", square(10, 4), 1), opt("B", square(29, 34), "inf"),
         opt("C", square(29, 13), 2), opt("D", [[21, 1], [22, 1], [21, 2]], 0),
@@ -248,5 +249,5 @@ def test_knapsack_skips_joins_the_queue_would_drop():
     stats = {}
     cost, walk = solve_inverted(inst, fsg, stats=stats)
     assert cost == 17.0 and len(walk.points) == 4
-    assert stats == {"pushed": 1123, "finalized": 511}
+    assert stats == {"pushed": 1060, "finalized": 478}
     assert len(fsg._content_memo) == 613

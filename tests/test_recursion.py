@@ -9,17 +9,19 @@ import pytest
 
 from enclosure import (
     brute_force,
-    compute_all_labels,
     compute_dp_tables,
     compute_free_space_edges,
     dp_cell_C,
     dp_cell_M,
     random_instance,
+    solve_dijkstra,
+    solve_dp,
+    solve_inverted,
 )
 from enclosure import oracle
 from enclosure.dijkstra import _search
 from enclosure.recursion import closed_ids, open_ids
-from conftest import build, opt, rel_close, req, square
+from conftest import build, compute_all_labels, opt, rel_close, req, square
 from test_dijkstra import _m_right_hand_side
 
 INSTANCES = {
@@ -108,3 +110,52 @@ def test_reference_enumerations_stay_independent_of_the_kernel():
     for fn in (dp_cell_C, dp_cell_M, _m_right_hand_side, brute_force):
         assert "relax" not in inspect.getsource(fn), fn.__name__
     assert "relax" not in inspect.getsource(oracle)
+
+
+def _answers_at_scale(inst, scale):
+    """(cost, walk points, finalized) of every solver of the instance's
+    mode, with the future cost's scale c set to `scale`, or left as built
+    when None."""
+    fsg = compute_free_space_edges(inst)
+    if scale is not None:
+        fsg.h_scale = scale
+    if inst.mode == "invert":
+        solvers = (lambda g, stats: solve_inverted(inst, g, stats=stats),)
+    else:
+        solvers = (solve_dijkstra, solve_dp)
+    out = []
+    for solve in solvers:
+        stats = {}
+        cost, walk = solve(fsg, stats=stats)
+        out.append((cost, walk and walk.points, stats.get("finalized", 0)))
+    return out
+
+
+def _check_future_cost_changes_no_answer(inst):
+    # h = c·|pq| is consistent, and its (1 - 1e-9) shave keeps the float
+    # order the proof needs, so with the value tie-break every solver
+    # returns the cost and walk of plain value order (c = 0) and settles
+    # no more labels.
+    plain, guided = _answers_at_scale(inst, 0.0), _answers_at_scale(inst, None)
+    for (cost0, walk0, fin0), (cost, walk, fin) in zip(plain, guided):
+        assert (cost, walk) == (cost0, walk0)
+        assert fin <= fin0
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_future_cost_keeps_answers_on_recursion_instances(name):
+    _check_future_cost_changes_no_answer(INSTANCES[name]())
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_future_cost_keeps_answers_on_random_instances(seed):
+    for mode in ("enclose", "invert"):
+        for k in range(4):
+            _check_future_cost_changes_no_answer(
+                random_instance(seed, n_objects=5, k=k, mode=mode))
+
+
+@pytest.mark.parametrize("k", (3, 4))
+def test_future_cost_keeps_answers_on_k_scaling_family(k):
+    _check_future_cost_changes_no_answer(random_instance(
+        11, n_objects=9, k=k, grid=30, penalty_pool=(1, 2, 5)))
