@@ -9,7 +9,7 @@ is required).
 """
 
 from .dijkstra import solve_dijkstra
-from .dp import compute_dp_tables, dp_cell_C, dp_cell_M, solve_dp
+from .dp import solve_dp
 from .errors import *  # noqa: F401,F403
 from .errors import EnclosureError
 from .freespace import (
@@ -49,8 +49,7 @@ __all__ = [
     "pick_reference_point", "parse_plane_graph", "graph_to_instance",
     "extract_faces", "FreeSpaceEdge", "FreeSpaceGraph",
     "compute_free_space_edges", "segment_in_free_space", "Walk", "make_walk",
-    "winding_cost", "solve_dp", "compute_dp_tables", "dp_cell_C", "dp_cell_M",
-    "solve_dijkstra", "solve_inverted", "uncross",
+    "winding_cost", "solve_dp", "solve_dijkstra", "solve_inverted", "uncross",
     "subdivide_walk", "reduce_multiplicities", "non_crossing_euler_tour",
     "PlaneMultigraph", "UncrossReport", "check_weak_simplicity",
     "evaluate_solution", "Solution", "brute_force", "random_instance",

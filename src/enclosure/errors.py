@@ -76,7 +76,8 @@ class SearchSpaceTooLarge(EnclosureError):
 
 
 class GenerationFailure(EnclosureError):
-    """Random instance generation did not succeed within the retry budget."""
+    """Random instance generation was asked for negative or inconsistent
+    counts, or did not succeed within the retry budget."""
 
 
 class InternalError(EnclosureError):

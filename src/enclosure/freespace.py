@@ -92,7 +92,6 @@ class FreeSpaceGraph:
     _weights: Dict[Tuple[int, int], float]
     _required_refs: List[Tuple[int, Point]] = field(default_factory=list)
     _optional_refs: List[Tuple[float, Point]] = field(default_factory=list)
-    _index: Dict[Point, int] = field(default_factory=dict)
     h_scale: float = 0.0
 
     def __post_init__(self) -> None:
@@ -119,9 +118,6 @@ class FreeSpaceGraph:
     @property
     def full_mask(self) -> int:
         return (1 << self._k) - 1
-
-    def index_of(self, p: Point) -> int:
-        return self._index[p]
 
     def has_edge(self, i: int, j: int) -> bool:
         return (i, j) in self._weights if i < j else (j, i) in self._weights
@@ -330,7 +326,6 @@ def compute_free_space_edges(inst: Instance) -> FreeSpaceGraph:
     if not inst.validated:
         raise SchemaError("validate_and_subdivide the instance first")
     vertices = inst.vertices
-    index = {v: i for i, v in enumerate(vertices)}
     corners = _corners(inst)
     edges: List[FreeSpaceEdge] = []
     adjacency: Dict[int, List[Tuple[int, float]]] = {i: [] for i in range(len(vertices))}
@@ -360,4 +355,4 @@ def compute_free_space_edges(inst: Instance) -> FreeSpaceGraph:
         [(bit, poly.reference_point) for bit, poly in enumerate(required)],
         [(poly.penalty, poly.reference_point)
          for poly in inst.polygons if poly.kind == "optional"],
-        index, max(ratio, 0.0) * (1 - 1e-9) if edges else 0.0)
+        max(ratio, 0.0) * (1 - 1e-9) if edges else 0.0)

@@ -170,6 +170,8 @@ def random_instance(seed: int, n_objects: int, k: int,
                     max_side: int = 3, retries: int = 400) -> Instance:
     """Reproducible random instance: disjoint axis-aligned squares,
     rectangles and right triangles on a bounded grid, k of them required."""
+    if n_objects < 0 or k < 0:
+        raise GenerationFailure(f"n_objects={n_objects} and k={k} must be nonnegative")
     if k > n_objects:
         raise GenerationFailure(f"k={k} exceeds n_objects={n_objects}")
     rng = Random(seed)

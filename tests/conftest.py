@@ -2,6 +2,8 @@
 
 import math
 import random
+from bisect import bisect_right
+from operator import attrgetter
 
 from enclosure import (
     Point,
@@ -15,6 +17,9 @@ from enclosure import (
     validate_and_subdivide,
 )
 from enclosure.errors import DegenerateTriangle
+from enclosure.recursion import RANK, Label, Settled, check_solvable, relax
+
+INF = math.inf
 
 
 def build(data):
@@ -84,11 +89,134 @@ def compute_all_labels(fsg):
     """Finalize the entire fixed point of the label-setting search; returns
     (fin_C, fin_M) keyed by (p, mask) and (p, q, mask)."""
     from enclosure.dijkstra import _search
-    from enclosure.recursion import check_solvable
 
     check_solvable(fsg)
     _answer, fin, _settled = _search(fsg, early_stop=False, closures=True)
     return by_state(fin, "C"), by_state(fin, "M")
+
+
+class StairTables:
+    """Budget-indexed tables C(p, t, B) and M(pq, t, B): one staircase of
+    labels per state, keyed (p, B) and (p, q, B), with strictly increasing
+    edge count t and strictly decreasing value."""
+
+    def __init__(self, fsg, t_max, stairs):
+        self.fsg = fsg
+        self.t_max = t_max
+        self.stairs = stairs
+
+    def _value(self, state, t):
+        """Cheapest value at budget <= t (staircases are non-increasing in t)."""
+        stair = self.stairs.get(state, [])
+        i = bisect_right(stair, t, key=attrgetter("t"))
+        return stair[i - 1].value if i else INF
+
+    def value_C(self, p, t, mask):
+        if mask == 0:
+            return 0.0 if t >= 0 else INF
+        return self._value((p, mask), t)
+
+    def value_M(self, p, q, t, mask):
+        return self._value((p, q, mask), t)
+
+    def best(self, p, mask):
+        if mask == 0:
+            return 0.0, Label("C", (p,), 0, 0.0, "base")
+        stair = self.stairs.get((p, mask))
+        if not stair:
+            return INF, None
+        return stair[-1].value, stair[-1]
+
+
+def every_push_tables(fsg, t_max=None):
+    """The reference staircase fill, up to t_max (default 6n): every push
+    is kept in its bucket and the buckets are sorted by (value, rank, kind,
+    key, mask, push order), with no bound.  `solve_dp`'s fill keeps one
+    entry per state and bucket and drops labels whose value + h exceeds
+    its bound; the labels it stores with value + h at most the answer must
+    be this fill's."""
+    check_solvable(fsg)
+    if t_max is None:
+        t_max = 6 * fsg.n
+    stairs, settled = {}, Settled(fsg.n)
+    buckets = [[] for _ in range(t_max + 1)]
+    seq = 0
+
+    def push(kind, key, mask, value, t, rule, ops):
+        nonlocal seq
+        stair = stairs.get(key + (mask,))
+        if t <= t_max and value < INF and not (stair and stair[-1].value <= value):
+            buckets[t].append((value, RANK[rule], kind, key, mask, seq, rule, ops))
+            seq += 1
+
+    for p in range(fsg.n):
+        push("C", (p,), 0, 0.0, 0, "base", ())
+    for t in range(t_max + 1):
+        for value, _rank, kind, key, mask, _seq, rule, ops in sorted(buckets[t]):
+            stair = stairs.setdefault(key + (mask,), [])
+            if not (stair and stair[-1].value <= value):
+                label = Label(kind, key, mask, value, rule, ops, t)
+                stair.append(label)
+                settled.add(label)
+                relax(fsg, label, settled, push)
+    return StairTables(fsg, t_max, stairs)
+
+
+def dp_cell_C(tables, p: int, t: int, mask: int) -> float:
+    """Direct evaluation of the C recursion from the stored tables.
+
+    Used to cross-check the staircase fill: must agree with value_C."""
+    fsg = tables.fsg
+    if mask == 0:
+        return 0.0 if t >= 0 else INF
+    if t <= 1:
+        return INF
+    best = INF
+    for q, w in fsg.adjacency[p]:
+        best = min(best, w + tables.value_M(q, p, t - 1, mask))
+    sub = (mask - 1) & mask
+    while sub:
+        rest = mask ^ sub
+        if rest:
+            for t1 in range(t + 1):
+                v1 = tables.value_C(p, t1, sub)
+                if v1 == INF:
+                    continue
+                best = min(best, v1 + tables.value_C(p, t - t1, rest))
+        sub = (sub - 1) & mask
+    return best
+
+
+def dp_cell_M(tables, p: int, q: int, t: int, mask: int) -> float:
+    """Direct evaluation of the M recursion from the stored tables."""
+    fsg = tables.fsg
+    if t < 1:
+        return INF
+    best = INF
+    if fsg.has_edge(p, q):
+        v = tables.value_C(p, t - 1, mask)
+        if v < INF:
+            best = fsg.weight(p, q) + v
+    for r in range(fsg.n):
+        if not fsg.is_ccw(p, r, q):
+            continue
+        cmask, cpen = fsg.triangle_content(p, r, q)
+        if (cmask & mask) != cmask or cpen == INF:
+            continue
+        rest = mask ^ cmask
+        sub = rest
+        while True:
+            for t1 in range(1, t):
+                v1 = tables.value_M(p, r, t1, sub)
+                if v1 == INF:
+                    continue
+                v2 = tables.value_M(r, q, t - t1, rest ^ sub)
+                if v2 < INF:
+                    best = min(best, v1 + v2 + cpen)
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+    return best
 
 
 def rel_close(a, b, tol=1e-9):

@@ -78,6 +78,11 @@ def test_generate_flag_bad_format(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_generate_flag_negative_k(capsys):
+    assert run(["--gen=2,-1"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_verify_flag_reports_checks(tmp_path, capsys):
     assert run(["--input", _basic(tmp_path), "--verify"]) == 0
     out = json.loads(capsys.readouterr().out)

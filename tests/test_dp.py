@@ -5,10 +5,7 @@ import pytest
 from enclosure import (
     Point,
     Walk,
-    compute_dp_tables,
     compute_free_space_edges,
-    dp_cell_C,
-    dp_cell_M,
     make_walk,
     random_instance,
     solve_dp,
@@ -17,9 +14,9 @@ from enclosure import (
 from enclosure.dp import _fill
 from enclosure.errors import ReferenceOnWalk
 from enclosure.geometry import winding_number
-from enclosure.recursion import (
-    RANK, FutureCost, Label, Settled, closed_walk, relax)
-from conftest import build, opt, rel_close, req, square
+from enclosure.recursion import FutureCost, closed_walk
+from conftest import (
+    build, dp_cell_C, dp_cell_M, every_push_tables, opt, rel_close, req, square)
 from test_recursion import INSTANCES as RECURSION_INSTANCES
 
 INF = math.inf
@@ -36,7 +33,7 @@ def test_single_square_boundary():
 def test_empty_mask_is_zero():
     inst = build({"polygons": [req("A", square(0, 0, 3))]})
     fsg = compute_free_space_edges(inst)
-    tables = compute_dp_tables(fsg)
+    tables = every_push_tables(fsg)
     for p in range(fsg.n):
         for t in (0, 1, 5, tables.t_max):
             assert tables.value_C(p, t, 0) == 0.0
@@ -55,7 +52,7 @@ def test_two_squares_hull_tour():
 def test_base_case_infinite():
     inst = build({"polygons": [req("A", square(0, 0, 3))]})
     fsg = compute_free_space_edges(inst)
-    tables = compute_dp_tables(fsg)
+    tables = every_push_tables(fsg)
     for p in range(fsg.n):
         assert tables.value_C(p, 0, 1) == INF
         assert tables.value_C(p, 1, 1) == INF
@@ -72,7 +69,7 @@ def _cross_instance():
 
 def test_staircase_matches_direct_recursion():
     fsg = compute_free_space_edges(_cross_instance())
-    tables = compute_dp_tables(fsg)
+    tables = every_push_tables(fsg)
     n = fsg.n
     ts = [0, 1, 2, 3, 5, 8, 13, tables.t_max]
     for p in range(n):
@@ -94,7 +91,7 @@ def test_staircase_matches_direct_recursion():
 
 def test_monotone_in_budget():
     fsg = compute_free_space_edges(_cross_instance())
-    tables = compute_dp_tables(fsg)
+    tables = every_push_tables(fsg)
     for p in range(fsg.n):
         for mask in range(4):
             prev = INF
@@ -107,7 +104,7 @@ def test_monotone_in_budget():
 def test_stabilization_at_6n():
     fsg = compute_free_space_edges(_cross_instance())
     t6n = 6 * fsg.n
-    tables = compute_dp_tables(fsg, t_max=t6n + 5)
+    tables = every_push_tables(fsg, t_max=t6n + 5)
     full = fsg.full_mask
     for p in range(fsg.n):
         for mask in range(full + 1):
@@ -117,7 +114,7 @@ def test_stabilization_at_6n():
 def test_extract_walk_reevaluates_to_cell_value():
     inst = _cross_instance()
     fsg = compute_free_space_edges(inst)
-    tables = compute_dp_tables(fsg)
+    tables = every_push_tables(fsg)
     for p in range(fsg.n):
         for mask in (1, 2, 3):
             value, bp = tables.best(p, mask)
@@ -152,8 +149,8 @@ def test_c2_upper_bound():
     inst = build({"polygons": [req("A", square(0, 0, 2)),
                                req("B", square(10, 0, 2))]})
     fsg = compute_free_space_edges(inst)
-    tables = compute_dp_tables(fsg)
-    p = fsg.index_of(Point(2, 0))
+    tables = every_push_tables(fsg)
+    p = fsg.vertices.index(Point(2, 0))
     t = tables.t_max
     vA = tables.value_C(p, t, 1)
     vB = tables.value_C(p, t, 2)
@@ -221,37 +218,8 @@ def test_optional_penalty_steering():
 # The bounded fill of solve_dp against the full tables
 
 
-def _every_push_tables(fsg):
-    """The staircase fill with every push kept in its bucket and the
-    buckets sorted by (value, rank, kind, key, mask, push order): the
-    reference for one entry per state and bucket."""
-    t_max = 6 * fsg.n
-    stairs, settled = {}, Settled(fsg.n)
-    buckets = [[] for _ in range(t_max + 1)]
-    seq = 0
-
-    def push(kind, key, mask, value, t, rule, ops):
-        nonlocal seq
-        stair = stairs.get(key + (mask,))
-        if t <= t_max and value < INF and not (stair and stair[-1].value <= value):
-            buckets[t].append((value, RANK[rule], kind, key, mask, seq, rule, ops))
-            seq += 1
-
-    for p in range(fsg.n):
-        push("C", (p,), 0, 0.0, 0, "base", ())
-    for t in range(t_max + 1):
-        for value, _rank, kind, key, mask, _seq, rule, ops in sorted(buckets[t]):
-            stair = stairs.setdefault(key + (mask,), [])
-            if not (stair and stair[-1].value <= value):
-                label = Label(kind, key, mask, value, rule, ops, t)
-                stair.append(label)
-                settled.add(label)
-                relax(fsg, label, settled, push)
-    return stairs
-
-
 def _check_bounded_fill(fsg):
-    full = compute_dp_tables(fsg)
+    full = every_push_tables(fsg)
     answer, answer_label = INF, None
     for p in range(fsg.n):
         value, label = full.best(p, fsg.full_mask)
@@ -272,31 +240,26 @@ def _check_bounded_fill(fsg):
     def f(lab):
         return lab.value + (h[lab.key[0]][lab.key[1]] if lab.kind == "M" else 0.0)
 
-    bounded = _fill(fsg, full.t_max, bounded=True)
-    for state in full.stairs.keys() | bounded.stairs.keys():
-        cheap = [[lab for lab in tables.stairs.get(state, []) if f(lab) <= answer]
-                 for tables in (full, bounded)]
+    bounded = _fill(fsg)
+    for state in full.stairs.keys() | bounded.keys():
+        cheap = [[lab for lab in stairs.get(state, []) if f(lab) <= answer]
+                 for stairs in (full.stairs, bounded)]
         assert cheap[0] == cheap[1], state
-    stored = sum(map(len, bounded.stairs.values()))
+    stored = sum(map(len, bounded.values()))
     assert stats["finalized"] == stored <= sum(map(len, full.stairs.values()))
     assert stats["pushed"] >= stored
-    return full
 
 
 @pytest.mark.parametrize("name", sorted(RECURSION_INSTANCES))
 def test_bounded_fill_matches_full_tables_on_recursion_instances(name):
-    fsg = compute_free_space_edges(RECURSION_INSTANCES[name]())
-    full = _check_bounded_fill(fsg)
-    assert full.stairs == _every_push_tables(fsg)
+    _check_bounded_fill(compute_free_space_edges(RECURSION_INSTANCES[name]()))
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_bounded_fill_matches_full_tables_on_random_instances(seed):
     for k in (1, 2, 3):
-        fsg = compute_free_space_edges(random_instance(seed, n_objects=5, k=k))
-        full = _check_bounded_fill(fsg)
-        if seed < 5:  # the every-push fill is slow
-            assert full.stairs == _every_push_tables(fsg), k
+        _check_bounded_fill(compute_free_space_edges(
+            random_instance(seed, n_objects=5, k=k)))
 
 
 @pytest.mark.parametrize("k", (2, 3))

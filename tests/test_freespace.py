@@ -47,7 +47,7 @@ def test_shared_squeezed_edge_weight():
                                opt("B", square(2, 0, 2), 1)],
                   "squeezed_edges": [{"a": [2, 0], "b": [2, 2], "weight": 9}]})
     fsg = compute_free_space_edges(inst)
-    i, j = fsg.index_of(Point(2, 0)), fsg.index_of(Point(2, 2))
+    i, j = fsg.vertices.index(Point(2, 0)), fsg.vertices.index(Point(2, 2))
     assert fsg.has_edge(i, j)
     assert fsg.weight(i, j) == 9.0
     e = next(e for e in fsg.edges if {e.a, e.b} == {i, j})
@@ -83,7 +83,8 @@ def test_omitted_pairs_fail_a_condition():
                 tangent_at_both_ends(inst, a, b)
             assert ok == (frozenset((i, j)) in present)
     assert segment_in_free_space(Point(2, 0), Point(5, 1), inst)
-    assert not fsg.has_edge(fsg.index_of(Point(2, 0)), fsg.index_of(Point(5, 1)))
+    index = fsg.vertices.index
+    assert not fsg.has_edge(index(Point(2, 0)), index(Point(5, 1)))
 
 
 def test_weights_symmetric_and_euclidean():
@@ -107,16 +108,16 @@ def _content_fsg():
 
 def test_triangle_content_masks_and_penalties():
     fsg = _content_fsg()
-    lo = fsg.index_of(Point(20, -8))
-    hi = fsg.index_of(Point(20, -4))
-    far_right = fsg.index_of(Point(24, -8))
-    top = fsg.index_of(Point(6, 8))
+    lo = fsg.vertices.index(Point(20, -8))
+    hi = fsg.vertices.index(Point(20, -4))
+    far_right = fsg.vertices.index(Point(24, -8))
+    top = fsg.vertices.index(Point(6, 8))
     # Huge ccw triangle containing only the required reference point.
-    p, r, q = fsg.index_of(Point(0, 2)), fsg.index_of(Point(0, 0)), lo
+    p, r, q = fsg.vertices.index(Point(0, 2)), fsg.vertices.index(Point(0, 0)), lo
     mask, pen = fsg.triangle_content(p, r, q)
     assert mask == 1 and pen == 0.0
     # Triangle containing both optional references, no required.
-    mask2, pen2 = fsg.triangle_content(top, fsg.index_of(Point(6, 0)), far_right)
+    mask2, pen2 = fsg.triangle_content(top, fsg.vertices.index(Point(6, 0)), far_right)
     assert mask2 == 0 and pen2 == pytest.approx(3.5)
     # Degenerate (clockwise) triangles are rejected.
     with pytest.raises(DegenerateTriangle):
@@ -170,8 +171,8 @@ def test_triangle_additivity_split():
 def test_content_memo_consistency():
     fsg = _content_fsg()
     # Same query twice hits the memo and returns identical results.
-    p, r, q = fsg.index_of(Point(0, 2)), fsg.index_of(Point(0, 0)), \
-        fsg.index_of(Point(20, -8))
+    p, r, q = fsg.vertices.index(Point(0, 2)), fsg.vertices.index(Point(0, 0)), \
+        fsg.vertices.index(Point(20, -8))
     assert fsg.triangle_content(p, r, q) == fsg.triangle_content(p, r, q)
 
 

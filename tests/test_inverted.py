@@ -107,7 +107,7 @@ def test_halfplane_contents():
                                    opt("B", square(10, 0, 2), 3)],
                       "mode": "invert"})
     (left_mask, left_pen), (right_mask, right_pen) = \
-        _halfplanes(fsg, fsg.index_of(Point(2, 0)))
+        _halfplanes(fsg, fsg.vertices.index(Point(2, 0)))
     assert left_mask == 1 and left_pen == 0.0
     assert right_mask == 0 and right_pen == pytest.approx(3.0)
     # Together the two half-planes cover every reference point exactly once.
@@ -120,14 +120,14 @@ def test_plank_contents():
                                    opt("B", square(0, 6, 2), 3)],
                       "mode": "invert"})
     # The chord from A's top-left corner to B's bottom-right one.
-    a, b = fsg.index_of(Point(0, 2)), fsg.index_of(Point(2, 6))
+    a, b = fsg.vertices.index(Point(0, 2)), fsg.vertices.index(Point(2, 6))
     for i, j in ((a, b), (b, a)):
         up_mask, up_pen = fsg.plank(i, j, True)
         down_mask, down_pen = fsg.plank(i, j, False)
         assert up_pen == pytest.approx(3.0) and up_mask == 0
         assert down_mask == 1 and down_pen == 0.0
     # Vertical chords span empty planks.
-    assert fsg.plank(fsg.index_of(Point(0, 0)), a, True) == (0, 0.0)
+    assert fsg.plank(fsg.vertices.index(Point(0, 0)), a, True) == (0, 0.0)
 
 
 def test_tiling_partition():

@@ -86,8 +86,11 @@ def test_generator_shape():
 
 
 def test_generator_rejects_bad_k():
-    with pytest.raises(GenerationFailure):
-        random_instance(1, n_objects=2, k=3)
+    # A negative k once slipped through: indices[:-1] made every object
+    # but one required.
+    for n_objects, k in ((2, 3), (4, -1), (0, -1), (-1, 0), (-1, -2)):
+        with pytest.raises(GenerationFailure):
+            random_instance(1, n_objects=n_objects, k=k)
 
 
 def test_generator_failure_when_grid_too_small():

@@ -9,10 +9,7 @@ import pytest
 
 from enclosure import (
     brute_force,
-    compute_dp_tables,
     compute_free_space_edges,
-    dp_cell_C,
-    dp_cell_M,
     random_instance,
     solve_dijkstra,
     solve_dp,
@@ -20,8 +17,11 @@ from enclosure import (
 )
 from enclosure import oracle
 from enclosure.dijkstra import _search
+from enclosure.dp import _fill
 from enclosure.recursion import closed_ids, open_ids
-from conftest import build, compute_all_labels, opt, rel_close, req, square
+from conftest import (
+    build, compute_all_labels, dp_cell_C, dp_cell_M, every_push_tables, opt,
+    rel_close, req, square)
 from test_dijkstra import _m_right_hand_side
 
 INSTANCES = {
@@ -48,9 +48,10 @@ def fsg(request):
 
 
 def test_dp_best_matches_label_setting_fixed_point(fsg):
-    # Per state, not only per answer: the DP's cheapest C(p, t_max, B) is
-    # the value the label-setting fixed point settles for C(p, B).
-    tables = compute_dp_tables(fsg)
+    # Per state, not only per answer: the full DP fill's cheapest
+    # C(p, t_max, B) is the value the label-setting fixed point settles for
+    # C(p, B).
+    tables = every_push_tables(fsg)
     fin_C, _fin_M = compute_all_labels(fsg)
     for p in range(fsg.n):
         for mask in range(fsg.full_mask + 1):
@@ -80,13 +81,14 @@ def test_label_edge_count_matches_rebuilt_walk(fsg):
     assert _check_edge_counts([*fin_C.values(), *fin_M.values()])
     _answer, fin, _settled = _search(fsg, early_stop=False, closures=False)
     assert _check_edge_counts(fin.values())
-    tables = compute_dp_tables(fsg)
-    stored = [lab for stair in tables.stairs.values() for lab in stair]
-    assert _check_edge_counts(stored)
-    # A staircase stores strictly fewer edges for strictly more value.
-    for stair in tables.stairs.values():
-        for lo, hi in zip(stair, stair[1:]):
-            assert lo.t < hi.t and lo.value > hi.value
+    # The reference full fill and solve_dp's bounded fill.
+    for stairs in (every_push_tables(fsg).stairs, _fill(fsg)):
+        stored = [lab for stair in stairs.values() for lab in stair]
+        assert _check_edge_counts(stored)
+        # A staircase stores strictly fewer edges for strictly more value.
+        for stair in stairs.values():
+            for lo, hi in zip(stair, stair[1:]):
+                assert lo.t < hi.t and lo.value > hi.value
 
 
 def test_settled_index_holds_every_finalized_label(fsg):
