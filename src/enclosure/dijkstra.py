@@ -59,12 +59,12 @@ def _search(fsg: FreeSpaceGraph, early_stop: bool, closures: bool,
             stats: Optional[dict] = None):
     """Run the label-setting search from the point walks C(p, {}) = 0.
 
-    Returns (answer, fin, settled): the first finalized closed-walk label
-    covering every required object (None if the queue drains first); the
-    finalized labels by state code (`recursion.py`); and the same labels as
-    a `Settled` index.  With early_stop=False the whole
-    fixed point is computed.  With closures=False rule C1 is off: the only
-    closed walks are point walks, and the M labels are the mouths.
+    Returns (answer, settled): the first finalized closed-walk label
+    covering every required object (None if the queue drains first), and
+    the expanded labels as a `Settled` index; an early-stopped search does
+    not expand its answer.  With early_stop=False the whole fixed point is
+    computed.  With closures=False rule C1 is off: the only closed walks
+    are point walks, and the M labels are the mouths.
     """
     settled = Settled(fsg.n)
 
@@ -73,8 +73,7 @@ def _search(fsg: FreeSpaceGraph, early_stop: bool, closures: bool,
         relax(fsg, label, settled, push, closures, bound, pending, h)
 
     seeds = [("C", (p,), 0, 0.0, 0, "base", ()) for p in range(fsg.n)]
-    answer, fin = label_setting(fsg, seeds, expand, early_stop, stats)
-    return answer, fin, settled
+    return label_setting(fsg, seeds, expand, early_stop, stats), settled
 
 
 def solve_dijkstra(fsg: FreeSpaceGraph,
@@ -84,8 +83,8 @@ def solve_dijkstra(fsg: FreeSpaceGraph,
     trivial = trivial_answer(fsg)
     if trivial is not None:
         return trivial
-    answer, _fin, _settled = _search(fsg, early_stop=True, closures=True,
-                                     stats=stats)
+    answer, _settled = _search(fsg, early_stop=True, closures=True,
+                               stats=stats)
     if answer is None:
         return INF, None
     return answer.value, closed_walk(fsg, answer)

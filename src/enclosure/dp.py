@@ -9,17 +9,18 @@ are those of `recursion.py`, each adding the edge budgets it combines (plus
 one per new edge).  The answer is min over p of C(p, 6n, all-required):
 cheapest uncrossed solutions use at most 6n free-space edge traversals.
 
-Tables are stored as staircases: per (state, B) a list of labels with
-strictly increasing edge count t and strictly decreasing value, filled in a
-single pass over a bucket queue ordered by t.  Only improvements are
-stored, which keeps the tables sparse; combination rules always produce
-strictly larger budgets, so each bucket is complete when it is processed.
-A bucket holds one entry per state: a later push replaces the entry only
-with a strictly smaller (value, rank), so the earliest push wins ties.  The
-bucket is processed in (value, rank, kind, key, mask) order; the entries
-this drops would have come after the kept one and failed its staircase
-test, so the stored labels and their order are those of keeping every
-push.
+The stored labels of one (state, B) form a staircase, with strictly
+increasing edge count t and strictly decreasing value, filled in a single
+pass over a bucket queue ordered by t.  Only improvements are stored,
+which keeps the tables sparse; combination rules always produce strictly
+larger budgets, so each bucket is complete when it is processed.  The
+fill reads only the last label of each state; the settled-label index
+`Settled` holds every stored label, in the order stored.  A bucket holds
+one entry per state: a later push replaces the entry only with a strictly
+smaller (value, rank), so the earliest push wins ties.  The bucket is
+processed in (value, rank, kind, key, mask) order; the entries this drops
+would have come after the kept one and failed its staircase test, so the
+stored labels and their order are those of keeping every push.
 
 The fill is bounded: it fills only what the answer can use.  It keeps
 `bound`, the value of the cheapest full-mask C label pushed so far, and
@@ -47,12 +48,11 @@ costs at most `bound`.  This is exact:
     every staircase up to t = 6n, hence the same cost and walk.  The tests
     keep that full fill as their reference.
 
-The rules themselves (`relax`, over the settled-label index `Settled`,
-which holds every stored label), the rule ranks, the label type with its
-edge count t, the precondition check, the trivial answer and the walk rebuild
-come from `recursion.py`; this module keeps only the bucket queue, its
-bound and its acceptance test (a label is stored only if it improves its
-staircase).
+The rules themselves (`relax`, over `Settled`), the rule ranks, the label
+type with its edge count t, the precondition check, the trivial answer and
+the walk rebuild come from `recursion.py`; this module keeps only the
+bucket queue, its bound and its acceptance test (a label is stored only if
+it is cheaper than its state's last stored label).
 """
 
 from __future__ import annotations
@@ -74,19 +74,20 @@ from .recursion import (
 from .walks import Walk
 
 
-def _fill(fsg: FreeSpaceGraph,
-          stats: Optional[dict] = None) -> Dict[Tuple[int, ...], List[Label]]:
+def _fill(fsg: FreeSpaceGraph, stats: Optional[dict] = None
+          ) -> Tuple[Dict[Tuple[int, ...], Label], Settled]:
     """The bucket loop, up to t = 6n: pushes and entries whose
     f = value + h exceeds the cheapest full-mask C label pushed so far are
-    dropped (module docstring).  Returns the staircases by state.  `stats`
-    gets "pushed" (entries that reached a bucket) and "finalized" (labels
-    stored)."""
+    dropped (module docstring).  Returns (last, settled): the last label
+    stored per state, keyed key + (mask,), and every stored label.
+    `stats` gets "pushed" (entries that reached a bucket) and "finalized"
+    (labels stored)."""
     n, full = fsg.n, fsg.full_mask
     t_max = 6 * n
-    stairs: Dict[Tuple[int, ...], List[Label]] = {}
+    last: Dict[Tuple[int, ...], Label] = {}
     settled = Settled(n)
     buckets: List[Optional[dict]] = [{} for _ in range(t_max + 1)]
-    pushed = 0
+    pushed = stored = 0
     bound = INF
     h = FutureCost(fsg, fsg.h_scale)
 
@@ -96,8 +97,8 @@ def _fill(fsg: FreeSpaceGraph,
                 bound < INF and value + h[key[0]][key[1]] > bound:
             return
         state = key + (mask,)
-        stair = stairs.get(state)
-        if stair and stair[-1].value <= value:
+        prev = last.get(state)
+        if prev is not None and prev.value <= value:
             return
         bucket, rank = buckets[t], RANK[rule]
         old = bucket.get(state)
@@ -121,17 +122,18 @@ def _fill(fsg: FreeSpaceGraph,
             if kind == "M" and bound < INF and \
                     value + h[key[0]][key[1]] > bound:
                 continue  # its f is over the bound
-            stair = stairs.setdefault(key + (mask,), [])
-            if stair and stair[-1].value <= value:
+            state = key + (mask,)
+            prev = last.get(state)
+            if prev is not None and prev.value <= value:
                 continue
-            label = Label(kind, key, mask, value, rule, ops, t)
-            stair.append(label)
+            label = last[state] = Label(kind, key, mask, value, rule, ops, t)
+            stored += 1
             settled.add(label)
             relax(fsg, label, settled, push)
     if stats is not None:
         stats["pushed"] = pushed
-        stats["finalized"] = sum(map(len, stairs.values()))
-    return stairs
+        stats["finalized"] = stored
+    return last, settled
 
 
 def solve_dp(fsg: FreeSpaceGraph,
@@ -146,12 +148,12 @@ def solve_dp(fsg: FreeSpaceGraph,
     if trivial is not None:
         return trivial
     full = fsg.full_mask
-    stairs = _fill(fsg, stats)
+    last, _settled = _fill(fsg, stats)
     best, best_label = INF, None
     for p in range(fsg.n):
-        stair = stairs.get((p, full))
-        if stair and stair[-1].value < best:
-            best, best_label = stair[-1].value, stair[-1]
+        label = last.get((p, full))
+        if label is not None and label.value < best:
+            best, best_label = label.value, label
     if best_label is None:
         return INF, None
     return best, closed_walk(fsg, best_label)

@@ -69,6 +69,9 @@ def segment_in_free_space(a: Point, b: Point, inst: Instance) -> bool:
 class FreeSpaceGraph:
     """Free-space edges plus exact, memoized region-content queries.
 
+    `adjacency[i]` maps each neighbour j of vertex i to the weight of the
+    edge ij, in `edges` order.
+
     Reference points are held once in homogeneous integer form (X, Y, W),
     W > 0, standing for the point (X/W, Y/W).  In a reference mask the
     required objects take bits 0..k-1 and the optional objects bits k..,
@@ -88,8 +91,7 @@ class FreeSpaceGraph:
     instance: Instance
     vertices: Tuple[Point, ...]
     edges: List[FreeSpaceEdge]
-    adjacency: Dict[int, List[Tuple[int, float]]]
-    _weights: Dict[Tuple[int, int], float]
+    adjacency: List[Dict[int, float]]
     _required_refs: List[Tuple[int, Point]] = field(default_factory=list)
     _optional_refs: List[Tuple[float, Point]] = field(default_factory=list)
     h_scale: float = 0.0
@@ -118,12 +120,6 @@ class FreeSpaceGraph:
     @property
     def full_mask(self) -> int:
         return (1 << self._k) - 1
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return (i, j) in self._weights if i < j else (j, i) in self._weights
-
-    def weight(self, i: int, j: int) -> float:
-        return self._weights[(i, j) if i < j else (j, i)]
 
     def is_ccw(self, p: int, r: int, q: int) -> bool:
         """True iff the triangle prq is strictly counterclockwise, that is,
@@ -328,8 +324,7 @@ def compute_free_space_edges(inst: Instance) -> FreeSpaceGraph:
     vertices = inst.vertices
     corners = _corners(inst)
     edges: List[FreeSpaceEdge] = []
-    adjacency: Dict[int, List[Tuple[int, float]]] = {i: [] for i in range(len(vertices))}
-    weights: Dict[Tuple[int, int], float] = {}
+    adjacency: List[Dict[int, float]] = [{} for _ in vertices]
     ratio = 1.0  # the least weight/length so far; 1 for an unsqueezed edge
     for i in range(len(vertices)):
         a = vertices[i]
@@ -345,13 +340,11 @@ def compute_free_space_edges(inst: Instance) -> FreeSpaceGraph:
             if squeezed:
                 ratio = min(ratio, w / distance(a, b))
             edges.append(FreeSpaceEdge(i, j, w, squeezed))
-            adjacency[i].append((j, w))
-            adjacency[j].append((i, w))
-            weights[(i, j)] = w
+            adjacency[i][j] = adjacency[j][i] = w
 
     required = [p for p in inst.polygons if p.kind == "required"]
     return FreeSpaceGraph(
-        inst, vertices, edges, adjacency, weights,
+        inst, vertices, edges, adjacency,
         [(bit, poly.reference_point) for bit, poly in enumerate(required)],
         [(poly.penalty, poly.reference_point)
          for poly in inst.polygons if poly.kind == "optional"],

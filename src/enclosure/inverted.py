@@ -53,9 +53,10 @@ skipped.
 
 The mouths are the open labels of the label-setting search of `dijkstra.py`
 with the closing rule C1 off (a full fixed point, unbounded, so it runs
-with h = 0), read from its settled-label index; the rules
-that build them (`relax`), the precondition check, the label type and the
-rebuild of a mouth's walk come from `recursion.py`.
+with h = 0), read from its settled-label index; the rules that build them
+(`relax`), the precondition check, the label type and the rebuild of a
+mouth's or a U label's walk (`open_ids`: a down or up label joins its two
+operands' walks in walk order, like M2) come from `recursion.py`.
 """
 
 from __future__ import annotations
@@ -69,16 +70,6 @@ from .instance import Instance
 from .recursion import (
     INF, UNSEEN, Label, check_solvable, label_setting, open_ids)
 from .walks import Walk, make_walk
-
-
-def _u_walk_ids(lab: Label):
-    """Vertex-id path p ... q of the walk a U label stands for."""
-    if lab.rule == "base":
-        return [lab.key[0]]
-    mouth, parent = lab.ops
-    if lab.rule == "down":
-        return open_ids(mouth) + _u_walk_ids(parent)[1:]
-    return _u_walk_ids(parent) + open_ids(mouth)[1:]
 
 
 def solve_inverted(inst: Instance, fsg: FreeSpaceGraph,
@@ -99,8 +90,8 @@ def solve_inverted(inst: Instance, fsg: FreeSpaceGraph,
     # winding +1, which no clockwise weakly simple curve has, so pockets are
     # mouths without closed-loop attachments: rule C1 is off.
     counts: dict = {}
-    _answer, _fin, mouths = _search(fsg, early_stop=False, closures=False,
-                                    stats=counts)
+    _answer, mouths = _search(fsg, early_stop=False, closures=False,
+                              stats=counts)
 
     verts = fsg.vertices
     n, k = fsg.n, fsg._k
@@ -148,17 +139,17 @@ def solve_inverted(inst: Instance, fsg: FreeSpaceGraph,
                             code | joined, UNSEEN)[0] <= total:
                         continue
                     push("U", key, joined, total, t + mouth.t, rule,
-                         (mouth, lab))
+                         (mouth, lab) if down else (lab, mouth))
 
     seeds = [("U", (v, v), *fsg.split_content(fsg.x_at_most(verts[v].x)), 0,
               "base", ()) for v in range(fsg.n)]
-    answer, _fin = label_setting(fsg, seeds, expand, early_stop=True, stats=stats)
+    answer = label_setting(fsg, seeds, expand, early_stop=True, stats=stats)
     if stats is not None:  # count the mouth search too
         stats.update({name: stats[name] + counts[name] for name in counts})
 
     if answer is None:
         return INF, None
-    ids = _u_walk_ids(answer.ops[0])
+    ids = open_ids(answer.ops[0])
     if ids[0] != ids[-1]:
         raise InternalError(f"inverted walk does not close: {ids[0]} != {ids[-1]}")
     pts = [verts[i] for i in ids[:-1]] if len(ids) > 1 else [verts[ids[0]]]

@@ -46,7 +46,7 @@ def _hop_distances(fsg: FreeSpaceGraph, s: int) -> List[int]:
     while frontier:
         nxt = []
         for u in frontier:
-            for v, _w in fsg.adjacency[u]:
+            for v in fsg.adjacency[u]:
                 if dist[v] > dist[u] + 1:
                     dist[v] = dist[u] + 1
                     nxt.append(v)
@@ -132,7 +132,7 @@ def brute_force(inst: Instance, fsg: FreeSpaceGraph,
         def dfs(weight: float) -> None:
             nonlocal best_cost
             u = path[-1]
-            for v, w in sorted(fsg.adjacency[u]):
+            for v, w in sorted(fsg.adjacency[u].items()):
                 if v < s:
                     continue  # the minimal vertex of the cycle is the start
                 nw = weight + w

@@ -91,10 +91,11 @@ SETTLED = (-INF, 0)
 class Label(NamedTuple):
     """A state value with enough provenance to rebuild the walk.
 
-    ops by rule: base (); C1 (q, M label); C2 (C label, C label);
-    M1 (C label,); M2 (r, left M label, right M label); and in the inverted
-    solver down and up (M label, U label), finish (U label,).  A named
-    tuple: the label-setting queue builds one per push."""
+    ops hold the operand labels in walk order: base (); C1 (M label,);
+    C2 (C label, C label); M1 (C label,); M2 (left M label, right M
+    label); and in the inverted solver down (M label, U label), up
+    (U label, M label), finish (U label,).  A named tuple: the
+    label-setting queue builds one per push."""
     kind: str             # "C", "M" or the inverted solver's "U"
     key: Tuple[int, ...]  # (p,), (p, q), or () for the inverted finish
     mask: int
@@ -177,10 +178,10 @@ def label_setting(fsg: FreeSpaceGraph, seeds: Iterable[tuple], expand,
     state.  Ties break by (value, RANK[rule], kind, key, mask): the int
     state code orders like (kind, key, mask) (module docstring), and two
     entries of one state never tie, as a label is pushed only if it beats
-    its state's pending (value, rank).  Returns (answer, fin): the first
-    settled "C" label with mask `fsg.full_mask` (None if the queue drains)
-    and the settled labels by state code.  With early_stop the loop ends
-    at the answer, else it computes the whole fixed point.
+    its state's pending (value, rank).  Returns the answer: the first
+    settled "C" label with mask `fsg.full_mask` (None if the queue drains).
+    With early_stop the loop ends at the answer, else it computes the
+    whole fixed point.
 
     h is `FutureCost` at scale `fsg.h_scale` under early_stop.  Without
     it nothing is bounded, so h could only reorder the fixed point; it
@@ -194,19 +195,20 @@ def label_setting(fsg: FreeSpaceGraph, seeds: Iterable[tuple], expand,
     label it is derived from has f <= its value.
 
     `pending` maps each state code pushed so far to its (value, rank); a
-    settled state holds SETTLED.  Its entries only fall.  push does not
-    read it: expand must skip every label whose (value, rank) is not below
-    pending.get(state, UNSEEN), as its state is settled or it would lose
-    to the pending label on push order.  It may also skip, without
-    deriving it, any label whose value exceeds bound - h: push would drop
-    it.  A skipped or dropped push takes no sequence number, so skipping
-    it changes nothing."""
+    settled state holds SETTLED.  Its entries only fall: each push beats
+    its state's pending entry, so it pops first, and a state's first
+    popped entry is its best; one popped once its state is SETTLED is
+    stale.  push does not read it: expand must skip every label whose
+    (value, rank) is not below pending.get(state, UNSEEN), as its state
+    is settled or it would lose to the pending label on push order.  It
+    may also skip, without deriving it, any label whose value exceeds
+    bound - h: push would drop it.  A skipped or dropped push takes no
+    sequence number, so skipping it changes nothing."""
     n, k, full = fsg.n, fsg._k, fsg.full_mask
     h = FutureCost(fsg, fsg.h_scale if early_stop else 0.0)
     pending: Dict[int, Tuple[float, int]] = {}
-    fin: Dict[int, Label] = {}
     heap: list = []
-    seq = 0
+    seq = finalized = 0
     bound = INF
 
     def push(kind, key, mask, value, t, rule, ops):
@@ -232,10 +234,10 @@ def label_setting(fsg: FreeSpaceGraph, seeds: Iterable[tuple], expand,
     answer: Optional[Label] = None
     while heap:
         state, label = heappop(heap)[3:]
-        if state in fin:
+        if pending[state] is SETTLED:
             continue
-        fin[state] = label
         pending[state] = SETTLED
+        finalized += 1
         if label.kind == "C" and label.mask == full and answer is None:
             answer = label
             if early_stop:
@@ -243,9 +245,9 @@ def label_setting(fsg: FreeSpaceGraph, seeds: Iterable[tuple], expand,
         expand(label, push, bound, pending, h)
 
     if stats is not None:
-        stats["finalized"] = len(fin)
+        stats["finalized"] = finalized
         stats["pushed"] = seq
-    return answer, fin
+    return answer
 
 
 def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
@@ -290,7 +292,7 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
         # M1: a free-space edge pq on top of the closed walk at p.
         if search:
             row, m1 = n + p * n, RANK["M1"]
-        for q, w in fsg.adjacency[p]:
+        for q, w in fsg.adjacency[p].items():
             total = value + w
             if search and \
                     pending.get((row + q) << k | mask, UNSEEN) <= (total, m1):
@@ -312,11 +314,12 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
         return
     a, b = label.key
     # C1: the open walk a -> b closes into a walk through b via the edge ba.
-    if closures and fsg.has_edge(b, a):
-        total = value + fsg.weight(b, a)
+    w = fsg.adjacency[b].get(a) if closures else None
+    if w is not None:
+        total = value + w
         if not search or \
                 pending.get(b << k | mask, UNSEEN) > (total, RANK["C1"]):
-            push("C", (b,), mask, total, t + 1, "C1", (a, label))
+            push("C", (b,), mask, total, t + 1, "C1", (label,))
     # M2 with the label as left part M(p, r) = M(a, b), right parts M(b, q);
     # then as right part M(r, q) = M(a, b), left parts M(p, a).  The join
     # test runs once per apex: the triangle holds no infinite penalty and
@@ -350,7 +353,7 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
             if search and pending.get(code | joined, UNSEEN)[0] <= total:
                 continue
             push("M", (a, q), joined, total, t + other.t,
-                 "M2", (b, label, other))
+                 "M2", (label, other))
     if search:
         row = n + b
     for p, partners in settled.open_to[a].items():
@@ -375,7 +378,7 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
             if search and pending.get(code | joined, UNSEEN)[0] <= total:
                 continue
             push("M", (p, b), joined, total, other.t + t,
-                 "M2", (a, other, label))
+                 "M2", (other, label))
 
 
 def closed_ids(label: Label) -> List[int]:
@@ -384,8 +387,7 @@ def closed_ids(label: Label) -> List[int]:
     if label.rule == "base":
         return [p]
     if label.rule == "C1":
-        _q, mouth = label.ops
-        return [p] + open_ids(mouth)[:-1]
+        return [p] + open_ids(label.ops[0])[:-1]
     if label.rule == "C2":
         first, second = label.ops
         return closed_ids(first) + closed_ids(second)
@@ -393,15 +395,17 @@ def closed_ids(label: Label) -> List[int]:
 
 
 def open_ids(label: Label) -> List[int]:
-    """Explicit vertex-id path of the open walk an M label stands for."""
+    """Explicit vertex-id path p ... q of the open walk an M label or an
+    inverted U label U(p, q) stands for."""
     p, q = label.key
     if label.rule == "M1":
-        (closed_label,) = label.ops
-        closed = closed_ids(closed_label)
+        closed = closed_ids(label.ops[0])
         return (closed + [closed[0], q]) if len(closed) > 1 else [p, q]
-    if label.rule == "M2":
-        _r, left, right = label.ops
+    if label.rule in ("M2", "down", "up"):
+        left, right = label.ops
         return open_ids(left) + open_ids(right)[1:]
+    if label.rule == "base":  # U(v, v), the point v
+        return [p]
     raise InternalError(f"no open-walk rule {label.rule!r}")
 
 

@@ -9,9 +9,10 @@ which can only lower the weight and preserves winding parity everywhere;
 (3) stitch a non-crossing Euler tour of the resulting plane multigraph:
 pair edge-ends consecutively in the rotation order at each vertex (a
 non-crossing chord matching), then merge the resulting closed trails into a
-single tour by rewiring two trail-adjacent chords at a shared vertex — the
-rewiring keeps the matching non-crossing.  The tour is a weakly simple
-polygon; it is finally oriented counterclockwise.
+single tour in one pass over the vertices, rewiring two adjacent chords of
+different trails at a shared vertex — the rewiring keeps the matching
+non-crossing.  The tour is a weakly simple polygon; it is finally oriented
+counterclockwise.
 """
 
 from __future__ import annotations
@@ -170,17 +171,25 @@ def non_crossing_euler_tour(g: PlaneMultigraph) -> List[Point]:
             keyf(e[0]),
             e[1] if (v.x, v.y) <= (e[0].x, e[0].y) else -e[1]))
 
-    # partner[(v, slot)] = slot of the matched end at v.
+    # partner[(v, slot)] = slot of the matched end at v.  The closed trails
+    # are union-find classes of copy ids, joined by each matched pair.
     partner: Dict[Tuple[Point, int], int] = {}
-    for v, ends in ends_at.items():
-        for i in range(0, len(ends), 2):
-            partner[(v, i)] = i + 1
-            partner[(v, i + 1)] = i
-
     slot_of: Dict[Tuple[int, Point], int] = {}
+    trail = list(range(len(copies)))
+
+    def find(cid: int) -> int:
+        while trail[cid] != cid:
+            trail[cid] = trail[trail[cid]]
+            cid = trail[cid]
+        return cid
+
     for v, ends in ends_at.items():
         for i, (_other, cid) in enumerate(ends):
             slot_of[(cid, v)] = i
+        for i in range(0, len(ends), 2):
+            partner[(v, i)] = i + 1
+            partner[(v, i + 1)] = i
+            trail[find(ends[i][1])] = find(ends[i + 1][1])
 
     def trail_from(start: int) -> List[Tuple[int, Point]]:
         """(copy id, entry vertex) along the closed trail through copy
@@ -194,42 +203,28 @@ def non_crossing_euler_tour(g: PlaneMultigraph) -> List[Point]:
             cid, enter = ends_at[out][partner[(out, slot_of[(cid, out)])]][1], out
         return steps
 
-    def trails() -> Dict[int, int]:
-        """Map copy id -> trail id under the current pairing."""
-        trail: Dict[int, int] = {}
-        tid = 0
-        for start in range(len(copies)):
-            if start not in trail:
-                trail.update((cid, tid) for cid, _enter in trail_from(start))
-                tid += 1
-        return trail
-
-    trail = trails()
-    while len(set(trail.values())) > 1:
-        merged = False
-        for v in sorted(ends_at):
-            ends = ends_at[v]
-            d = len(ends)
-            for i in range(d):
-                j = (i + 1) % d
-                ci, cj = ends[i][1], ends[j][1]
-                if trail[ci] == trail[cj] or partner[(v, i)] == j:
-                    continue
-                # Rewire chords (pi, i) and (j, pj) into (i, j) and (pi, pj):
-                # the new chords stay non-crossing and the trails merge.
-                pi, pj = partner[(v, i)], partner[(v, j)]
-                partner[(v, i)], partner[(v, j)] = j, i
-                partner[(v, pi)], partner[(v, pj)] = pj, pi
-                merged = True
-                break
-            if merged:
-                break
-        if not merged:
-            raise NotConnected("trails share no vertex")
-        trail = trails()
+    # One pass merges the trails: trails only merge, so a pair of adjacent
+    # ends that lie on one trail never becomes a candidate again.
+    for v in sorted(ends_at):
+        ends = ends_at[v]
+        d = len(ends)
+        for i in range(d):
+            j = (i + 1) % d
+            ti, tj = find(ends[i][1]), find(ends[j][1])
+            if ti == tj:
+                continue
+            # Rewire chords (pi, i) and (j, pj) into (i, j) and (pi, pj):
+            # the new chords stay non-crossing and the two trails merge.
+            pi, pj = partner[(v, i)], partner[(v, j)]
+            partner[(v, i)], partner[(v, j)] = j, i
+            partner[(v, pi)], partner[(v, pj)] = pj, pi
+            trail[ti] = tj
 
     # Walk the single trail starting from copy 0 out of its smaller endpoint.
-    return [enter for _cid, enter in trail_from(0)]
+    tour = trail_from(0)
+    if len(tour) != len(copies):
+        raise NotConnected("the trails did not merge into one tour")
+    return [enter for _cid, enter in tour]
 
 
 def uncross(inst: Instance, walk: Walk) -> Tuple[Walk, UncrossReport]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from .errors import FreeSpaceViolation
 from .freespace import segment_in_free_space
@@ -57,36 +57,20 @@ def _fmt_cost(x: float):
     return float(f"{x:.12g}")
 
 
-def check_weak_simplicity(walk: Walk, diagnostics: Optional[dict] = None) -> bool:
+def check_weak_simplicity(walk: Walk) -> bool:
     """Necessary conditions for a closed walk to be perturbable into a
     simple polygon; see the module docstring.  A clockwise walk (negative
     signed area, as the inverted solver returns) is weakly simple exactly
     when its reversal is, so it is judged by its reversal."""
-    diag = diagnostics if diagnostics is not None else {}
     if signed_area2(walk.points) < 0:
         walk = replace(walk, points=tuple(reversed(walk.points)))
-    pts = _clean_points(walk)
-    if len(pts) <= 2:
-        diag.update(crossings=True, multiplicity=True, winding=True, pairing=True)
+    if len(_clean_points(walk)) <= 2:
         return True
-
     g, report = subdivide_walk(walk)
-    ok_cross = report.s == 0
-    diag["crossings"] = ok_cross
-    if not ok_cross:
-        return False
-
-    ok_mult = all(m <= 2 for m in g.multiplicity.values())
-    diag["multiplicity"] = ok_mult
-
-    windings = _face_windings(g)
-    ok_wind = windings <= {0, 1}
-    diag["winding"] = ok_wind
-    diag["face_windings"] = sorted(windings)
-
-    ok_pair = _transitions_non_crossing(g.traversal)
-    diag["pairing"] = ok_pair
-    return ok_cross and ok_mult and ok_wind and ok_pair
+    return (report.s == 0
+            and all(m <= 2 for m in g.multiplicity.values())
+            and _face_windings(g) <= {0, 1}
+            and _transitions_non_crossing(g.traversal))
 
 
 def _face_windings(g: PlaneMultigraph) -> Set[int]:

@@ -3,6 +3,7 @@
 import math
 import random
 from bisect import bisect_right
+from dataclasses import replace
 from operator import attrgetter
 
 from enclosure import (
@@ -11,6 +12,7 @@ from enclosure import (
     compute_free_space_edges,
     make_walk,
     parse_instance,
+    signed_area2,
     solve_dijkstra,
     solve_dp,
     orient,
@@ -18,6 +20,8 @@ from enclosure import (
 )
 from enclosure.errors import DegenerateTriangle
 from enclosure.recursion import RANK, Label, Settled, check_solvable, relax
+from enclosure.uncrossing import _clean_points, subdivide_walk
+from enclosure.verify import _face_windings, _transitions_non_crossing
 
 INF = math.inf
 
@@ -78,11 +82,27 @@ def solved(inst):
     return fsg, solve_dp(fsg), solve_dijkstra(fsg)
 
 
-def by_state(fin, kind=None):
-    """The settled labels of `label_setting` (keyed by int state code)
-    keyed by key + (mask,), of one kind or of every kind."""
-    return {lab.key + (lab.mask,): lab for lab in fin.values()
+def settled_labels(settled):
+    """Every label of a `Settled` index: the closed labels by vertex, then
+    the open labels by start and end vertex, each list in settling order."""
+    return [lab for labs in settled.closed for lab in labs] + \
+        [lab for ends in settled.open_from for labs in ends.values()
+         for lab in labs]
+
+
+def by_state(labels, kind=None):
+    """Labels keyed by key + (mask,), of one kind or of every kind."""
+    return {lab.key + (lab.mask,): lab for lab in labels
             if kind is None or lab.kind == kind}
+
+
+def stairs_by_state(settled):
+    """The labels of a `Settled` index grouped by state, key + (mask,),
+    each group in settling order: the DP fill's staircases."""
+    stairs = {}
+    for lab in settled_labels(settled):
+        stairs.setdefault(lab.key + (lab.mask,), []).append(lab)
+    return stairs
 
 
 def compute_all_labels(fsg):
@@ -91,8 +111,9 @@ def compute_all_labels(fsg):
     from enclosure.dijkstra import _search
 
     check_solvable(fsg)
-    _answer, fin, _settled = _search(fsg, early_stop=False, closures=True)
-    return by_state(fin, "C"), by_state(fin, "M")
+    _answer, settled = _search(fsg, early_stop=False, closures=True)
+    labels = settled_labels(settled)
+    return by_state(labels, "C"), by_state(labels, "M")
 
 
 class StairTables:
@@ -172,7 +193,7 @@ def dp_cell_C(tables, p: int, t: int, mask: int) -> float:
     if t <= 1:
         return INF
     best = INF
-    for q, w in fsg.adjacency[p]:
+    for q, w in fsg.adjacency[p].items():
         best = min(best, w + tables.value_M(q, p, t - 1, mask))
     sub = (mask - 1) & mask
     while sub:
@@ -193,10 +214,11 @@ def dp_cell_M(tables, p: int, q: int, t: int, mask: int) -> float:
     if t < 1:
         return INF
     best = INF
-    if fsg.has_edge(p, q):
+    w = fsg.adjacency[p].get(q)
+    if w is not None:
         v = tables.value_C(p, t - 1, mask)
         if v < INF:
-            best = fsg.weight(p, q) + v
+            best = w + v
     for r in range(fsg.n):
         if not fsg.is_ccw(p, r, q):
             continue
@@ -240,6 +262,26 @@ def random_closed_walk(rng: random.Random, n_points=8, grid=20) -> Walk:
     if len(pts) < 3:
         pts = [Point(0, 0), Point(5, 1), Point(1, 5)]
     return make_walk(EMPTY_INSTANCE, pts)
+
+
+def weak_simplicity_conditions(walk):
+    """The conditions `check_weak_simplicity` joins, each read on its own
+    from the functions it calls: {} for a walk of at most two points, else
+    "crossings" (no proper crossing) and, when that holds, "multiplicity",
+    "face_windings" (sorted), "winding" and "pairing".  A clockwise walk
+    is judged by its reversal, as the check does."""
+    if signed_area2(walk.points) < 0:
+        walk = replace(walk, points=walk.points[::-1])
+    if len(_clean_points(walk)) <= 2:
+        return {}
+    g, report = subdivide_walk(walk)
+    if report.s:
+        return {"crossings": False}
+    windings = _face_windings(g)
+    return {"crossings": True,
+            "multiplicity": all(m <= 2 for m in g.multiplicity.values()),
+            "face_windings": sorted(windings), "winding": windings <= {0, 1},
+            "pairing": _transitions_non_crossing(g.traversal)}
 
 
 def sample_points_off(walks, rng: random.Random, count, grid=25):

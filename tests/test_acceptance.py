@@ -36,6 +36,7 @@ from conftest import (
     req,
     sample_points_off,
     square,
+    weak_simplicity_conditions,
 )
 
 INF = math.inf
@@ -143,9 +144,9 @@ def test_criterion_3_solution_invariants():
         for x in sample_points_off([walk], rng, 30, grid=40):
             assert winding_number(walk.points, x) >= 0, (seed, x)
         out, report = uncross(inst, walk)
-        diag = {}
-        assert check_weak_simplicity(out, diag), seed
-        assert all(w in (0, 1) for w in diag["face_windings"]), seed
+        assert check_weak_simplicity(out), seed
+        windings = weak_simplicity_conditions(out)["face_windings"]
+        assert all(w in (0, 1) for w in windings), seed
         sol = evaluate_solution(inst, out)
         assert sol.feasible, seed
         assert rel_close(sol.cost, cost), (seed, sol.cost, cost)

@@ -1,9 +1,8 @@
 import json
-import math
 
 import pytest
 
-from enclosure import Point, compute_free_space_edges, evaluate_solution, make_walk
+from enclosure import Point, evaluate_solution, make_walk
 from enclosure.cli import run
 from enclosure.errors import SchemaError
 from enclosure.instance import parse_instance, validate_and_subdivide

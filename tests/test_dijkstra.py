@@ -4,7 +4,6 @@ from dataclasses import replace
 import pytest
 
 from enclosure import (
-    Point,
     compute_free_space_edges,
     random_instance,
     solve_dijkstra,
@@ -15,7 +14,9 @@ from enclosure.errors import InternalError, NonpositiveWeight
 from enclosure.inverted import solve_inverted
 from enclosure.recursion import (
     INF, RANK, FutureCost, Label, check_solvable, closed_ids, open_ids)
-from conftest import build, by_state, compute_all_labels, opt, rel_close, req, square
+from conftest import (
+    build, by_state, compute_all_labels, opt, rel_close, req, settled_labels,
+    square)
 
 
 def test_single_square_perimeter():
@@ -114,8 +115,9 @@ def test_bound_pruned_search_settles_fixed_point_labels():
         h = FutureCost(fsg, fsg.h_scale)
         fin_C, fin_M = compute_all_labels(fsg)
         fixed = {**fin_C, **fin_M}
-        answer, fin, _settled = _search(fsg, early_stop=True, closures=True)
-        fin = by_state(fin)
+        answer, settled = _search(fsg, early_stop=True, closures=True)
+        # The early-stopped search settles its answer without expanding it.
+        fin = by_state(settled_labels(settled) + [answer])
         assert set(fin) == {s for s, lab in fixed.items()
                             if order(lab) <= order(answer)}
         for state, lab in fin.items():
@@ -150,7 +152,7 @@ def test_finalized_labels_stable_under_reevaluation():
         if mask == 0:
             continue
         best = math.inf
-        for q, w in fsg.adjacency[p]:
+        for q, w in fsg.adjacency[p].items():
             m = fin_M.get((q, p, mask))
             if m is not None:
                 best = min(best, w + m.value)
@@ -177,9 +179,9 @@ def _m_right_hand_side(fsg, fin_C, fin_M, p, q, mask):
     """Min over the M1 and M2 rules for state (p, q, mask), read from the
     finalized labels."""
     best = math.inf
-    c = fin_C.get((p, mask))
-    if c is not None and fsg.has_edge(p, q):
-        best = c.value + fsg.weight(p, q)
+    c, w = fin_C.get((p, mask)), fsg.adjacency[p].get(q)
+    if c is not None and w is not None:
+        best = c.value + w
     for (a, r, m1), left in fin_M.items():
         if a != p:
             continue
@@ -199,8 +201,9 @@ def test_finalized_m_labels_stable_under_reevaluation():
                                opt("B", square(5, 1, 2), 3)]})
     fsg = compute_free_space_edges(inst)
     fin_C, fin_M = compute_all_labels(fsg)
-    _answer, fin, _settled = _search(fsg, early_stop=False, closures=False)
-    base_C, mouths = by_state(fin, "C"), by_state(fin, "M")
+    _answer, settled = _search(fsg, early_stop=False, closures=False)
+    labels = settled_labels(settled)
+    base_C, mouths = by_state(labels, "C"), by_state(labels, "M")
     assert all(lab.rule == "base" for lab in base_C.values())
     for labels_C, labels_M in ((fin_C, fin_M), (base_C, mouths)):
         assert labels_M
@@ -216,11 +219,11 @@ def test_finalized_m_labels_stable_under_reevaluation():
 
 
 def test_walk_rebuild_rejects_unknown_rule():
-    bad = Label("C", (0,), 1, 1.0, "M2", (1, None, None))
+    bad = Label("C", (0,), 1, 1.0, "M2", (None, None))
     with pytest.raises(InternalError):
         closed_ids(bad)
     with pytest.raises(InternalError):
-        open_ids(Label("M", (0, 1), 0, 1.0, "C1", (1, bad)))
+        open_ids(Label("M", (0, 1), 0, 1.0, "C1", (bad,)))
 
 
 def test_deterministic_walks():

@@ -16,7 +16,8 @@ from enclosure.errors import ReferenceOnWalk
 from enclosure.geometry import winding_number
 from enclosure.recursion import FutureCost, closed_walk
 from conftest import (
-    build, dp_cell_C, dp_cell_M, every_push_tables, opt, rel_close, req, square)
+    build, dp_cell_C, dp_cell_M, every_push_tables, opt, rel_close, req, square,
+    stairs_by_state)
 from test_recursion import INSTANCES as RECURSION_INSTANCES
 
 INF = math.inf
@@ -240,7 +241,9 @@ def _check_bounded_fill(fsg):
     def f(lab):
         return lab.value + (h[lab.key[0]][lab.key[1]] if lab.kind == "M" else 0.0)
 
-    bounded = _fill(fsg)
+    last, settled = _fill(fsg)
+    bounded = stairs_by_state(settled)
+    assert last == {state: stair[-1] for state, stair in bounded.items()}
     for state in full.stairs.keys() | bounded.keys():
         cheap = [[lab for lab in stairs.get(state, []) if f(lab) <= answer]
                  for stairs in (full.stairs, bounded)]

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from enclosure import Point, compute_free_space_edges, segment_in_free_space
@@ -48,8 +46,7 @@ def test_shared_squeezed_edge_weight():
                   "squeezed_edges": [{"a": [2, 0], "b": [2, 2], "weight": 9}]})
     fsg = compute_free_space_edges(inst)
     i, j = fsg.vertices.index(Point(2, 0)), fsg.vertices.index(Point(2, 2))
-    assert fsg.has_edge(i, j)
-    assert fsg.weight(i, j) == 9.0
+    assert fsg.adjacency[i][j] == fsg.adjacency[j][i] == 9.0
     e = next(e for e in fsg.edges if {e.a, e.b} == {i, j})
     assert e.squeezed
 
@@ -84,15 +81,15 @@ def test_omitted_pairs_fail_a_condition():
             assert ok == (frozenset((i, j)) in present)
     assert segment_in_free_space(Point(2, 0), Point(5, 1), inst)
     index = fsg.vertices.index
-    assert not fsg.has_edge(index(Point(2, 0)), index(Point(5, 1)))
+    assert index(Point(5, 1)) not in fsg.adjacency[index(Point(2, 0))]
 
 
 def test_weights_symmetric_and_euclidean():
     inst = build({"polygons": [req("A", square(0, 0, 3))]})
     fsg = compute_free_space_edges(inst)
     for e in fsg.edges:
-        assert fsg.weight(e.a, e.b) == fsg.weight(e.b, e.a)
-        assert fsg.weight(e.a, e.b) == pytest.approx(3.0)
+        assert fsg.adjacency[e.a][e.b] == fsg.adjacency[e.b][e.a]
+        assert fsg.adjacency[e.a][e.b] == pytest.approx(3.0)
 
 
 def _content_fsg():

@@ -847,13 +847,11 @@ def full_visibility_graph(inst):
     """The instance's free-space graph with every edge of `edges_oracle`,
     tangent or not."""
     edges = [FreeSpaceEdge(*e) for e in edges_oracle(inst)]
-    adjacency = {i: [] for i in range(inst.n)}
+    adjacency = [{} for _ in range(inst.n)]
     for e in edges:
-        adjacency[e.a].append((e.b, e.weight))
-        adjacency[e.b].append((e.a, e.weight))
+        adjacency[e.a][e.b] = adjacency[e.b][e.a] = e.weight
     return dataclasses.replace(
-        compute_free_space_edges(inst), edges=edges, adjacency=adjacency,
-        _weights={(e.a, e.b): e.weight for e in edges})
+        compute_free_space_edges(inst), edges=edges, adjacency=adjacency)
 
 
 _SMALL_SCENES = ("apart", "collinear", "shared_edge", "squeezed",

@@ -8,9 +8,11 @@ from enclosure import (
     brute_force,
     compute_free_space_edges,
     evaluate_solution,
+    random_instance,
     solve_inverted,
 )
 from enclosure.geometry import winding_number
+from enclosure.recursion import open_ids
 from conftest import build, opt, rel_close, req, square
 
 INF = math.inf
@@ -157,7 +159,6 @@ def test_tiling_partition():
 def test_random_knapsack_matches_oracle():
     # k=1 keeps one required object outside, so the finish label's
     # covering test is checked against the oracle too.
-    from enclosure import random_instance
     for k in (0, 1):
         checked = 0
         seed = 0
@@ -204,6 +205,39 @@ def test_stats_count_both_searches(monkeypatch):
     mouths, u_search = runs
     assert mouths["finalized"] and u_search["finalized"]
     assert stats == {c: mouths[c] + u_search[c] for c in ("pushed", "finalized")}
+
+
+def test_every_settled_u_label_rebuilds_its_walk(monkeypatch):
+    # open_ids rebuilds a down or up label like an M2 label, from its two
+    # operands in walk order.  Check it on every U label the search
+    # settles, not only on those of the answer's walk.
+    from enclosure import inverted, recursion
+    settled = []
+
+    def recorded(fsg, seeds, expand, early_stop, stats=None):
+        def record(label, *args):
+            settled.append(label)
+            expand(label, *args)
+        return recursion.label_setting(fsg, seeds, record, early_stop, stats)
+
+    monkeypatch.setattr(inverted, "label_setting", recorded)
+    rules = set()
+    for seed in range(5):
+        for k in range(3):
+            inst = random_instance(seed, n_objects=4, k=k, mode="invert")
+            fsg = compute_free_space_edges(inst)
+            settled.clear()
+            solve_inverted(inst, fsg)
+            for lab in settled:
+                assert lab.kind == "U"
+                ids = open_ids(lab)
+                assert (ids[0], ids[-1]) == lab.key and len(ids) == lab.t + 1
+                assert all(b in fsg.adjacency[a] for a, b in zip(ids, ids[1:]))
+                if lab.rule != "base":
+                    left, right = lab.ops
+                    assert left.key[1] == right.key[0]
+                rules.add(lab.rule)
+    assert rules == {"base", "down", "up"}
 
 
 def test_equal_cost_tie_keeps_first_settled_finish():

@@ -21,7 +21,7 @@ from enclosure.dp import _fill
 from enclosure.recursion import closed_ids, open_ids
 from conftest import (
     build, compute_all_labels, dp_cell_C, dp_cell_M, every_push_tables, opt,
-    rel_close, req, square)
+    rel_close, req, settled_labels, square, stairs_by_state)
 from test_dijkstra import _m_right_hand_side
 
 INSTANCES = {
@@ -79,10 +79,11 @@ def _check_edge_counts(labels):
 def test_label_edge_count_matches_rebuilt_walk(fsg):
     fin_C, fin_M = compute_all_labels(fsg)
     assert _check_edge_counts([*fin_C.values(), *fin_M.values()])
-    _answer, fin, _settled = _search(fsg, early_stop=False, closures=False)
-    assert _check_edge_counts(fin.values())
+    _answer, settled = _search(fsg, early_stop=False, closures=False)
+    assert _check_edge_counts(settled_labels(settled))
     # The reference full fill and solve_dp's bounded fill.
-    for stairs in (every_push_tables(fsg).stairs, _fill(fsg)):
+    for stairs in (every_push_tables(fsg).stairs,
+                   stairs_by_state(_fill(fsg)[1])):
         stored = [lab for stair in stairs.values() for lab in stair]
         assert _check_edge_counts(stored)
         # A staircase stores strictly fewer edges for strictly more value.
@@ -92,15 +93,20 @@ def test_label_edge_count_matches_rebuilt_walk(fsg):
 
 
 def test_settled_index_holds_every_finalized_label(fsg):
-    _answer, fin, settled = _search(fsg, early_stop=False, closures=True)
+    stats = {}
+    _answer, settled = _search(fsg, early_stop=False, closures=True,
+                               stats=stats)
     closed = [lab for labels in settled.closed for lab in labels]
     by_start = [lab for ends in settled.open_from for labs in ends.values()
                 for lab in labs]
     by_end = [lab for starts in settled.open_to for labs in starts.values()
               for lab in labs]
-    assert sorted(id(lab) for lab in closed + by_start) == \
-        sorted(id(lab) for lab in fin.values())
+    # Each finalized label once: one per state, as many as finalized.
+    states = {lab.key + (lab.mask,) for lab in closed + by_start}
+    assert len(closed + by_start) == len(states) == stats["finalized"]
     assert sorted(map(id, by_start)) == sorted(map(id, by_end))
+    for p, labs in enumerate(settled.closed):
+        assert all(lab.key == (p,) for lab in labs)
     for p, ends in enumerate(settled.open_from):
         for q, labs in ends.items():
             assert all(lab.key == (p, q) for lab in labs)

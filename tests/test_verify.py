@@ -17,7 +17,9 @@ from enclosure import (
 from enclosure.errors import FreeSpaceViolation, ReferenceOnWalk
 from enclosure.uncrossing import subdivide_walk
 from enclosure.verify import _fmt_cost
-from conftest import EMPTY_INSTANCE, build, opt, random_closed_walk, req, square
+from conftest import (
+    EMPTY_INSTANCE, build, opt, random_closed_walk, req, square,
+    weak_simplicity_conditions)
 
 
 def _walk(inst, pts):
@@ -29,19 +31,18 @@ def test_simple_square_accepted():
 
 
 def test_bowtie_rejected():
-    diag = {}
-    assert not check_weak_simplicity(
-        _walk(EMPTY_INSTANCE, [(0, 0), (4, 4), (4, 0), (0, 4)]), diag)
-    assert diag["crossings"] is False
+    walk = _walk(EMPTY_INSTANCE, [(0, 0), (4, 4), (4, 0), (0, 4)])
+    assert not check_weak_simplicity(walk)
+    assert weak_simplicity_conditions(walk)["crossings"] is False
 
 
 def test_crossing_through_an_edge_interior_rejected():
     # The walk runs down through (2, 0), which lies inside its edge
     # (0, 0)-(4, 0): no two edges cross properly, but at that point the
     # transition north -> south crosses the edge's own west -> east pass.
-    diag = {}
-    pts = [(0, 0), (4, 0), (2, 2), (2, 0), (2, -2)]
-    assert not check_weak_simplicity(_walk(EMPTY_INSTANCE, pts), diag)
+    walk = _walk(EMPTY_INSTANCE, [(0, 0), (4, 0), (2, 2), (2, 0), (2, -2)])
+    assert not check_weak_simplicity(walk)
+    diag = weak_simplicity_conditions(walk)
     assert diag["crossings"] is True and diag["multiplicity"] is True
     assert diag["pairing"] is False
 
@@ -52,16 +53,15 @@ def test_digon_accepted():
 
 
 def test_triple_multiplicity_rejected():
-    pts = [(0, 0), (4, 0), (4, 4), (0, 4)]
-    diag = {}
-    assert not check_weak_simplicity(_walk(EMPTY_INSTANCE, pts * 3), diag)
-    assert diag["multiplicity"] is False
+    walk = _walk(EMPTY_INSTANCE, [(0, 0), (4, 0), (4, 4), (0, 4)] * 3)
+    assert not check_weak_simplicity(walk)
+    assert weak_simplicity_conditions(walk)["multiplicity"] is False
 
 
 def test_double_wound_square_rejected():
-    pts = [(0, 0), (4, 0), (4, 4), (0, 4)]
-    diag = {}
-    assert not check_weak_simplicity(_walk(EMPTY_INSTANCE, pts * 2), diag)
+    walk = _walk(EMPTY_INSTANCE, [(0, 0), (4, 0), (4, 4), (0, 4)] * 2)
+    assert not check_weak_simplicity(walk)
+    diag = weak_simplicity_conditions(walk)
     # Atom multiplicity 2 is fine; the interior winding number 2 is not.
     assert diag["multiplicity"] is True
     assert diag["winding"] is False
@@ -72,8 +72,9 @@ def test_mixed_orientation_theta_rejected():
     # atom has multiplicity <= 2 and no edges cross, but windings are -1/+1.
     pts = [(0, 0), (0, 2), (1, 2), (1, 0), (3, 0), (6, 0), (6, 3), (3, 3),
            (3, 0), (1, 0)]
-    diag = {}
-    assert not check_weak_simplicity(_walk(EMPTY_INSTANCE, pts), diag)
+    walk = _walk(EMPTY_INSTANCE, pts)
+    assert not check_weak_simplicity(walk)
+    diag = weak_simplicity_conditions(walk)
     assert diag["winding"] is False
     assert diag["face_windings"] == [-1, 0, 1]
 
@@ -83,9 +84,9 @@ def test_clockwise_dumbbell_accepted():
     # weakly simple clockwise curve, judged by its counterclockwise reversal.
     pts = [(0, 0), (0, 2), (1, 2), (1, 0), (3, 0), (3, 3), (6, 3), (6, 0),
            (3, 0), (1, 0)]
-    diag = {}
-    assert check_weak_simplicity(_walk(EMPTY_INSTANCE, pts), diag)
-    assert diag["face_windings"] == [0, 1]
+    walk = _walk(EMPTY_INSTANCE, pts)
+    assert check_weak_simplicity(walk)
+    assert weak_simplicity_conditions(walk)["face_windings"] == [0, 1]
     assert check_weak_simplicity(_walk(EMPTY_INSTANCE, pts[::-1]))
 
 
@@ -109,8 +110,7 @@ def _offset_windings(walk):
 
 
 def _face_windings(walk):
-    diag = {}
-    check_weak_simplicity(walk, diag)
+    diag = weak_simplicity_conditions(walk)
     return set(diag["face_windings"]) if "face_windings" in diag else None
 
 
