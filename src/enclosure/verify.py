@@ -62,15 +62,28 @@ def check_weak_simplicity(walk: Walk) -> bool:
     simple polygon; see the module docstring.  A clockwise walk (negative
     signed area, as the inverted solver returns) is weakly simple exactly
     when its reversal is, so it is judged by its reversal."""
+    return all(ok for name, ok in _weak_simplicity_conditions(walk).items()
+               if name != "face_windings")
+
+
+def _weak_simplicity_conditions(walk: Walk) -> dict:
+    """The conditions `check_weak_simplicity` joins, each read on its own:
+    {} for a walk of at most two points, else "crossings" (no proper
+    crossing) and, when that holds, "multiplicity" (no atom traversed more
+    than twice), "winding" (every face winds 0 or 1), "face_windings" (the
+    sorted face windings) and "pairing" (non-crossing transitions)."""
     if signed_area2(walk.points) < 0:
         walk = replace(walk, points=tuple(reversed(walk.points)))
     if len(_clean_points(walk)) <= 2:
-        return True
+        return {}
     g, report = subdivide_walk(walk)
-    return (report.s == 0
-            and all(m <= 2 for m in g.multiplicity.values())
-            and _face_windings(g) <= {0, 1}
-            and _transitions_non_crossing(g.traversal))
+    if report.s:
+        return {"crossings": False}
+    windings = _face_windings(g)
+    return {"crossings": True,
+            "multiplicity": all(m <= 2 for m in g.multiplicity.values()),
+            "winding": windings <= {0, 1}, "face_windings": sorted(windings),
+            "pairing": _transitions_non_crossing(g.traversal)}
 
 
 def _face_windings(g: PlaneMultigraph) -> Set[int]:

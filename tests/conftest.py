@@ -3,7 +3,6 @@
 import math
 import random
 from bisect import bisect_right
-from dataclasses import replace
 from operator import attrgetter
 
 from enclosure import (
@@ -12,7 +11,6 @@ from enclosure import (
     compute_free_space_edges,
     make_walk,
     parse_instance,
-    signed_area2,
     solve_dijkstra,
     solve_dp,
     orient,
@@ -20,8 +18,6 @@ from enclosure import (
 )
 from enclosure.errors import DegenerateTriangle
 from enclosure.recursion import RANK, Label, Settled, check_solvable, relax
-from enclosure.uncrossing import _clean_points, subdivide_walk
-from enclosure.verify import _face_windings, _transitions_non_crossing
 
 INF = math.inf
 
@@ -262,26 +258,6 @@ def random_closed_walk(rng: random.Random, n_points=8, grid=20) -> Walk:
     if len(pts) < 3:
         pts = [Point(0, 0), Point(5, 1), Point(1, 5)]
     return make_walk(EMPTY_INSTANCE, pts)
-
-
-def weak_simplicity_conditions(walk):
-    """The conditions `check_weak_simplicity` joins, each read on its own
-    from the functions it calls: {} for a walk of at most two points, else
-    "crossings" (no proper crossing) and, when that holds, "multiplicity",
-    "face_windings" (sorted), "winding" and "pairing".  A clockwise walk
-    is judged by its reversal, as the check does."""
-    if signed_area2(walk.points) < 0:
-        walk = replace(walk, points=walk.points[::-1])
-    if len(_clean_points(walk)) <= 2:
-        return {}
-    g, report = subdivide_walk(walk)
-    if report.s:
-        return {"crossings": False}
-    windings = _face_windings(g)
-    return {"crossings": True,
-            "multiplicity": all(m <= 2 for m in g.multiplicity.values()),
-            "face_windings": sorted(windings), "winding": windings <= {0, 1},
-            "pairing": _transitions_non_crossing(g.traversal)}
 
 
 def sample_points_off(walks, rng: random.Random, count, grid=25):

@@ -28,6 +28,7 @@ from enclosure import (
 from enclosure.errors import GenerationFailure
 from enclosure.geometry import winding_number
 from enclosure.instance import validate_and_subdivide
+from enclosure.verify import _weak_simplicity_conditions
 from conftest import (
     build,
     opt,
@@ -36,7 +37,6 @@ from conftest import (
     req,
     sample_points_off,
     square,
-    weak_simplicity_conditions,
 )
 
 INF = math.inf
@@ -145,7 +145,7 @@ def test_criterion_3_solution_invariants():
             assert winding_number(walk.points, x) >= 0, (seed, x)
         out, report = uncross(inst, walk)
         assert check_weak_simplicity(out), seed
-        windings = weak_simplicity_conditions(out)["face_windings"]
+        windings = _weak_simplicity_conditions(out)["face_windings"]
         assert all(w in (0, 1) for w in windings), seed
         sol = evaluate_solution(inst, out)
         assert sol.feasible, seed

@@ -16,10 +16,8 @@ from enclosure import (
 )
 from enclosure.errors import FreeSpaceViolation, ReferenceOnWalk
 from enclosure.uncrossing import subdivide_walk
-from enclosure.verify import _fmt_cost
-from conftest import (
-    EMPTY_INSTANCE, build, opt, random_closed_walk, req, square,
-    weak_simplicity_conditions)
+from enclosure.verify import _fmt_cost, _weak_simplicity_conditions
+from conftest import EMPTY_INSTANCE, build, opt, random_closed_walk, req, square
 
 
 def _walk(inst, pts):
@@ -33,7 +31,7 @@ def test_simple_square_accepted():
 def test_bowtie_rejected():
     walk = _walk(EMPTY_INSTANCE, [(0, 0), (4, 4), (4, 0), (0, 4)])
     assert not check_weak_simplicity(walk)
-    assert weak_simplicity_conditions(walk)["crossings"] is False
+    assert _weak_simplicity_conditions(walk)["crossings"] is False
 
 
 def test_crossing_through_an_edge_interior_rejected():
@@ -42,7 +40,7 @@ def test_crossing_through_an_edge_interior_rejected():
     # transition north -> south crosses the edge's own west -> east pass.
     walk = _walk(EMPTY_INSTANCE, [(0, 0), (4, 0), (2, 2), (2, 0), (2, -2)])
     assert not check_weak_simplicity(walk)
-    diag = weak_simplicity_conditions(walk)
+    diag = _weak_simplicity_conditions(walk)
     assert diag["crossings"] is True and diag["multiplicity"] is True
     assert diag["pairing"] is False
 
@@ -55,13 +53,28 @@ def test_digon_accepted():
 def test_triple_multiplicity_rejected():
     walk = _walk(EMPTY_INSTANCE, [(0, 0), (4, 0), (4, 4), (0, 4)] * 3)
     assert not check_weak_simplicity(walk)
-    assert weak_simplicity_conditions(walk)["multiplicity"] is False
+    assert _weak_simplicity_conditions(walk)["multiplicity"] is False
+
+
+@pytest.mark.parametrize("pts", [
+    # The bottom edge walked three times, and a spike walked out and back
+    # twice: every face winds 0 or 1 and the transitions pair up without
+    # crossing, so the multiplicity condition alone rejects the walk.
+    [(0, 0), (4, 0), (0, 0), (4, 0), (4, 4), (0, 4)],
+    [(0, 0), (4, 0), (4, 4), (6, 6), (4, 4), (6, 6), (4, 4), (0, 4)],
+])
+def test_multiplicity_alone_rejects(pts):
+    walk = _walk(EMPTY_INSTANCE, pts)
+    assert not check_weak_simplicity(walk)
+    assert _weak_simplicity_conditions(walk) == {
+        "crossings": True, "multiplicity": False, "winding": True,
+        "face_windings": [0, 1], "pairing": True}
 
 
 def test_double_wound_square_rejected():
     walk = _walk(EMPTY_INSTANCE, [(0, 0), (4, 0), (4, 4), (0, 4)] * 2)
     assert not check_weak_simplicity(walk)
-    diag = weak_simplicity_conditions(walk)
+    diag = _weak_simplicity_conditions(walk)
     # Atom multiplicity 2 is fine; the interior winding number 2 is not.
     assert diag["multiplicity"] is True
     assert diag["winding"] is False
@@ -74,7 +87,7 @@ def test_mixed_orientation_theta_rejected():
            (3, 0), (1, 0)]
     walk = _walk(EMPTY_INSTANCE, pts)
     assert not check_weak_simplicity(walk)
-    diag = weak_simplicity_conditions(walk)
+    diag = _weak_simplicity_conditions(walk)
     assert diag["winding"] is False
     assert diag["face_windings"] == [-1, 0, 1]
 
@@ -86,7 +99,7 @@ def test_clockwise_dumbbell_accepted():
            (3, 0), (1, 0)]
     walk = _walk(EMPTY_INSTANCE, pts)
     assert check_weak_simplicity(walk)
-    assert weak_simplicity_conditions(walk)["face_windings"] == [0, 1]
+    assert _weak_simplicity_conditions(walk)["face_windings"] == [0, 1]
     assert check_weak_simplicity(_walk(EMPTY_INSTANCE, pts[::-1]))
 
 
@@ -110,7 +123,7 @@ def _offset_windings(walk):
 
 
 def _face_windings(walk):
-    diag = weak_simplicity_conditions(walk)
+    diag = _weak_simplicity_conditions(walk)
     return set(diag["face_windings"]) if "face_windings" in diag else None
 
 
