@@ -28,14 +28,14 @@ for a full-mask label it skips an apex group whose one target state is
 settled or pending at no more than the group's lower bound before the
 triangle content is looked up.
 
-With the closing rule C1 switched off the same search computes the inverted
-solver's mouths, unbounded and so with h = 0.  The queue (`label_setting`:
-first settled label per state wins, stop at the first settled closed label
-covering every required object), the rules (`relax`, over the
-settled-label index `Settled`), the rule ranks, the label type, the
-precondition check, the trivial answer and the walk rebuild come from
-`recursion.py`; this module only builds the index and expands each settled
-label by `relax`.
+The inverted solver settles its mouths by the same rules with the closing
+rule C1 switched off, in its own queue bounded by its own answer
+(`inverted.py`).  The queue (`label_setting`: first settled label per
+state wins, stop at the first settled closed label covering every required
+object), the rules (`relax`, over the settled-label index `Settled`), the
+rule ranks, the label type, the precondition check, the trivial answer and
+the walk rebuild come from `recursion.py`; this module only builds the
+index and expands each settled label by `relax`.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .recursion import (
 from .walks import Walk
 
 
-def _search(fsg: FreeSpaceGraph, early_stop: bool, closures: bool,
+def _search(fsg: FreeSpaceGraph, early_stop: bool,
             stats: Optional[dict] = None):
     """Run the label-setting search from the point walks C(p, {}) = 0.
 
@@ -63,14 +63,13 @@ def _search(fsg: FreeSpaceGraph, early_stop: bool, closures: bool,
     covering every required object (None if the queue drains first), and
     the expanded labels as a `Settled` index; an early-stopped search does
     not expand its answer.  With early_stop=False the whole fixed point is
-    computed.  With closures=False rule C1 is off: the only closed walks
-    are point walks, and the M labels are the mouths.
+    computed.
     """
     settled = Settled(fsg.n)
 
     def expand(label, push, bound, pending, h):
         settled.add(label)
-        relax(fsg, label, settled, push, closures, bound, pending, h)
+        relax(fsg, label, settled, push, True, bound, pending, h)
 
     seeds = [("C", (p,), 0, 0.0, 0, "base", ()) for p in range(fsg.n)]
     return label_setting(fsg, seeds, expand, early_stop, stats), settled
@@ -83,8 +82,7 @@ def solve_dijkstra(fsg: FreeSpaceGraph,
     trivial = trivial_answer(fsg)
     if trivial is not None:
         return trivial
-    answer, _settled = _search(fsg, early_stop=True, closures=True,
-                               stats=stats)
+    answer, _settled = _search(fsg, early_stop=True, stats=stats)
     if answer is None:
         return INF, None
     return answer.value, closed_walk(fsg, answer)

@@ -28,47 +28,54 @@ Contents are asked of the free-space graph by vertex index: a half-plane
 through v is `x_at_most(v.x)` or its complement, a plank is
 `FreeSpaceGraph.plank` of its chord; both are memoized reference masks.
 
-Every rule adds a positive mouth value or a nonnegative penalty to its
-operand, so the U search runs on the enclosure search's label-setting
-queue (`recursion.label_setting`), in A* order by f = value + h.  A U label
-U(p, q) gets h = c·|pq| (c as in `recursion.py`), the finish h = 0.  h is
-consistent: a walk that closes U(p, q) must still get from q back to p, and
-each down or up plank adds a mouth worth at least c times the length of
-its chord, so by the triangle inequality a plank from U(p, q) to U(far, q)
-raises h by at most c·|far p|, no more than the mouth adds; the finish
-takes U(s, s), whose h is 0.  U labels are `Label("U", (p, q), ...)` and
-all inverted rules rank with "base", so they settle by (f, value, p, q, B,
-push order); at equal f and value a finish settles before any U label,
-and the first finish settled is the answer.  Mouth lists are in settling
-order and one group's targets share their h, so a plank scan stops at the
-queue's bound less the target's h, and its group's first mouth gives a
-lower bound on every plank through that chord.  Before it looks up a
-plank's content, the scan asks the queue's pending map for the target
-state: when the U label's mask is already full (always when k = 0) every
-plank of the group lands on one state, and the group is skipped if that
-state is settled or pending at no more than the lower bound; each mouth's
-exact target is asked again before its push, and so is the finish's, as
-the queue requires.  Either way only labels that could not win are
+The mouths and the U labels settle in one run of the enclosure search's
+label-setting queue (`recursion.label_setting`), in A* order by
+f = value + h, and the answer's bound stops both.  Every rule adds a
+positive edge weight or mouth value or a nonnegative penalty to its
+operands.  The mouths are the open labels of the enclosure recursion with
+the closing rule C1 off, built from the single-edge mouths M1 on the point
+walks by `relax` over their own settled-label index.  A mouth M(p, q) and
+a U label U(p, q) get h = c·|pq| (c as in `recursion.py`), the finish
+h = 0.  h is consistent: a walk that closes U(p, q) must still get from q
+back to p, and each down or up plank adds a mouth worth at least c times
+the length of its chord, so by the triangle inequality a plank from
+U(p, q) to U(far, q) raises h by at most c·|far p|, no more than the mouth
+adds; and v(U(p, q)) >= c·|pq|, so the plank's f is no less than the
+mouth's (the proof for all rules is in `recursion.py`).  U labels are
+`Label("U", (p, q), ...)` with their own state codes, and all inverted
+rules rank with "base", so U labels settle by (f, value, p, q, B, push
+order); at equal f and value a finish settles before any mouth or U
+label, and the first finish settled is the answer.
+
+A plank joins a mouth with a U label, whichever settles second: a settled
+U label joins the settled mouths of the chords that reach its ends, a
+settled mouth the settled U labels at the end its chord reaches.  The
+plank index keeps both by that chord end, each chord's mouths with the
+plank content, looked up once when its first mouth settles.  One group's
+labels are in settling order and share their target's h, so a scan stops
+at the queue's bound less that h; when the joining label's mask is
+already full (always when k = 0) every join of a group lands on one
+state, and only the group's first disjoint label can beat it.  Each join's
+exact target is asked of the queue's pending map before its push, and so
+is the finish's, as the queue requires; only labels that could not win are
 skipped.
 
-The mouths are the open labels of the label-setting search of `dijkstra.py`
-with the closing rule C1 off (a full fixed point, unbounded, so it runs
-with h = 0), read from its settled-label index; the rules that build them
-(`relax`), the precondition check, the label type and the rebuild of a
-mouth's or a U label's walk (`open_ids`: a down or up label joins its two
-operands' walks in walk order, like M2) come from `recursion.py`.
+The precondition check, the label type, the rules that build the mouths
+(`relax`) and the rebuild of a mouth's or a U label's walk (`open_ids`: a
+down or up label joins its two operands' walks in walk order, like M2)
+come from `recursion.py`.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from .dijkstra import _search
 from .errors import InternalError
 from .freespace import FreeSpaceGraph
 from .instance import Instance
 from .recursion import (
-    INF, UNSEEN, Label, check_solvable, label_setting, open_ids)
+    INF, UNSEEN, Label, Settled, check_solvable, label_setting, open_ids,
+    relax)
 from .walks import Walk, make_walk
 
 
@@ -86,66 +93,100 @@ def solve_inverted(inst: Instance, fsg: FreeSpaceGraph,
         # Nothing can be enclosed: everything is outside the empty curve.
         return (all_pen, Walk((), 0.0)) if full == 0 else (INF, None)
 
-    # A counterclockwise loop hanging off the curve would give its interior
-    # winding +1, which no clockwise weakly simple curve has, so pockets are
-    # mouths without closed-loop attachments: rule C1 is off.
-    counts: dict = {}
-    _answer, mouths = _search(fsg, early_stop=False, closures=False,
-                              stats=counts)
-
     verts = fsg.vertices
+    xs = [v.x for v in verts]
     n, k = fsg.n, fsg._k
+    u_base = n + n * n  # U(p, q) has state code u_base + p·n + q
+    mouths = Settled(n)
+    # The plank index by the chord end v a plank reaches: U(v, q) by q,
+    # U(p, v) by p, and per chord (inside, penalty, mouths) of the mouths
+    # M(a, v), a.x >= v.x, by a (down) and M(v, b), b.x >= v.x, by b (up).
+    starts: list = [{} for _ in range(n)]
+    ends: list = [{} for _ in range(n)]
+    downs: list = [{} for _ in range(n)]
+    ups: list = [{} for _ in range(n)]
 
     def expand(lab: Label, push, bound: float, pending: dict, h) -> None:
-        p, q = lab.key
+        s, e = lab.key
+        if lab.kind == "U":
+            starts[s].setdefault(e, []).append(lab)
+            ends[e].setdefault(s, []).append(lab)
+            if s == e:  # a finish ranks 0, as every rule into its state does
+                right, pen = fsg.split_content(fsg._all & ~fsg.x_at_most(xs[s]))
+                value = lab.value + pen
+                if not (right & lab.mask) and (right | lab.mask) == full and \
+                        pending.get(-1 << k | full, UNSEEN)[0] > value:
+                    push("C", (), full, value, lab.t, "finish", (lab,))
+            if downs[s]:
+                join(lab, downs[s], True, None, push, bound, pending, h)
+            if ups[e]:
+                join(lab, ups[e], False, None, push, bound, pending, h)
+            return
+        # A counterclockwise loop hanging off the curve would give its
+        # interior winding +1, which no clockwise weakly simple curve has,
+        # so pockets are mouths without closed-loop attachments: rule C1
+        # is off.
+        mouths.add(lab)
+        relax(fsg, lab, mouths, push, False, bound, pending, h)
+        for up, chords, far, near, partners in (
+                (False, downs[e], s, e, starts[e]), (True, ups[s], e, s, ends[s])):
+            if xs[far] < xs[near]:
+                continue
+            chord = chords.get(far)
+            if chord is None:
+                chord = chords[far] = (*fsg.plank(s, e, up), [])
+            chord[2].append(lab)
+            if partners and chord[1] != INF and not lab.mask & chord[0]:
+                join(lab, partners, up, chord[:2], push, bound, pending, h)
+
+    def join(lab: Label, groups: dict, before: bool, plank, push,
+             bound: float, pending: dict, h) -> None:
+        """Join `lab` across a plank with each settled label of the other
+        kind in `groups`, a plank index entry keyed by the target's free
+        end; with `before` the group's labels precede `lab` in walk order.
+        `plank` is the (inside, penalty) of `lab` if it is a mouth; else
+        each group is a chord's (inside, penalty, mouths).  Every rule into
+        a U state ranks 0, so pending (value, rank) is no larger than
+        (total, 0) exactly when its value is <= total."""
         mask, value, t = lab.mask, lab.value, lab.t
-        if p == q:  # a finish ranks 0, as every rule into its state does
-            right, pen = fsg.split_content(fsg._all & ~fsg.x_at_most(verts[p].x))
-            if not (right & mask) and (right | mask) == full and \
-                    pending.get(-1 << k | full, UNSEEN)[0] > value + pen:
-                push("C", (), full, value + pen, t, "finish", (lab,))
-        # Down-plank: prepend a chord far -> p with far.x >= p.x; up-plank:
-        # append a chord q -> far with far.x >= q.x.  The chord is the key of
-        # every mouth in its group, and the group's target U(far, q) or
-        # U(p, far) has one h, h(far, q) = h[q][far] or h(p, far) =
-        # h[p][far], and one state code base (`recursion.py`: code << k,
-        # with code n + p·n + q for U(p, q) and -1 for the finish).  With
-        # `mask` full every allowed plank lands on (key, full), so that
-        # state is asked before the plank.
-        # Every rule into a U state ranks 0, so pending (value, rank) is no
-        # larger than (total, 0) exactly when its value is <= total.
-        for down, near, groups in ((True, p, mouths.open_to[p]),
-                                   (False, q, mouths.open_from[q])):
-            rule, h_near = ("down", h[q]) if down else ("up", h[p])
-            for far, group in groups.items():
-                if verts[far].x < verts[near].x:
-                    continue
-                low, cut = value + group[0].value, bound - h_near[far]
-                code = (n + far * n + q if down else n + p * n + far) << k
-                if low > cut or mask == full and pending.get(
-                        code | full, UNSEEN)[0] <= low:
-                    continue
-                inside, pen = fsg.plank(*group[0].key, not down)
+        whole = mask == full
+        rule = "up" if before == (plank is not None) else "down"
+        fixed = lab.key[1] if before else lab.key[0]
+        h_end = h[fixed]
+        base, stride = (u_base + fixed, n) if before else (u_base + fixed * n, 1)
+        if plank is not None:
+            inside, pen = plank
+        for end, group in groups.items():
+            if plank is None:
+                inside, pen, group = group
                 if pen == INF or mask & inside:
                     continue
-                used = mask | inside
-                key = (far, q) if down else (p, far)
-                for mouth in group:
-                    total = value + mouth.value + pen
-                    if total > cut:
-                        break
-                    joined = used | mouth.mask
-                    if used & mouth.mask or pending.get(
-                            code | joined, UNSEEN)[0] <= total:
-                        continue
-                    push("U", key, joined, total, t + mouth.t, rule,
-                         (mouth, lab) if down else (lab, mouth))
+            cut, used = bound - h_end[end], mask | inside
+            code = (base + end * stride) << k
+            for other in group:
+                total = value + other.value + pen
+                if total > cut:
+                    break
+                if used & other.mask:
+                    continue
+                joined = used | other.mask
+                if pending.get(code | joined, UNSEEN)[0] > total:
+                    push("U", (end, fixed) if before else (fixed, end), joined,
+                         total, t + other.t, rule,
+                         (other, lab) if before else (lab, other))
+                if whole:
+                    break
 
-    seeds = [("U", (v, v), *fsg.split_content(fsg.x_at_most(verts[v].x)), 0,
-              "base", ()) for v in range(fsg.n)]
+    # The seeds: the single-edge mouths M1 on the point walks C(p, {}) = 0,
+    # and the base labels U(v, v) of the left half-planes.  The point walks
+    # themselves are not queued: with k = 0 their mask is full, and the
+    # queue would take one for the answer.
+    points = [Label("C", (p,), 0, 0.0, "base") for p in range(n)]
+    seeds = [("M", (p, q), 0, w, 1, "M1", (points[p],))
+             for p in range(n) for q, w in fsg.adjacency[p].items()]
+    seeds += [("U", (v, v), *fsg.split_content(fsg.x_at_most(xs[v])), 0,
+               "base", ()) for v in range(n)]
     answer = label_setting(fsg, seeds, expand, early_stop=True, stats=stats)
-    if stats is not None:  # count the mouth search too
-        stats.update({name: stats[name] + counts[name] for name in counts})
 
     if answer is None:
         return INF, None

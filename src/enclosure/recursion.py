@@ -1,8 +1,8 @@
 """The enclosure recursion's shared pieces, used by all three solvers.
 
 The budgeted DP (`dp.py`), the label-setting search (`dijkstra.py`) and the
-inverted solver's mouths (`inverted.py`) evaluate one recursion over closed
-walks C(p, B) and open walks ("mouths") M(pq, B):
+inverted solver's mouths (`inverted.py`, without rule C1) evaluate one
+recursion over closed walks C(p, B) and open walks ("mouths") M(pq, B):
 
   * C base:   C(p, {}) = 0 (the point walk);
   * C1:       close an open walk q -> p with the edge pq;
@@ -18,13 +18,14 @@ once, for every solver, reading the settled labels from one index
 it settles labels by f = value + h, where h is a lower bound on what a
 label's walk still has to pay before it closes (`FutureCost`); the first
 label per state wins, and pushes that cannot win are dropped.  The
-enclosure search drives it with `relax`, the inverted U search with its
-plank and finish rules, and both ask its pending map before they derive a
-label that could only be dropped.  The DP keeps its bucket queue by edge
-budget, where a label is kept only if it improves its state's staircase,
-and bounds it by the same f.  Also here: the rule ranks, the label type,
-the precondition check of every solver entry, the answer on instances with
-nothing required, and the rebuild of a walk from a label's provenance.
+enclosure search drives it with `relax`; the inverted solver drives it in
+one run with `relax` for its mouths and its plank and finish rules for its
+U labels; both ask its pending map before they derive a label that could
+only be dropped.  The DP keeps its bucket queue by edge budget, where a
+label is kept only if it improves its state's staircase, and bounds it by
+the same f.  Also here: the rule ranks, the label type, the precondition
+check of every solver entry, the answer on instances with nothing
+required, and the rebuild of a walk from a label's provenance.
 
 The future cost.  With c = `FreeSpaceGraph.h_scale`, the least
 weight/length ratio of the free-space edges (at most 1) shaved by
@@ -41,8 +42,10 @@ whose f is below the f of an operand it was derived from.
     right part.
   * The inverted down and up planks add a mouth M(far, p) (resp.
     M(q, far)) to U(p, q), so the triangle inequality over |far p|,
-    |far q| and |pq| covers them the same way, and the finish takes
-    U(s, s), whose h is 0.
+    |far q| and |pq| covers them the same way for the U operand.  For
+    the mouth operand it does too, as a U label is a walk from p to q:
+    v(U(p, q)) >= c·|pq|, so f(U(far, q)) >= c·|pq| + v(M(far, p)) +
+    c·|q far| >= f(M(far, p)).  The finish takes U(s, s), whose h is 0.
 The shave leaves a margin in each of these inequalities of at least 1e-9·c
 times the length of the edge or mouth the rule adds, far above the
 rounding of a float sum, so the computed f keeps the order the proof
@@ -56,11 +59,10 @@ still compare by value: settled lists stay sorted by value and the
 partner scans' cutoffs stay valid.
 
 States are coded as one int, code << k | mask for k required objects,
-with code(C(p)) = p, code(M(p, q)) = code(U(p, q)) = n + p·n + q and
-code(C(())) = -1 for the inverted finish.  Within one run ("C" with "M",
-or "C" with "U") the code is increasing in (kind, key, mask), so the
-queue order (f, value, rank, state) breaks ties exactly as
-(f, value, rank, kind, key, mask) would.
+with code(C(p)) = p, code(M(p, q)) = n + p·n + q, code(U(p, q)) =
+n + n² + p·n + q and code(C(())) = -1 for the inverted finish.  The code
+is increasing in (kind, key, mask), so the queue order (f, value, rank,
+state) breaks ties exactly as (f, value, rank, kind, key, mask) would.
 """
 
 from __future__ import annotations
@@ -183,16 +185,18 @@ def label_setting(fsg: FreeSpaceGraph, seeds: Iterable[tuple], expand,
     With early_stop the loop ends at the answer, else it computes the
     whole fixed point.
 
-    h is `FutureCost` at scale `fsg.h_scale` under early_stop.  Without
-    it nothing is bounded, so h could only reorder the fixed point; it
-    runs with h = 0 and settles in value order.  Exact as long as no rule
-    derives a label cheaper than the one it expands (`check_solvable`) and
-    h is consistent: labels settle in nondecreasing f, and a state's first
-    settled label is its cheapest.  Pushes that cannot change a settled
-    label are not queued: push drops one whose f exceeds `bound`
-    (strictly), the cheapest full-mask "C" value pushed under early_stop
-    (else INF), as the answer settles no later than that label and every
-    label it is derived from has f <= its value.
+    h is `FutureCost` at scale `fsg.h_scale` under early_stop, for every
+    open label: the enclosure search's mouths, and the inverted solver's
+    mouths and U labels alike.  Without early_stop nothing is bounded, so
+    h could only reorder the fixed point; it runs with h = 0 and settles
+    in value order.  Exact as long as no rule derives a label cheaper
+    than the one it expands (`check_solvable`) and h is consistent:
+    labels settle in nondecreasing f, and a state's first settled label
+    is its cheapest.  Pushes that cannot change a settled label are not
+    queued: push drops one whose f exceeds `bound` (strictly), the
+    cheapest full-mask "C" value pushed under early_stop (else INF), as
+    the answer settles no later than that label and every label it is
+    derived from has f <= its value.
 
     `pending` maps each state code pushed so far to its (value, rank); a
     settled state holds SETTLED.  Its entries only fall: each push beats
@@ -211,13 +215,17 @@ def label_setting(fsg: FreeSpaceGraph, seeds: Iterable[tuple], expand,
     seq = finalized = 0
     bound = INF
 
+    u_base = n + n * n
+    new = tuple.__new__  # builds a Label without its Python-level __new__
+
     def push(kind, key, mask, value, t, rule, ops):
         nonlocal seq, bound
         if kind == "C":
             f, state = value, (key[0] if key else -1) << k | mask
         else:
             p, q = key
-            f, state = value + h[p][q], (n + p * n + q) << k | mask
+            f = value + h[p][q]
+            state = ((n if kind == "M" else u_base) + p * n + q) << k | mask
         if value == INF or f > bound:
             return
         rank = RANK[rule]
@@ -225,7 +233,7 @@ def label_setting(fsg: FreeSpaceGraph, seeds: Iterable[tuple], expand,
         if early_stop and kind == "C" and mask == full:
             bound = value
         heappush(heap, (f, value, rank, state,
-                        Label(kind, key, mask, value, rule, ops, t)))
+                        new(Label, (kind, key, mask, value, rule, ops, t))))
         seq += 1
 
     for seed in seeds:

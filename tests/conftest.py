@@ -17,7 +17,8 @@ from enclosure import (
     validate_and_subdivide,
 )
 from enclosure.errors import DegenerateTriangle
-from enclosure.recursion import RANK, Label, Settled, check_solvable, relax
+from enclosure.recursion import (
+    RANK, Label, Settled, check_solvable, label_setting, relax)
 
 INF = math.inf
 
@@ -107,9 +108,25 @@ def compute_all_labels(fsg):
     from enclosure.dijkstra import _search
 
     check_solvable(fsg)
-    _answer, settled = _search(fsg, early_stop=False, closures=True)
+    _answer, settled = _search(fsg, early_stop=False)
     labels = settled_labels(settled)
     return by_state(labels, "C"), by_state(labels, "M")
+
+
+def mouth_fixed_point(fsg):
+    """The reference mouths of the inverted solver: the whole fixed point
+    of the enclosure recursion with the closing rule C1 off, from the
+    point walks, unbounded and so with h = 0.  Returns its `Settled`
+    index, the point walks and every mouth."""
+    settled = Settled(fsg.n)
+
+    def expand(label, push, bound, pending, h):
+        settled.add(label)
+        relax(fsg, label, settled, push, False, bound, pending, h)
+
+    seeds = [("C", (p,), 0, 0.0, 0, "base", ()) for p in range(fsg.n)]
+    label_setting(fsg, seeds, expand, early_stop=False)
+    return settled
 
 
 class StairTables:

@@ -15,8 +15,8 @@ from enclosure.inverted import solve_inverted
 from enclosure.recursion import (
     INF, RANK, FutureCost, Label, check_solvable, closed_ids, open_ids)
 from conftest import (
-    build, by_state, compute_all_labels, opt, rel_close, req, settled_labels,
-    square)
+    build, by_state, compute_all_labels, mouth_fixed_point, opt, rel_close,
+    req, settled_labels, square)
 
 
 def test_single_square_perimeter():
@@ -115,7 +115,7 @@ def test_bound_pruned_search_settles_fixed_point_labels():
         h = FutureCost(fsg, fsg.h_scale)
         fin_C, fin_M = compute_all_labels(fsg)
         fixed = {**fin_C, **fin_M}
-        answer, settled = _search(fsg, early_stop=True, closures=True)
+        answer, settled = _search(fsg, early_stop=True)
         # The early-stopped search settles its answer without expanding it.
         fin = by_state(settled_labels(settled) + [answer])
         assert set(fin) == {s for s, lab in fixed.items()
@@ -201,8 +201,7 @@ def test_finalized_m_labels_stable_under_reevaluation():
                                opt("B", square(5, 1, 2), 3)]})
     fsg = compute_free_space_edges(inst)
     fin_C, fin_M = compute_all_labels(fsg)
-    _answer, settled = _search(fsg, early_stop=False, closures=False)
-    labels = settled_labels(settled)
+    labels = settled_labels(mouth_fixed_point(fsg))
     base_C, mouths = by_state(labels, "C"), by_state(labels, "M")
     assert all(lab.rule == "base" for lab in base_C.values())
     for labels_C, labels_M in ((fin_C, fin_M), (base_C, mouths)):

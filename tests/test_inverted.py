@@ -12,8 +12,10 @@ from enclosure import (
     solve_inverted,
 )
 from enclosure.geometry import winding_number
-from enclosure.recursion import open_ids
-from conftest import build, opt, rel_close, req, square
+from enclosure.recursion import FutureCost, open_ids
+from conftest import (
+    build, by_state, mouth_fixed_point, opt, rel_close, req, settled_labels,
+    square)
 
 INF = math.inf
 
@@ -181,63 +183,90 @@ def test_random_knapsack_matches_oracle():
             checked += 1
 
 
-def test_stats_count_both_searches(monkeypatch):
-    # solve_inverted runs the mouth fixed point, then the U search; its
-    # counters are the sums of the two label-setting runs.
-    from enclosure import dijkstra, inverted, recursion
+def _recording(monkeypatch):
+    """Make solve_inverted record each `label_setting` run it makes: a
+    list with one (counters, settled labels) pair per run."""
+    from enclosure import inverted, recursion
     runs = []
 
-    def counted(fsg, seeds, expand, early_stop, stats=None):
-        own = {}
-        result = recursion.label_setting(fsg, seeds, expand, early_stop, own)
-        runs.append(own)
+    def recorded(fsg, seeds, expand, early_stop, stats=None):
+        own, settled = {}, []
+
+        def record(label, *args):
+            settled.append(label)
+            expand(label, *args)
+        runs.append((own, settled))
+        answer = recursion.label_setting(fsg, seeds, record, early_stop, own)
         if stats is not None:
             stats.update(own)
-        return result
+        return answer
 
-    monkeypatch.setattr(dijkstra, "label_setting", counted)
-    monkeypatch.setattr(inverted, "label_setting", counted)
+    monkeypatch.setattr(inverted, "label_setting", recorded)
+    return runs
+
+
+def test_stats_count_the_one_search(monkeypatch):
+    # solve_inverted settles its mouths and its U labels in one
+    # label-setting run and reports that run's counters.
+    runs = _recording(monkeypatch)
     inst, fsg = _fsg({"polygons": [opt("A", square(0, 0, 2), 10),
                                    opt("B", square(5, 1, 2), 3)],
                       "mode": "invert"})
     stats = {}
     solve_inverted(inst, fsg, stats=stats)
-    mouths, u_search = runs
-    assert mouths["finalized"] and u_search["finalized"]
-    assert stats == {c: mouths[c] + u_search[c] for c in ("pushed", "finalized")}
+    ((counters, settled),) = runs
+    assert stats == counters and set(stats) == {"pushed", "finalized"}
+    # The answer settles but is not expanded.
+    assert stats["finalized"] == len(settled) + 1
+    assert {lab.kind for lab in settled} == {"M", "U"}
 
 
-def test_every_settled_u_label_rebuilds_its_walk(monkeypatch):
+def test_every_settled_label_rebuilds_its_walk(monkeypatch):
     # open_ids rebuilds a down or up label like an M2 label, from its two
-    # operands in walk order.  Check it on every U label the search
-    # settles, not only on those of the answer's walk.
-    from enclosure import inverted, recursion
-    settled = []
-
-    def recorded(fsg, seeds, expand, early_stop, stats=None):
-        def record(label, *args):
-            settled.append(label)
-            expand(label, *args)
-        return recursion.label_setting(fsg, seeds, record, early_stop, stats)
-
-    monkeypatch.setattr(inverted, "label_setting", recorded)
-    rules = set()
+    # operands in walk order.  Check it on every U label and every mouth
+    # the search settles, not only on those of the answer's walk.
+    runs = _recording(monkeypatch)
+    rules = {"M": set(), "U": set()}
     for seed in range(5):
         for k in range(3):
             inst = random_instance(seed, n_objects=4, k=k, mode="invert")
             fsg = compute_free_space_edges(inst)
-            settled.clear()
+            runs.clear()
             solve_inverted(inst, fsg)
+            ((_counters, settled),) = runs
             for lab in settled:
-                assert lab.kind == "U"
                 ids = open_ids(lab)
                 assert (ids[0], ids[-1]) == lab.key and len(ids) == lab.t + 1
                 assert all(b in fsg.adjacency[a] for a, b in zip(ids, ids[1:]))
-                if lab.rule != "base":
+                if lab.rule in ("down", "up", "M2"):
                     left, right = lab.ops
                     assert left.key[1] == right.key[0]
-                rules.add(lab.rule)
-    assert rules == {"base", "down", "up"}
+                rules[lab.kind].add(lab.rule)
+    assert rules == {"M": {"M1", "M2"}, "U": {"base", "down", "up"}}
+
+
+def test_bounded_mouths_are_exact(monkeypatch):
+    # The answer's bound cuts the mouths: each one the single queue
+    # settles has its value in the whole unbounded mouth fixed point, and
+    # its f = value + h is at most the answer's cost.
+    runs = _recording(monkeypatch)
+    checked = 0
+    for seed in range(20):
+        for k in range(3):
+            inst = random_instance(seed, n_objects=4, k=k, mode="invert")
+            fsg = compute_free_space_edges(inst)
+            runs.clear()
+            cost, _walk = solve_inverted(inst, fsg)
+            ((_counters, settled),) = runs
+            fixed = by_state(settled_labels(mouth_fixed_point(fsg)), "M")
+            h = FutureCost(fsg, fsg.h_scale)
+            for lab in settled:
+                if lab.kind == "M":
+                    p, q = lab.key
+                    assert lab.value == fixed[lab.key + (lab.mask,)].value
+                    assert lab.value + h[p][q] <= cost
+                    checked += 1
+    assert checked
 
 
 def test_equal_cost_tie_keeps_first_settled_finish():
@@ -269,12 +298,12 @@ def test_required_in_notch_stays_outside():
 
 def test_knapsack_skips_joins_the_queue_would_drop():
     # A k = 0 instance of three unit squares and three unit triangles.  The
-    # mouth search and the plank scans ask the queue before a triangle or
-    # plank lookup; a join whose target is settled or pending no dearer is
-    # never built.  The counters are those of a search that derives every
-    # join and drops, at the push, each that does not beat its state's
-    # pending label; such a search computes 3,455 triangle contents here,
-    # against 613.
+    # mouths' M2 scans ask the queue before a triangle lookup; a join whose
+    # target is settled or pending no dearer is never built.  The counters
+    # are those of a search that derives every join and drops, at the push,
+    # each that does not beat its state's pending label; such a search
+    # computes 41 triangle contents here, against 12.  The answer's bound
+    # keeps the mouths few: the unbounded mouth fixed point computes 613.
     inst, fsg = _fsg({"polygons": [
         opt("A", square(10, 4), 1), opt("B", square(29, 34), "inf"),
         opt("C", square(29, 13), 2), opt("D", [[21, 1], [22, 1], [21, 2]], 0),
@@ -283,5 +312,5 @@ def test_knapsack_skips_joins_the_queue_would_drop():
     stats = {}
     cost, walk = solve_inverted(inst, fsg, stats=stats)
     assert cost == 17.0 and len(walk.points) == 4
-    assert stats == {"pushed": 1060, "finalized": 478}
-    assert len(fsg._content_memo) == 613
+    assert stats == {"pushed": 246, "finalized": 118}
+    assert len(fsg._content_memo) == 12

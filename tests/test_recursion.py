@@ -20,8 +20,9 @@ from enclosure.dijkstra import _search
 from enclosure.dp import _fill
 from enclosure.recursion import closed_ids, open_ids
 from conftest import (
-    build, compute_all_labels, dp_cell_C, dp_cell_M, every_push_tables, opt,
-    rel_close, req, settled_labels, square, stairs_by_state)
+    build, compute_all_labels, dp_cell_C, dp_cell_M, every_push_tables,
+    mouth_fixed_point, opt, rel_close, req, settled_labels, square,
+    stairs_by_state)
 from test_dijkstra import _m_right_hand_side
 
 INSTANCES = {
@@ -79,8 +80,7 @@ def _check_edge_counts(labels):
 def test_label_edge_count_matches_rebuilt_walk(fsg):
     fin_C, fin_M = compute_all_labels(fsg)
     assert _check_edge_counts([*fin_C.values(), *fin_M.values()])
-    _answer, settled = _search(fsg, early_stop=False, closures=False)
-    assert _check_edge_counts(settled_labels(settled))
+    assert _check_edge_counts(settled_labels(mouth_fixed_point(fsg)))
     # The reference full fill and solve_dp's bounded fill.
     for stairs in (every_push_tables(fsg).stairs,
                    stairs_by_state(_fill(fsg)[1])):
@@ -94,8 +94,7 @@ def test_label_edge_count_matches_rebuilt_walk(fsg):
 
 def test_settled_index_holds_every_finalized_label(fsg):
     stats = {}
-    _answer, settled = _search(fsg, early_stop=False, closures=True,
-                               stats=stats)
+    _answer, settled = _search(fsg, early_stop=False, stats=stats)
     closed = [lab for labels in settled.closed for lab in labels]
     by_start = [lab for ends in settled.open_from for labs in ends.values()
                 for lab in labs]
