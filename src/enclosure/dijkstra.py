@@ -26,7 +26,7 @@ it cannot beat its state's pending label or if its f exceeds the cheapest
 complete walk; `relax` asks the queue's pending map before every push, and
 for a full-mask label it skips an apex group whose one target state is
 settled or pending at no more than the group's lower bound before the
-triangle content is looked up.
+triangle content is computed from the chord masks.
 
 The inverted solver settles its mouths by the same rules with the closing
 rule C1 switched off, in its own queue bounded by its own answer

@@ -21,8 +21,9 @@ segments without the tangency test, and construction takes 0.20 to
 edge, on a shared 2-vCPU VM (Python 3.11).
 
 Region contents are asked by vertex index (`triangle_content`, `plank`,
-and `x_at_most` at a vertex's abscissa for a half-plane): memoized
-bitmasks over exact integer side tests; see `FreeSpaceGraph`.
+and `x_at_most` at a vertex's abscissa for a half-plane): ANDs of
+memoized per-chord and per-abscissa bitmasks over exact integer side
+tests; see `FreeSpaceGraph`.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ def segment_in_free_space(a: Point, b: Point, inst: Instance) -> bool:
 
 @dataclass
 class FreeSpaceGraph:
-    """Free-space edges plus exact, memoized region-content queries.
+    """Free-space edges plus exact region-content queries over memoized
+    chord and abscissa masks.
 
     `adjacency[i]` maps each neighbour j of vertex i to the weight of the
     edge ij, in `edges` order.
@@ -79,8 +81,10 @@ class FreeSpaceGraph:
     on first use into two reference masks, the points strictly left of the
     line i -> j and the points left of or on it, by the sign of
     dx*(Y - Py*W) - dy*(X - Px*W); no `Fraction` is involved.  Triangle
-    contents are ANDs of these masks, and plank contents AND one of them
-    with two abscissa masks (`x_at_most`).
+    contents are ANDs of three of these masks, and plank contents AND one
+    of them with two abscissa masks (`x_at_most`); neither is memoized,
+    as ANDing memoized masks costs about what a lookup by triangle would.
+    `recursion.relax` reads `_chords` and `_penalty_memo` directly.
 
     `h_scale` is c, the least weight/length ratio over the edges and 1
     (the ratio of an unsqueezed edge), shaved by a factor (1 - 1e-9), or
@@ -110,8 +114,6 @@ class FreeSpaceGraph:
         self._right: List[Optional[int]] = [None] * (n * n)
         self._x_masks: Dict[Coord, int] = {}
         self._penalty_memo: Dict[int, float] = {0: 0.0}
-        self._content_memo: Dict[Tuple[int, int, int], Tuple[int, float]] = {}
-        self._plank_memo: Dict[Tuple[int, int, bool], Tuple[int, float]] = {}
 
     @property
     def n(self) -> int:
@@ -206,37 +208,32 @@ class FreeSpaceGraph:
         The reference mask of the triangle is
         (L(p,r) | O(p,r)) & (L(r,q) | O(r,q)) & L(q,p), where L(i,j) and
         O(i,j) are the chord masks of the points strictly left of and on
-        the line i -> j; bits 0..k-1 of it are the required mask."""
-        key = (p, r, q)
-        hit = self._content_memo.get(key)
-        if hit is not None:
-            return hit
+        the line i -> j; bits 0..k-1 of it are the required mask.
+        `recursion.relax` computes the same expression inline, where its
+        apex filter has already tested the triangle; this method is its
+        reference in the tests."""
         if not self.is_ccw(p, r, q):
             P, R, Q = self.vertices[p], self.vertices[r], self.vertices[q]
             raise DegenerateTriangle(f"triangle {P}, {R}, {Q} is not strictly ccw")
-        inside = self._chord(p, r)[1] & self._chord(r, q)[1] & self._chord(q, p)[0]
-        hit = self._content_memo[key] = self.split_content(inside)
-        return hit
+        return self.split_content(
+            self._chord(p, r)[1] & self._chord(r, q)[1] & self._chord(q, p)[0])
 
     def plank(self, i: int, j: int, up: bool) -> Tuple[int, float]:
         """(required mask, penalty sum) of reference points strictly above
         (up) or strictly below the chord between vertices i and j and in
         the strip between the vertical lines through its ends, open on the
         left line and closed on the right one; (0, 0.0) for a vertical
-        chord, whose strip is empty."""
-        key = (i, j, up)
-        hit = self._plank_memo.get(key)
-        if hit is None:
-            lo, hi = self.vertices[i], self.vertices[j]
-            if lo.x == hi.x:
-                return 0, 0.0
-            if lo.x > hi.x:
-                i, j, lo, hi = j, i, hi, lo
-            # Above the chord is left of lo -> hi, below it is left of hi -> lo.
-            side = self._chord(i, j)[0] if up else self._chord(j, i)[0]
-            strip = self.x_at_most(hi.x) & ~self.x_at_most(lo.x)
-            hit = self._plank_memo[key] = self.split_content(strip & side)
-        return hit
+        chord, whose strip is empty.  `inverted.solve_inverted` keeps each
+        plank in its plank index, so it asks once per chord and side."""
+        lo, hi = self.vertices[i], self.vertices[j]
+        if lo.x == hi.x:
+            return 0, 0.0
+        if lo.x > hi.x:
+            i, j, lo, hi = j, i, hi, lo
+        # Above the chord is left of lo -> hi, below it is left of hi -> lo.
+        side = self._chord(i, j)[0] if up else self._chord(j, i)[0]
+        strip = self.x_at_most(hi.x) & ~self.x_at_most(lo.x)
+        return self.split_content(strip & side)
 
     def to_json_dict(self) -> dict:
         return {

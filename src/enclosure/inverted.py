@@ -25,8 +25,9 @@ Transitions, validated against the brute-force oracle:
     C((), all required) whose only operand is the U label.
 
 Contents are asked of the free-space graph by vertex index: a half-plane
-through v is `x_at_most(v.x)` or its complement, a plank is
-`FreeSpaceGraph.plank` of its chord; both are memoized reference masks.
+through v is `x_at_most(v.x)` or its complement, a memoized reference
+mask; a plank is `FreeSpaceGraph.plank` of its chord and side, asked
+once and kept in the plank index below.
 
 The mouths and the U labels settle in one run of the enclosure search's
 label-setting queue (`recursion.label_setting`), in A* order by

@@ -284,7 +284,7 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
         joined mouth's key with mask `full`, and costs at least
         value + partners[0].value, since penalties are nonnegative and the
         list is sorted; the group is skipped before its triangle content
-        is looked up if that lower bound exceeds bound - h(target) or does
+        is computed if that lower bound exceeds bound - h(target) or does
         not beat the state's pending value.
     Each skipped label could not change a settled label: its value is at
     least the tested one and pending entries only fall.  The DP's lists
@@ -293,8 +293,7 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
     the three, and pays for no state code and no cutoff."""
     value, mask, t = label.value, label.mask, label.t
     search = pending is not None
-    if search:
-        n, k = fsg.n, fsg._k
+    n, k = fsg.n, fsg._k
     if label.kind == "C":
         p = label.key[0]
         # M1: a free-space edge pq on top of the closed walk at p.
@@ -330,12 +329,18 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
             push("C", (b,), mask, total, t + 1, "C1", (label,))
     # M2 with the label as left part M(p, r) = M(a, b), right parts M(b, q);
     # then as right part M(r, q) = M(a, b), left parts M(p, a).  The join
-    # test runs once per apex: the triangle holds no infinite penalty and
-    # no required reference of `mask`; each partner's mask is then checked
+    # test runs once per apex: the triangle holds no required reference of
+    # `mask` and no infinite penalty; each partner's mask is then checked
     # against the joined mask `used`.  h(p, b) is read as h[b][p].
+    # The apex filter `left` is the exact strict-ccw test of the triangle
+    # prq, so its reference mask is `FreeSpaceGraph.triangle_content`'s
+    # on(p, r) & on(r, q) & left(q, p), ANDed here from the chord masks
+    # (each resolved on first use), and its penalty is read from the
+    # penalty memo.
     left = fsg.left_vertices(a, b)
-    memo = fsg._content_memo
-    whole = search and mask == fsg.full_mask
+    chords, penalties, full = fsg._chords, fsg._penalty_memo, fsg.full_mask
+    on_ab = chords[a * n + b]
+    whole = search and mask == full
     cut = bound
     if search:
         row, h_a, h_b = n + a * n, h[a], h[b]
@@ -347,10 +352,18 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
             low, cut = value + partners[0].value, bound - h_a[q]
             if low > cut or whole and pending.get(code | mask, UNSEEN)[0] <= low:
                 continue
-        cmask, cpen = memo.get((a, b, q)) or fsg.triangle_content(a, b, q)
-        if cpen == INF or cmask & mask:
+        if on_ab is None:
+            on_ab = fsg._chord(a, b)
+        inside = on_ab[1] & (chords[b * n + q] or fsg._chord(b, q))[1] \
+            & (chords[q * n + a] or fsg._chord(q, a))[0]
+        if inside & mask:
             continue
-        used = mask | cmask
+        cpen = penalties.get(inside >> k)
+        if cpen is None:
+            cpen = fsg.split_content(inside)[1]
+        if cpen == INF:
+            continue
+        used = mask | inside & full
         for other in partners:
             total = value + other.value + cpen
             if total > cut:
@@ -372,10 +385,18 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
             low, cut = partners[0].value + value, bound - h_b[p]
             if low > cut or whole and pending.get(code | mask, UNSEEN)[0] <= low:
                 continue
-        cmask, cpen = memo.get((p, a, b)) or fsg.triangle_content(p, a, b)
-        if cpen == INF or cmask & mask:
+        if on_ab is None:
+            on_ab = fsg._chord(a, b)
+        inside = (chords[p * n + a] or fsg._chord(p, a))[1] & on_ab[1] \
+            & (chords[b * n + p] or fsg._chord(b, p))[0]
+        if inside & mask:
             continue
-        used = mask | cmask
+        cpen = penalties.get(inside >> k)
+        if cpen is None:
+            cpen = fsg.split_content(inside)[1]
+        if cpen == INF:
+            continue
+        used = mask | inside & full
         for other in partners:
             total = other.value + value + cpen
             if total > cut:

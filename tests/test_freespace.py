@@ -167,10 +167,14 @@ def test_triangle_additivity_split():
 
 def test_content_memo_consistency():
     fsg = _content_fsg()
-    # Same query twice hits the memo and returns identical results.
+    # The first query resolves the three chord masks it ANDs, the second
+    # reads them memoized, and both return identical results.
     p, r, q = fsg.vertices.index(Point(0, 2)), fsg.vertices.index(Point(0, 0)), \
         fsg.vertices.index(Point(20, -8))
-    assert fsg.triangle_content(p, r, q) == fsg.triangle_content(p, r, q)
+    first = fsg.triangle_content(p, r, q)
+    assert all(fsg._chords[i * fsg.n + j] is not None
+               for i, j in ((p, r), (r, q), (q, p)))
+    assert fsg.triangle_content(p, r, q) == first
 
 
 def test_debug_json_dump():

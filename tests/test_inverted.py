@@ -298,12 +298,14 @@ def test_required_in_notch_stays_outside():
 
 def test_knapsack_skips_joins_the_queue_would_drop():
     # A k = 0 instance of three unit squares and three unit triangles.  The
-    # mouths' M2 scans ask the queue before a triangle lookup; a join whose
-    # target is settled or pending no dearer is never built.  The counters
-    # are those of a search that derives every join and drops, at the push,
-    # each that does not beat its state's pending label; such a search
-    # computes 41 triangle contents here, against 12.  The answer's bound
-    # keeps the mouths few: the unbounded mouth fixed point computes 613.
+    # mouths' M2 scans ask the queue before a triangle's content is
+    # computed; a join whose target is settled or pending no dearer is
+    # never built.  The counters are those of a search that derives every
+    # join and drops, at the push, each that does not beat its state's
+    # pending label; such a search resolves 54 directed chord masks here,
+    # against 48 (masks are resolved in pairs, i -> j with j -> i).  The
+    # answer's bound keeps the mouths few: the unbounded mouth fixed point
+    # resolves all 420.
     inst, fsg = _fsg({"polygons": [
         opt("A", square(10, 4), 1), opt("B", square(29, 34), "inf"),
         opt("C", square(29, 13), 2), opt("D", [[21, 1], [22, 1], [21, 2]], 0),
@@ -313,4 +315,4 @@ def test_knapsack_skips_joins_the_queue_would_drop():
     cost, walk = solve_inverted(inst, fsg, stats=stats)
     assert cost == 17.0 and len(walk.points) == 4
     assert stats == {"pushed": 246, "finalized": 118}
-    assert len(fsg._content_memo) == 12
+    assert sum(m is not None for m in fsg._chords) == 48

@@ -6,6 +6,7 @@ import inspect
 import math
 
 import pytest
+from hypothesis import assume, given
 
 from enclosure import (
     brute_force,
@@ -15,15 +16,18 @@ from enclosure import (
     solve_dp,
     solve_inverted,
 )
-from enclosure import oracle
+from enclosure import inverted, oracle
 from enclosure.dijkstra import _search
 from enclosure.dp import _fill
-from enclosure.recursion import closed_ids, open_ids
+from enclosure.errors import OverlapError
+from enclosure.geometry import orient
+from enclosure.recursion import closed_ids, open_ids, relax
 from conftest import (
     build, compute_all_labels, dp_cell_C, dp_cell_M, every_push_tables,
     mouth_fixed_point, opt, rel_close, req, settled_labels, square,
     stairs_by_state)
 from test_dijkstra import _m_right_hand_side
+from test_front_end import SETTINGS, _small_documents
 
 INSTANCES = {
     "cross": lambda: build({"polygons": [
@@ -166,3 +170,70 @@ def test_future_cost_keeps_answers_on_random_instances(seed):
 def test_future_cost_keeps_answers_on_k_scaling_family(k):
     _check_future_cost_changes_no_answer(random_instance(
         11, n_objects=9, k=k, grid=30, penalty_pool=(1, 2, 5)))
+
+
+def _inverted_mouths(inst, fsg):
+    """Every mouth `solve_inverted` settles: each label its expand step
+    hands to `relax`."""
+    mouths = []
+
+    def spy(graph, label, *args):
+        mouths.append(label)
+        relax(graph, label, *args)
+
+    inverted.relax = spy
+    try:
+        solve_inverted(inst, fsg)
+    finally:
+        inverted.relax = relax
+    return mouths
+
+
+def _check_m2_labels(inst, fsg):
+    """Each settled M2 label of the instance's solvers joins M(p, r) and
+    M(r, q) through a strictly ccw triangle prq; its mask is its operands'
+    disjoint masks with the triangle's required mask, and its value is
+    left + right + the triangle's penalty, exactly, where the triangle's
+    content is `triangle_content`'s, the reference for the content
+    `relax` computes inline.  Returns the number checked."""
+    if inst.mode == "invert":
+        labels = _inverted_mouths(inst, fsg)
+    else:
+        labels = settled_labels(_search(fsg, early_stop=False)[1]) + \
+            settled_labels(_fill(fsg)[1])
+    verts, checked = fsg.vertices, 0
+    for lab in labels:
+        if lab.rule != "M2":
+            continue
+        left, right = lab.ops
+        (p, r), (r_right, q) = left.key, right.key
+        assert r_right == r and lab.key == (p, q)
+        assert orient(verts[p], verts[r], verts[q]) > 0
+        cmask, cpen = fsg.triangle_content(p, r, q)
+        assert not left.mask & right.mask
+        assert not (left.mask | right.mask) & cmask
+        assert lab.mask == left.mask | right.mask | cmask
+        assert lab.value == left.value + right.value + cpen
+        assert lab.t == left.t + right.t
+        checked += 1
+    return checked
+
+
+@SETTINGS
+@given(doc=_small_documents())
+def test_m2_labels_match_triangle_content_on_degenerate_scenes(doc):
+    try:
+        inst = build(doc)
+    except OverlapError:
+        assume(False)
+    _check_m2_labels(inst, compute_free_space_edges(inst))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_m2_labels_match_triangle_content_on_random_instances(seed):
+    checked = 0
+    for mode in ("enclose", "invert"):
+        for k in range(3):
+            inst = random_instance(seed, n_objects=4, k=k, mode=mode)
+            checked += _check_m2_labels(inst, compute_free_space_edges(inst))
+    assert checked
