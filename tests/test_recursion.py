@@ -26,7 +26,7 @@ from conftest import (
     build, compute_all_labels, dp_cell_C, dp_cell_M, every_push_tables,
     mouth_fixed_point, opt, rel_close, req, settled_labels, square,
     stairs_by_state)
-from test_dijkstra import _m_right_hand_side
+from test_dijkstra import _m_right_hand_side, m2_join
 from test_front_end import SETTINGS, _small_documents
 
 INSTANCES = {
@@ -191,11 +191,10 @@ def _inverted_mouths(inst, fsg):
 
 def _check_m2_labels(inst, fsg):
     """Each settled M2 label of the instance's solvers joins M(p, r) and
-    M(r, q) through a strictly ccw triangle prq; its mask is its operands'
-    disjoint masks with the triangle's required mask, and its value is
-    left + right + the triangle's penalty, exactly, where the triangle's
-    content is `triangle_content`'s, the reference for the content
-    `relax` computes inline.  Returns the number checked."""
+    M(r, q) through a strictly ccw triangle prq, and its mask and value
+    are those of `m2_join`, whose triangle content is `triangle_content`'s:
+    the reference for the content `relax` computes inline.  The value
+    matches exactly.  Returns the number checked."""
     if inst.mode == "invert":
         labels = _inverted_mouths(inst, fsg)
     else:
@@ -209,11 +208,10 @@ def _check_m2_labels(inst, fsg):
         (p, r), (r_right, q) = left.key, right.key
         assert r_right == r and lab.key == (p, q)
         assert orient(verts[p], verts[r], verts[q]) > 0
-        cmask, cpen = fsg.triangle_content(p, r, q)
-        assert not left.mask & right.mask
-        assert not (left.mask | right.mask) & cmask
-        assert lab.mask == left.mask | right.mask | cmask
-        assert lab.value == left.value + right.value + cpen
+        join = m2_join(fsg, p, r, q, left.mask, right.mask)
+        assert join is not None
+        assert lab.mask == join[0]
+        assert lab.value == left.value + right.value + join[1]
         assert lab.t == left.t + right.t
         checked += 1
     return checked
