@@ -15,18 +15,21 @@ and every label still in the queue has f at least its value.
 Asymptotically this needs O(4^k n^3) time and O(2^k n^2) space for n
 vertices and k required objects, against the budgeted program's extra factor
 of n: the partner scans of `relax` try every pair of masks, where the
-paper's O(3^k n^3) enumerates submasks (ROADMAP item 1(b)).  In practice it
+paper's O(3^k n^3) enumerates submasks (ROADMAP item 4).  In practice it
 settles only labels whose f = value + h is below the optimum, in A* order
-by the future cost h = c·|pq| of an open label M(p, q) (c the least
-weight/length ratio of the free-space edges, shaved by 1 - 1e-9; h = 0 for
-a closed label).  h is consistent, so labels still settle at their
-optimal values; the proof, its float margin and the tie order (f, value,
-rank, kind, key, mask) are in `recursion.py`.  A label is not queued if
-it cannot beat its state's pending label or if its f exceeds the cheapest
-complete walk; `relax` asks the queue's pending map before every push, and
-for a full-mask label it skips an apex group whose one target state is
-settled or pending at no more than the group's lower bound before the
-triangle content is computed from the chord masks.
+by a future cost that charges what the walk still has to enclose: with c
+the least weight/length ratio of the free-space edges, shaved by
+1 - 1e-9, an open label M(p, q, B) gets h = c·max(|pq|, max over the
+required reference points r not in B of |pr| + |rq|), and a closed label
+C(p, B) gets h = 2c·max over r not in B of |pr| (0 when B is full).  h is
+consistent, so labels still settle at their optimal values; the proof,
+its float margin, the partner scans' cutoffs under it and the tie order
+(f, value, rank, kind, key, mask) are in `recursion.py`.  A label is not
+queued if it cannot beat its state's pending label or if its f exceeds
+the cheapest complete walk; `relax` asks the pending map before every
+push, and for a full-mask label it skips an apex group whose one target
+state is settled or pending at no more than the group's lower bound
+before the triangle content is computed from the chord masks.
 
 The inverted solver settles its mouths by the same rules with the closing
 rule C1 switched off, in its own queue bounded by its own answer
@@ -63,7 +66,7 @@ def _search(fsg: FreeSpaceGraph, early_stop: bool,
     covering every required object (None if the queue drains first), and
     the expanded labels as a `Settled` index; an early-stopped search does
     not expand its answer.  With early_stop=False the whole fixed point is
-    computed.
+    computed.  The future cost charges every required reference.
     """
     settled = Settled(fsg.n)
 
@@ -72,7 +75,9 @@ def _search(fsg: FreeSpaceGraph, early_stop: bool,
         relax(fsg, label, settled, push, True, bound, pending, h)
 
     seeds = [("C", (p,), 0, 0.0, 0, "base", ()) for p in range(fsg.n)]
-    return label_setting(fsg, seeds, expand, early_stop, stats), settled
+    answer = label_setting(fsg, seeds, expand, early_stop, stats,
+                           charged=fsg.full_mask)
+    return answer, settled
 
 
 def solve_dijkstra(fsg: FreeSpaceGraph,

@@ -27,11 +27,13 @@ The fill is bounded: it fills only what the answer can use.  It keeps
 drops every push whose f = value + h exceeds it (strictly: an equal f is
 kept, since ties decide the walk), and skips every bucket entry whose f
 exceeds it, as the bound may have fallen since the entry was pushed.  h
-is the label-setting search's future cost (`recursion.FutureCost`):
-c·|pq| for M(p, q), 0 for a closed label; it is looked up only once the
-bound is finite.  The bucket is sorted by value, not f, so a scan stops
-at the first entry whose value exceeds the bound and skips the others
-whose f does.  The bound's label ends at or below `bound`, so the answer
+is the label-setting search's future cost (`recursion.FutureCost`),
+charging every required reference the label's walk does not yet wind
+around: c·max(|pq|, max over r not in B of |pr| + |rq|) for M(p, q, B),
+2c·max over r not in B of |pr| for C(p, B), so 0 for a full-mask closed
+label; it is looked up only once the bound is finite.  The bucket is
+sorted by value, not f, so a scan stops at the first entry whose value
+exceeds the bound and skips the others whose f does.  The bound's label ends at or below `bound`, so the answer
 costs at most `bound`.  This is exact:
 
   * `check_solvable` makes every rule derive a value at least as large as
@@ -89,12 +91,12 @@ def _fill(fsg: FreeSpaceGraph, stats: Optional[dict] = None
     buckets: List[Optional[dict]] = [{} for _ in range(t_max + 1)]
     pushed = stored = 0
     bound = INF
-    h = FutureCost(fsg, fsg.h_scale)
+    h = FutureCost(fsg, fsg.h_scale, full)
 
     def push(kind, key, mask, value, t, rule, ops):
         nonlocal pushed, bound
-        if t > t_max or value == INF or value > bound or kind == "M" and \
-                bound < INF and value + h[key[0]][key[1]] > bound:
+        if t > t_max or value == INF or value > bound or \
+                bound < INF and value + h(key[0], key[-1], mask) > bound:
             return
         state = key + (mask,)
         prev = last.get(state)
@@ -119,8 +121,7 @@ def _fill(fsg: FreeSpaceGraph, stats: Optional[dict] = None
         for value, _rank, kind, key, mask, rule, ops in entries:
             if value > bound:
                 break  # the rest are dearer still
-            if kind == "M" and bound < INF and \
-                    value + h[key[0]][key[1]] > bound:
+            if bound < INF and value + h(key[0], key[-1], mask) > bound:
                 continue  # its f is over the bound
             state = key + (mask,)
             prev = last.get(state)

@@ -89,8 +89,10 @@ class FreeSpaceGraph:
     `h_scale` is c, the least weight/length ratio over the edges and 1
     (the ratio of an unsqueezed edge), shaved by a factor (1 - 1e-9), or
     0.0 without edges: every edge ab weighs at least c·|ab|, so c·|pq| is
-    a lower bound on the weight of any walk from p to q, the future cost
-    the searches of `recursion.py` use.
+    a lower bound on the weight of any walk from p to q, and c·(|pr| +
+    |rq|) on that of a walk from p to q that closes around the point r.
+    The future cost of the searches of `recursion.py` (`FutureCost`) is
+    built from these bounds.
     """
     instance: Instance
     vertices: Tuple[Point, ...]

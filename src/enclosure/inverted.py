@@ -37,7 +37,9 @@ operands.  The mouths are the open labels of the enclosure recursion with
 the closing rule C1 off, built from the single-edge mouths M1 on the point
 walks by `relax` over their own settled-label index.  A mouth M(p, q) and
 a U label U(p, q) get h = c·|pq| (c as in `recursion.py`), the finish
-h = 0.  h is consistent: a walk that closes U(p, q) must still get from q
+h = 0: unlike the enclosure search's, this h charges no required
+reference, as here a mask holds references left outside the curve.  h is
+consistent: a walk that closes U(p, q) must still get from q
 back to p, and each down or up plank adds a mouth worth at least c times
 the length of its chord, so by the triangle inequality a plank from
 U(p, q) to U(far, q) raises h by at most c·|far p|, no more than the mouth
@@ -56,7 +58,10 @@ plank content, looked up once when its first mouth settles.  One group's
 labels are in settling order and share their target's h, so a scan stops
 at the queue's bound less that h; when the joining label's mask is
 already full (always when k = 0) every join of a group lands on one
-state, and only the group's first disjoint label can beat it.  Each join's
+state, and only the group's first disjoint label can beat it.  Otherwise
+the scan goes on past that label: a later one of another mask reaches
+another state, and the optimum may need it, as when a required object
+sits in a pocket whose chord's bare edge settled first.  Each join's
 exact target is asked of the queue's pending map before its push, and so
 is the finish's, as the queue requires; only labels that could not win are
 skipped.

@@ -27,36 +27,92 @@ the same f.  Also here: the rule ranks, the label type, the precondition
 check of every solver entry, the answer on instances with nothing
 required, and the rebuild of a walk from a label's provenance.
 
-The future cost.  With c = `FreeSpaceGraph.h_scale`, the least
-weight/length ratio of the free-space edges (at most 1) shaved by
-(1 - 1e-9), an open label M(p, q) or U(p, q) gets h = c·|pq|, a closed
-label h = 0.  In exact arithmetic h is consistent: no rule derives a label
-whose f is below the f of an operand it was derived from.
-  * Every edge ab weighs at least c·|ab|, so a walk from p to q, and with
-    nonnegative penalties every mouth M(p, q), is worth at least c·|pq|.
-  * C1 closes M(a, b) with an edge of weight >= c·|ab| = h(M(a, b)); M1
-    puts h(M(p, q)) >= 0 = h(C) on top; C2 adds two h = 0 labels.
-  * M2 joins M(p, r) and M(r, q) into M(p, q) with a nonnegative penalty:
-    v(M(r, q)) + c·|pq| >= c·|rq| + c·|pq| >= c·|pr| by the triangle
-    inequality, so f(M(p, q)) >= f(M(p, r)), and symmetrically for the
-    right part.
-  * The inverted down and up planks add a mouth M(far, p) (resp.
-    M(q, far)) to U(p, q), so the triangle inequality over |far p|,
-    |far q| and |pq| covers them the same way for the U operand.  For
-    the mouth operand it does too, as a U label is a walk from p to q:
-    v(U(p, q)) >= c·|pq|, so f(U(far, q)) >= c·|pq| + v(M(far, p)) +
-    c·|q far| >= f(M(far, p)).  The finish takes U(s, s), whose h is 0.
-The shave leaves a margin in each of these inequalities of at least 1e-9·c
-times the length of the edge or mouth the rule adds, far above the
+The future cost.  Let c = `FreeSpaceGraph.h_scale`, the least
+weight/length ratio c' of the free-space edges (at most 1) shaved to
+c = (1 - 1e-9)·c', and let r range over the required reference points.
+The enclosure search and the DP give their labels (`FutureCost`)
+
+  h(M(p, q, B)) = c·max(|pq|, max over r not in B of |pr| + |rq|),
+  h(C(p, B))    = 2c·max over r not in B of |pr|, and 0 when B is full;
+
+the second is the first at q = p.  A label's mask B is exactly the set of
+required references its curve winds around, the curve of an open label
+being its walk closed by the chord qp: every M2 triangle is strictly ccw,
+no reference point lies on a chord, and a required reference inside a
+triangle is claimed once (a second claim fails the disjointness test), so
+a reference in B has winding 1 and every other one winding 0.  The walk
+must still wind around each r not in B, which is what h charges for.  Two
+facts carry the proof:
+  (a) every edge ab weighs at least c'·|ab|, so with nonnegative
+      penalties a label's value is at least c' times its walk's length;
+  (b) a closed curve through x and y that winds around r is at least
+      |xr| + |ry| + |yx| long, the perimeter of the triangle xry inside
+      its hull; so the walk of M(x, y, B) is at least |xr| + |ry| long
+      for each r in B, and that of C(x, B) at least 2|xr|.
+In exact arithmetic h is consistent: no rule derives a label whose f is
+below the f of an operand it was derived from.  Rule by rule, each term
+of the operand's h is covered by the added value plus a term of the new
+label's h:
+  * M1, C(p, B) + edge pq -> M(p, q, B): for r not in B,
+    2|pr| <= |pq| + |qr| + |pr|, and the edge weighs at least c·|pq|.
+  * C1, M(a, b, B) + edge ba -> C(b, B): the edge covers c·|ab|, and for
+    r not in B, |ar| + |rb| <= |ab| + 2|br|.
+  * C2, C(p, B1) + C(p, B2) -> C(p, B1 | B2): a term r of h(C(p, B1)) not
+    in B2 is a term of the joined h; for r in B2 the closed walk of
+    C(p, B2) runs around r through p, so its value is at least 2c·|pr|
+    by (b).  Symmetrically for the second operand.
+  * M2, M(p, r', B1) + M(r', q, B2) through the triangle p r' q with the
+    required content T -> M(p, q, B1 | B2 | T), with value at least the
+    sum: for the left operand, v(M(r', q)) >= c·|r'q| by (a) and
+        |pr'| <= |pq| + |qr'|;
+    for r not in the joined mask, a term of the new h covers it, as
+        |pr| + |rr'| <= |pr| + |rq| + |qr'|;
+    for r in B2, the other part's mask, v(M(r', q)) >= c·(|r'r| + |rq|)
+    by (b), and |pr| <= |pq| + |qr|;
+    for r in T, inside the triangle p r' q, v(M(r', q)) >= c·|r'q| and
+        |pr| + |rr'| <= |pq| + |qr'|,
+    as the convex path p r r' inside the triangle is no longer than the
+    path p q r' around it.  The right operand is the mirror image.
+The inverted solver charges no reference (its masks hold the references
+outside its curve): its mouths and U labels get h = c·|pq|, and its
+finish h = 0.  The rules above cover its mouths; its down and up planks
+add a mouth M(far, p) (resp. M(q, far)) to U(p, q), so the triangle
+inequality over |far p|, |far q| and |pq| covers the U operand, and the
+mouth operand too, as a U label is a walk from p to q: v(U(p, q)) >=
+c·|pq|, so f(U(far, q)) >= c·|pq| + v(M(far, p)) + c·|q far| >=
+f(M(far, p)).  The finish takes U(s, s), whose h is 0.
+
+Each inequality above bounds a length by the length of the edge or walk
+the rule adds, which is worth c' times that length, not c: the shave
+leaves a margin of at least 1e-9·c times that length, far above the
 rounding of a float sum, so the computed f keeps the order the proof
 needs: the first label settled for a state is still its cheapest.  A*
 with a consistent h is Hart, Nilsson & Raphael (1968); for the
 superior-function recursion here it is the future-cost variant of
 generalized Dijkstra (Hougardy, Silvanus & Vygen, "Dijkstra meets
-Steiner", Math. Prog. Comp. 2017).  All labels of one state share h, and
-so do all labels of one partner group (same key), so any two of them
-still compare by value: settled lists stay sorted by value and the
-partner scans' cutoffs stay valid.
+Steiner", Math. Prog. Comp. 2017), whose future cost likewise depends on
+the terminals not yet connected.
+
+The partner scans.  All labels of one state share h, but the labels of
+one partner group (settled open labels of one key (p, q), or settled
+closed labels at one p) differ in mask, and so in h, by at most the
+group's spread h(p, q, {}) - h(p, q, full): c·max over r of
+(|pr| + |rq|) - c·|pq|, or 2c·max over r of |pr| at q = p
+(`FutureCost.spread`).  They settle in nondecreasing f, so a label
+settled after one of value v has value at least v - spread: a group is
+in value order only up to its spread.  A scan that finds a join dearer
+than its cut therefore keeps going while the join's total less the
+spread is within the cut and stops only after that; a group's lower
+bound is its first label's value less the spread.  The spread is
+computed only once a cut is crossed.  The inverted solver's h ignores
+the mask, its spread is 0, and its scans stop at the first join over
+the cut, as in value order.
+
+Ties.  At equal (value, rank) the first push of a state wins, and labels
+are pushed as their operands settle.  So where two walks of one state
+cost the same, which of them a solver keeps follows the settling order,
+and with it h: another h may return another optimal walk, never another
+cost.
 
 States are coded as one int, code << k | mask for k required objects,
 with code(C(p)) = p, code(M(p, q)) = n + p·n + q, code(U(p, q)) =
@@ -153,16 +209,30 @@ class Settled:
 
 
 class FutureCost(dict):
-    """h(p, q) = scale·|pq| as self[p][q], the future cost of an open label
-    M(p, q) or U(p, q) (module docstring).  |pq| is the float distance the
-    edge weights use, the hypotenuse of the exact coordinate differences.
-    A row is built on first use, and h(p, q) == h(q, p) exactly.  A closed
-    label's h is 0."""
+    """The future cost h of a label (module docstring): h(p, q, mask) is
+    that of an open label M(p, q, mask) or U(p, q, mask), and h(p, p, mask)
+    that of a closed label C(p, mask),
 
-    def __init__(self, fsg: FreeSpaceGraph, scale: float):
+        c·max(|pq|, max over charged r not in mask of |pr| + |rq|),
+
+    with c = `scale`, where the charged r are the required reference
+    points whose bits are set in `charged`.  The enclosure recursion
+    charges all of them (`fsg.full_mask`); the inverted solver none, so
+    its h is c·|pq|.  self[p][q] is c·|pq|, the h at a full mask: |pq| is
+    the float distance the edge weights use, the hypotenuse of the exact
+    coordinate differences; a row is built on first use, and
+    self[p][q] == self[q][p] exactly.  |pr| is taken to the reference
+    point's float coordinates, one row of c·|pr| per vertex, and h takes
+    the max over the set bits of `charged` & ~mask."""
+
+    def __init__(self, fsg: FreeSpaceGraph, scale: float, charged: int = 0):
         super().__init__()
         self.scale = scale
         self.points = [(v.x, v.y) for v in fsg.vertices]
+        self.charged = charged if scale else 0
+        refs = [(x / w, y / w) for x, y, w in fsg._href[:charged.bit_length()]]
+        self.reach = [[scale * math.hypot(rx - x, ry - y) for rx, ry in refs]
+                      for x, y in self.points] if self.charged else []
 
     def __missing__(self, p: int) -> List[float]:
         scale, (x, y), hypot = self.scale, self.points[p], math.hypot
@@ -170,9 +240,28 @@ class FutureCost(dict):
             if scale else [0.0] * len(self.points)
         return row
 
+    def __call__(self, p: int, q: int, mask: int) -> float:
+        h = self[p][q]
+        missing = self.charged & ~mask
+        if missing:
+            rp, rq, i = self.reach[p], self.reach[q], 0
+            while missing:
+                if missing & 1 and rp[i] + rq[i] > h:
+                    h = rp[i] + rq[i]
+                missing >>= 1
+                i += 1
+        return h
+
+    def spread(self, p: int, q: int) -> float:
+        """How far the h of two labels with key (p, q), or (p,) at q = p,
+        can differ: h(p, q, 0) - h(p, q, full), 0 when nothing is
+        charged."""
+        return self(p, q, 0) - self[p][q]
+
 
 def label_setting(fsg: FreeSpaceGraph, seeds: Iterable[tuple], expand,
-                  early_stop: bool, stats: Optional[dict] = None):
+                  early_stop: bool, stats: Optional[dict] = None,
+                  charged: int = 0):
     """Settle pending labels by f = value + h, keep the first settled label
     per state, and hand it to expand(label, push, bound, pending, h), which
     derives new labels through push(kind, key, mask, value, t, rule, ops)
@@ -185,12 +274,13 @@ def label_setting(fsg: FreeSpaceGraph, seeds: Iterable[tuple], expand,
     With early_stop the loop ends at the answer, else it computes the
     whole fixed point.
 
-    h is `FutureCost` at scale `fsg.h_scale` under early_stop, for every
-    open label: the enclosure search's mouths, and the inverted solver's
-    mouths and U labels alike.  Without early_stop nothing is bounded, so
-    h could only reorder the fixed point; it runs with h = 0 and settles
-    in value order.  Exact as long as no rule derives a label cheaper
-    than the one it expands (`check_solvable`) and h is consistent:
+    h is `FutureCost` at scale `fsg.h_scale` under early_stop, charging
+    the required references in `charged`: all of them in the enclosure
+    search, none in the inverted solver, whose h is c·|pq| for its mouths
+    and U labels and 0 for its finish.  Without early_stop nothing is
+    bounded, so h could only reorder the fixed point; it runs with h = 0
+    and settles in value order.  Exact as long as no rule derives a label
+    cheaper than the one it expands (`check_solvable`) and h is consistent:
     labels settle in nondecreasing f, and a state's first settled label
     is its cheapest.  Pushes that cannot change a settled label are not
     queued: push drops one whose f exceeds `bound` (strictly), the
@@ -209,7 +299,8 @@ def label_setting(fsg: FreeSpaceGraph, seeds: Iterable[tuple], expand,
     bound - h: push would drop it.  A skipped or dropped push takes no
     sequence number, so skipping it changes nothing."""
     n, k, full = fsg.n, fsg._k, fsg.full_mask
-    h = FutureCost(fsg, fsg.h_scale if early_stop else 0.0)
+    h = FutureCost(fsg, fsg.h_scale if early_stop else 0.0, charged)
+    charged = h.charged
     pending: Dict[int, Tuple[float, int]] = {}
     heap: list = []
     seq = finalized = 0
@@ -221,10 +312,12 @@ def label_setting(fsg: FreeSpaceGraph, seeds: Iterable[tuple], expand,
     def push(kind, key, mask, value, t, rule, ops):
         nonlocal seq, bound
         if kind == "C":
-            f, state = value, (key[0] if key else -1) << k | mask
+            p = key[0] if key else -1
+            f = value + h(p, p, mask) if charged & ~mask else value
+            state = p << k | mask
         else:
             p, q = key
-            f = value + h[p][q]
+            f = value + (h(p, q, mask) if charged & ~mask else h[p][q])
             state = ((n if kind == "M" else u_base) + p * n + q) << k | mask
         if value == INF or f > bound:
             return
@@ -270,25 +363,30 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
     of M(a, b) the apex lies strictly left of a -> b.
 
     `label_setting` passes its `bound`, `pending` map and future cost `h`;
-    its settled lists are in nondecreasing value within each partner
-    group, whose labels share their target's h.  Every push is then
-    checked first:
+    its settled lists are in settling order, nondecreasing in f, so in a
+    partner group a later label's value is at least an earlier one's less
+    the group's spread (`FutureCost.spread`, module docstring).  Every push
+    is then checked first:
       * M1, C1 and each C2 or M2 join is pushed only if it beats its
         target state's pending (value, rank), as `label_setting` requires;
         for C2 and M2 (rank 2, the largest rank) that is pending value >
         total;
-      * a C2 or M2 partner scan stops at the first join dearer than
-        bound - h(target), where push would drop it and every later one;
-      * per M2 apex group: when `mask` is already full (always when
-        k = 0), every allowed join of the group lands on one state, the
-        joined mouth's key with mask `full`, and costs at least
-        value + partners[0].value, since penalties are nonnegative and the
-        list is sorted; the group is skipped before its triangle content
-        is computed if that lower bound exceeds bound - h(target) or does
-        not beat the state's pending value.
+      * a C2 or M2 partner scan skips each join dearer than its cut,
+        bound - h(target) with h read at a full mask, where push would
+        drop it, and stops at the first one whose total less the spread
+        is still over the cut, as every later join is over it too;
+      * per M2 apex group, every join costs at least value +
+        partners[0].value less the spread, since penalties are
+        nonnegative.  The group is skipped before its triangle content is
+        computed if that lower bound exceeds the cut, or if `mask` is
+        already full (always when k = 0), so that every allowed join of
+        the group lands on one state, the joined mouth's key with mask
+        `full`, and the bound does not beat that state's pending value.
+    The spread is computed only once a cut is crossed; with the inverted
+    solver's h it is 0.
     Each skipped label could not change a settled label: its value is at
     least the tested one and pending entries only fall.  The DP's lists
-    are not sorted, and it keeps a dearer label at a smaller edge budget
+    are not in f order, and it keeps a dearer label at a smaller edge budget
     (a staircase per state, not one pending entry), so it passes none of
     the three, and pays for no state code and no cutoff."""
     value, mask, t = label.value, label.mask, label.t
@@ -306,11 +404,18 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
                 continue
             push("M", (p, q), mask, total, t + 1, "M1", (label,))
         # C2: concatenate with a closed walk at p over a disjoint nonempty set.
+        # The list is in f order, so a later partner's value is at least
+        # this one's less the spread (module docstring).
         if mask:
+            spread = None
             for other in settled.closed[p]:
                 total = value + other.value
                 if total > bound:
-                    break
+                    if spread is None:
+                        spread = h.spread(p, p)
+                    if total - spread > bound:
+                        break
+                    continue
                 if other.mask and not other.mask & mask:
                     joined = mask | other.mask
                     if search and \
@@ -331,7 +436,8 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
     # then as right part M(r, q) = M(a, b), left parts M(p, a).  The join
     # test runs once per apex: the triangle holds no required reference of
     # `mask` and no infinite penalty; each partner's mask is then checked
-    # against the joined mask `used`.  h(p, b) is read as h[b][p].
+    # against the joined mask `used`.  h(p, b) is read as h[b][p], and each
+    # cutoff allows for the group's spread, as the C2 scan does.
     # The apex filter `left` is the exact strict-ccw test of the triangle
     # prq, so its reference mask is `FreeSpaceGraph.triangle_content`'s
     # on(p, r) & on(r, q) & left(q, p), ANDed here from the chord masks
@@ -347,11 +453,16 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
     for q, partners in settled.open_from[b].items():
         if not (left >> q) & 1:
             continue
+        spread = None
         if search:
             code = (row + q) << k
             low, cut = value + partners[0].value, bound - h_a[q]
             if low > cut or whole and pending.get(code | mask, UNSEEN)[0] <= low:
-                continue
+                spread = h.spread(b, q)
+                low -= spread
+                if low > cut or whole and \
+                        pending.get(code | mask, UNSEEN)[0] <= low:
+                    continue
         if on_ab is None:
             on_ab = fsg._chord(a, b)
         inside = on_ab[1] & (chords[b * n + q] or fsg._chord(b, q))[1] \
@@ -367,7 +478,11 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
         for other in partners:
             total = value + other.value + cpen
             if total > cut:
-                break
+                if spread is None:
+                    spread = h.spread(b, q)
+                if total - spread > cut:
+                    break
+                continue
             if other.mask & used:
                 continue
             joined = used | other.mask
@@ -380,11 +495,16 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
     for p, partners in settled.open_to[a].items():
         if not (left >> p) & 1:
             continue
+        spread = None
         if search:
             code = (row + p * n) << k
             low, cut = partners[0].value + value, bound - h_b[p]
             if low > cut or whole and pending.get(code | mask, UNSEEN)[0] <= low:
-                continue
+                spread = h.spread(p, a)
+                low -= spread
+                if low > cut or whole and \
+                        pending.get(code | mask, UNSEEN)[0] <= low:
+                    continue
         if on_ab is None:
             on_ab = fsg._chord(a, b)
         inside = (chords[p * n + a] or fsg._chord(p, a))[1] & on_ab[1] \
@@ -400,7 +520,11 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
         for other in partners:
             total = other.value + value + cpen
             if total > cut:
-                break
+                if spread is None:
+                    spread = h.spread(p, a)
+                if total - spread > cut:
+                    break
+                continue
             if other.mask & used:
                 continue
             joined = used | other.mask

@@ -101,9 +101,10 @@ def test_bound_pruned_search_settles_fixed_point_labels():
     # partner scans at bound - h.  No derived label has f below an
     # operand's, so the search must settle exactly the full fixed point's
     # states up to the answer in (f, value, rank, kind, key, mask) order,
-    # ties included, each with the fixed point's label.
+    # ties included, each with the fixed point's label.  h is the search's
+    # own, charging every required reference.
     def order(lab):
-        f = lab.value + (h[lab.key[0]][lab.key[1]] if lab.kind == "M" else 0.0)
+        f = lab.value + h(lab.key[0], lab.key[-1], lab.mask)
         return f, lab.value, RANK[lab.rule], lab.kind, lab.key, lab.mask
 
     instances = [build({"polygons": [req("A", square(0, 0, 2)),
@@ -112,7 +113,7 @@ def test_bound_pruned_search_settles_fixed_point_labels():
                   for seed, k in ((1, 1), (2, 2), (4, 3), (6, 2), (9, 3))]
     for inst in instances:
         fsg = compute_free_space_edges(inst)
-        h = FutureCost(fsg, fsg.h_scale)
+        h = FutureCost(fsg, fsg.h_scale, fsg.full_mask)
         fin_C, fin_M = compute_all_labels(fsg)
         fixed = {**fin_C, **fin_M}
         answer, settled = _search(fsg, early_stop=True)
@@ -130,15 +131,34 @@ def test_k_scaling_instance_push_budget():
     # The k = 3 member of the k-scaling family (n = 33; 152 free-space
     # edges, of the 242 in the full visibility graph).  In value order
     # (h = 0) the search settles 6,138 labels and pushes 11,373 for the
-    # same answer; on the full graph it settled 6,284, and without push
-    # pruning it pushed 148,596 there.  `pushed` is exact: a check in
+    # same answer, and with h = c·|pq|, blind to the mask, 3,925 and
+    # 8,060; on the full graph it settled 6,284 in value order, and without
+    # push pruning it pushed 148,596 there.  `pushed` is exact: a check in
     # `relax` that skipped a push the queue would keep would change it.
     inst = random_instance(11, n_objects=9, k=3, grid=30, penalty_pool=(1, 2, 5))
     stats = {}
     cost, _walk = solve_dijkstra(compute_free_space_edges(inst), stats=stats)
     assert cost == 58.46560917300654
-    assert stats["finalized"] == 3925
-    assert stats["pushed"] == 8060
+    assert stats["finalized"] == 1036
+    assert stats["pushed"] == 3416
+
+
+@pytest.mark.parametrize("k, cost, search, fill", [
+    (4, 62.39692745614887, (2052, 9289), (6131, 55346)),
+    (5, 75.13217291511964, (4470, 28722), (14797, 142963)),
+])
+def test_k_scaling_solvers_agree_at_larger_k(k, cost, search, fill):
+    # The search and the bounded DP agree on the k = 4 and 5 members of
+    # the k-scaling family.  Their counters, (finalized, pushed) of the
+    # search and (stored, pushed) of the fill, are pinned: with h = c·|pq|,
+    # blind to the mask, they were (7,884, 18,993) and (13,420, 69,907) at
+    # k = 4, and (18,092, 50,322) and (35,320, 213,933) at k = 5.
+    fsg = compute_free_space_edges(random_instance(
+        11, n_objects=9, k=k, grid=30, penalty_pool=(1, 2, 5)))
+    for solve, counts in ((solve_dijkstra, search), (solve_dp, fill)):
+        stats = {}
+        assert solve(fsg, stats=stats)[0] == cost
+        assert (stats["finalized"], stats["pushed"]) == counts
 
 
 def test_finalized_labels_stable_under_reevaluation():

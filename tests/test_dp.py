@@ -235,11 +235,12 @@ def _check_bounded_fill(fsg):
         assert walk.points == closed_walk(fsg, answer_label).points
     # Every label whose f = value + h is no larger than the answer is
     # stored, the same, in the same place of its staircase; the bounded
-    # fill stores nothing else that cheap.
-    h = FutureCost(fsg, fsg.h_scale)
+    # fill stores nothing else that cheap.  h is the fill's own, charging
+    # every required reference.
+    h = FutureCost(fsg, fsg.h_scale, fsg.full_mask)
 
     def f(lab):
-        return lab.value + (h[lab.key[0]][lab.key[1]] if lab.kind == "M" else 0.0)
+        return lab.value + h(lab.key[0], lab.key[-1], lab.mask)
 
     last, settled = _fill(fsg)
     bounded = stairs_by_state(settled)

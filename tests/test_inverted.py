@@ -85,6 +85,26 @@ def test_required_between_optionals():
     assert cost == pytest.approx(4.0 + 2 * math.sqrt(2) + 5.0)
 
 
+def test_plank_join_scans_past_the_first_disjoint_mouth():
+    # Two heavy optional triangles meet at (0, 8) and open a wedge to the
+    # right, with the required triangle R inside it.  The optimum encloses
+    # both and dips into the wedge around R's left side, so R sits in the
+    # pocket of a mouth from (16, 10) to (16, 6).  The U label that reaches
+    # that chord settles after its mouths, and the chord's first mouth,
+    # the bare edge, leaves R out: a join that stopped at a group's first
+    # disjoint label would lose the dip and pay a penalty of 1000.
+    inst, fsg = _fsg({"polygons": [
+        opt("O1", [[0, 8], [16, 10], [0, 18]], 1000),
+        opt("O2", [[0, 8], [0, -2], [16, 6]], 1000),
+        req("R", [[10, 7], [12, 7], [11, 9]])], "mode": "invert"})
+    cost, walk = solve_inverted(inst, fsg)
+    assert rel_close(cost, 20 + math.sqrt(37) + math.sqrt(26) + 17 * math.sqrt(5))
+    assert rel_close(brute_force(inst, fsg).best_cost, cost)
+    assert Point(10, 7) in walk.points and Point(11, 9) in walk.points
+    (required,) = inst.required
+    assert winding_number(walk.points, required.reference_point) == 0
+
+
 def test_infinite_outside_penalty_infeasible():
     # An unbounded optional region with infinite penalty is always outside
     # any bounded curve: no finite solution exists.

@@ -21,7 +21,8 @@ from enclosure.dijkstra import _search
 from enclosure.dp import _fill
 from enclosure.errors import OverlapError
 from enclosure.geometry import orient
-from enclosure.recursion import closed_ids, open_ids, relax
+from enclosure.recursion import (
+    FutureCost, Label, Settled, closed_ids, open_ids, relax)
 from conftest import (
     build, compute_all_labels, dp_cell_C, dp_cell_M, every_push_tables,
     mouth_fixed_point, opt, rel_close, req, settled_labels, square,
@@ -143,10 +144,11 @@ def _answers_at_scale(inst, scale):
 
 
 def _check_future_cost_changes_no_answer(inst):
-    # h = c·|pq| is consistent, and its (1 - 1e-9) shave keeps the float
-    # order the proof needs, so with the value tie-break every solver
-    # returns the cost and walk of plain value order (c = 0) and settles
-    # no more labels.
+    # h is consistent, and its (1 - 1e-9) shave keeps the float order the
+    # proof needs, so every solver returns the cost of plain value order
+    # (c = 0) and settles no more labels.  The tie rule of `recursion.py`
+    # would allow another walk of equal cost; on these instances the walks
+    # are the same.
     plain, guided = _answers_at_scale(inst, 0.0), _answers_at_scale(inst, None)
     for (cost0, walk0, fin0), (cost, walk, fin) in zip(plain, guided):
         assert (cost, walk) == (cost0, walk0)
@@ -170,6 +172,72 @@ def test_future_cost_keeps_answers_on_random_instances(seed):
 def test_future_cost_keeps_answers_on_k_scaling_family(k):
     _check_future_cost_changes_no_answer(random_instance(
         11, n_objects=9, k=k, grid=30, penalty_pool=(1, 2, 5)))
+
+
+def _scan_setup():
+    """Two required squares (bits 0 and 1), the search's mask-aware h, and
+    a spy push with the (key, mask, ops) of each join of `rule` pushed."""
+    fsg = compute_free_space_edges(build({"polygons": [
+        req("A", square(0, 0, 2)), req("B", square(8, 5, 2))]}))
+    pushed = []
+
+    def push(kind, key, mask, value, t, rule, ops):
+        pushed.append((rule, key, mask, ops))
+
+    def joins(rule):
+        return [entry[1:] for entry in pushed if entry[0] == rule]
+    return fsg, FutureCost(fsg, fsg.h_scale, fsg.full_mask), push, joins
+
+
+def test_m2_partner_scan_reaches_past_a_dearer_label_of_larger_mask():
+    # A partner group settles in f order, not value order, once h reads
+    # the mask: here P1 = M(b, q, {A, B}) settles before the cheaper
+    # P2 = M(b, q, {B}), as P2 still has A to enclose.  The join of
+    # M(a, b, {A}) with P2 fits under the bound although P1's join does
+    # not, so neither the group's lower bound nor the scan may stop at P1.
+    fsg, h, push, joins = _scan_setup()
+    n = fsg.n
+    for a, b, q in ((a, b, q) for a in range(n) for b in range(n)
+                    for q in range(n)):
+        if a != b and fsg.left_vertices(a, b) >> q & 1 \
+                and fsg.triangle_content(a, b, q) == (0, 0.0) \
+                and h(b, q, 0b10) - h[b][q] > 0.5:
+            break
+    gap = h(b, q, 0b10) - h[b][q]
+    label = Label("M", (a, b), 0b01, 1.0, "M1", (), 1)
+    v2 = 100.0
+    p2 = Label("M", (b, q), 0b10, v2, "M1", (), 1)
+    p1 = Label("M", (b, q), 0b11, v2 + gap / 2, "M1", (), 1)
+    # P0 overlaps the label's mask; it keeps the group's lower bound low.
+    p0 = Label("M", (b, q), 0b01, min(v2, p1.value + h[b][q] - h(b, q, 0b01)) - 1,
+               "M1", (), 1)
+    bound = h[a][q] + label.value + v2 + gap / 4
+    for group in ((p0, p1, p2), (p1, p2)):
+        f = [lab.value + h(b, q, lab.mask) for lab in group]
+        assert f == sorted(f) and p2.value < p1.value
+        settled = Settled(n)
+        for lab in group:
+            settled.add(lab)
+        relax(fsg, label, settled, push, True, bound, {}, h)
+    assert joins("M2") == [((a, q), 0b11, (label, p2))] * 2
+
+
+def test_c2_partner_scan_reaches_past_a_dearer_label_of_larger_mask():
+    # The same for the closed labels at p: C(p, {A, B}) settles before the
+    # cheaper C(p, {B}), whose join with C(p, {A}) fits under the bound.
+    fsg, h, push, joins = _scan_setup()
+    p = max(range(fsg.n), key=lambda v: h(v, v, 0b10))
+    gap = h(p, p, 0b10)
+    label = Label("C", (p,), 0b01, 1.0, "base")
+    v2 = 100.0
+    p1 = Label("C", (p,), 0b11, v2 + gap / 2, "base")
+    p2 = Label("C", (p,), 0b10, v2, "base")
+    assert p1.value + h(p, p, 0b11) <= p2.value + h(p, p, 0b10)
+    settled = Settled(fsg.n)
+    settled.add(p1)
+    settled.add(p2)
+    relax(fsg, label, settled, push, True, label.value + v2 + gap / 4, {}, h)
+    assert joins("C2") == [((p,), 0b11, (label, p2))]
 
 
 def _inverted_mouths(inst, fsg):
