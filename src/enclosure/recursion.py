@@ -392,6 +392,9 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
     value, mask, t = label.value, label.mask, label.t
     search = pending is not None
     n, k = fsg.n, fsg._k
+    # A group's spread is read once a cutoff is crossed; an h that charges
+    # nothing has spread 0, known from the start.
+    unread = None if search and h.charged else 0.0
     if label.kind == "C":
         p = label.key[0]
         # M1: a free-space edge pq on top of the closed walk at p.
@@ -407,7 +410,7 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
         # The list is in f order, so a later partner's value is at least
         # this one's less the spread (module docstring).
         if mask:
-            spread = None
+            spread = unread
             for other in settled.closed[p]:
                 total = value + other.value
                 if total > bound:
@@ -453,11 +456,13 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
     for q, partners in settled.open_from[b].items():
         if not (left >> q) & 1:
             continue
-        spread = None
+        spread = unread
         if search:
             code = (row + q) << k
             low, cut = value + partners[0].value, bound - h_a[q]
             if low > cut or whole and pending.get(code | mask, UNSEEN)[0] <= low:
+                if spread is not None:
+                    continue
                 spread = h.spread(b, q)
                 low -= spread
                 if low > cut or whole and \
@@ -495,11 +500,13 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
     for p, partners in settled.open_to[a].items():
         if not (left >> p) & 1:
             continue
-        spread = None
+        spread = unread
         if search:
             code = (row + p * n) << k
             low, cut = partners[0].value + value, bound - h_b[p]
             if low > cut or whole and pending.get(code | mask, UNSEEN)[0] <= low:
+                if spread is not None:
+                    continue
                 spread = h.spread(p, a)
                 low -= spread
                 if low > cut or whole and \
