@@ -26,15 +26,15 @@ The fill is bounded: it fills only what the answer can use.  It keeps
 `bound`, the value of the cheapest full-mask C label pushed so far, and
 drops every push whose f = value + h exceeds it (strictly: an equal f is
 kept, since ties decide the walk), and skips every bucket entry whose f
-exceeds it, as the bound may have fallen since the entry was pushed.  h
-is the label-setting search's future cost (`recursion.FutureCost`),
-charging every required reference the label's walk does not yet wind
-around: c·max(|pq|, max over r not in B of |pr| + |rq|) for M(p, q, B),
-2c·max over r not in B of |pr| for C(p, B), so 0 for a full-mask closed
-label; it is looked up only once the bound is finite.  The bucket is
-sorted by value, not f, so a scan stops at the first entry whose value
-exceeds the bound and skips the others whose f does.  The bound's label ends at or below `bound`, so the answer
-costs at most `bound`.  This is exact:
+exceeds it, as the bound may have fallen since the entry was pushed.  h is
+the label-setting search's future cost (`recursion.FutureCost`), charging
+every required reference the label's walk does not yet wind around:
+c·max(|pq|, max over r not in B of |pr| + |rq|) for M(p, q, B), 2c·max over
+r not in B of |pr| for C(p, B), so 0 for a full-mask closed label; it is
+looked up only once the bound is finite.  The bucket is sorted by value,
+not f, so a scan stops at the first entry whose value exceeds the bound and
+skips the others whose f does.  The bound's label ends at or below `bound`,
+so the answer costs at most `bound`.  This is exact:
 
   * `check_solvable` makes every rule derive a value at least as large as
     each operand, and h is consistent (`recursion.py`): no rule derives a

@@ -30,25 +30,24 @@ mask; a plank is `FreeSpaceGraph.plank` of its chord and side, asked
 once and kept in the plank index below.
 
 The mouths and the U labels settle in one run of the enclosure search's
-label-setting queue (`recursion.label_setting`), in A* order by
-f = value + h, and the answer's bound stops both.  Every rule adds a
-positive edge weight or mouth value or a nonnegative penalty to its
-operands.  The mouths are the open labels of the enclosure recursion with
-the closing rule C1 off, built from the single-edge mouths M1 on the point
-walks by `relax` over their own settled-label index.  A mouth M(p, q) and
-a U label U(p, q) get h = c·|pq| (c as in `recursion.py`), the finish
-h = 0: unlike the enclosure search's, this h charges no required
-reference, as here a mask holds references left outside the curve.  h is
-consistent: a walk that closes U(p, q) must still get from q
-back to p, and each down or up plank adds a mouth worth at least c times
-the length of its chord, so by the triangle inequality a plank from
-U(p, q) to U(far, q) raises h by at most c·|far p|, no more than the mouth
-adds; and v(U(p, q)) >= c·|pq|, so the plank's f is no less than the
-mouth's (the proof for all rules is in `recursion.py`).  U labels are
-`Label("U", (p, q), ...)` with their own state codes, and all inverted
-rules rank with "base", so U labels settle by (f, value, p, q, B, push
-order); at equal f and value a finish settles before any mouth or U
-label, and the first finish settled is the answer.
+label-setting queue (`recursion.label_setting`), in A* order by f = value +
+h, and the answer's bound stops both.  Every rule adds a positive edge
+weight or mouth value or a nonnegative penalty to its operands.  The mouths
+are the open labels of the enclosure recursion with the closing rule C1
+off, built from the single-edge mouths M1 on the point walks by `relax`
+over their own settled-label index.  A mouth M(p, q) and a U label U(p, q)
+get h = c·|pq| (c as in `recursion.py`), the finish h = 0: unlike the
+enclosure search's, this h charges no required reference, as here a mask
+holds references left outside the curve.  h is consistent: a walk that
+closes U(p, q) must still get from q back to p, and each down or up plank
+adds a mouth worth at least c times the length of its chord, so by the
+triangle inequality a plank from U(p, q) to U(far, q) raises h by at most
+c·|far p|, no more than the mouth adds; and v(U(p, q)) >= c·|pq|, so the
+plank's f is no less than the mouth's (the proof for all rules is in
+`recursion.py`).  U labels are `Label("U", (p, q), ...)` with their own
+state codes, and all inverted rules rank with "base", so U labels settle by
+(f, value, p, q, B, push order); at equal f and value a finish settles
+before any mouth or U label, and the first finish settled is the answer.
 
 A plank joins a mouth with a U label, whichever settles second: a settled
 U label joins the settled mouths of the chords that reach its ends, a

@@ -16,16 +16,16 @@ This module holds the recursion itself: `relax` enumerates the four rules
 once, for every solver, reading the settled labels from one index
 (`Settled`).  `label_setting` is the one label-setting queue, an A* search:
 it settles labels by f = value + h, where h is a lower bound on what a
-label's walk still has to pay before it closes (`FutureCost`); the first
-label per state wins, and pushes that cannot win are dropped.  The
-enclosure search drives it with `relax`; the inverted solver drives it in
-one run with `relax` for its mouths and its plank and finish rules for its
-U labels; both ask its pending map before they derive a label that could
-only be dropped.  The DP keeps its bucket queue by edge budget, where a
-label is kept only if it improves its state's staircase, and bounds it by
-the same f.  Also here: the rule ranks, the label type, the precondition
-check of every solver entry, the answer on instances with nothing
-required, and the rebuild of a walk from a label's provenance.
+label's walk still has to pay before it is a complete answer
+(`FutureCost`); the first label per state wins, and pushes that cannot win
+are dropped.  The enclosure search drives it with `relax`; the inverted
+solver drives it in one run with `relax` for its mouths and its plank and
+finish rules for its U labels; both ask its pending map before they derive
+a label that could only be dropped.  The DP keeps its bucket queue by edge
+budget, where a label is kept only if it improves its state's staircase,
+and bounds it by the same f.  Also here: the rule ranks, the label type,
+the precondition check of every solver entry, the answer on instances with
+nothing required, and the rebuild of a walk from a label's provenance.
 
 The future cost.  Let c = `FreeSpaceGraph.h_scale`, the least
 weight/length ratio c' of the free-space edges (at most 1) shaved to
