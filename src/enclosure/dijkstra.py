@@ -48,6 +48,7 @@ from typing import Optional, Tuple
 from .freespace import FreeSpaceGraph
 from .recursion import (
     INF,
+    EnclosureCost,
     Settled,
     check_solvable,
     closed_walk,
@@ -64,19 +65,19 @@ def _search(fsg: FreeSpaceGraph, early_stop: bool,
 
     Returns (answer, settled): the first finalized closed-walk label
     covering every required object (None if the queue drains first), and
-    the expanded labels as a `Settled` index; an early-stopped search does
-    not expand its answer.  With early_stop=False the whole fixed point is
-    computed.  The future cost charges every required reference.
+    the expanded labels as a `Settled` index, each list in value order; an
+    early-stopped search does not expand its answer.  With early_stop=False
+    the whole fixed point is computed.  The future cost is `EnclosureCost`.
     """
     settled = Settled(fsg.n)
 
     def expand(label, push, bound, pending, h):
-        settled.add(label)
+        settled.add_by_value(label)
         relax(fsg, label, settled, push, True, bound, pending, h)
 
     seeds = [("C", (p,), 0, 0.0, 0, "base", ()) for p in range(fsg.n)]
     answer = label_setting(fsg, seeds, expand, early_stop, stats,
-                           charged=fsg.full_mask)
+                           EnclosureCost)
     return answer, settled
 
 

@@ -27,7 +27,7 @@ The fill is bounded: it fills only what the answer can use.  It keeps
 drops every push whose f = value + h exceeds it (strictly: an equal f is
 kept, since ties decide the walk), and skips every bucket entry whose f
 exceeds it, as the bound may have fallen since the entry was pushed.  h is
-the label-setting search's future cost (`recursion.FutureCost`), charging
+the label-setting search's future cost (`recursion.EnclosureCost`), charging
 every required reference the label's walk does not yet wind around:
 c·max(|pq|, max over r not in B of |pr| + |rq|) for M(p, q, B), 2c·max over
 r not in B of |pr| for C(p, B), so 0 for a full-mask closed label; it is
@@ -65,7 +65,7 @@ from .freespace import FreeSpaceGraph
 from .recursion import (
     INF,
     RANK,
-    FutureCost,
+    EnclosureCost,
     Label,
     Settled,
     check_solvable,
@@ -91,7 +91,7 @@ def _fill(fsg: FreeSpaceGraph, stats: Optional[dict] = None
     buckets: List[Optional[dict]] = [{} for _ in range(t_max + 1)]
     pushed = stored = 0
     bound = INF
-    h = FutureCost(fsg, fsg.h_scale, full)
+    h = EnclosureCost(fsg, fsg.h_scale)
 
     def push(kind, key, mask, value, t, rule, ops):
         nonlocal pushed, bound

@@ -17,20 +17,21 @@ once, for every solver, reading the settled labels from one index
 (`Settled`).  `label_setting` is the one label-setting queue, an A* search:
 it settles labels by f = value + h, where h is a lower bound on what a
 label's walk still has to pay before it is a complete answer
-(`FutureCost`); the first label per state wins, and pushes that cannot win
-are dropped.  The enclosure search drives it with `relax`; the inverted
-solver drives it in one run with `relax` for its mouths and its plank and
-finish rules for its U labels; both ask its pending map before they derive
-a label that could only be dropped.  The DP keeps its bucket queue by edge
-budget, where a label is kept only if it improves its state's staircase,
-and bounds it by the same f.  Also here: the rule ranks, the label type,
-the precondition check of every solver entry, the answer on instances with
-nothing required, and the rebuild of a walk from a label's provenance.
+(`FutureCost`, `EnclosureCost`); the first label per state wins, and
+pushes that cannot win are dropped.  The enclosure search drives it with
+`relax`; the inverted solver drives it in one run with `relax` for its
+mouths and its plank and finish rules for its U labels; both ask its
+pending map before they derive a label that could only be dropped.  The
+DP keeps its bucket queue by edge budget, where a label is kept only if
+it improves its state's staircase, and bounds it by the same f.  Also
+here: the rule ranks, the label type, the precondition check of every
+solver entry, the answer on instances with nothing required, and the
+rebuild of a walk from a label's provenance.
 
 The future cost.  Let c = `FreeSpaceGraph.h_scale`, the least
 weight/length ratio c' of the free-space edges (at most 1) shaved to
 c = (1 - 1e-9)·c', and let r range over the required reference points.
-The enclosure search and the DP give their labels (`FutureCost`)
+The enclosure search and the DP give their labels (`EnclosureCost`)
 
   h(M(p, q, B)) = c·max(|pq|, max over r not in B of |pr| + |rq|),
   h(C(p, B))    = 2c·max over r not in B of |pr|, and 0 when B is full;
@@ -84,35 +85,36 @@ f(M(far, p)).  The finish takes U(s, s), whose h is 0.
 
 Each inequality above bounds a length by the length of the edge or walk
 the rule adds, which is worth c' times that length, not c: the shave
-leaves a margin of at least 1e-9·c times that length, far above the
-rounding of a float sum, so the computed f keeps the order the proof
-needs: the first label settled for a state is still its cheapest.  A*
-with a consistent h is Hart, Nilsson & Raphael (1968); for the
-superior-function recursion here it is the future-cost variant of
-generalized Dijkstra (Hougardy, Silvanus & Vygen, "Dijkstra meets
-Steiner", Math. Prog. Comp. 2017), whose future cost likewise depends on
-the terminals not yet connected.
+leaves a margin of at least 1e-9·c times that length.  Every length h
+reads, |pq| and |pr| alike, is the hypotenuse of the exact coordinate
+differences, each rounded once, as the edge weights are, so its rounding
+error is relative to the length, whatever the size of the coordinates;
+the margin is far above it and above the rounding of a float sum, so the
+computed f keeps the order the proof needs: the first label settled for
+a state is still its cheapest.  A* with a consistent h is Hart, Nilsson &
+Raphael (1968); for the superior-function recursion here it is the
+future-cost variant of generalized Dijkstra (Hougardy, Silvanus & Vygen,
+"Dijkstra meets Steiner", Math. Prog. Comp. 2017), whose future cost
+likewise depends on the terminals not yet connected.
 
 The partner scans.  All labels of one state share h, but the labels of
 one partner group (settled open labels of one key (p, q), or settled
-closed labels at one p) differ in mask, and so in h, by at most the
-group's spread h(p, q, {}) - h(p, q, full): c·max over r of
-(|pr| + |rq|) - c·|pq|, or 2c·max over r of |pr| at q = p
-(`FutureCost.spread`).  They settle in nondecreasing f, so a label
-settled after one of value v has value at least v - spread: a group is
-in value order only up to its spread.  A scan that finds a join dearer
-than its cut therefore keeps going while the join's total less the
-spread is within the cut and stops only after that; a group's lower
-bound is its first label's value less the spread.  The spread is
-computed only once a cut is crossed.  The inverted solver's h ignores
-the mask, its spread is 0, and its scans stop at the first join over
-the cut, as in value order.
+closed labels at one p) differ in mask, and so in h: they settle in f
+order, and a dearer label of a larger mask may settle before a cheaper
+one of a smaller mask.  The scans of `relax` stop at the first join over
+their cut and bound a group by its first label, so they need each group
+in value order: the enclosure search adds its settled labels by
+`Settled.add_by_value`, after the labels of equal value.  A cut reads
+the target's h at a full mask, the least over its masks, so every join
+past it has f over the bound.  The inverted solver's h ignores the mask,
+so its groups settle in value order as they are; the DP's scans have no
+cutoff, and its lists keep their storing order.
 
 Ties.  At equal (value, rank) the first push of a state wins, and labels
 are pushed as their operands settle.  So where two walks of one state
-cost the same, which of them a solver keeps follows the settling order,
-and with it h: another h may return another optimal walk, never another
-cost.
+cost the same, which of them a solver keeps follows the order of the
+pushes, and with it h: another h may return another optimal walk, never
+another cost.
 
 States are coded as one int, code << k | mask for k required objects,
 with code(C(p)) = p, code(M(p, q)) = n + p·n + q, code(U(p, q)) =
@@ -124,7 +126,9 @@ state) breaks ties exactly as (f, value, rank, kind, key, mask) would.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import CapacityError, InternalError, NonpositiveWeight
@@ -192,7 +196,8 @@ def trivial_answer(fsg: FreeSpaceGraph) -> Optional[Tuple[float, Walk]]:
 class Settled:
     """The settled labels, indexed the way `relax` reads them: closed labels
     by vertex, open labels by start then end vertex and by end then start
-    vertex, each list in settling order."""
+    vertex.  `add` keeps each list in settling order, `add_by_value` in
+    value order, labels of equal value in settling order."""
 
     def __init__(self, n: int):
         self.closed: List[List[Label]] = [[] for _ in range(n)]
@@ -207,38 +212,61 @@ class Settled:
             self.open_from[p].setdefault(q, []).append(label)
             self.open_to[q].setdefault(p, []).append(label)
 
+    def add_by_value(self, label: Label) -> None:
+        if label.kind == "C":
+            insort(self.closed[label.key[0]], label, key=_value)
+        else:
+            p, q = label.key
+            insort(self.open_from[p].setdefault(q, []), label, key=_value)
+            insort(self.open_to[q].setdefault(p, []), label, key=_value)
+
+
+_value = itemgetter(3)  # Label.value
+
 
 class FutureCost(dict):
-    """The future cost h of a label (module docstring): h(p, q, mask) is
-    that of an open label M(p, q, mask) or U(p, q, mask), and h(p, p, mask)
-    that of a closed label C(p, mask),
+    """The mask-blind future cost self[p][q] = c·|pq|, c = `scale`, of an
+    open label M(p, q) or U(p, q), whatever its mask, and 0 for a closed
+    label (q = p): the inverted solver's, whose masks hold the references
+    left outside its curve.  |pq| is the float distance the edge weights
+    use, the hypotenuse of the exact coordinate differences; a row is
+    built on first use, and self[p][q] == self[q][p] exactly.  `charged`
+    is the mask of the required references h charges while a label's mask
+    lacks them: none here."""
 
-        c·max(|pq|, max over charged r not in mask of |pr| + |rq|),
+    charged = 0
 
-    with c = `scale`, where the charged r are the required reference
-    points whose bits are set in `charged`.  The enclosure recursion
-    charges all of them (`fsg.full_mask`); the inverted solver none, so
-    its h is c·|pq|.  self[p][q] is c·|pq|, the h at a full mask: |pq| is
-    the float distance the edge weights use, the hypotenuse of the exact
-    coordinate differences; a row is built on first use, and
-    self[p][q] == self[q][p] exactly.  |pr| is taken to the reference
-    point's float coordinates, one row of c·|pr| per vertex, and h takes
-    the max over the set bits of `charged` & ~mask."""
-
-    def __init__(self, fsg: FreeSpaceGraph, scale: float, charged: int = 0):
+    def __init__(self, fsg: FreeSpaceGraph, scale: float):
         super().__init__()
         self.scale = scale
         self.points = [(v.x, v.y) for v in fsg.vertices]
-        self.charged = charged if scale else 0
-        refs = [(x / w, y / w) for x, y, w in fsg._href[:charged.bit_length()]]
-        self.reach = [[scale * math.hypot(rx - x, ry - y) for rx, ry in refs]
-                      for x, y in self.points] if self.charged else []
 
     def __missing__(self, p: int) -> List[float]:
         scale, (x, y), hypot = self.scale, self.points[p], math.hypot
         row = self[p] = [scale * hypot(u - x, v - y) for u, v in self.points] \
             if scale else [0.0] * len(self.points)
         return row
+
+
+class EnclosureCost(FutureCost):
+    """The future cost of the enclosure recursion (module docstring),
+    charging every required reference point r not in the mask:
+
+        h(p, q, mask) = c·max(|pq|, max over r not in mask of |pr| + |rq|),
+
+    self[p][q] being c·|pq|, its value at a full mask.  reach[p] is the
+    row of c·|pr| over the required references, each the hypotenuse of the
+    exact differences to the reference's homogeneous coordinates, rounded
+    once as |pq| is; h takes the max over the set bits of `charged` &
+    ~mask.  At scale 0 it charges nothing."""
+
+    def __init__(self, fsg: FreeSpaceGraph, scale: float):
+        super().__init__(fsg, scale)
+        self.charged = fsg.full_mask if scale else 0
+        refs, hypot = fsg._href[:fsg._k], math.hypot
+        self.reach = [[scale * hypot((X - x * W) / W, (Y - y * W) / W)
+                       for X, Y, W in refs]
+                      for x, y in self.points] if self.charged else []
 
     def __call__(self, p: int, q: int, mask: int) -> float:
         h = self[p][q]
@@ -252,16 +280,10 @@ class FutureCost(dict):
                 i += 1
         return h
 
-    def spread(self, p: int, q: int) -> float:
-        """How far the h of two labels with key (p, q), or (p,) at q = p,
-        can differ: h(p, q, 0) - h(p, q, full), 0 when nothing is
-        charged."""
-        return self(p, q, 0) - self[p][q]
-
 
 def label_setting(fsg: FreeSpaceGraph, seeds: Iterable[tuple], expand,
                   early_stop: bool, stats: Optional[dict] = None,
-                  charged: int = 0):
+                  future_cost: type = FutureCost):
     """Settle pending labels by f = value + h, keep the first settled label
     per state, and hand it to expand(label, push, bound, pending, h), which
     derives new labels through push(kind, key, mask, value, t, rule, ops)
@@ -274,15 +296,16 @@ def label_setting(fsg: FreeSpaceGraph, seeds: Iterable[tuple], expand,
     With early_stop the loop ends at the answer, else it computes the
     whole fixed point.
 
-    h is `FutureCost` at scale `fsg.h_scale` under early_stop, charging
-    the required references in `charged`: all of them in the enclosure
-    search, none in the inverted solver, whose h is c·|pq| for its mouths
-    and U labels and 0 for its finish.  Without early_stop nothing is
-    bounded, so h could only reorder the fixed point; it runs with h = 0
-    and settles in value order.  Exact as long as no rule derives a label
-    cheaper than the one it expands (`check_solvable`) and h is consistent:
-    labels settle in nondecreasing f, and a state's first settled label
-    is its cheapest.  Pushes that cannot change a settled label are not
+    h is future_cost(fsg, `fsg.h_scale`) under early_stop: the enclosure
+    search passes `EnclosureCost`, which charges the required references
+    a label's walk does not yet wind around; the inverted solver keeps the
+    mask-blind `FutureCost`, c·|pq| for its mouths and U labels and 0 for
+    its finish.  Without early_stop nothing is bounded, so h could only
+    reorder the fixed point; it runs at scale 0, h = 0, and settles in
+    value order.  Exact as long as no rule derives a label cheaper than
+    the one it expands (`check_solvable`) and h is consistent: labels
+    settle in nondecreasing f, and a state's first settled label is its
+    cheapest.  Pushes that cannot change a settled label are not
     queued: push drops one whose f exceeds `bound` (strictly), the
     cheapest full-mask "C" value pushed under early_stop (else INF), as
     the answer settles no later than that label and every label it is
@@ -299,7 +322,7 @@ def label_setting(fsg: FreeSpaceGraph, seeds: Iterable[tuple], expand,
     bound - h: push would drop it.  A skipped or dropped push takes no
     sequence number, so skipping it changes nothing."""
     n, k, full = fsg.n, fsg._k, fsg.full_mask
-    h = FutureCost(fsg, fsg.h_scale if early_stop else 0.0, charged)
+    h = future_cost(fsg, fsg.h_scale if early_stop else 0.0)
     charged = h.charged
     pending: Dict[int, Tuple[float, int]] = {}
     heap: list = []
@@ -362,39 +385,35 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
     after this call.  With closures=False rule C1 is off.  In both M2 roles
     of M(a, b) the apex lies strictly left of a -> b.
 
-    `label_setting` passes its `bound`, `pending` map and future cost `h`;
-    its settled lists are in settling order, nondecreasing in f, so in a
-    partner group a later label's value is at least an earlier one's less
-    the group's spread (`FutureCost.spread`, module docstring).  Every push
-    is then checked first:
+    `label_setting` passes its `bound`, `pending` map and future cost `h`,
+    and each partner group (settled open labels of one key, or settled
+    closed labels at one vertex) is in nondecreasing value: the enclosure
+    search adds its labels by `Settled.add_by_value`, as its h reads the
+    mask and a group settles in f order, not value order; the inverted
+    solver's h ignores the mask, so its groups settle in value order.  The
+    cutoffs below read h(target) at a full mask, the least h of the
+    target's key.  Every push is then checked first:
       * M1, C1 and each C2 or M2 join is pushed only if it beats its
         target state's pending (value, rank), as `label_setting` requires;
         for C2 and M2 (rank 2, the largest rank) that is pending value >
         total;
-      * a C2 or M2 partner scan skips each join dearer than its cut,
-        bound - h(target) with h read at a full mask, where push would
-        drop it, and stops at the first one whose total less the spread
-        is still over the cut, as every later join is over it too;
-      * per M2 apex group, every join costs at least value +
-        partners[0].value less the spread, since penalties are
-        nonnegative.  The group is skipped before its triangle content is
-        computed if that lower bound exceeds the cut, or if `mask` is
-        already full (always when k = 0), so that every allowed join of
-        the group lands on one state, the joined mouth's key with mask
-        `full`, and the bound does not beat that state's pending value.
-    The spread is computed only once a cut is crossed; with the inverted
-    solver's h it is 0.
+      * a C2 or M2 partner scan stops at the first join dearer than
+        bound - h(target), where push would drop it and every later one;
+      * per M2 apex group: when `mask` is already full (always when
+        k = 0), every allowed join of the group lands on one state, the
+        joined mouth's key with mask `full`, and costs at least
+        value + partners[0].value, since penalties are nonnegative and the
+        list is sorted; the group is skipped before its triangle content
+        is computed if that lower bound exceeds bound - h(target) or does
+        not beat the state's pending value.
     Each skipped label could not change a settled label: its value is at
     least the tested one and pending entries only fall.  The DP's lists
-    are not in f order, and it keeps a dearer label at a smaller edge budget
+    are not sorted, and it keeps a dearer label at a smaller edge budget
     (a staircase per state, not one pending entry), so it passes none of
     the three, and pays for no state code and no cutoff."""
     value, mask, t = label.value, label.mask, label.t
     search = pending is not None
     n, k = fsg.n, fsg._k
-    # A group's spread is read once a cutoff is crossed; an h that charges
-    # nothing has spread 0, known from the start.
-    unread = None if search and h.charged else 0.0
     if label.kind == "C":
         p = label.key[0]
         # M1: a free-space edge pq on top of the closed walk at p.
@@ -407,18 +426,11 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
                 continue
             push("M", (p, q), mask, total, t + 1, "M1", (label,))
         # C2: concatenate with a closed walk at p over a disjoint nonempty set.
-        # The list is in f order, so a later partner's value is at least
-        # this one's less the spread (module docstring).
         if mask:
-            spread = unread
             for other in settled.closed[p]:
                 total = value + other.value
                 if total > bound:
-                    if spread is None:
-                        spread = h.spread(p, p)
-                    if total - spread > bound:
-                        break
-                    continue
+                    break
                 if other.mask and not other.mask & mask:
                     joined = mask | other.mask
                     if search and \
@@ -439,8 +451,7 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
     # then as right part M(r, q) = M(a, b), left parts M(p, a).  The join
     # test runs once per apex: the triangle holds no required reference of
     # `mask` and no infinite penalty; each partner's mask is then checked
-    # against the joined mask `used`.  h(p, b) is read as h[b][p], and each
-    # cutoff allows for the group's spread, as the C2 scan does.
+    # against the joined mask `used`.  h(p, b) is read as h[b][p].
     # The apex filter `left` is the exact strict-ccw test of the triangle
     # prq, so its reference mask is `FreeSpaceGraph.triangle_content`'s
     # on(p, r) & on(r, q) & left(q, p), ANDed here from the chord masks
@@ -456,18 +467,11 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
     for q, partners in settled.open_from[b].items():
         if not (left >> q) & 1:
             continue
-        spread = unread
         if search:
             code = (row + q) << k
             low, cut = value + partners[0].value, bound - h_a[q]
             if low > cut or whole and pending.get(code | mask, UNSEEN)[0] <= low:
-                if spread is not None:
-                    continue
-                spread = h.spread(b, q)
-                low -= spread
-                if low > cut or whole and \
-                        pending.get(code | mask, UNSEEN)[0] <= low:
-                    continue
+                continue
         if on_ab is None:
             on_ab = fsg._chord(a, b)
         inside = on_ab[1] & (chords[b * n + q] or fsg._chord(b, q))[1] \
@@ -483,11 +487,7 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
         for other in partners:
             total = value + other.value + cpen
             if total > cut:
-                if spread is None:
-                    spread = h.spread(b, q)
-                if total - spread > cut:
-                    break
-                continue
+                break
             if other.mask & used:
                 continue
             joined = used | other.mask
@@ -500,18 +500,11 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
     for p, partners in settled.open_to[a].items():
         if not (left >> p) & 1:
             continue
-        spread = unread
         if search:
             code = (row + p * n) << k
             low, cut = partners[0].value + value, bound - h_b[p]
             if low > cut or whole and pending.get(code | mask, UNSEEN)[0] <= low:
-                if spread is not None:
-                    continue
-                spread = h.spread(p, a)
-                low -= spread
-                if low > cut or whole and \
-                        pending.get(code | mask, UNSEEN)[0] <= low:
-                    continue
+                continue
         if on_ab is None:
             on_ab = fsg._chord(a, b)
         inside = (chords[p * n + a] or fsg._chord(p, a))[1] & on_ab[1] \
@@ -527,11 +520,7 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
         for other in partners:
             total = other.value + value + cpen
             if total > cut:
-                if spread is None:
-                    spread = h.spread(p, a)
-                if total - spread > cut:
-                    break
-                continue
+                break
             if other.mask & used:
                 continue
             joined = used | other.mask

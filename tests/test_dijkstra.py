@@ -13,7 +13,7 @@ from enclosure.dijkstra import _search
 from enclosure.errors import InternalError, NonpositiveWeight
 from enclosure.inverted import solve_inverted
 from enclosure.recursion import (
-    INF, RANK, FutureCost, Label, check_solvable, closed_ids, open_ids)
+    INF, RANK, EnclosureCost, Label, check_solvable, closed_ids, open_ids)
 from conftest import (
     build, by_state, compute_all_labels, mouth_fixed_point, opt, rel_close,
     req, settled_labels, square)
@@ -113,7 +113,7 @@ def test_bound_pruned_search_settles_fixed_point_labels():
                   for seed, k in ((1, 1), (2, 2), (4, 3), (6, 2), (9, 3))]
     for inst in instances:
         fsg = compute_free_space_edges(inst)
-        h = FutureCost(fsg, fsg.h_scale, fsg.full_mask)
+        h = EnclosureCost(fsg, fsg.h_scale)
         fin_C, fin_M = compute_all_labels(fsg)
         fixed = {**fin_C, **fin_M}
         answer, settled = _search(fsg, early_stop=True)

@@ -14,7 +14,7 @@ from enclosure import (
 from enclosure.dp import _fill
 from enclosure.errors import ReferenceOnWalk
 from enclosure.geometry import winding_number
-from enclosure.recursion import FutureCost, closed_walk
+from enclosure.recursion import EnclosureCost, closed_walk
 from conftest import (
     build, dp_cell_C, dp_cell_M, every_push_tables, opt, rel_close, req, square,
     stairs_by_state)
@@ -237,7 +237,7 @@ def _check_bounded_fill(fsg):
     # stored, the same, in the same place of its staircase; the bounded
     # fill stores nothing else that cheap.  h is the fill's own, charging
     # every required reference.
-    h = FutureCost(fsg, fsg.h_scale, fsg.full_mask)
+    h = EnclosureCost(fsg, fsg.h_scale)
 
     def f(lab):
         return lab.value + h(lab.key[0], lab.key[-1], lab.mask)

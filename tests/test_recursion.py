@@ -11,6 +11,7 @@ from hypothesis import assume, given
 from enclosure import (
     brute_force,
     compute_free_space_edges,
+    evaluate_solution,
     random_instance,
     solve_dijkstra,
     solve_dp,
@@ -22,7 +23,7 @@ from enclosure.dp import _fill
 from enclosure.errors import OverlapError
 from enclosure.geometry import orient
 from enclosure.recursion import (
-    FutureCost, Label, Settled, closed_ids, open_ids, relax)
+    EnclosureCost, Label, Settled, closed_ids, open_ids, relax)
 from conftest import (
     build, compute_all_labels, dp_cell_C, dp_cell_M, every_push_tables,
     mouth_fixed_point, opt, rel_close, req, settled_labels, square,
@@ -125,7 +126,7 @@ def test_reference_enumerations_stay_independent_of_the_kernel():
 
 
 def _answers_at_scale(inst, scale):
-    """(cost, walk points, finalized) of every solver of the instance's
+    """(cost, walk, finalized) of every solver of the instance's
     mode, with the future cost's scale c set to `scale`, or left as built
     when None."""
     fsg = compute_free_space_edges(inst)
@@ -139,20 +140,23 @@ def _answers_at_scale(inst, scale):
     for solve in solvers:
         stats = {}
         cost, walk = solve(fsg, stats=stats)
-        out.append((cost, walk and walk.points, stats.get("finalized", 0)))
+        out.append((cost, walk, stats.get("finalized", 0)))
     return out
 
 
 def _check_future_cost_changes_no_answer(inst):
     # h is consistent, and its (1 - 1e-9) shave keeps the float order the
     # proof needs, so every solver returns the cost of plain value order
-    # (c = 0) and settles no more labels.  The tie rule of `recursion.py`
-    # would allow another walk of equal cost; on these instances the walks
-    # are the same.
+    # (c = 0) and settles no more labels.  Under the tie rule of
+    # `recursion.py` its walk may be another one of equal cost, so the walk
+    # is checked on its own: feasible, at the cost the solver reports.
     plain, guided = _answers_at_scale(inst, 0.0), _answers_at_scale(inst, None)
-    for (cost0, walk0, fin0), (cost, walk, fin) in zip(plain, guided):
-        assert (cost, walk) == (cost0, walk0)
+    for (cost0, _walk0, fin0), (cost, walk, fin) in zip(plain, guided):
+        assert cost == cost0
         assert fin <= fin0
+        if cost < math.inf and len(walk.points) > 1:
+            sol = evaluate_solution(inst, walk, check_simple=False)
+            assert sol.feasible and rel_close(sol.cost, cost)
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
@@ -174,6 +178,33 @@ def test_future_cost_keeps_answers_on_k_scaling_family(k):
         11, n_objects=9, k=k, grid=30, penalty_pool=(1, 2, 5)))
 
 
+def _shifted(d):
+    """Three required shapes and an optional square, moved by (d, d)."""
+    def move(verts):
+        return [[x + d, y + d] for x, y in verts]
+    return build({"polygons": [
+        req("A", move(square(0, 0, 2))), req("B", move(square(5, 1, 2))),
+        opt("O", move(square(2, 4, 2)), 1.5),
+        req("T", move([[0, 5], [2, 7], [0, 9]]))]})
+
+
+@pytest.mark.parametrize("j", (120, 122, 126, 127))
+def test_future_cost_is_exact_far_from_the_origin(j):
+    # Every length h reads is the hypotenuse of exact coordinate
+    # differences, so moving the instance by an integer offset changes no
+    # entry of h and no answer.  Near 2**60 floats are 256 apart: an h
+    # that rounded the coordinates before subtracting them would be off by
+    # hundreds there, and the search would settle a dearer walk.
+    plain = compute_free_space_edges(_shifted(0))
+    far = compute_free_space_edges(_shifted(2 ** 60 + j))
+    h0 = EnclosureCost(plain, plain.h_scale)
+    h = EnclosureCost(far, far.h_scale)
+    assert h.reach == h0.reach
+    assert all(h[p] == h0[p] for p in range(far.n))
+    for solve in (solve_dijkstra, solve_dp):
+        assert solve(far)[0] == solve(plain)[0]
+
+
 def _scan_setup():
     """Two required squares (bits 0 and 1), the search's mask-aware h, and
     a spy push with the (key, mask, ops) of each join of `rule` pushed."""
@@ -186,7 +217,7 @@ def _scan_setup():
 
     def joins(rule):
         return [entry[1:] for entry in pushed if entry[0] == rule]
-    return fsg, FutureCost(fsg, fsg.h_scale, fsg.full_mask), push, joins
+    return fsg, EnclosureCost(fsg, fsg.h_scale), push, joins
 
 
 def test_m2_partner_scan_reaches_past_a_dearer_label_of_larger_mask():
@@ -194,7 +225,8 @@ def test_m2_partner_scan_reaches_past_a_dearer_label_of_larger_mask():
     # the mask: here P1 = M(b, q, {A, B}) settles before the cheaper
     # P2 = M(b, q, {B}), as P2 still has A to enclose.  The join of
     # M(a, b, {A}) with P2 fits under the bound although P1's join does
-    # not, so neither the group's lower bound nor the scan may stop at P1.
+    # not, so neither the group's lower bound nor the scan may stop at P1:
+    # the search's index must hold the group in value order.
     fsg, h, push, joins = _scan_setup()
     n = fsg.n
     for a, b, q in ((a, b, q) for a in range(n) for b in range(n)
@@ -217,7 +249,7 @@ def test_m2_partner_scan_reaches_past_a_dearer_label_of_larger_mask():
         assert f == sorted(f) and p2.value < p1.value
         settled = Settled(n)
         for lab in group:
-            settled.add(lab)
+            settled.add_by_value(lab)
         relax(fsg, label, settled, push, True, bound, {}, h)
     assert joins("M2") == [((a, q), 0b11, (label, p2))] * 2
 
@@ -234,8 +266,8 @@ def test_c2_partner_scan_reaches_past_a_dearer_label_of_larger_mask():
     p2 = Label("C", (p,), 0b10, v2, "base")
     assert p1.value + h(p, p, 0b11) <= p2.value + h(p, p, 0b10)
     settled = Settled(fsg.n)
-    settled.add(p1)
-    settled.add(p2)
+    settled.add_by_value(p1)
+    settled.add_by_value(p2)
     relax(fsg, label, settled, push, True, label.value + v2 + gap / 4, {}, h)
     assert joins("C2") == [((p,), 0b11, (label, p2))]
 
