@@ -26,19 +26,24 @@ consistent, so labels still settle at their optimal values; the proof,
 its float margin, the partner scans' cutoffs under it and the tie order
 (f, value, rank, kind, key, mask) are in `recursion.py`.  A label is not
 queued if it cannot beat its state's pending label or if its f exceeds
-the cheapest complete walk; `relax` asks the pending map before every
-push, and for a full-mask label it skips an apex group whose one target
-state is settled or pending at no more than the group's lower bound
-before the triangle content is computed from the chord masks.
+the cheapest complete walk known: from the start, the convex-hull walk of
+the required objects (`recursion.hull_bound`), where it is feasible, and
+then each cheaper complete walk pushed.  That walk's cost is at least the
+optimum, so the search settles the same labels as without it and pushes
+fewer; a search seeded with it that settles no answer raises
+InternalError.  `relax` asks the pending map before every push, and for a
+full-mask label it skips an apex group whose one target state is settled
+or pending at no more than the group's lower bound before the triangle
+content is computed from the chord masks.
 
 The inverted solver settles its mouths by the same rules with the closing
 rule C1 switched off, in its own queue bounded by its own answer
 (`inverted.py`).  The queue (`label_setting`: first settled label per
 state wins, stop at the first settled closed label covering every required
 object), the rules (`relax`, over the settled-label index `Settled`), the
-rule ranks, the label type, the precondition check, the trivial answer and
-the walk rebuild come from `recursion.py`; this module only builds the
-index and expands each settled label by `relax`.
+rule ranks, the label type, the precondition check, the trivial answer,
+the incumbent and the walk rebuild come from `recursion.py`; this module
+only builds the index and expands each settled label by `relax`.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ from .recursion import (
     Settled,
     check_solvable,
     closed_walk,
+    hull_bound,
     label_setting,
     relax,
     trivial_answer,
@@ -67,7 +73,10 @@ def _search(fsg: FreeSpaceGraph, early_stop: bool,
     covering every required object (None if the queue drains first), and
     the expanded labels as a `Settled` index, each list in value order; an
     early-stopped search does not expand its answer.  With early_stop=False
-    the whole fixed point is computed.  The future cost is `EnclosureCost`.
+    the whole fixed point is computed.  The future cost is `EnclosureCost`,
+    and an early-stopped search starts its bound at `hull_bound`, the cost
+    of the required objects' convex-hull walk: it settles the same labels
+    and pushes fewer.
     """
     settled = Settled(fsg.n)
 
@@ -77,7 +86,8 @@ def _search(fsg: FreeSpaceGraph, early_stop: bool,
 
     seeds = [("C", (p,), 0, 0.0, 0, "base", ()) for p in range(fsg.n)]
     answer = label_setting(fsg, seeds, expand, early_stop, stats,
-                           EnclosureCost)
+                           EnclosureCost,
+                           bound=hull_bound(fsg) if early_stop else INF)
     return answer, settled
 
 

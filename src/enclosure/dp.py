@@ -23,18 +23,25 @@ would have come after the kept one and failed its staircase test, so the
 stored labels and their order are those of keeping every push.
 
 The fill is bounded: it fills only what the answer can use.  It keeps
-`bound`, the value of the cheapest full-mask C label pushed so far, and
-drops every push whose f = value + h exceeds it (strictly: an equal f is
-kept, since ties decide the walk), and skips every bucket entry whose f
-exceeds it, as the bound may have fallen since the entry was pushed.  h is
-the label-setting search's future cost (`recursion.EnclosureCost`), charging
-every required reference the label's walk does not yet wind around:
-c·max(|pq|, max over r not in B of |pr| + |rq|) for M(p, q, B), 2c·max over
-r not in B of |pr| for C(p, B), so 0 for a full-mask closed label; it is
-looked up only once the bound is finite.  The bucket is sorted by value,
-not f, so a scan stops at the first entry whose value exceeds the bound and
-skips the others whose f does.  The bound's label ends at or below `bound`,
-so the answer costs at most `bound`.  This is exact:
+`bound`, the cost of the cheapest walk known so far, and drops every push
+whose f = value + h exceeds it (strictly: an equal f is kept, since ties
+decide the walk), and skips every bucket entry whose f exceeds it, as the
+bound may have fallen since the entry was pushed.  `bound` starts at the
+incumbent, `recursion.hull_bound`: the cost of the convex-hull walk of the
+required objects, slackened by 1 + 1e-9 so that no label of that walk is
+dearer, or INF where that walk is not feasible; it then falls to the value
+of each cheaper full-mask C label pushed.  h is the label-setting search's
+future cost (`recursion.EnclosureCost`), charging every required reference
+the label's walk does not yet wind around: c·max(|pq|, max over r not in B
+of |pr| + |rq|) for M(p, q, B), 2c·max over r not in B of |pr| for C(p, B),
+so 0 for a full-mask closed label; it is looked up only once the bound is
+finite.  The bucket is sorted by value, not f, so a scan stops at the
+first entry whose value exceeds the bound and skips the others whose f
+does.  Every value `bound` takes is the cost of a walk that the fill
+derives at no more than that value, so the answer costs at most `bound`;
+a seeded fill that stores no answer has broken that, and `solve_dp`
+raises InternalError.  This is exact for any starting bound no less than
+the answer:
 
   * `check_solvable` makes every rule derive a value at least as large as
     each operand, and h is consistent (`recursion.py`): no rule derives a
@@ -51,16 +58,17 @@ so the answer costs at most `bound`.  This is exact:
     keep that full fill as their reference.
 
 The rules themselves (`relax`, over `Settled`), the rule ranks, the label
-type with its edge count t, the precondition check, the trivial answer and
-the walk rebuild come from `recursion.py`; this module keeps only the
-bucket queue, its bound and its acceptance test (a label is stored only if
-it is cheaper than its state's last stored label).
+type with its edge count t, the precondition check, the trivial answer, the
+incumbent and the walk rebuild come from `recursion.py`; this module keeps
+only the bucket queue, its bound and its acceptance test (a label is
+stored only if it is cheaper than its state's last stored label).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from .errors import InternalError
 from .freespace import FreeSpaceGraph
 from .recursion import (
     INF,
@@ -70,27 +78,29 @@ from .recursion import (
     Settled,
     check_solvable,
     closed_walk,
+    hull_bound,
     relax,
     trivial_answer,
 )
 from .walks import Walk
 
 
-def _fill(fsg: FreeSpaceGraph, stats: Optional[dict] = None
+def _fill(fsg: FreeSpaceGraph, stats: Optional[dict] = None,
+          bound: float = INF
           ) -> Tuple[Dict[Tuple[int, ...], Label], Settled]:
     """The bucket loop, up to t = 6n: pushes and entries whose
-    f = value + h exceeds the cheapest full-mask C label pushed so far are
-    dropped (module docstring).  Returns (last, settled): the last label
-    stored per state, keyed key + (mask,), and every stored label.
-    `stats` gets "pushed" (entries that reached a bucket) and "finalized"
-    (labels stored)."""
+    f = value + h exceeds `bound` are dropped (module docstring).  `bound`
+    starts at the cost of a feasible walk (`solve_dp` passes `hull_bound`),
+    or INF, and falls to each cheaper full-mask C label pushed.  Returns
+    (last, settled): the last label stored per state, keyed key + (mask,),
+    and every stored label.  `stats` gets "pushed" (entries that reached a
+    bucket) and "finalized" (labels stored)."""
     n, full = fsg.n, fsg.full_mask
     t_max = 6 * n
     last: Dict[Tuple[int, ...], Label] = {}
     settled = Settled(n)
     buckets: List[Optional[dict]] = [{} for _ in range(t_max + 1)]
     pushed = stored = 0
-    bound = INF
     h = EnclosureCost(fsg, fsg.h_scale)
 
     def push(kind, key, mask, value, t, rule, ops):
@@ -142,19 +152,24 @@ def solve_dp(fsg: FreeSpaceGraph,
     """Minimum enclosure cost and an optimal closed walk (None if infeasible).
 
     Only labels whose value plus future cost is no more than the cheapest
-    complete walk are filled; with a `stats` dict, its "pushed" and
-    "finalized" count the bucket entries and the stored labels."""
+    complete walk known, from the convex-hull walk on, are filled; with a
+    `stats` dict, its "pushed" and "finalized" count the bucket entries and
+    the stored labels."""
     check_solvable(fsg)
     trivial = trivial_answer(fsg)
     if trivial is not None:
         return trivial
     full = fsg.full_mask
-    last, _settled = _fill(fsg, stats)
+    incumbent = hull_bound(fsg)
+    last, _settled = _fill(fsg, stats, incumbent)
     best, best_label = INF, None
     for p in range(fsg.n):
         label = last.get((p, full))
         if label is not None and label.value < best:
             best, best_label = label.value, label
     if best_label is None:
+        if incumbent < INF:
+            raise InternalError(f"no answer filled below the incumbent "
+                                f"walk's cost {incumbent!r}")
         return INF, None
     return best, closed_walk(fsg, best_label)

@@ -23,10 +23,12 @@ pushes that cannot win are dropped.  The enclosure search drives it with
 mouths and its plank and finish rules for its U labels; both ask its
 pending map before they derive a label that could only be dropped.  The
 DP keeps its bucket queue by edge budget, where a label is kept only if
-it improves its state's staircase, and bounds it by the same f.  Also
-here: the rule ranks, the label type, the precondition check of every
-solver entry, the answer on instances with nothing required, and the
-rebuild of a walk from a label's provenance.
+it improves its state's staircase, and bounds it by the same f.  The
+search and the DP start their bound at an incumbent known before either
+runs, the cost of the required objects' convex-hull walk (`hull_bound`).
+Also here: the rule ranks, the label type, the precondition check of
+every solver entry, the answer on instances with nothing required, and
+the rebuild of a walk from a label's provenance.
 
 The future cost.  Let c = `FreeSpaceGraph.h_scale`, the least
 weight/length ratio c' of the free-space edges (at most 1) shaved to
@@ -126,13 +128,14 @@ state) breaks ties exactly as (f, value, rank, kind, key, mask) would.
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_left, insort
 from heapq import heappop, heappush
 from operator import itemgetter
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import CapacityError, InternalError, NonpositiveWeight
 from .freespace import FreeSpaceGraph
+from .geometry import in_open_segment, orient
 from .instance import MAX_REQUIRED
 from .walks import Walk, make_walk
 
@@ -191,6 +194,63 @@ def trivial_answer(fsg: FreeSpaceGraph) -> Optional[Tuple[float, Walk]]:
     if fsg.n == 0:
         return 0.0, Walk((), 0.0)
     return 0.0, make_walk(fsg.instance, [fsg.vertices[0]])
+
+
+def hull_bound(fsg: FreeSpaceGraph) -> float:
+    """The cost of the convex-hull walk of the required objects, an upper
+    bound on the optimum known before any search: the ccw hull of the
+    required polygons' vertices, each side walked along free-space edges.
+    A side that is not an edge is split at the vertices in its relative
+    interior, and every piece must be an edge; the walk then pays the
+    penalties of the optional references strictly left of every side.
+    INF when a piece is missing (a side crosses an object, or a plane
+    graph has no such edge), when an infinite penalty lies inside, or when
+    nothing is required.
+
+    The walk is convex, so the recursion derives it (a triangulation of
+    the hull), summing the same weights and penalties in another order;
+    the factor 1 + 1e-9 is far above that rounding, so no solver's label
+    for the walk is dearer than the bound.  A solver seeded with it must
+    therefore find an answer."""
+    if not fsg.full_mask:
+        return INF
+    pts, adjacency = fsg.vertices, fsg.adjacency
+    # fsg.vertices is sorted, so the required vertices' indices, sorted,
+    # are in the order the monotone chain needs.  A required polygon has
+    # nonzero area, so the hull has at least three vertices.
+    ids = sorted({bisect_left(pts, v) for poly in fsg.instance.required
+                  for v in poly.vertices})
+    hull: List[int] = []
+    for chain in (ids, ids[::-1]):
+        start = len(hull)
+        for i in chain:
+            while len(hull) >= start + 2 and \
+                    orient(pts[hull[-2]], pts[hull[-1]], pts[i]) <= 0:
+                hull.pop()
+            hull.append(i)
+        hull.pop()  # the chain's last point starts the other chain
+    weight, inside = 0.0, fsg._all
+    for a, b in zip(hull, hull[1:] + hull[:1]):
+        w = adjacency[a].get(b)
+        if w is None:
+            # Along a line the sorted vertex order runs from one end to
+            # the other.
+            A, B = pts[a], pts[b]
+            cut = sorted([a, b] + [i for i, v in enumerate(pts)
+                                   if in_open_segment(v, A, B)],
+                         reverse=a > b)
+            w = 0.0
+            for u, v in zip(cut, cut[1:]):
+                piece = adjacency[u].get(v)
+                if piece is None:
+                    return INF
+                w += piece
+        weight += w
+        inside &= fsg._chord(a, b)[0]
+    required, pen = fsg.split_content(inside)
+    if required != fsg.full_mask:
+        return INF
+    return (weight + pen) * (1 + 1e-9)
 
 
 class Settled:
@@ -283,7 +343,7 @@ class EnclosureCost(FutureCost):
 
 def label_setting(fsg: FreeSpaceGraph, seeds: Iterable[tuple], expand,
                   early_stop: bool, stats: Optional[dict] = None,
-                  future_cost: type = FutureCost):
+                  future_cost: type = FutureCost, bound: float = INF):
     """Settle pending labels by f = value + h, keep the first settled label
     per state, and hand it to expand(label, push, bound, pending, h), which
     derives new labels through push(kind, key, mask, value, t, rule, ops)
@@ -306,10 +366,15 @@ def label_setting(fsg: FreeSpaceGraph, seeds: Iterable[tuple], expand,
     the one it expands (`check_solvable`) and h is consistent: labels
     settle in nondecreasing f, and a state's first settled label is its
     cheapest.  Pushes that cannot change a settled label are not
-    queued: push drops one whose f exceeds `bound` (strictly), the
-    cheapest full-mask "C" value pushed under early_stop (else INF), as
-    the answer settles no later than that label and every label it is
-    derived from has f <= its value.
+    queued: push drops one whose f exceeds `bound` (strictly), as the
+    answer costs at most `bound` and every label it is derived from has
+    f <= its value.  `bound` starts at the caller's incumbent, the cost of
+    a walk known to be feasible (the enclosure search passes `hull_bound`;
+    INF when there is none), and falls under early_stop to each cheaper
+    full-mask "C" value pushed.  Every dropped push has f over the
+    optimum, so the labels settled and the answer do not depend on the
+    incumbent; only `pushed` falls.  A run with a finite incumbent that
+    settles no answer has lost a feasible walk, and raises InternalError.
 
     `pending` maps each state code pushed so far to its (value, rank); a
     settled state holds SETTLED.  Its entries only fall: each push beats
@@ -327,7 +392,7 @@ def label_setting(fsg: FreeSpaceGraph, seeds: Iterable[tuple], expand,
     pending: Dict[int, Tuple[float, int]] = {}
     heap: list = []
     seq = finalized = 0
-    bound = INF
+    incumbent = bound
 
     u_base = n + n * n
     new = tuple.__new__  # builds a Label without its Python-level __new__
@@ -371,6 +436,9 @@ def label_setting(fsg: FreeSpaceGraph, seeds: Iterable[tuple], expand,
     if stats is not None:
         stats["finalized"] = finalized
         stats["pushed"] = seq
+    if answer is None and incumbent < INF:
+        raise InternalError(
+            f"no answer settled below the incumbent walk's cost {incumbent!r}")
     return answer
 
 

@@ -14,7 +14,7 @@ from enclosure import (
 from enclosure.dp import _fill
 from enclosure.errors import ReferenceOnWalk
 from enclosure.geometry import winding_number
-from enclosure.recursion import EnclosureCost, closed_walk
+from enclosure.recursion import EnclosureCost, closed_walk, hull_bound
 from conftest import (
     build, dp_cell_C, dp_cell_M, every_push_tables, opt, rel_close, req, square,
     stairs_by_state)
@@ -236,22 +236,33 @@ def _check_bounded_fill(fsg):
     # Every label whose f = value + h is no larger than the answer is
     # stored, the same, in the same place of its staircase; the bounded
     # fill stores nothing else that cheap.  h is the fill's own, charging
-    # every required reference.
+    # every required reference.  This holds for the fill that starts its
+    # bound at INF and for the one `solve_dp` runs, seeded with the
+    # convex-hull walk's cost, which may only store and push less.
     h = EnclosureCost(fsg, fsg.h_scale)
 
     def f(lab):
         return lab.value + h(lab.key[0], lab.key[-1], lab.mask)
 
-    last, settled = _fill(fsg)
-    bounded = stairs_by_state(settled)
-    assert last == {state: stair[-1] for state, stair in bounded.items()}
-    for state in full.stairs.keys() | bounded.keys():
-        cheap = [[lab for lab in stairs.get(state, []) if f(lab) <= answer]
-                 for stairs in (full.stairs, bounded)]
-        assert cheap[0] == cheap[1], state
-    stored = sum(map(len, bounded.values()))
-    assert stats["finalized"] == stored <= sum(map(len, full.stairs.values()))
-    assert stats["pushed"] >= stored
+    incumbent = hull_bound(fsg)
+    assert incumbent >= answer
+    counts = []
+    for bound in (INF, incumbent):
+        fill_stats = {}
+        last, settled = _fill(fsg, fill_stats, bound)
+        bounded = stairs_by_state(settled)
+        assert last == {state: stair[-1] for state, stair in bounded.items()}
+        for state in full.stairs.keys() | bounded.keys():
+            cheap = [[lab for lab in stairs.get(state, []) if f(lab) <= answer]
+                     for stairs in (full.stairs, bounded)]
+            assert cheap[0] == cheap[1], state
+        stored = sum(map(len, bounded.values()))
+        assert fill_stats["finalized"] == stored <= \
+            sum(map(len, full.stairs.values()))
+        assert fill_stats["pushed"] >= stored
+        counts.append((stored, fill_stats["pushed"]))
+    assert counts[1] == (stats["finalized"], stats["pushed"])
+    assert counts[1][0] <= counts[0][0] and counts[1][1] <= counts[0][1]
 
 
 @pytest.mark.parametrize("name", sorted(RECURSION_INSTANCES))

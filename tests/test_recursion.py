@@ -17,19 +17,21 @@ from enclosure import (
     solve_dp,
     solve_inverted,
 )
-from enclosure import inverted, oracle
+from enclosure import dijkstra, dp, inverted, oracle
 from enclosure.dijkstra import _search
 from enclosure.dp import _fill
-from enclosure.errors import OverlapError
+from enclosure.errors import GenerationFailure, InternalError, OverlapError
 from enclosure.geometry import orient
 from enclosure.recursion import (
-    EnclosureCost, Label, Settled, closed_ids, open_ids, relax)
+    INF, EnclosureCost, Label, Settled, closed_ids, hull_bound, open_ids,
+    relax)
 from conftest import (
     build, compute_all_labels, dp_cell_C, dp_cell_M, every_push_tables,
     mouth_fixed_point, opt, rel_close, req, settled_labels, square,
     stairs_by_state)
 from test_dijkstra import _m_right_hand_side, m2_join
 from test_front_end import SETTINGS, _small_documents
+from test_planegraph import grid_graph
 
 INSTANCES = {
     "cross": lambda: build({"polygons": [
@@ -335,3 +337,80 @@ def test_m2_labels_match_triangle_content_on_random_instances(seed):
             inst = random_instance(seed, n_objects=4, k=k, mode=mode)
             checked += _check_m2_labels(inst, compute_free_space_edges(inst))
     assert checked
+
+
+# --------------------------------------------------------------------------
+# The incumbent both solvers start their bound at: the convex-hull walk of
+# the required objects (`hull_bound`)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_hull_bound_is_the_optimum_when_everything_is_required(seed):
+    # With no optional object and no squeezed edge nothing blocks the
+    # hull's sides, and the shortest curve around the required objects is
+    # their convex hull: the incumbent is the optimum, up to its slack.
+    m = 2 + seed % 4
+    fsg = compute_free_space_edges(random_instance(seed, n_objects=m, k=m))
+    cost = solve_dijkstra(fsg)[0]
+    assert cost <= hull_bound(fsg) <= cost * (1 + 2e-9)
+
+
+def test_hull_bound_is_no_less_than_the_brute_force_optimum():
+    # With optional objects the hull walk is one feasible walk among many.
+    checked = finite = 0
+    seed = 0
+    while checked < 20:
+        seed += 1
+        try:
+            inst = random_instance(seed, n_objects=2 + seed % 2,
+                                   k=1 + seed % 2, max_side=2)
+        except GenerationFailure:
+            continue
+        fsg = compute_free_space_edges(inst)
+        if fsg.n > 10:
+            continue
+        res = brute_force(inst, fsg)
+        assert res.exhausted
+        bound = hull_bound(fsg)
+        assert bound >= res.best_cost, seed
+        checked += 1
+        finite += bound < INF
+    assert finite
+
+
+def test_hull_bound_is_infinite_where_the_hull_walk_is_no_answer():
+    three = [req("A", square(0, 0, 2)), req("B", square(10, 0, 2)),
+             req("C", square(0, 10, 2))]
+    scenes = {
+        # An infinite penalty inside the hull.
+        "inf inside": build({"polygons": three + [
+            opt("X", square(4, 3, 1), "inf")]}),
+        # An optional triangle across the hull's bottom side.
+        "side crossed": build({"polygons": three + [
+            opt("M", [[5, -1], [7, -1], [6, 1]], 1)]}),
+        # Two required faces of a plane grid that meet at a corner: the
+        # hull's diagonal sides are not graph edges.
+        "plane graph": build({"graph": {**grid_graph(3, 3), "faces": [
+            {"point": [1, 1], "kind": "required"},
+            {"point": [3, 3], "kind": "required"}]}}),
+    }
+    for name, inst in scenes.items():
+        fsg = compute_free_space_edges(inst)
+        assert hull_bound(fsg) == INF, name
+        cost = solve_dijkstra(fsg)[0]
+        assert cost < INF and solve_dp(fsg)[0] == cost, name
+    # Without the triangle the same hull walk is feasible.
+    assert hull_bound(compute_free_space_edges(build({"polygons": three}))) < INF
+
+
+def test_an_incumbent_below_the_optimum_raises(monkeypatch):
+    # The hull walk is feasible, so a seeded solver that finds no answer
+    # has broken an invariant; it must not report the instance infeasible.
+    fsg = compute_free_space_edges(INSTANCES["cross"]())
+    cost = solve_dijkstra(fsg)[0]
+    assert solve_dp(fsg)[0] == cost < INF
+    for module in (dijkstra, dp):
+        monkeypatch.setattr(module, "hull_bound", lambda _fsg: cost * (1 - 1e-6))
+    for solve in (solve_dijkstra, solve_dp):
+        with pytest.raises(InternalError):
+            solve(fsg)
