@@ -23,7 +23,8 @@ edge, on a shared 2-vCPU VM (Python 3.11).
 Region contents are asked by vertex index (`triangle_content`, `plank`,
 and `x_at_most` at a vertex's abscissa for a half-plane): ANDs of
 memoized per-chord and per-abscissa bitmasks over exact integer side
-tests; see `FreeSpaceGraph`.
+tests; see `FreeSpaceGraph`.  One mask per chord suffices, as validation
+settles every reference point off every line through two vertices.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .errors import DegenerateTriangle, SchemaError
+from .errors import DegenerateTriangle, InternalError, SchemaError
 from .geometry import Coord, Point, distance, homogeneous, orient
 from .instance import Instance
 
@@ -78,13 +79,16 @@ class FreeSpaceGraph:
     W > 0, standing for the point (X/W, Y/W).  In a reference mask the
     required objects take bits 0..k-1 and the optional objects bits k..,
     in `_optional_refs` order.  A directed vertex chord i -> j is resolved
-    on first use into two reference masks, the points strictly left of the
-    line i -> j and the points left of or on it, by the sign of
-    dx*(Y - Py*W) - dy*(X - Px*W); no `Fraction` is involved.  Triangle
-    contents are ANDs of three of these masks, and plank contents AND one
-    of them with two abscissa masks (`x_at_most`); neither is memoized,
-    as ANDing memoized masks costs about what a lookup by triangle would.
-    `recursion.relax` reads `_chords` and `_penalty_memo` directly.
+    on first use into one reference mask, the points strictly left of the
+    line i -> j, by the sign of dx*(Y - Py*W) - dy*(X - Px*W); no
+    `Fraction` is involved.  No reference point lies on the line
+    (`instance._in_general_position`; one that does raises
+    `InternalError`), so the mask of j -> i is the complement.
+    Triangle contents are ANDs of three of these masks, and plank contents
+    AND one of them with two abscissa masks (`x_at_most`); neither is
+    memoized, as ANDing memoized masks costs about what a lookup by
+    triangle would.  `recursion.relax` reads `_chords` and `_penalty_memo`
+    directly.
 
     `h_scale` is c, the least weight/length ratio over the edges and 1
     (the ratio of an unsqueezed edge), shaved by a factor (1 - 1e-9), or
@@ -107,23 +111,17 @@ class FreeSpaceGraph:
         refs = [ref for _bit, ref in self._required_refs] + \
             [ref for _penalty, ref in self._optional_refs]
         self._href = [homogeneous(ref) for ref in refs]
+        self.n = n
         self._k = len(self._required_refs)
+        self.full_mask = (1 << self._k) - 1  # the required references' bits
         self._all = (1 << len(refs)) - 1
         self._penalties = [penalty for penalty, _ref in self._optional_refs]
-        # Directed chord i -> j lives at index i*n + j: its (left,
-        # left-or-on) reference masks, and the vertices strictly right of it.
-        self._chords: List[Optional[Tuple[int, int]]] = [None] * (n * n)
+        # Directed chord i -> j lives at index i*n + j: the references
+        # strictly left of it, and the vertices strictly right of it.
+        self._chords: List[Optional[int]] = [None] * (n * n)
         self._right: List[Optional[int]] = [None] * (n * n)
         self._x_masks: Dict[Coord, int] = {}
         self._penalty_memo: Dict[int, float] = {0: 0.0}
-
-    @property
-    def n(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self._k) - 1
 
     def is_ccw(self, p: int, r: int, q: int) -> bool:
         """True iff the triangle prq is strictly counterclockwise, that is,
@@ -156,26 +154,24 @@ class FreeSpaceGraph:
         self._right[q * n + p] = left
         return right
 
-    def _chord(self, i: int, j: int) -> Tuple[int, int]:
-        """Memoized (left, left-or-on) reference masks of the chord i -> j."""
+    def _chord(self, i: int, j: int) -> int:
+        """Memoized mask of the references strictly left of the chord
+        i -> j, i != j; the chord j -> i gets the complement."""
         n = len(self.vertices)
-        masks = self._chords[i * n + j]
-        if masks is None:
+        left = self._chords[i * n + j]
+        if left is None:
             P, Q = self.vertices[i], self.vertices[j]
             dx, dy = Q.x - P.x, Q.y - P.y
-            left = on = 0
+            left = 0
             for bit, (X, Y, W) in enumerate(self._href):
                 d = dx * (Y - P.y * W) - dy * (X - P.x * W)
                 if d > 0:
                     left |= 1 << bit
                 elif d == 0:
-                    on |= 1 << bit
-            masks = (left, left | on)
-            # Strictly left of j -> i is strictly right of i -> j.
-            right = self._all & ~masks[1]
-            self._chords[i * n + j] = masks
-            self._chords[j * n + i] = (right, right | on)
-        return masks
+                    raise InternalError(f"a reference lies on the line {P}-{Q}")
+            self._chords[i * n + j] = left
+            self._chords[j * n + i] = self._all & ~left
+        return left
 
     def x_at_most(self, x: Coord) -> int:
         """Reference mask of the points with abscissa <= x."""
@@ -205,12 +201,11 @@ class FreeSpaceGraph:
 
     def triangle_content(self, p: int, r: int, q: int) -> Tuple[int, float]:
         """(required mask, penalty sum) of reference points in the ccw
-        triangle prq, closed on legs pr and rq, open on the mouth pq.
+        triangle prq.  No reference point lies on its sides.
 
-        The reference mask of the triangle is
-        (L(p,r) | O(p,r)) & (L(r,q) | O(r,q)) & L(q,p), where L(i,j) and
-        O(i,j) are the chord masks of the points strictly left of and on
-        the line i -> j; bits 0..k-1 of it are the required mask.
+        The reference mask of the triangle is L(p,r) & L(r,q) & L(q,p),
+        where L(i,j) is the chord mask of the points strictly left of the
+        line i -> j; bits 0..k-1 of it are the required mask.
         `recursion.relax` computes the same expression inline, where its
         apex filter has already tested the triangle; this method is its
         reference in the tests."""
@@ -218,7 +213,7 @@ class FreeSpaceGraph:
             P, R, Q = self.vertices[p], self.vertices[r], self.vertices[q]
             raise DegenerateTriangle(f"triangle {P}, {R}, {Q} is not strictly ccw")
         return self.split_content(
-            self._chord(p, r)[1] & self._chord(r, q)[1] & self._chord(q, p)[0])
+            self._chord(p, r) & self._chord(r, q) & self._chord(q, p))
 
     def plank(self, i: int, j: int, up: bool) -> Tuple[int, float]:
         """(required mask, penalty sum) of reference points strictly above
@@ -233,7 +228,7 @@ class FreeSpaceGraph:
         if lo.x > hi.x:
             i, j, lo, hi = j, i, hi, lo
         # Above the chord is left of lo -> hi, below it is left of hi -> lo.
-        side = self._chord(i, j)[0] if up else self._chord(j, i)[0]
+        side = self._chord(i, j) if up else self._chord(j, i)
         strip = self.x_at_most(hi.x) & ~self.x_at_most(lo.x)
         return self.split_content(strip & side)
 

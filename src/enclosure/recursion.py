@@ -41,11 +41,12 @@ The enclosure search and the DP give their labels (`EnclosureCost`)
 the second is the first at q = p.  A label's mask B is exactly the set of
 required references its curve winds around, the curve of an open label
 being its walk closed by the chord qp: every M2 triangle is strictly ccw,
-no reference point lies on a chord, and a required reference inside a
-triangle is claimed once (a second claim fails the disjointness test), so
-a reference in B has winding 1 and every other one winding 0.  The walk
-must still wind around each r not in B, which is what h charges for.  Two
-facts carry the proof:
+no reference point lies on a chord (validation settles them so, and
+`FreeSpaceGraph._chord` raises InternalError on one that does), and a
+required reference inside a triangle is claimed once (a second claim
+fails the disjointness test), so a reference in B has winding 1 and every
+other one winding 0.  The walk must still wind around each r not in B,
+which is what h charges for.  Two facts carry the proof:
   (a) every edge ab weighs at least c'·|ab|, so with nonnegative
       penalties a label's value is at least c' times its walk's length;
   (b) a closed curve through x and y that winds around r is at least
@@ -246,7 +247,7 @@ def hull_bound(fsg: FreeSpaceGraph) -> float:
                     return INF
                 w += piece
         weight += w
-        inside &= fsg._chord(a, b)[0]
+        inside &= fsg._chord(a, b)
     required, pen = fsg.split_content(inside)
     if required != fsg.full_mask:
         return INF
@@ -515,87 +516,67 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
         if not search or \
                 pending.get(b << k | mask, UNSEEN) > (total, RANK["C1"]):
             push("C", (b,), mask, total, t + 1, "C1", (label,))
-    # M2 with the label as left part M(p, r) = M(a, b), right parts M(b, q);
-    # then as right part M(r, q) = M(a, b), left parts M(p, a).  The join
-    # test runs once per apex: the triangle holds no required reference of
-    # `mask` and no infinite penalty; each partner's mask is then checked
-    # against the joined mask `used`.  h(p, b) is read as h[b][p].
-    # The apex filter `left` is the exact strict-ccw test of the triangle
-    # prq, so its reference mask is `FreeSpaceGraph.triangle_content`'s
-    # on(p, r) & on(r, q) & left(q, p), ANDed here from the chord masks
-    # (each resolved on first use), and its penalty is read from the
-    # penalty memo.
+    # M2, with the label as left part M(a, b) of M(a, x) and right parts
+    # M(b, x), then as right part M(a, b) of M(x, b) and left parts M(x, a).
+    # A role is (partner groups by apex x, the target's end other than x,
+    # the target's state code before the shift by k at x = 0, its step per
+    # x); h(x, b) is read as h[b][x].  The apex filter `left` is the exact
+    # strict-ccw test of the triangle a b x, so its reference mask is
+    # L(a, b) & L(b, x) & L(x, a), as in `FreeSpaceGraph.triangle_content`,
+    # ANDed here from the chord masks (each resolved on first use); its
+    # penalty is read from the penalty memo.  The join test runs once per
+    # apex: the triangle holds no required reference of `mask` and no
+    # infinite penalty; each partner's mask is then checked against the
+    # joined mask `used`.
     left = fsg.left_vertices(a, b)
     chords, penalties, full = fsg._chords, fsg._penalty_memo, fsg.full_mask
-    on_ab = chords[a * n + b]
+    l_ab = chords[a * n + b]
     whole = search and mask == full
     cut = bound
-    if search:
-        row, h_a, h_b = n + a * n, h[a], h[b]
-    for q, partners in settled.open_from[b].items():
-        if not (left >> q) & 1:
-            continue
+    for groups, end, base, stride in (
+            (settled.open_from[b], a, n + a * n, 1),
+            (settled.open_to[a], b, n + b, n)):
         if search:
-            code = (row + q) << k
-            low, cut = value + partners[0].value, bound - h_a[q]
-            if low > cut or whole and pending.get(code | mask, UNSEEN)[0] <= low:
+            h_end = h[end]
+        for x, partners in groups.items():
+            if not (left >> x) & 1:
                 continue
-        if on_ab is None:
-            on_ab = fsg._chord(a, b)
-        inside = on_ab[1] & (chords[b * n + q] or fsg._chord(b, q))[1] \
-            & (chords[q * n + a] or fsg._chord(q, a))[0]
-        if inside & mask:
-            continue
-        cpen = penalties.get(inside >> k)
-        if cpen is None:
-            cpen = fsg.split_content(inside)[1]
-        if cpen == INF:
-            continue
-        used = mask | inside & full
-        for other in partners:
-            total = value + other.value + cpen
-            if total > cut:
-                break
-            if other.mask & used:
+            if search:
+                code = (base + x * stride) << k
+                low, cut = value + partners[0].value, bound - h_end[x]
+                if low > cut or whole and pending.get(code | mask, UNSEEN)[0] <= low:
+                    continue
+            if l_ab is None:
+                l_ab = fsg._chord(a, b)
+            l_bx, l_xa = chords[b * n + x], chords[x * n + a]
+            if l_bx is None:
+                l_bx = fsg._chord(b, x)
+            if l_xa is None:
+                l_xa = fsg._chord(x, a)
+            inside = l_ab & l_bx & l_xa
+            if inside & mask:
                 continue
-            joined = used | other.mask
-            if search and pending.get(code | joined, UNSEEN)[0] <= total:
+            cpen = penalties.get(inside >> k)
+            if cpen is None:
+                cpen = fsg.split_content(inside)[1]
+            if cpen == INF:
                 continue
-            push("M", (a, q), joined, total, t + other.t,
-                 "M2", (label, other))
-    if search:
-        row = n + b
-    for p, partners in settled.open_to[a].items():
-        if not (left >> p) & 1:
-            continue
-        if search:
-            code = (row + p * n) << k
-            low, cut = partners[0].value + value, bound - h_b[p]
-            if low > cut or whole and pending.get(code | mask, UNSEEN)[0] <= low:
-                continue
-        if on_ab is None:
-            on_ab = fsg._chord(a, b)
-        inside = (chords[p * n + a] or fsg._chord(p, a))[1] & on_ab[1] \
-            & (chords[b * n + p] or fsg._chord(b, p))[0]
-        if inside & mask:
-            continue
-        cpen = penalties.get(inside >> k)
-        if cpen is None:
-            cpen = fsg.split_content(inside)[1]
-        if cpen == INF:
-            continue
-        used = mask | inside & full
-        for other in partners:
-            total = other.value + value + cpen
-            if total > cut:
-                break
-            if other.mask & used:
-                continue
-            joined = used | other.mask
-            if search and pending.get(code | joined, UNSEEN)[0] <= total:
-                continue
-            push("M", (p, b), joined, total, other.t + t,
-                 "M2", (other, label))
+            used = mask | inside & full
+            for other in partners:
+                total = value + other.value + cpen
+                if total > cut:
+                    break
+                if other.mask & used:
+                    continue
+                joined = used | other.mask
+                if search and pending.get(code | joined, UNSEEN)[0] <= total:
+                    continue
+                if end == a:
+                    push("M", (a, x), joined, total, t + other.t,
+                         "M2", (label, other))
+                else:
+                    push("M", (x, b), joined, total, t + other.t,
+                         "M2", (other, label))
 
 
 def closed_ids(label: Label) -> List[int]:

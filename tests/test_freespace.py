@@ -121,14 +121,6 @@ def test_triangle_content_masks_and_penalties():
         fsg.triangle_content(q, r, p)
 
 
-def test_triangle_content_open_mouth_excludes():
-    # A reference point exactly on the open mouth contributes nothing.  The
-    # settled reference points are in general position (never on a chord
-    # between vertices), so build the check directly on the primitive.
-    assert not point_in_triangle_halfopen(Point(2, 0), Point(0, 0),
-                                          Point(2, -3), Point(4, 0))
-
-
 def test_triangle_additivity_split():
     # The decomposition the solver performs when it splits a mouth pq first
     # at s and then spans the sub-mouths at r:

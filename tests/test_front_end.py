@@ -10,6 +10,7 @@ connectivity before Euler's formula did."""
 
 import dataclasses
 import importlib.util
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -439,6 +440,30 @@ def test_reference_point_without_general_position_is_an_error(monkeypatch):
                         lambda x, vertices: False)
     with pytest.raises(DegeneratePolygon):
         build({"polygons": [req("A", square(0, 0, 2))]})
+
+
+# A triangle with a bridge into a pendant vertex, as a plane graph.
+_PENDANT = build({"graph": {
+    "vertices": [[0, 0], [6, 0], [0, 6], [2, 2]],
+    "edges": [[0, 1, 1], [1, 2, 1], [2, 0, 1], [0, 3, 1]]}})
+
+
+@pytest.mark.parametrize("name,inst", INSTANCES + [("pendant", _PENDANT)],
+                         ids=[n for n, _ in INSTANCES] + ["pendant"])
+def test_every_chord_splits_the_references(name, inst):
+    # Settled references lie on no line through two vertices, so every
+    # directed chord resolves, and its strictly-left mask and its
+    # reverse's partition the references as the exact side test does.
+    fsg = compute_free_space_edges(inst)
+    refs = [ref for _b, ref in fsg._required_refs] + \
+        [ref for _p, ref in fsg._optional_refs]
+    verts = fsg.vertices
+    for i, j in itertools.permutations(range(fsg.n), 2):
+        left, right = fsg._chord(i, j), fsg._chord(j, i)
+        assert left & right == 0
+        assert left | right == fsg._all
+        assert left == sum(1 << bit for bit, ref in enumerate(refs)
+                           if orient(verts[i], verts[j], ref) > 0)
 
 
 # --------------------------------------------------------------------------

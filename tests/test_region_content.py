@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 
 from enclosure import Point, compute_free_space_edges, random_instance
-from enclosure.geometry import orient
+from enclosure.errors import InternalError
+from enclosure.geometry import homogeneous, orient
+from enclosure.instance import _in_general_position
 from conftest import build, opt, point_in_triangle_halfopen, req, square
 
 
@@ -83,21 +85,43 @@ def test_kernel_matches_brute_force_random(seed):
     _check_against_brute_force(fsg)
 
 
-def test_kernel_matches_brute_force_collinear_references():
-    # Validation moves reference points into general position, so the
-    # references are replaced afterwards by points on vertex chords, on
-    # their extensions and on a vertex itself: the "on the line" masks
-    # and the half-open triangle rule decide every one of them.
+def test_kernel_matches_brute_force_references_at_vertex_abscissae():
+    # The references are replaced after validation by points that still
+    # lie on no line through two vertices, each on the vertical or the
+    # horizontal line through a single vertex: they decide the ties of
+    # `x_at_most` at vertex abscissae and the plank strips' open left and
+    # closed right edges.  The extra abscissae are those of the references
+    # at no vertex abscissa.
     fsg = compute_free_space_edges(build({"polygons": [
         req("A", square(0, 0, 2)),
         opt("B", square(4, 0, 2), 3),
-        opt("C", [[0, 4], [3, 4], [0, 7]], 1.5),
+        opt("C", [[1, 4], [5, 5], [3, 7]], 1.5),
     ]}))
     fsg = dataclasses.replace(
         fsg,
-        _required_refs=[(0, Point(1, 1)), (1, Point(Fraction(3, 2), 4))],
-        _optional_refs=[(0.1, Point(3, 0)), (0.2, Point(2, 2)),
-                        (0.7, Point(Fraction(5, 2), Fraction(7, 2))),
-                        (2.5, Point(Fraction(1, 3), 5))])
+        _required_refs=[(0, Point(1, Fraction(9, 2))), (1, Point(3, 4))],
+        _optional_refs=[(0.1, Point(5, Fraction(7, 2))),
+                        (0.2, Point(Fraction(3, 2), 7)),
+                        (0.7, Point(Fraction(7, 2), 5)),
+                        (2.5, Point(3, Fraction(-1, 2))),
+                        (0.4, Point(1, 7))])
+    for ref in [ref for _b, ref in fsg._required_refs] + \
+            [ref for _p, ref in fsg._optional_refs]:
+        assert _in_general_position(homogeneous(ref), fsg.vertices)
+        assert ref.x in {v.x for v in fsg.vertices} \
+            or ref.y in {v.y for v in fsg.vertices}
     _check_against_brute_force(fsg, extra_xs=[Fraction(3, 2), Fraction(7, 2)])
 
+
+def test_reference_on_a_chord_is_an_internal_error():
+    # No settled reference lies on a line through two vertices; a graph
+    # built around one breaks the chord masks' invariant and says so.
+    fsg = compute_free_space_edges(build({"polygons": [req("A", square(0, 0, 2))]}))
+    fsg = dataclasses.replace(fsg, _required_refs=[(0, Point(1, 0))])
+    p, r, q = (fsg.vertices.index(Point(*v)) for v in ((0, 0), (2, 0), (2, 2)))
+    with pytest.raises(InternalError):
+        fsg._chord(p, r)
+    with pytest.raises(InternalError):
+        fsg.triangle_content(p, r, q)
+    with pytest.raises(InternalError):
+        fsg.plank(p, r, True)
