@@ -26,15 +26,10 @@ The fill is bounded: it fills only what the answer can use.  It keeps
 `bound`, the cost of the cheapest walk known so far, and drops every push
 whose f = value + h exceeds it (strictly: an equal f is kept, since ties
 decide the walk), and skips every bucket entry whose f exceeds it, as the
-bound may have fallen since the entry was pushed.  `bound` starts at the
-incumbent, `recursion.hull_bound`: the cost of the convex-hull walk of the
-required objects, slackened by 1 + 1e-9 so that no label of that walk is
-dearer, or INF where that walk is not feasible; it then falls to the value
-of each cheaper full-mask C label pushed.  h is the label-setting search's
-future cost (`recursion.EnclosureCost`), charging every required reference
-the label's walk does not yet wind around: c·max(|pq|, max over r not in B
-of |pr| + |rq|) for M(p, q, B), 2c·max over r not in B of |pr| for C(p, B),
-so 0 for a full-mask closed label; it is looked up only once the bound is
+bound may have fallen since the entry was pushed.  h and the incumbent
+`bound` starts at are the search's, `recursion.EnclosureCost` and
+`recursion.hull_bound` (The future cost and The incumbent in the
+`recursion.py` module docstring); h is looked up only once the bound is
 finite.  The bucket is sorted by value, not f, so a scan stops at the
 first entry whose value exceeds the bound and skips the others whose f
 does.  Every value `bound` takes is the cost of a walk that the fill

@@ -59,10 +59,6 @@ class NotConnected(EnclosureError):
     """Multigraph is not connected."""
 
 
-class DisconnectedAfterReduction(EnclosureError):
-    """Multiplicity reduction disconnected the graph (indicates a bug)."""
-
-
 class FreeSpaceViolation(EnclosureError):
     """A walk edge passes through a polygon interior."""
 

@@ -116,43 +116,32 @@ class FreeSpaceGraph:
         self.full_mask = (1 << self._k) - 1  # the required references' bits
         self._all = (1 << len(refs)) - 1
         self._penalties = [penalty for penalty, _ref in self._optional_refs]
-        # Directed chord i -> j lives at index i*n + j: the references
-        # strictly left of it, and the vertices strictly right of it.
+        # Directed chord i -> j lives at index i*n + j: `_chords` holds the
+        # references strictly left of it, `_left` the vertices.
         self._chords: List[Optional[int]] = [None] * (n * n)
-        self._right: List[Optional[int]] = [None] * (n * n)
+        self._left: List[Optional[int]] = [None] * (n * n)
         self._x_masks: Dict[Coord, int] = {}
         self._penalty_memo: Dict[int, float] = {0: 0.0}
 
-    def is_ccw(self, p: int, r: int, q: int) -> bool:
-        """True iff the triangle prq is strictly counterclockwise, that is,
-        vertex r lies strictly right of the directed chord p -> q."""
-        right = self._right[p * len(self.vertices) + q]
-        if right is None:
-            right = self._vertex_sides(p, q)
-        return (right >> r) & 1 == 1
-
     def left_vertices(self, a: int, b: int) -> int:
-        """Mask of the vertices r strictly left of a -> b (abr strictly ccw)."""
-        left = self._right[b * len(self.vertices) + a]
-        return self._vertex_sides(b, a) if left is None else left
-
-    def _vertex_sides(self, p: int, q: int) -> int:
-        """Memoize the vertex masks strictly right of p -> q and of q -> p;
-        returns the first."""
-        verts = self.vertices
-        P, Q = verts[p], verts[q]
-        dx, dy = Q.x - P.x, Q.y - P.y
-        right = left = 0
-        for bit, V in enumerate(verts):
-            d = dx * (V.y - P.y) - dy * (V.x - P.x)
-            if d < 0:
-                right |= 1 << bit
-            elif d > 0:
-                left |= 1 << bit
-        n = len(verts)
-        self._right[p * n + q] = right
-        self._right[q * n + p] = left
-        return right
+        """Memoized mask of the vertices r strictly left of a -> b (abr
+        strictly ccw); the vertices strictly right of it, the mask of
+        b -> a, are memoized with it."""
+        left = self._left[a * self.n + b]
+        if left is None:
+            verts = self.vertices
+            P, Q = verts[a], verts[b]
+            dx, dy = Q.x - P.x, Q.y - P.y
+            left = right = 0
+            for bit, V in enumerate(verts):
+                d = dx * (V.y - P.y) - dy * (V.x - P.x)
+                if d > 0:
+                    left |= 1 << bit
+                elif d < 0:
+                    right |= 1 << bit
+            self._left[a * self.n + b] = left
+            self._left[b * self.n + a] = right
+        return left
 
     def _chord(self, i: int, j: int) -> int:
         """Memoized mask of the references strictly left of the chord
@@ -209,7 +198,7 @@ class FreeSpaceGraph:
         `recursion.relax` computes the same expression inline, where its
         apex filter has already tested the triangle; this method is its
         reference in the tests."""
-        if not self.is_ccw(p, r, q):
+        if not self.left_vertices(q, p) >> r & 1:  # qpr, so prq, not ccw
             P, R, Q = self.vertices[p], self.vertices[r], self.vertices[q]
             raise DegenerateTriangle(f"triangle {P}, {R}, {Q} is not strictly ccw")
         return self.split_content(

@@ -24,11 +24,10 @@ mouths and its plank and finish rules for its U labels; both ask its
 pending map before they derive a label that could only be dropped.  The
 DP keeps its bucket queue by edge budget, where a label is kept only if
 it improves its state's staircase, and bounds it by the same f.  The
-search and the DP start their bound at an incumbent known before either
-runs, the cost of the required objects' convex-hull walk (`hull_bound`).
-Also here: the rule ranks, the label type, the precondition check of
-every solver entry, the answer on instances with nothing required, and
-the rebuild of a walk from a label's provenance.
+search and the DP start their bound at the same incumbent (`hull_bound`,
+see The incumbent below).  Also here: the rule ranks, the label type, the
+precondition check of every solver entry, the answer on instances with
+nothing required, and the rebuild of a walk from a label's provenance.
 
 The future cost.  Let c = `FreeSpaceGraph.h_scale`, the least
 weight/length ratio c' of the free-space edges (at most 1) shaved to
@@ -99,6 +98,18 @@ Raphael (1968); for the superior-function recursion here it is the
 future-cost variant of generalized Dijkstra (Hougardy, Silvanus & Vygen,
 "Dijkstra meets Steiner", Math. Prog. Comp. 2017), whose future cost
 likewise depends on the terminals not yet connected.
+
+The incumbent.  The search and the DP drop every label whose f exceeds a
+bound, the cost of the cheapest complete walk known.  It starts at the
+cost of a walk known before either runs, the ccw convex hull of the
+required objects walked along free-space edges (`hull_bound`, INF where
+that walk is not feasible), and falls to each cheaper full-mask C label
+pushed.  As h is consistent, every label the answer is derived from has f
+at most the answer's value, so a bound no less than the optimum drops
+only labels that cannot lead to the answer: the search settles the same
+labels, both return the same answer, and only the labels pushed (and the
+DP's labels stored) fall.  A seeded run that finds no answer has lost a
+feasible walk, and raises InternalError.
 
 The partner scans.  All labels of one state share h, but the labels of
 one partner group (settled open labels of one key (p, q), or settled
@@ -310,16 +321,13 @@ class FutureCost(dict):
 
 
 class EnclosureCost(FutureCost):
-    """The future cost of the enclosure recursion (module docstring),
-    charging every required reference point r not in the mask:
-
-        h(p, q, mask) = c·max(|pq|, max over r not in mask of |pr| + |rq|),
-
-    self[p][q] being c·|pq|, its value at a full mask.  reach[p] is the
-    row of c·|pr| over the required references, each the hypotenuse of the
-    exact differences to the reference's homogeneous coordinates, rounded
-    once as |pq| is; h takes the max over the set bits of `charged` &
-    ~mask.  At scale 0 it charges nothing."""
+    """The future cost h(p, q, mask) of the enclosure search and the DP,
+    as the module docstring defines it; self[p][q] is c·|pq|, its value
+    at a full mask, and h(p, p, mask) is that of C(p, mask).  reach[p] is
+    the row of c·|pr| over the required references, each the hypotenuse
+    of the exact differences to the reference's homogeneous coordinates,
+    rounded once as |pq| is; h takes the max over the set bits of
+    `charged` & ~mask.  At scale 0 it charges nothing."""
 
     def __init__(self, fsg: FreeSpaceGraph, scale: float):
         super().__init__(fsg, scale)
@@ -357,25 +365,19 @@ def label_setting(fsg: FreeSpaceGraph, seeds: Iterable[tuple], expand,
     With early_stop the loop ends at the answer, else it computes the
     whole fixed point.
 
-    h is future_cost(fsg, `fsg.h_scale`) under early_stop: the enclosure
-    search passes `EnclosureCost`, which charges the required references
-    a label's walk does not yet wind around; the inverted solver keeps the
-    mask-blind `FutureCost`, c·|pq| for its mouths and U labels and 0 for
-    its finish.  Without early_stop nothing is bounded, so h could only
-    reorder the fixed point; it runs at scale 0, h = 0, and settles in
-    value order.  Exact as long as no rule derives a label cheaper than
-    the one it expands (`check_solvable`) and h is consistent: labels
-    settle in nondecreasing f, and a state's first settled label is its
-    cheapest.  Pushes that cannot change a settled label are not
-    queued: push drops one whose f exceeds `bound` (strictly), as the
-    answer costs at most `bound` and every label it is derived from has
-    f <= its value.  `bound` starts at the caller's incumbent, the cost of
-    a walk known to be feasible (the enclosure search passes `hull_bound`;
-    INF when there is none), and falls under early_stop to each cheaper
-    full-mask "C" value pushed.  Every dropped push has f over the
-    optimum, so the labels settled and the answer do not depend on the
-    incumbent; only `pushed` falls.  A run with a finite incumbent that
-    settles no answer has lost a feasible walk, and raises InternalError.
+    h is future_cost(fsg, `fsg.h_scale`) under early_stop: `EnclosureCost`
+    for the enclosure search, the mask-blind `FutureCost` for the inverted
+    solver (module docstring).  Without early_stop nothing is bounded, so h
+    could only reorder the fixed point; it runs at scale 0, h = 0, and
+    settles in value order.  Exact as long as no rule derives a label
+    cheaper than the one it expands (`check_solvable`) and h is consistent:
+    labels settle in nondecreasing f, and a state's first settled label is
+    its cheapest.  Pushes that cannot change a settled label are not queued:
+    push drops one whose f exceeds `bound` (strictly).  `bound` starts at
+    the caller's incumbent (the enclosure search passes `hull_bound`, INF
+    when there is none) and falls under early_stop to each cheaper full-mask
+    "C" value pushed (The incumbent, module docstring); a run with a finite
+    incumbent that settles no answer raises InternalError.
 
     `pending` maps each state code pushed so far to its (value, rank); a
     settled state holds SETTLED.  Its entries only fall: each push beats

@@ -11,8 +11,10 @@ pair edge-ends consecutively in the rotation order at each vertex (a
 non-crossing chord matching), then merge the resulting closed trails into a
 single tour in one pass over the vertices, rewiring two adjacent chords of
 different trails at a shared vertex — the rewiring keeps the matching
-non-crossing.  The tour is a weakly simple polygon; it is finally oriented
-counterclockwise.
+non-crossing.  The pass merges every two trails that share a vertex, so it
+is also the connectivity check: the trails end as one tour exactly when the
+multigraph is connected, and `NotConnected` is raised otherwise.  The tour
+is a weakly simple polygon; it is finally oriented counterclockwise.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .errors import DisconnectedAfterReduction, NotConnected, NotEulerian
+from .errors import NotConnected, NotEulerian
 from .geometry import (
     Point,
     Segment,
@@ -45,12 +47,8 @@ class PlaneMultigraph:
     edges, a closed vertex sequence in walk order (set by `subdivide_walk`,
     empty after reduction).
     """
-    vertices: List[Point]
     multiplicity: Dict[Tuple[Point, Point], int]
     traversal: List[Point] = field(default_factory=list)
-
-    def degree(self, v: Point) -> int:
-        return sum(m for (a, b), m in self.multiplicity.items() if v in (a, b))
 
 
 @dataclass
@@ -104,8 +102,7 @@ def subdivide_walk(walk: Walk) -> Tuple[PlaneMultigraph, UncrossReport]:
             key = _edge_key(u, v)
             multiplicity[key] = multiplicity.get(key, 0) + 1
 
-    vertices = sorted({v for key in multiplicity for v in key}) or pts[:1]
-    g = PlaneMultigraph(vertices, multiplicity, traversal)
+    g = PlaneMultigraph(multiplicity, traversal)
     return g, UncrossReport(t=len(edges), s=s, forks=len(fork_points), discarded=0)
 
 
@@ -118,30 +115,7 @@ def reduce_multiplicities(g: PlaneMultigraph) -> Tuple[PlaneMultigraph, int]:
         keep = 1 if m % 2 else 2
         out[key] = keep
         discarded += (m - keep) // 2
-    reduced = PlaneMultigraph(list(g.vertices), out)
-    # The support is unchanged, so connectivity cannot actually break.
-    if out and not _connected(reduced):
-        raise DisconnectedAfterReduction("edge support became disconnected")
-    return reduced, discarded
-
-
-def _connected(g: PlaneMultigraph) -> bool:
-    adj: Dict[Point, List[Point]] = {}
-    for a, b in g.multiplicity:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    if not adj:
-        return True
-    start = next(iter(adj))
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == len(adj)
+    return PlaneMultigraph(out), discarded
 
 
 def non_crossing_euler_tour(g: PlaneMultigraph) -> List[Point]:
@@ -152,8 +126,6 @@ def non_crossing_euler_tour(g: PlaneMultigraph) -> List[Point]:
         copies.extend([key] * g.multiplicity[key])
     if not copies:
         raise NotEulerian("no edges")
-    if not _connected(g):
-        raise NotConnected("multigraph is not connected")
 
     # Edge-ends per vertex in ccw rotation order (parallel copies adjacent).
     ends_at: Dict[Point, List[Tuple[Point, int]]] = {}
@@ -220,7 +192,9 @@ def non_crossing_euler_tour(g: PlaneMultigraph) -> List[Point]:
             partner[(v, pi)], partner[(v, pj)] = pj, pi
             trail[ti] = tj
 
-    # Walk the single trail starting from copy 0 out of its smaller endpoint.
+    # Walk the single trail starting from copy 0 out of its smaller endpoint;
+    # trails in different components never merge, so on a disconnected
+    # multigraph it is shorter.
     tour = trail_from(0)
     if len(tour) != len(copies):
         raise NotConnected("the trails did not merge into one tour")

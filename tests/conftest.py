@@ -232,8 +232,9 @@ def dp_cell_M(tables, p: int, q: int, t: int, mask: int) -> float:
         v = tables.value_C(p, t - 1, mask)
         if v < INF:
             best = w + v
+    ccw = fsg.left_vertices(q, p)  # the apexes r of ccw triangles prq
     for r in range(fsg.n):
-        if not fsg.is_ccw(p, r, q):
+        if not ccw >> r & 1:
             continue
         cmask, cpen = fsg.triangle_content(p, r, q)
         if (cmask & mask) != cmask or cpen == INF:

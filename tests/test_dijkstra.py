@@ -214,7 +214,7 @@ def _m_right_hand_side(fsg, fin_C, fin_M, p, q, mask):
         if a != p:
             continue
         for (r2, q2, m2), right in fin_M.items():
-            if r2 != r or q2 != q or not fsg.is_ccw(p, r, q):
+            if r2 != r or q2 != q or not fsg.left_vertices(q, p) >> r & 1:
                 continue
             join = m2_join(fsg, p, r, q, m1, m2)
             if join is not None and join[0] == mask:

@@ -53,8 +53,9 @@ def _check_against_brute_force(fsg, extra_xs=()):
     verts = fsg.vertices
     ccw = 0
     for p, r, q in itertools.permutations(range(fsg.n), 3):
-        assert fsg.is_ccw(p, r, q) == (orient(verts[p], verts[r], verts[q]) > 0)
-        if fsg.is_ccw(p, r, q):
+        prq_ccw = bool(fsg.left_vertices(q, p) >> r & 1)
+        assert prq_ccw == (orient(verts[p], verts[r], verts[q]) > 0)
+        if prq_ccw:
             # Penalty sums must be bit-identical, not merely close.
             assert fsg.triangle_content(p, r, q) == _brute_triangle(fsg, p, r, q)
             ccw += 1
