@@ -15,7 +15,8 @@ and every label still in the queue has f at least its value.
 Asymptotically this needs O(4^k n^3) time and O(2^k n^2) space for n
 vertices and k required objects, against the budgeted program's extra factor
 of n: the partner scans of `relax` try every pair of masks, where the
-paper's O(3^k n^3) enumerates submasks (ROADMAP item 4).
+paper's O(3^k n^3) enumerates submasks (the ROADMAP item on cheaper
+partner reads).
 
 The future cost h, the incumbent the bound starts at, the queue, the rules
 and the walk rebuild are those of `recursion.py` (see its module

@@ -23,8 +23,9 @@ class OverlapError(EnclosureError):
 
 
 class DegeneratePolygon(EnclosureError):
-    """Polygon has an empty interior, or no interior reference point in
-    general position with the polygon vertices."""
+    """Polygon crosses itself (two of its edges properly cross), has an
+    empty interior, or has no interior reference point in general position
+    with the polygon vertices."""
 
 
 class DegenerateTriangle(EnclosureError):

@@ -14,11 +14,7 @@ against the polygons whose bounding boxes meet it, by
 that validation and the verifier use too.  That test makes one pass over
 a polygon's vertices: it takes each vertex's side of the candidate's line
 once, and only an edge whose ends lie strictly on opposite sides gets the
-two further determinants of a proper crossing.  On the n=200, k=10
-row-and-ring instance the graph has 5,141 edges, against 10,495 free
-segments without the tangency test, and construction takes 0.20 to
-0.23 s, against 0.71 to 1.05 s when the test paid four `orient` calls per
-edge, on a shared 2-vCPU VM (Python 3.11).
+two further determinants of a proper crossing.
 
 Region contents are asked by vertex index (`triangle_content`, `plank`,
 and `x_at_most` at a vertex's abscissa for a half-plane): ANDs of
@@ -325,10 +321,8 @@ def compute_free_space_edges(inst: Instance) -> FreeSpaceGraph:
             edges.append(FreeSpaceEdge(i, j, w, squeezed))
             adjacency[i][j] = adjacency[j][i] = w
 
-    required = [p for p in inst.polygons if p.kind == "required"]
     return FreeSpaceGraph(
         inst, vertices, edges, adjacency,
-        [(bit, poly.reference_point) for bit, poly in enumerate(required)],
-        [(poly.penalty, poly.reference_point)
-         for poly in inst.polygons if poly.kind == "optional"],
+        [(bit, poly.reference_point) for bit, poly in enumerate(inst.required)],
+        [(poly.penalty, poly.reference_point) for poly in inst.optional],
         max(ratio, 0.0) * (1 - 1e-9) if edges else 0.0)

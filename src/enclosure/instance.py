@@ -31,6 +31,7 @@ from .errors import (
 from .geometry import (
     Homogeneous,
     Point,
+    Segment,
     boxes_meet,
     distance,
     homogeneous,
@@ -38,6 +39,7 @@ from .geometry import (
     in_open_segment,
     on_segment,
     orient,
+    segments_properly_cross,
     signed_area2,
     sort_along,
 )
@@ -185,23 +187,31 @@ class Instance:
         return (min(xs), min(ys), max(xs), max(ys))
 
     def segment_weight(self, a: Point, b: Point) -> float:
-        """Weight of segment ab: squeezed weight (proportional for
-        subsegments) where applicable, Euclidean length otherwise."""
+        """Weight of segment ab: a squeezed edge's own weight; otherwise ab
+        split at the ends of the squeezed edges uv on its line, where each
+        piece on such a uv of weight w weighs w * |piece| / |uv|, as
+        `_resplit_squeezed` splits a squeezed edge, and every other piece
+        its Euclidean length."""
         if a == b:
             return 0.0
-        key = frozenset((a, b))
-        w = self.squeezed.get(key)
+        w = self.squeezed.get(frozenset((a, b)))
         if w is not None:
             return w
-        for seg_key, w in self.squeezed.items():
-            u, v = tuple(seg_key)
-            if on_segment(a, u, v) and on_segment(b, u, v):
-                if abs(v.x - u.x) >= abs(v.y - u.y):
-                    ratio = Fraction(abs(b.x - a.x)) / Fraction(abs(v.x - u.x))
-                else:
-                    ratio = Fraction(abs(b.y - a.y)) / Fraction(abs(v.y - u.y))
-                return w * float(ratio)
-        return distance(a, b)
+        walls = [(u, v, w) for (u, v), w in self.squeezed.items()
+                 if not orient(a, b, u) and not orient(a, b, v)]
+        if not walls:
+            return distance(a, b)
+        cuts = {x for u, v, _w in walls for x in (u, v) if in_open_segment(x, a, b)}
+        chain = [a] + sort_along(a, b, list(cuts)) + [b]
+        weight = 0.0
+        for c, d in zip(chain, chain[1:]):
+            for u, v, w in walls:
+                if on_segment(c, u, v) and on_segment(d, u, v):
+                    weight += w * (distance(c, d) / distance(u, v))
+                    break
+            else:
+                weight += distance(c, d)
+        return weight
 
     def walk_weight(self, walk: Sequence[Point]) -> float:
         pts = list(walk)
@@ -380,6 +390,17 @@ def parse_instance(data) -> Instance:
 # Validation and subdivision
 
 
+def _check_no_self_crossing(poly: InputPolygon) -> None:
+    """Raise DegeneratePolygon when two edges of the polygon properly cross:
+    the crossing is not a vertex, so no curve can pass through it."""
+    edges = [Segment(a, b) for a, b in poly.edges()]
+    for i, s in enumerate(edges):
+        for t in edges[i + 2:]:  # adjacent edges cannot properly cross
+            if segments_properly_cross(s, t):
+                raise DegeneratePolygon(
+                    f"polygon {poly.id!r}: edges {s.a}-{s.b} and {t.a}-{t.b} cross")
+
+
 def _subdivide_polygon(poly: InputPolygon, all_vertices) -> InputPolygon:
     new_verts: List[Point] = []
     for a, b in poly.edges():
@@ -549,13 +570,16 @@ def _settle_reference_point(poly: InputPolygon, all_vertices) -> Point:
 
 
 def validate_and_subdivide(inst: Instance) -> Instance:
-    """Subdivide edges at foreign vertices, verify pairwise-disjoint
-    interiors, settle reference points, and re-split squeezed edges.
+    """Reject self-crossing polygons, subdivide edges at foreign vertices,
+    verify pairwise-disjoint interiors, settle reference points, and
+    re-split squeezed edges.
 
     Idempotent: running it on its own output changes nothing.
     """
     if inst.k > MAX_REQUIRED:
         raise CapacityError(f"{inst.k} required objects exceed the cap of {MAX_REQUIRED}")
+    for p in inst.polygons:
+        _check_no_self_crossing(p)
     all_vertices = inst.vertices
     polygons = tuple(_subdivide_polygon(p, all_vertices) for p in inst.polygons)
     with_refs = []

@@ -52,10 +52,12 @@ before any mouth or U label, and the first finish settled is the answer.
 A plank joins a mouth with a U label, whichever settles second: a settled
 U label joins the settled mouths of the chords that reach its ends, a
 settled mouth the settled U labels at the end its chord reaches.  The
-plank index keeps both by that chord end, each chord's mouths with the
-plank content, looked up once when its first mouth settles.  One group's
-labels are in settling order and share their target's h, so a scan stops
-at the queue's bound less that h; when the joining label's mask is
+plank index keeps both by that chord end: the U labels in a `Settled`
+index of their own, and per chord its plank content, looked up once when
+its first mouth settles, beside the chord key's list in the mouths'
+`Settled` index, the one `relax` reads.  One group's labels are in
+settling order and share their target's h, so a scan stops at the
+queue's bound less that h; when the joining label's mask is
 already full (always when k = 0) every join of a group lands on one
 state, and only the group's first disjoint label can beat it.  Otherwise
 the scan goes on past that label: a later one of another mask reaches
@@ -65,10 +67,10 @@ exact target is asked of the queue's pending map before its push, and so
 is the finish's, as the queue requires; only labels that could not win are
 skipped.
 
-The precondition check, the label type, the rules that build the mouths
-(`relax`) and the rebuild of a mouth's or a U label's walk (`open_ids`: a
-down or up label joins its two operands' walks in walk order, like M2)
-come from `recursion.py`.
+The precondition check, the label type, the settled-label index
+(`Settled`), the rules that build the mouths (`relax`) and the rebuild of
+a mouth's or a U label's walk (`open_ids`: a down or up label joins its
+two operands' walks in walk order, like M2) come from `recursion.py`.
 """
 
 from __future__ import annotations
@@ -93,29 +95,27 @@ def solve_inverted(inst: Instance, fsg: FreeSpaceGraph,
     check_solvable(fsg)
     full = fsg.full_mask
 
-    all_pen = sum(p for p, _ in fsg._optional_refs)
     if fsg.n == 0:
         # Nothing can be enclosed: everything is outside the empty curve.
-        return (all_pen, Walk((), 0.0)) if full == 0 else (INF, None)
+        return (sum(fsg._penalties), Walk((), 0.0)) if full == 0 else (INF, None)
 
     verts = fsg.vertices
     xs = [v.x for v in verts]
     n, k = fsg.n, fsg._k
     u_base = n + n * n  # U(p, q) has state code u_base + p·n + q
-    mouths = Settled(n)
-    # The plank index by the chord end v a plank reaches: U(v, q) by q,
-    # U(p, v) by p, and per chord (inside, penalty, mouths) of the mouths
-    # M(a, v), a.x >= v.x, by a (down) and M(v, b), b.x >= v.x, by b (up).
-    starts: list = [{} for _ in range(n)]
-    ends: list = [{} for _ in range(n)]
+    # The plank index by the chord end v a plank reaches: the settled U
+    # labels, U(v, q) by q in us.open_from[v] and U(p, v) by p in
+    # us.open_to[v]; and per chord the (inside, penalty, mouths) of the
+    # mouths M(a, v), a.x >= v.x, by a (down) and M(v, b), b.x >= v.x, by b
+    # (up), where mouths is the settled mouths' own list for that key.
+    mouths, us = Settled(n), Settled(n)
     downs: list = [{} for _ in range(n)]
     ups: list = [{} for _ in range(n)]
 
     def expand(lab: Label, push, bound: float, pending: dict, h) -> None:
         s, e = lab.key
         if lab.kind == "U":
-            starts[s].setdefault(e, []).append(lab)
-            ends[e].setdefault(s, []).append(lab)
+            us.add(lab)
             if s == e:  # a finish ranks 0, as every rule into its state does
                 right, pen = fsg.split_content(fsg._all & ~fsg.x_at_most(xs[s]))
                 value = lab.value + pen
@@ -133,14 +133,14 @@ def solve_inverted(inst: Instance, fsg: FreeSpaceGraph,
         # is off.
         mouths.add(lab)
         relax(fsg, lab, mouths, push, False, bound, pending, h)
-        for up, chords, far, near, partners in (
-                (False, downs[e], s, e, starts[e]), (True, ups[s], e, s, ends[s])):
+        for up, chords, far, near, partners, group in (
+                (False, downs[e], s, e, us.open_from[e], mouths.open_to[e]),
+                (True, ups[s], e, s, us.open_to[s], mouths.open_from[s])):
             if xs[far] < xs[near]:
                 continue
             chord = chords.get(far)
             if chord is None:
-                chord = chords[far] = (*fsg.plank(s, e, up), [])
-            chord[2].append(lab)
+                chord = chords[far] = (*fsg.plank(s, e, up), group[far])
             if partners and chord[1] != INF and not lab.mask & chord[0]:
                 join(lab, partners, up, chord[:2], push, bound, pending, h)
 
@@ -149,10 +149,12 @@ def solve_inverted(inst: Instance, fsg: FreeSpaceGraph,
         """Join `lab` across a plank with each settled label of the other
         kind in `groups`, a plank index entry keyed by the target's free
         end; with `before` the group's labels precede `lab` in walk order.
-        `plank` is the (inside, penalty) of `lab` if it is a mouth; else
-        each group is a chord's (inside, penalty, mouths).  Every rule into
-        a U state ranks 0, so pending (value, rank) is no larger than
-        (total, 0) exactly when its value is <= total."""
+        `plank` is the (inside, penalty) of `lab` if it is a mouth, and
+        each group a list of U labels from `us`; else each group is a
+        chord's (inside, penalty, mouths), mouths being that chord's list
+        in the mouths' `Settled` index.  Every rule into a U state ranks
+        0, so pending (value, rank) is no larger than (total, 0) exactly
+        when its value is <= total."""
         mask, value, t = lab.mask, lab.value, lab.t
         whole = mask == full
         rule = "up" if before == (plank is not None) else "down"

@@ -20,6 +20,7 @@ from typing import List, Optional, Tuple
 
 from .errors import GenerationFailure, InternalError, ReferenceOnWalk, SearchSpaceTooLarge
 from .freespace import FreeSpaceGraph
+from .geometry import boxes_meet
 from .instance import Instance, parse_instance, validate_and_subdivide
 from .uncrossing import uncross
 from .verify import evaluate_solution
@@ -188,16 +189,9 @@ def random_instance(seed: int, n_objects: int, k: int,
             return [(x, y), (x + side, y), (x + side, y + h), (x, y + h)]
         return [(x, y), (x + side, y), (x, y + side)]
 
-    def boxes_clash(a, b):
-        ax0 = min(p[0] for p in a) - 1
-        ax1 = max(p[0] for p in a) + 1
-        ay0 = min(p[1] for p in a) - 1
-        ay1 = max(p[1] for p in a) + 1
-        bx0 = min(p[0] for p in b)
-        bx1 = max(p[0] for p in b)
-        by0 = min(p[1] for p in b)
-        by1 = max(p[1] for p in b)
-        return ax0 <= bx1 and bx0 <= ax1 and ay0 <= by1 and by0 <= ay1
+    def box(verts, grow=0):
+        xs, ys = [p[0] for p in verts], [p[1] for p in verts]
+        return min(xs) - grow, min(ys) - grow, max(xs) + grow, max(ys) + grow
 
     placed: List[list] = []
     attempts = 0
@@ -207,7 +201,8 @@ def random_instance(seed: int, n_objects: int, k: int,
             raise GenerationFailure(
                 f"could not place {n_objects} disjoint objects in {retries} tries")
         cand = candidate_shape()
-        if all(not boxes_clash(cand, other) for other in placed):
+        # Keep every two boxes more than one unit apart.
+        if not any(boxes_meet(box(cand, 1), box(other)) for other in placed):
             placed.append(cand)
 
     indices = list(range(n_objects))

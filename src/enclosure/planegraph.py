@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .errors import EmbeddingError, OnBoundary, SchemaError, TagError
+from .errors import EmbeddingError, SchemaError, TagError
 from .geometry import (
     Point,
     Segment,
@@ -134,17 +134,12 @@ def graph_to_instance(g: PlaneGraphInput) -> Instance:
         raise EmbeddingError(f"expected exactly one outer face, found {len(outer)}")
 
     def locate(pt: Point) -> int:
-        """Index into bounded faces, or -1 for the outer face."""
+        """Index into bounded faces, or -1 for the outer face.  A point on
+        no edge lies on no face walk, so `winding_number` cannot raise."""
         for u, v, _ in g.edges:
             if on_segment(pt, g.vertices[u], g.vertices[v]):
                 raise TagError(f"face tag point {pt} lies on an edge")
-        hits = []
-        for i, f in enumerate(bounded):
-            try:
-                if winding_number(f, pt) != 0:
-                    hits.append(i)
-            except OnBoundary:
-                raise TagError(f"face tag point {pt} lies on an edge")
+        hits = [i for i, f in enumerate(bounded) if winding_number(f, pt) != 0]
         if len(hits) > 1:
             raise TagError(f"face tag point {pt} is ambiguous")
         return hits[0] if hits else -1

@@ -186,14 +186,14 @@ def check_solvable(fsg: FreeSpaceGraph) -> None:
     """Every solver's preconditions: subset-indexed states need
     k <= MAX_REQUIRED required objects, and the recursion is only sound with
     strictly positive edge weights and nonnegative penalties."""
-    k = len(fsg._required_refs)
-    if k > MAX_REQUIRED:
-        raise CapacityError(f"{k} required objects exceeds the supported {MAX_REQUIRED}")
+    if fsg._k > MAX_REQUIRED:
+        raise CapacityError(
+            f"{fsg._k} required objects exceeds the supported {MAX_REQUIRED}")
     for e in fsg.edges:
         if not e.weight > 0:
             raise NonpositiveWeight(
                 f"free-space edge {e.a}-{e.b} has weight {e.weight}")
-    for penalty, _ref in fsg._optional_refs:
+    for penalty in fsg._penalties:
         if penalty < 0:
             raise NonpositiveWeight(f"negative penalty {penalty}")
 

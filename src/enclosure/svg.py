@@ -65,7 +65,7 @@ def render_svg(inst: Instance, walk: Optional[Walk], path: str) -> None:
     if walk is not None and len(walk.points) >= 2:
         counts: Dict[Tuple[Point, Point], int] = {}
         for a, b in walk.edges():
-            key = (a, b) if (a.x, a.y) <= (b.x, b.y) else (b, a)
+            key = (a, b) if a <= b else (b, a)
             seen = counts.get(key, 0)
             counts[key] = seen + 1
             dx, dy = float(b.x - a.x), float(b.y - a.y)

@@ -59,10 +59,6 @@ class UncrossReport:
     discarded: int               # equal-segment pairs dropped
 
 
-def _edge_key(a: Point, b: Point) -> Tuple[Point, Point]:
-    return (a, b) if (a.x, a.y) <= (b.x, b.y) else (b, a)
-
-
 def _clean_points(walk: Walk) -> List[Point]:
     pts: List[Point] = []
     for p in walk.points:
@@ -99,7 +95,7 @@ def subdivide_walk(walk: Walk) -> Tuple[PlaneMultigraph, UncrossReport]:
         chain = [a] + sort_along(a, b, interior) + [b]
         traversal += chain[:-1]
         for u, v in zip(chain, chain[1:]):
-            key = _edge_key(u, v)
+            key = (u, v) if u <= v else (v, u)
             multiplicity[key] = multiplicity.get(key, 0) + 1
 
     g = PlaneMultigraph(multiplicity, traversal)
@@ -141,7 +137,7 @@ def non_crossing_euler_tour(g: PlaneMultigraph) -> List[Point]:
         # endpoints, so mirror the copy order at the larger endpoint.
         ends.sort(key=lambda e, v=v: (
             keyf(e[0]),
-            e[1] if (v.x, v.y) <= (e[0].x, e[0].y) else -e[1]))
+            e[1] if v <= e[0] else -e[1]))
 
     # partner[(v, slot)] = slot of the matched end at v.  The closed trails
     # are union-find classes of copy ids, joined by each matched pair.

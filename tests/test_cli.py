@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -130,6 +131,23 @@ def test_walk_round_trip(tmp_path, capsys):
     assert sol.cost == pytest.approx(out["cost"])
 
 
+def test_input_from_stdin(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        json.dumps({"polygons": [req("A", square(0, 0, 3))]})))
+    assert run(["--input", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["cost"] == pytest.approx(12.0)
+
+
+def test_svg_draws_a_point_walk(tmp_path, capsys):
+    # With nothing required the answer is a point walk, drawn as one dot.
+    svg = tmp_path / "point.svg"
+    doc = {"polygons": [opt("B", square(0, 0, 2), 5)]}
+    assert run(["--input", _write(tmp_path, doc), "--svg", str(svg)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["walk"]) == 1
+    text = svg.read_text()
+    assert text.count('fill="#1f4fd8"') == 1 and 'stroke="#1f4fd8"' not in text
+
+
 def test_svg_deterministic(tmp_path):
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
     assert run(["--input", _basic(tmp_path), "--svg", str(a)]) == 0
@@ -155,6 +173,13 @@ def test_verify_flag_accepts_clockwise_inverted_solution(tmp_path, capsys):
 
 _TRIANGLE_GRAPH = {"vertices": [[0, 0], [6, 0], [0, 6]],
                    "edges": [[0, 1, 2], [1, 2, 3], [2, 0, 4]]}
+# A square whose right wall (4,0)-(4,4) is split at (4,2) by two squares beside it.
+_SPLIT_WALL = [req("A", square(0, 0, 4)), opt("B1", square(4, 0, 2), 1),
+               opt("B2", square(4, 2, 2), 1)]
+
+
+def _squeezed(*edges):
+    return {"polygons": _SPLIT_WALL, "squeezed_edges": list(edges)}
 
 
 @pytest.mark.parametrize("document", [
@@ -168,9 +193,21 @@ _TRIANGLE_GRAPH = {"vertices": [[0, 0], [6, 0], [0, 6]],
     {"squeezed_edges": 5},
     {"graph": {**_TRIANGLE_GRAPH, "edges": 5}},
     {"graph": {**_TRIANGLE_GRAPH, "faces": 5}},
+    [{"polygons": []}],
+    {"polygons": [5]},
+    {"polygons": [opt("B", square(0, 0, 2), "lots")]},
+    {"polygons": [req("A", [[0, 0], [2, 0], [2, 0], [0, 2]])]},
+    _squeezed({"a": [4, 0], "b": [4, 4]}),
+    _squeezed({"a": [4, 0], "b": [4, 0], "weight": 1}),
+    _squeezed({"a": [4, 0], "b": [4, 4], "weight": 1},
+              {"a": [4, 4], "b": [4, 0], "weight": 2}),
+    _squeezed({"a": [4, 0], "b": [4, 4], "weight": 1},
+              {"a": [4, 0], "b": [4, 2], "weight": 2}),
 ], ids=["at-number", "at-short", "at-object", "points-number", "polygons-number",
         "polygons-null", "id-list", "squeezed-number", "graph-edges-number",
-        "graph-faces-number"])
+        "graph-faces-number", "top-level-list", "polygon-number", "penalty-word",
+        "repeated-vertex", "squeezed-no-weight", "squeezed-one-point",
+        "squeezed-duplicate", "squeezed-piece-twice"])
 def test_malformed_document_is_a_schema_error(tmp_path, capsys, document):
     with pytest.raises(SchemaError):
         validate_and_subdivide(parse_instance(document))

@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from enclosure import (
+    Walk,
     compute_free_space_edges,
     random_instance,
     solve_dijkstra,
@@ -15,8 +16,8 @@ from enclosure.inverted import solve_inverted
 from enclosure.recursion import (
     INF, RANK, EnclosureCost, Label, check_solvable, closed_ids, open_ids)
 from conftest import (
-    build, by_state, compute_all_labels, mouth_fixed_point, opt, rel_close,
-    req, settled_labels, square)
+    EMPTY_INSTANCE, build, by_state, compute_all_labels, mouth_fixed_point, opt,
+    rel_close, req, settled_labels, square)
 
 
 def test_single_square_perimeter():
@@ -30,6 +31,12 @@ def test_k_zero_point_walk():
     fsg = compute_free_space_edges(build({"polygons": [opt("B", square(0, 0, 2), 5)]}))
     cost, walk = solve_dijkstra(fsg)
     assert cost == 0.0 and len(walk.points) == 1
+
+
+def test_empty_instance_is_the_empty_walk():
+    # Nothing is required and there is no vertex for a point walk.
+    fsg = compute_free_space_edges(EMPTY_INSTANCE)
+    assert solve_dijkstra(fsg) == solve_dp(fsg) == (0.0, Walk((), 0.0))
 
 
 def test_matches_dp_on_random_instances():

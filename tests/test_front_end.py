@@ -455,8 +455,7 @@ def test_every_chord_splits_the_references(name, inst):
     # directed chord resolves, and its strictly-left mask and its
     # reverse's partition the references as the exact side test does.
     fsg = compute_free_space_edges(inst)
-    refs = [ref for _b, ref in fsg._required_refs] + \
-        [ref for _p, ref in fsg._optional_refs]
+    refs = [poly.reference_point for poly in inst.required + inst.optional]
     verts = fsg.vertices
     for i, j in itertools.permutations(range(fsg.n), 2):
         left, right = fsg._chord(i, j), fsg._chord(j, i)

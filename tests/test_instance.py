@@ -11,6 +11,7 @@ from enclosure import (
 )
 from enclosure.errors import (
     CapacityError,
+    DegeneratePolygon,
     OverlapError,
     ParseError,
     SchemaError,
@@ -222,19 +223,53 @@ def test_point_epsilon_explicit():
 
 
 def test_squeezed_edges_split_proportionally():
-    # Shared wall of two 4-high squares is split when a third square's corner
-    # touches its midpoint from the right; proportional weights follow.
+    # The shared wall of two 4-high squares stays whole, as C touches it
+    # nowhere; a piece of it weighs its share of the weight by length.
     data = {"polygons": [req("A", square(0, 0, 4)),
                          opt("B", square(4, 0, 4), 1),
                          opt("C", square(4, 0, 4), 1)],
             "squeezed_edges": [{"a": [4, 0], "b": [4, 4], "weight": 10.0}]}
     data["polygons"][2] = opt("C", square(8, 0, 4), 1)
     inst = build(data)
+    assert list(inst.squeezed) == [frozenset((Point(4, 0), Point(4, 4)))]
     assert inst.segment_weight(Point(4, 0), Point(4, 4)) == pytest.approx(10.0)
     assert inst.segment_weight(Point(4, 0), Point(4, 2)) == pytest.approx(5.0)
     assert inst.segment_weight(Point(4, 1), Point(4, 3)) == pytest.approx(5.0)
     # Non-squeezed segments fall back to Euclidean length.
     assert inst.segment_weight(Point(0, 0), Point(4, 0)) == pytest.approx(4.0)
+
+
+def test_split_squeezed_wall_weighs_its_pieces():
+    # Validation splits the wall (4,0)-(4,4) of weight 10 at the corner
+    # (4,2) of B1 and B2 into two pieces of weight 5.  A segment over both
+    # pieces, or over parts of them, weighs its share of each.
+    inst = build({"polygons": [req("A", square(0, 0, 4)),
+                               opt("B1", square(4, 0, 2), 1),
+                               opt("B2", square(4, 2, 2), 1)],
+                  "squeezed_edges": [{"a": [4, 0], "b": [4, 4], "weight": 10.0}]})
+    assert inst.squeezed == {frozenset((Point(4, 0), Point(4, 2))): 5.0,
+                             frozenset((Point(4, 2), Point(4, 4))): 5.0}
+    assert inst.segment_weight(Point(4, 0), Point(4, 4)) == pytest.approx(10.0)
+    assert inst.segment_weight(Point(4, 4), Point(4, 0)) == pytest.approx(10.0)
+    assert inst.segment_weight(Point(4, 1), Point(4, 3)) == pytest.approx(5.0)
+    assert inst.segment_weight(Point(4, 1), Point(4, 2)) == pytest.approx(2.5)
+    # Beyond the wall the segment weighs its length.
+    assert inst.segment_weight(Point(4, -1), Point(4, 5)) == pytest.approx(12.0)
+    walk = [Point(0, 0), Point(4, 0), Point(4, 4), Point(0, 4)]
+    assert inst.walk_weight(walk) == pytest.approx(4 + 10 + 4 + 4)
+
+
+def test_self_crossing_polygon_rejected():
+    # The edges (0,0)-(4,4) and (4,0)-(0,6) cross at (12/5, 12/5), which is
+    # no vertex, so no curve can turn there.
+    doc = {"polygons": [req("A", [[0, 0], [4, 4], [4, 0], [0, 6]])]}
+    with pytest.raises(DegeneratePolygon, match="cross"):
+        build(doc)
+    # A polygon that only touches itself at a vertex it visits twice is
+    # not rejected for that.
+    doc["polygons"][0]["vertices"] = [[0, 0], [2, 0], [2, 2], [4, 2], [4, 4],
+                                      [2, 4], [2, 2], [0, 2]]
+    assert len(build(doc).polygons[0].vertices) == 8
 
 
 def test_squeezed_edge_must_be_two_sided():

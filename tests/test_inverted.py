@@ -163,7 +163,7 @@ def test_tiling_partition():
         opt("C", square(3, 8, 2), 1), opt("D", square(9, 9, 3), 2),
         opt("E", [[14, 0], [17, 0], [14, 3]], 4)],
         "mode": "invert"})
-    total_pen = sum(p for p, _ in fsg._optional_refs)
+    total_pen = sum(fsg._penalties)
     rng = random.Random(9)
     pairs = [(i, j) for i in range(fsg.n) for j in range(fsg.n)
              if fsg.vertices[i].x < fsg.vertices[j].x]

@@ -91,6 +91,10 @@ def test_tag_errors():
     with pytest.raises(TagError):  # required tag in the outer face
         graph_to_instance(parse_plane_graph(
             {**base, "faces": [{"point": [99, 99], "kind": "required"}]}))
+    with pytest.raises(TagError, match="tagged twice"):  # two tags, one face
+        graph_to_instance(parse_plane_graph(
+            {**base, "faces": [{"point": [1, 1], "kind": "required"},
+                               {"point": [1, 1], "kind": "optional"}]}))
     inst = graph_to_instance(parse_plane_graph(
         {**base, "faces": [{"point": [99, 99], "kind": "optional", "penalty": 7}]}))
     assert inst.polygons[-1].unbounded and inst.polygons[-1].penalty == 7.0

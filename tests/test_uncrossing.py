@@ -36,6 +36,10 @@ def test_simple_square_unchanged():
     assert report.s == 0 and report.forks == 0 and report.discarded == 0
     assert set(out.points) == set(w.points) and out.num_edges == 4
     assert out.weight == pytest.approx(w.weight)
+    # A walk that repeats its first point at the end is the same square.
+    closed = _walk([(0, 0), (4, 0), (4, 4), (0, 4), (0, 0)])
+    again, report = uncross(EMPTY_INSTANCE, closed)
+    assert again == out and report.t == 4
 
 
 def test_bowtie_crossing_subdivided():

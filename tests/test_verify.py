@@ -17,6 +17,7 @@ from enclosure import (
 from enclosure.errors import FreeSpaceViolation, ReferenceOnWalk
 from enclosure.uncrossing import subdivide_walk
 from enclosure.verify import _fmt_cost, _weak_simplicity_conditions
+from enclosure.walks import reference_windings
 from conftest import EMPTY_INSTANCE, build, opt, random_closed_walk, req, square
 
 
@@ -189,13 +190,17 @@ def test_free_space_violation():
 
 
 def test_reference_on_walk():
+    # No walk through free space meets a reference point, which is strictly
+    # interior, so evaluate_solution raises FreeSpaceViolation first; the
+    # windings it reads raise ReferenceOnWalk for such a walk.
     inst = build({"polygons": [req("A", square(0, 0, 2))]})
     ref = inst.polygons[0].reference_point
-    if ref == Point(1, 1):
-        with pytest.raises(ReferenceOnWalk):
-            evaluate_solution(inst, make_walk(
-                inst, [Point(0, 0), Point(2, 2), Point(0, 2)]),
-                check_simple=False)
+    through = [Point(ref.x - 5, ref.y), Point(ref.x + 5, ref.y),
+               Point(ref.x, ref.y + 5)]
+    with pytest.raises(ReferenceOnWalk):
+        reference_windings(inst, through)
+    with pytest.raises(FreeSpaceViolation):
+        evaluate_solution(inst, make_walk(inst, through), check_simple=False)
 
 
 def test_infeasible_when_required_missed():
