@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .errors import DegenerateTriangle, InternalError, SchemaError
-from .geometry import Coord, Point, distance, homogeneous, orient
+from .geometry import Coord, Point, distance, orient
 from .instance import Instance
 
 
@@ -71,13 +71,15 @@ class FreeSpaceGraph:
     `adjacency[i]` maps each neighbour j of vertex i to the weight of the
     edge ij, in `edges` order.
 
-    Reference points are held once in homogeneous integer form (X, Y, W),
-    W > 0, standing for the point (X/W, Y/W).  In a reference mask the
-    required objects take bits 0..k-1 and the optional objects bits k..,
-    in `_optional_refs` order.  A directed vertex chord i -> j is resolved
-    on first use into one reference mask, the points strictly left of the
-    line i -> j, by the sign of dx*(Y - Py*W) - dy*(X - Px*W); no
-    `Fraction` is involved.  No reference point lies on the line
+    The reference points are read from `instance`, where validation
+    stores each as the reduced integer triple (X, Y, W), W > 0, standing
+    for the point (X/W, Y/W).  In a reference mask the required objects
+    take bits 0..k-1 and the optional objects bits k.., in
+    `instance.required` and `instance.optional` order.  A directed vertex
+    chord i -> j is resolved on first use into one reference mask, the
+    points strictly left of the line i -> j, by the sign of
+    dx*(Y - Py*W) - dy*(X - Px*W); no `Fraction` is involved.  No
+    reference point lies on the line
     (`instance._in_general_position`; one that does raises
     `InternalError`), so the mask of j -> i is the complement.
     Triangle contents are ANDs of three of these masks, and plank contents
@@ -98,20 +100,17 @@ class FreeSpaceGraph:
     vertices: Tuple[Point, ...]
     edges: List[FreeSpaceEdge]
     adjacency: List[Dict[int, float]]
-    _required_refs: List[Tuple[int, Point]] = field(default_factory=list)
-    _optional_refs: List[Tuple[float, Point]] = field(default_factory=list)
     h_scale: float = 0.0
 
     def __post_init__(self) -> None:
         n = len(self.vertices)
-        refs = [ref for _bit, ref in self._required_refs] + \
-            [ref for _penalty, ref in self._optional_refs]
-        self._href = [homogeneous(ref) for ref in refs]
+        required, optional = self.instance.required, self.instance.optional
+        self._href = [poly.reference_point for poly in required + optional]
         self.n = n
-        self._k = len(self._required_refs)
+        self._k = len(required)
         self.full_mask = (1 << self._k) - 1  # the required references' bits
-        self._all = (1 << len(refs)) - 1
-        self._penalties = [penalty for penalty, _ref in self._optional_refs]
+        self._all = (1 << len(self._href)) - 1
+        self._penalties = [poly.penalty for poly in optional]
         # Directed chord i -> j lives at index i*n + j: `_chords` holds the
         # references strictly left of it, `_left` the vertices.
         self._chords: List[Optional[int]] = [None] * (n * n)
@@ -171,7 +170,7 @@ class FreeSpaceGraph:
 
     def split_content(self, bits: int) -> Tuple[int, float]:
         """(required mask, penalty sum) of a reference mask.  Penalties add
-        in ascending bit order from 0.0, the order of `_optional_refs`."""
+        in ascending bit order from 0.0, the order of `instance.optional`."""
         optional = bits >> self._k
         pen = self._penalty_memo.get(optional)
         if pen is None:
@@ -321,8 +320,5 @@ def compute_free_space_edges(inst: Instance) -> FreeSpaceGraph:
             edges.append(FreeSpaceEdge(i, j, w, squeezed))
             adjacency[i][j] = adjacency[j][i] = w
 
-    return FreeSpaceGraph(
-        inst, vertices, edges, adjacency,
-        [(bit, poly.reference_point) for bit, poly in enumerate(inst.required)],
-        [(poly.penalty, poly.reference_point) for poly in inst.optional],
-        max(ratio, 0.0) * (1 - 1e-9) if edges else 0.0)
+    return FreeSpaceGraph(inst, vertices, edges, adjacency,
+                          max(ratio, 0.0) * (1 - 1e-9) if edges else 0.0)

@@ -11,10 +11,10 @@ than a hard limit.
 Winding tests (`ray_crossing`, `homogeneous_winding`) take the query point
 in homogeneous form (X, Y, W) and compare it with the walk's vertices
 scaled by W, so an integer walk, such as every input polygon, is tested in
-integers even at a rational query point (a reference point, a doubled
-segment midpoint).  Rationals remain in `crossing_point`, whose results
-uncrossing adds to walks and the verifier then sees, in rational reference
-points as stored (converted once by `homogeneous`), and in `angular_key`.
+integers even at a rational query point (a reference point, stored as its
+reduced triple, or a doubled segment midpoint).  Rationals remain only in
+`crossing_point`, whose results uncrossing adds to walks and the verifier
+then sees, and in `homogeneous`, which turns such a point into integers.
 
 Euclidean lengths are the only inexact quantities; they are computed in
 double precision, and only costs are compared with a relative tolerance
@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, List, NamedTuple, Sequence, Tuple, Union
+from functools import cmp_to_key
+from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 from .errors import OnBoundary
 
@@ -94,15 +95,66 @@ def sort_along(a: Point, b: Point, points: Sequence[Point]) -> List[Point]:
     return sorted(points, key=lambda p: (p.y - a.y) * sign)
 
 
-def angular_key(origin: Point) -> Callable[[Point], Tuple]:
+def split_at(a: Point, b: Point, points: Iterable[Point]) -> List[Point]:
+    """The chain a, the points of `points` in the open segment ab sorted
+    from a towards b, then b."""
+    inner = [p for p in points if in_open_segment(p, a, b)]
+    return [a, *sort_along(a, b, inner), b] if inner else [a, b]
+
+
+def angular_key(origin: Point) -> Callable[[Point], object]:
     """Sort key ordering points counterclockwise by their exact direction
-    from origin, starting at the +x direction; points in one direction tie."""
-    def key(p: Point) -> Tuple:
-        dx, dy = p.x - origin.x, p.y - origin.y
-        # Within each half-turn the angle grows with -dx/dy.
-        return (dy < 0 or (dy == 0 and dx < 0), dy != 0,
-                -Fraction(dx, dy) if dy else 0)
-    return key
+    from origin, starting at the +x direction; points in one direction tie.
+
+    The directions fall into four classes, in this order: +x, the open
+    upper half-plane, -x and the open lower half-plane (origin itself
+    ranks with +x).  Within a half-plane p comes before q exactly when the
+    cross product of their offsets is positive."""
+    ox, oy = origin
+
+    def rank(dx, dy) -> int:
+        return 2 * (dy < 0 or (dy == 0 and dx < 0)) + (dy != 0)
+
+    def compare(p: Point, q: Point):
+        pdx, pdy, qdx, qdy = p.x - ox, p.y - oy, q.x - ox, q.y - oy
+        return rank(pdx, pdy) - rank(qdx, qdy) or qdx * pdy - pdx * qdy
+    return cmp_to_key(compare)
+
+
+def transitions_non_crossing(seq: Sequence[Point]) -> bool:
+    """True iff, at every vertex of the closed vertex sequence `seq`, the
+    transition chords (previous point, next point) of its passes are
+    pairwise non-crossing in the rotation order around it: coincident
+    directions share an angular group and never count as crossing.  Run on
+    a walk split at every vertex lying inside one of its edges, such as
+    `PlaneMultigraph.traversal` or a subdivided polygon walk."""
+    n = len(seq)
+    chords: Dict[Point, List[Tuple[Point, Point]]] = {}
+    for i in range(n):
+        chords.setdefault(seq[i], []).append((seq[i - 1], seq[(i + 1) % n]))
+
+    for v, pairs in chords.items():
+        # Angular group index of each neighbor direction around v.
+        dirs = sorted({d for pair in pairs for d in pair}, key=angular_key(v))
+        group = {d: gi for gi, d in enumerate(dirs)}
+        labelled = [(group[a], group[b]) for a, b in pairs]
+        for i in range(len(labelled)):
+            for j in range(i + 1, len(labelled)):
+                if _chords_cross(labelled[i], labelled[j]):
+                    return False
+    return True
+
+
+def _chords_cross(c1: Tuple[int, int], c2: Tuple[int, int]) -> bool:
+    a, b = c1
+    c, d = c2
+    if len({a, b, c, d}) < 4:
+        return False  # shared angular group: ends can be ordered apart
+
+    def between(x, lo, hi):
+        return (lo < x < hi) if lo < hi else (x > lo or x < hi)
+
+    return between(c, a, b) != between(d, a, b)
 
 
 def boxes_meet(s: Tuple[Coord, Coord, Coord, Coord],

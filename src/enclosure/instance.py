@@ -17,7 +17,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -34,14 +33,14 @@ from .geometry import (
     Segment,
     boxes_meet,
     distance,
-    homogeneous,
     homogeneous_winding,
-    in_open_segment,
     on_segment,
     orient,
     segments_properly_cross,
     signed_area2,
     sort_along,
+    split_at,
+    transitions_non_crossing,
 )
 
 REQUIRED = "required"
@@ -56,7 +55,9 @@ class InputPolygon:
     vertices: Tuple[Point, ...]
     kind: str  # REQUIRED or OPTIONAL
     penalty: float = 0.0  # optional polygons only; may be math.inf
-    reference_point: Optional[Point] = None
+    # The point (X/W, Y/W) as (X, Y, W); validation stores it reduced
+    # (W > 0, gcd 1), the one triple of its point.
+    reference_point: Optional[Homogeneous] = None
     unbounded: bool = False
 
     def edges(self):
@@ -75,18 +76,15 @@ class InputPolygon:
         ys = [v.y for v in self.vertices]
         return (min(xs), min(ys), max(xs), max(ys))
 
-    def contains(self, x: Point) -> str:
-        """Classify x against this polygon: 'inside', 'boundary', 'outside'.
+    def contains(self, x: Homogeneous) -> str:
+        """Classify the point (X/W, Y/W), given as x = (X, Y, W) with
+        W > 0, against this polygon: 'inside', 'boundary', 'outside'.
 
         By the winding number of the boundary walk around x: nonzero inside
         a bounded polygon (bridges, walked twice, cancel out); zero inside
         the unbounded polygon, the outer region, since its walk is
         clockwise around the bounded part of the plane.
         """
-        return self.contains_homogeneous(homogeneous(x))
-
-    def contains_homogeneous(self, x: Homogeneous) -> str:
-        """`contains` for the point (X/W, Y/W), given as x = (X, Y, W)."""
         try:
             w = homogeneous_winding(self.vertices, x)
         except OnBoundary:
@@ -141,7 +139,7 @@ class InputPolygon:
             if box is not None and not (2 * box[0] <= mx <= 2 * box[2]
                                         and 2 * box[1] <= my <= 2 * box[3]):
                 continue
-            if self.contains_homogeneous((mx, my, 2)) == "inside":
+            if self.contains((mx, my, 2)) == "inside":
                 return True
         return False
 
@@ -201,8 +199,7 @@ class Instance:
                  if not orient(a, b, u) and not orient(a, b, v)]
         if not walls:
             return distance(a, b)
-        cuts = {x for u, v, _w in walls for x in (u, v) if in_open_segment(x, a, b)}
-        chain = [a] + sort_along(a, b, list(cuts)) + [b]
+        chain = split_at(a, b, {x for u, v, _w in walls for x in (u, v)})
         weight = 0.0
         for c, d in zip(chain, chain[1:]):
             for u, v, w in walls:
@@ -348,7 +345,7 @@ def parse_instance(data) -> Instance:
             verts = verts[::-1]
         ref = None
         if "reference_point" in pd:
-            ref = _parse_point(pd["reference_point"], f"{where}.reference_point")
+            ref = (*_parse_point(pd["reference_point"], f"{where}.reference_point"), 1)
         polygons.append(InputPolygon(pid, verts, kind, penalty, ref, unbounded))
     if sum(p.unbounded for p in polygons) > 1:
         raise SchemaError("at most one polygon may be unbounded")
@@ -404,10 +401,21 @@ def _check_no_self_crossing(poly: InputPolygon) -> None:
 def _subdivide_polygon(poly: InputPolygon, all_vertices) -> InputPolygon:
     new_verts: List[Point] = []
     for a, b in poly.edges():
-        new_verts.append(a)
-        new_verts.extend(sort_along(
-            a, b, [v for v in all_vertices if in_open_segment(v, a, b)]))
+        new_verts += split_at(a, b, all_vertices)[:-1]
     return replace(poly, vertices=tuple(new_verts))
+
+
+def _check_no_crossing_at_repeated_vertex(poly: InputPolygon) -> None:
+    """Raise DegeneratePolygon when the subdivided walk of the polygon
+    crosses itself at a vertex it visits more than once: the transition
+    chords of its passes there cross (`transitions_non_crossing`).  Passes
+    that only touch, like two lobes meeting at a corner or the two sides
+    of a bridge, are kept; a walk that visits every vertex once has
+    nothing to test."""
+    if len(set(poly.vertices)) < len(poly.vertices) \
+            and not transitions_non_crossing(poly.vertices):
+        raise DegeneratePolygon(
+            f"polygon {poly.id!r} crosses itself at a vertex it visits twice")
 
 
 def _check_disjoint_interiors(polygons) -> None:
@@ -442,8 +450,7 @@ def _resplit_squeezed(squeezed, polygons, all_vertices) -> Dict[FrozenSet[Point]
     out: Dict[FrozenSet[Point], float] = {}
     for key, w in squeezed.items():
         u, v = tuple(key)
-        chain = [u] + sort_along(
-            u, v, [x for x in all_vertices if in_open_segment(x, u, v)]) + [v]
+        chain = split_at(u, v, all_vertices)
         for a, b in zip(chain, chain[1:]):
             piece = frozenset((a, b))
             if piece not in sides:
@@ -484,13 +491,14 @@ def _in_general_position(x: Homogeneous, vertices: Sequence[Point]) -> bool:
     return True
 
 
-def _point(x: Homogeneous) -> Point:
-    """The point (X/W, Y/W) with `Fraction` coordinates."""
-    X, Y, W = x
-    return Point(Fraction(X, W), Fraction(Y, W))
+def _reduced(x: Homogeneous) -> Homogeneous:
+    """The triple (X, Y, W), W > 0, divided by gcd(X, Y, W): the one
+    reduced triple of its point."""
+    g = math.gcd(*x)
+    return x[0] // g, x[1] // g, x[2] // g
 
 
-def pick_reference_point(poly: InputPolygon) -> Point:
+def pick_reference_point(poly: InputPolygon) -> Homogeneous:
     """A point strictly interior to a bounded almost-simple polygon.
 
     Finds a strictly convex corner v with neighbors a, b; if triangle avb is
@@ -498,7 +506,7 @@ def pick_reference_point(poly: InputPolygon) -> Point:
     between v and the contained vertex farthest from line ab is.  The result
     is verified by an exact winding test and kept at sub-grid (rational)
     precision when needed.  Candidates are homogeneous integers (X, Y, W),
-    built one at a time.
+    built one at a time; the accepted one is returned reduced.
     """
     verts = poly.vertices
     m = len(verts)
@@ -527,44 +535,45 @@ def pick_reference_point(poly: InputPolygon) -> Point:
     fallbacks = (((t - 2) * v.x + a.x + b.x, (t - 2) * v.y + a.y + b.y, t)
                  for t in (4, 8, 16, 64, 256, 1024, 4096))
     for cand in itertools.chain((first,), fallbacks):
-        if poly.contains_homogeneous(cand) == "inside":
-            return _point(cand)
+        if poly.contains(cand) == "inside":
+            return _reduced(cand)
     raise DegeneratePolygon(f"polygon {poly.id!r}: no interior point found")
 
 
-def _settle_reference_point(poly: InputPolygon, all_vertices) -> Point:
+def _settle_reference_point(poly: InputPolygon, all_vertices) -> Homogeneous:
     """Choose/adjust the reference point: strictly interior, integer grid if
     possible, and in general position w.r.t. all polygon vertices.  Raises
     DegeneratePolygon when no candidate is in general position.  Candidates
-    are tested in homogeneous integer form (X, Y, W)."""
-    cand = poly.reference_point
-    if cand is None:
+    are tested in homogeneous integer form (X, Y, W); the accepted one is
+    returned reduced."""
+    h = poly.reference_point
+    if h is None:
         if poly.unbounded:
             xs = [v.x for v in all_vertices]
             ys = [v.y for v in all_vertices]
-            cand = Point(max(xs) + (max(xs) - min(xs)) + 7,
-                         max(ys) + (max(ys) - min(ys)) + 3)
+            h = (max(xs) + (max(xs) - min(xs)) + 7,
+                 max(ys) + (max(ys) - min(ys)) + 3, 1)
         else:
-            cand = pick_reference_point(poly)
-    X, Y, W = h = homogeneous(cand)
-    if poly.contains_homogeneous(h) != "inside":
+            h = pick_reference_point(poly)
+    X, Y, W = h
+    if poly.contains(h) != "inside":
         raise SchemaError(
-            f"reference point {cand} of polygon {poly.id!r} is not strictly interior")
+            f"reference point {h} of polygon {poly.id!r} is not strictly interior")
     rounded = (round(X / W), round(Y / W), 1)
-    if poly.contains_homogeneous(rounded) == "inside" \
+    if poly.contains(rounded) == "inside" \
             and _in_general_position(rounded, all_vertices):
-        return Point(rounded[0], rounded[1])
+        return rounded
     if _in_general_position(h, all_vertices):
-        return cand
+        return _reduced(h)
     # Perturb at a fine sub-grid scale until in general position: by
     # (dx, dy) / (997 d), that is, to (X*s + dx*W, Y*s + dy*W, W*s).
     for d in range(1, 40):
         s = 997 * d
         for dx, dy in ((1, 2), (-2, 1), (3, -1), (-1, -3), (2, 3), (-3, 2)):
             p = (X * s + dx * W, Y * s + dy * W, W * s)
-            if poly.contains_homogeneous(p) == "inside" \
+            if poly.contains(p) == "inside" \
                     and _in_general_position(p, all_vertices):
-                return _point(p)
+                return _reduced(p)
     raise DegeneratePolygon(
         f"polygon {poly.id!r}: no reference point in general position found")
 
@@ -572,7 +581,8 @@ def _settle_reference_point(poly: InputPolygon, all_vertices) -> Point:
 def validate_and_subdivide(inst: Instance) -> Instance:
     """Reject self-crossing polygons, subdivide edges at foreign vertices,
     verify pairwise-disjoint interiors, settle reference points, and
-    re-split squeezed edges.
+    re-split squeezed edges.  Each polygon's reference point is stored as
+    its reduced triple (X, Y, W).
 
     Idempotent: running it on its own output changes nothing.
     """
@@ -582,11 +592,11 @@ def validate_and_subdivide(inst: Instance) -> Instance:
         _check_no_self_crossing(p)
     all_vertices = inst.vertices
     polygons = tuple(_subdivide_polygon(p, all_vertices) for p in inst.polygons)
-    with_refs = []
     for p in polygons:
-        ref = _settle_reference_point(p, all_vertices)
-        with_refs.append(replace(p, reference_point=ref))
-    polygons = tuple(with_refs)
+        _check_no_crossing_at_repeated_vertex(p)
+    polygons = tuple(
+        replace(p, reference_point=_settle_reference_point(p, all_vertices))
+        for p in polygons)
     _check_disjoint_interiors(polygons)
     squeezed = _resplit_squeezed(inst.squeezed, polygons, all_vertices)
     return Instance(polygons, squeezed, inst.mode, inst.scale,

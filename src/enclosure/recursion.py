@@ -147,7 +147,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import CapacityError, InternalError, NonpositiveWeight
 from .freespace import FreeSpaceGraph
-from .geometry import in_open_segment, orient
+from .geometry import orient, split_at
 from .instance import MAX_REQUIRED
 from .walks import Walk, make_walk
 
@@ -245,12 +245,7 @@ def hull_bound(fsg: FreeSpaceGraph) -> float:
     for a, b in zip(hull, hull[1:] + hull[:1]):
         w = adjacency[a].get(b)
         if w is None:
-            # Along a line the sorted vertex order runs from one end to
-            # the other.
-            A, B = pts[a], pts[b]
-            cut = sorted([a, b] + [i for i, v in enumerate(pts)
-                                   if in_open_segment(v, A, B)],
-                         reverse=a > b)
+            cut = [bisect_left(pts, v) for v in split_at(pts[a], pts[b], pts)]
             w = 0.0
             for u, v in zip(cut, cut[1:]):
                 piece = adjacency[u].get(v)

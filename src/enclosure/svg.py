@@ -85,10 +85,10 @@ def render_svg(inst: Instance, walk: Optional[Walk], path: str) -> None:
                      f'r="{_f(stroke * 3)}" fill="#1f4fd8"/>')
 
     for poly in inst.polygons:
-        ref = poly.reference_point
-        if ref is None or poly.unbounded:
+        if poly.reference_point is None or poly.unbounded:
             continue
-        lines.append(f'<circle cx="{_f(ref.x)}" cy="{_f(ref.y)}" '
+        X, Y, W = poly.reference_point
+        lines.append(f'<circle cx="{_f(X / W)}" cy="{_f(Y / W)}" '
                      f'r="{_f(stroke)}" fill="#222222"/>')
 
     lines.append('</g>')

@@ -28,10 +28,9 @@ from .geometry import (
     Segment,
     angular_key,
     crossing_point,
-    in_open_segment,
     segments_properly_cross,
     signed_area2,
-    sort_along,
+    split_at,
 )
 from .instance import Instance
 from .walks import Walk, make_walk
@@ -90,9 +89,8 @@ def subdivide_walk(walk: Walk) -> Tuple[PlaneMultigraph, UncrossReport]:
     traversal: List[Point] = []
     fork_points = set()
     for a, b in edges:
-        interior = [p for p in cut_candidates if in_open_segment(p, a, b)]
-        fork_points.update(p for p in interior if p not in crossings)
-        chain = [a] + sort_along(a, b, interior) + [b]
+        chain = split_at(a, b, cut_candidates)
+        fork_points.update(p for p in chain[1:-1] if p not in crossings)
         traversal += chain[:-1]
         for u, v in zip(chain, chain[1:]):
             key = (u, v) if u <= v else (v, u)

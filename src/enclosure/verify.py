@@ -14,11 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Set
 
 from .errors import FreeSpaceViolation
 from .freespace import segment_in_free_space
-from .geometry import Point, angular_key, ray_crossing, signed_area2
+from .geometry import ray_crossing, signed_area2, transitions_non_crossing
 from .instance import Instance
 from .uncrossing import PlaneMultigraph, _clean_points, subdivide_walk
 from .walks import Walk, reference_windings, winding_rule
@@ -83,7 +83,7 @@ def _weak_simplicity_conditions(walk: Walk) -> dict:
     return {"crossings": True,
             "multiplicity": all(m <= 2 for m in g.multiplicity.values()),
             "winding": windings <= {0, 1}, "face_windings": sorted(windings),
-            "pairing": _transitions_non_crossing(g.traversal)}
+            "pairing": transitions_non_crossing(g.traversal)}
 
 
 def _face_windings(g: PlaneMultigraph) -> Set[int]:
@@ -101,43 +101,6 @@ def _face_windings(g: PlaneMultigraph) -> Set[int]:
     darts = list(zip(pts, pts[1:] + pts[:1]))
     return {sum(ray_crossing(u, v, (a.x + b.x, a.y + b.y, 2)) for u, v in darts)
             for a, b in g.multiplicity}
-
-
-def _transitions_non_crossing(seq: List[Point]) -> bool:
-    """The walk's own transition chords at every subdivision vertex must be
-    pairwise non-crossing in the rotation order (coincident directions share
-    an angular group and never count as crossing).  `seq` is the subdivided
-    traversal of the walk (`PlaneMultigraph.traversal`)."""
-    n = len(seq)
-    # Angular group index of each neighbor direction around each vertex.
-    chords: Dict[Point, List[Tuple[Point, Point]]] = {}
-    for i in range(n):
-        prev_pt = seq[(i - 1) % n]
-        next_pt = seq[(i + 1) % n]
-        chords.setdefault(seq[i], []).append((prev_pt, next_pt))
-
-    for v, pairs in chords.items():
-        dirs = sorted({d for pair in pairs for d in pair}, key=angular_key(v))
-        group = {d: gi for gi, d in enumerate(dirs)}
-        k = len(dirs)
-        labelled = [(group[a], group[b]) for a, b in pairs]
-        for i in range(len(labelled)):
-            for j in range(i + 1, len(labelled)):
-                if _chords_cross(labelled[i], labelled[j], k):
-                    return False
-    return True
-
-
-def _chords_cross(c1: Tuple[int, int], c2: Tuple[int, int], k: int) -> bool:
-    a, b = c1
-    c, d = c2
-    if len({a, b, c, d}) < 4:
-        return False  # shared angular group: ends can be ordered apart
-
-    def between(x, lo, hi):
-        return (lo < x < hi) if lo < hi else (x > lo or x < hi)
-
-    return between(c, a, b) != between(d, a, b)
 
 
 def evaluate_solution(inst: Instance, walk: Walk,

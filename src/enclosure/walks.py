@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .errors import OnBoundary, ReferenceOnWalk
-from .geometry import Point, winding_number
+from .geometry import Point, homogeneous_winding
 from .instance import Instance
 
 
@@ -41,7 +41,7 @@ def reference_windings(inst: Instance, points: Sequence[Point]) -> List[int]:
     windings = []
     for poly in inst.polygons:
         try:
-            windings.append(winding_number(points, poly.reference_point))
+            windings.append(homogeneous_winding(points, poly.reference_point))
         except OnBoundary as e:
             raise ReferenceOnWalk(
                 f"reference point of {poly.id!r} lies on the walk") from e

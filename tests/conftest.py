@@ -3,6 +3,7 @@
 import math
 import random
 from bisect import bisect_right
+from fractions import Fraction
 from operator import attrgetter
 
 from enclosure import (
@@ -26,6 +27,14 @@ INF = math.inf
 def build(data):
     """Parse + validate an instance given as a JSON-compatible dict."""
     return validate_and_subdivide(parse_instance(data))
+
+
+def as_point(x):
+    """The point (X/W, Y/W) of a homogeneous triple x = (X, Y, W), such as
+    a settled reference point: integer coordinates when W = 1, else
+    `Fraction` ones."""
+    X, Y, W = x
+    return Point(X, Y) if W == 1 else Point(Fraction(X, W), Fraction(Y, W))
 
 
 def square(x, y, side=1):

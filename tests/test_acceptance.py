@@ -26,7 +26,7 @@ from enclosure import (
     evaluate_solution,
 )
 from enclosure.errors import GenerationFailure
-from enclosure.geometry import winding_number
+from enclosure.geometry import homogeneous_winding, winding_number
 from enclosure.instance import validate_and_subdivide
 from enclosure.verify import _weak_simplicity_conditions
 from conftest import (
@@ -140,7 +140,7 @@ def test_criterion_3_solution_invariants():
         cost, walk = solve_dp(fsg)
         assert walk is not None
         for poly in inst.required:
-            assert winding_number(walk.points, poly.reference_point) == 1, seed
+            assert homogeneous_winding(walk.points, poly.reference_point) == 1, seed
         for x in sample_points_off([walk], rng, 30, grid=40):
             assert winding_number(walk.points, x) >= 0, (seed, x)
         out, report = uncross(inst, walk)

@@ -13,10 +13,10 @@ from enclosure import (
 )
 from enclosure.dp import _fill
 from enclosure.errors import ReferenceOnWalk
-from enclosure.geometry import winding_number
+from enclosure.geometry import homogeneous_winding, winding_number
 from enclosure.recursion import EnclosureCost, closed_walk, hull_bound
 from conftest import (
-    build, dp_cell_C, dp_cell_M, every_push_tables, opt, rel_close, req, square,
+    as_point, build, dp_cell_C, dp_cell_M, every_push_tables, opt, rel_close, req, square,
     stairs_by_state)
 from test_recursion import INSTANCES as RECURSION_INSTANCES
 
@@ -47,7 +47,7 @@ def test_two_squares_hull_tour():
     cost, walk = solve_dp(compute_free_space_edges(inst))
     assert cost == pytest.approx(10.0)
     for poly in inst.polygons:
-        assert winding_number(walk.points, poly.reference_point) == 1
+        assert homogeneous_winding(walk.points, poly.reference_point) == 1
 
 
 def test_base_case_infinite():
@@ -136,7 +136,7 @@ def test_required_windings_one_and_samples_nonnegative():
     assert cost < INF
     for poly in inst.polygons:
         if poly.kind == "required":
-            assert winding_number(walk.points, poly.reference_point) == 1
+            assert homogeneous_winding(walk.points, poly.reference_point) == 1
     import random
 
     from conftest import sample_points_off
@@ -183,7 +183,7 @@ def test_winding_cost_inf_and_on_walk():
     assert winding_cost(inst, make_walk(inst, ring)) == INF
     away = make_walk(inst, [Point(10, 0), Point(12, 0), Point(10, 2)])
     assert winding_cost(inst, away) == pytest.approx(away.weight)
-    ref = inst.polygons[0].reference_point
+    ref = as_point(inst.polygons[0].reference_point)
     through = make_walk(inst, [Point(0, ref.y), Point(8, ref.y), Point(0, 8)])
     with pytest.raises(ReferenceOnWalk):
         winding_cost(inst, through)

@@ -11,6 +11,7 @@ connectivity before Euler's formula did."""
 import dataclasses
 import importlib.util
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -65,7 +66,7 @@ from enclosure.planegraph import extract_faces, graph_to_instance, parse_plane_g
 from enclosure.uncrossing import subdivide_walk
 from enclosure.verify import _face_windings
 from conftest import (
-    EMPTY_INSTANCE, build, opt, random_closed_walk, rel_close, req, square,
+    EMPTY_INSTANCE, as_point, build, opt, random_closed_walk, rel_close, req, square,
     tangent_at_both_ends)
 from test_planegraph import grid_graph
 
@@ -145,7 +146,7 @@ def pick_reference_oracle(poly):
 
 def settle_oracle(poly, all_vertices):
     """The reference point by `Fraction` candidates and perturbations."""
-    cand = poly.reference_point
+    cand = None if poly.reference_point is None else as_point(poly.reference_point)
     if cand is None:
         if poly.unbounded:
             xs = [v.x for v in all_vertices]
@@ -229,7 +230,7 @@ def overlap_oracle(polygons):
                     if contains_oracle(B, mid) == "inside":
                         return str(OverlapError(P.id, Q.id))
                 if A.reference_point is not None \
-                        and contains_oracle(B, A.reference_point) == "inside":
+                        and contains_oracle(B, as_point(A.reference_point)) == "inside":
                     return str(OverlapError(P.id, Q.id))
     return None
 
@@ -250,10 +251,10 @@ def disjoint_interiors_oracle(polygons):
                         raise OverlapError(P.id, Q.id)
             for A, B in ((P, Q), (Q, P)):
                 for v in A.vertices:
-                    if B.contains_homogeneous((v.x, v.y, 1)) == "inside":
+                    if B.contains((v.x, v.y, 1)) == "inside":
                         raise OverlapError(P.id, Q.id)
                 for a, b in A.edges():
-                    if B.contains_homogeneous((a.x + b.x, a.y + b.y, 2)) == "inside":
+                    if B.contains((a.x + b.x, a.y + b.y, 2)) == "inside":
                         raise OverlapError(P.id, Q.id)
                 if A.reference_point is not None and B.contains(A.reference_point) == "inside":
                     raise OverlapError(P.id, Q.id)
@@ -328,7 +329,7 @@ def test_segment_test_matches_oracle_inside_and_out(name, inst):
     # Reference points lie strictly inside their polygons (the unbounded
     # polygon's lies in its outer region); pair them with every vertex and
     # with each other.
-    refs = [p.reference_point for p in inst.polygons]
+    refs = [as_point(p.reference_point) for p in inst.polygons]
     ends = refs + list(inst.vertices)
     for a in refs:
         for b in ends:
@@ -357,7 +358,8 @@ def _degenerate_end(data, inst):
     if how == "vertex":
         return data.draw(st.sampled_from(inst.vertices))
     if how == "reference":
-        return data.draw(st.sampled_from([p.reference_point for p in inst.polygons]))
+        return data.draw(st.sampled_from([as_point(p.reference_point)
+                                          for p in inst.polygons]))
     walk = data.draw(st.sampled_from(inst.polygons)).vertices
     i = data.draw(st.integers(0, len(walk) - 1))
     c, d = walk[i], walk[(i + 1) % len(walk)]
@@ -455,7 +457,7 @@ def test_every_chord_splits_the_references(name, inst):
     # directed chord resolves, and its strictly-left mask and its
     # reverse's partition the references as the exact side test does.
     fsg = compute_free_space_edges(inst)
-    refs = [poly.reference_point for poly in inst.required + inst.optional]
+    refs = [as_point(poly.reference_point) for poly in inst.required + inst.optional]
     verts = fsg.vertices
     for i, j in itertools.permutations(range(fsg.n), 2):
         left, right = fsg._chord(i, j), fsg._chord(j, i)
@@ -629,12 +631,17 @@ def _on_walk(data, walk):
 
 
 def _outcome(fn, *args):
-    """The result's repr (so that int and Fraction coordinates differ), or
-    the name of the exception raised."""
+    """The result's repr, or the name of the exception raised."""
     try:
         return repr(fn(*args))
     except (OnBoundary, SchemaError, DegeneratePolygon) as e:
         return type(e).__name__
+
+
+def _as_triple(oracle):
+    """The oracle with its `Point` result in the library's form: the
+    reduced triple (X, Y, W) that `homogeneous` gives."""
+    return lambda *args: homogeneous(oracle(*args))
 
 
 def _assert_same_winding(walk, x):
@@ -666,11 +673,11 @@ def test_contains_matches_fraction_oracle(i, data):
     ys = [v.y for v in poly.vertices]
     x = Point(data.draw(_coord(min(xs) - 2, max(xs) + 2)),
               data.draw(_coord(min(ys) - 2, max(ys) + 2)))
-    for q in (x, _on_walk(data, poly.vertices), poly.reference_point):
+    for q in (x, _on_walk(data, poly.vertices), as_point(poly.reference_point)):
         expected = contains_oracle(poly, q)
-        assert poly.contains(q) == expected
         X, Y, W = homogeneous(q)
-        assert poly.contains_homogeneous((2 * X, 2 * Y, 2 * W)) == expected
+        assert poly.contains((X, Y, W)) == expected
+        assert poly.contains((2 * X, 2 * Y, 2 * W)) == expected
 
 
 # Plane-graph faces: a grid, and a triangle with a bridge into a pendant
@@ -743,12 +750,13 @@ def test_reference_points_match_fraction_oracle(x0, y0, columns, extra, given_re
     assume(len(verts) >= 3)
     poly = parse_instance({"polygons": [req("h", verts)]}).polygons[0]
     assert _outcome(pick_reference_point, poly) == \
-        _outcome(pick_reference_oracle, poly)
+        _outcome(_as_triple(pick_reference_oracle), poly)
     # Extra vertices put candidates out of general position now and then.
     all_vertices = tuple(sorted(set(poly.vertices) | set(extra)))
-    poly = dataclasses.replace(poly, reference_point=given_ref)
+    poly = dataclasses.replace(
+        poly, reference_point=None if given_ref is None else homogeneous(given_ref))
     assert _outcome(_settle_reference_point, poly, all_vertices) == \
-        _outcome(settle_oracle, poly, all_vertices)
+        _outcome(_as_triple(settle_oracle), poly, all_vertices)
 
 
 @SETTINGS
@@ -761,18 +769,46 @@ def test_reference_points_on_arbitrary_walks_match_fraction_oracle(walk, extra):
     # now and then, so that the fallbacks, and the errors, are reached.
     poly = InputPolygon("w", tuple(walk), "required")
     assert _outcome(pick_reference_point, poly) == \
-        _outcome(pick_reference_oracle, poly)
+        _outcome(_as_triple(pick_reference_oracle), poly)
     all_vertices = tuple(sorted(set(walk) | set(extra)))
     assert _outcome(_settle_reference_point, poly, all_vertices) == \
-        _outcome(settle_oracle, poly, all_vertices)
+        _outcome(_as_triple(settle_oracle), poly, all_vertices)
 
 
 @pytest.mark.parametrize("name,inst", INSTANCES, ids=[n for n, _ in INSTANCES])
 def test_settled_reference_points_match_fraction_oracle(name, inst):
     for poly in inst.polygons:
         unsettled = dataclasses.replace(poly, reference_point=None)
-        assert repr(_settle_reference_point(unsettled, inst.vertices)) == \
-            repr(settle_oracle(unsettled, inst.vertices))
+        assert _settle_reference_point(unsettled, inst.vertices) == \
+            homogeneous(settle_oracle(unsettled, inst.vertices))
+
+
+def _assert_settled_form(inst, given=None):
+    """Every validated polygon's reference point is a reduced integer
+    triple (X, Y, W), W > 0, stands for the point the `Fraction` oracle
+    settles (from the reference `given` in the parsed document, if any),
+    and is kept by a second validation."""
+    again = validate_and_subdivide(inst)
+    given = given or [None] * len(inst.polygons)
+    for poly, ref, twin in zip(inst.polygons, given, again.polygons):
+        X, Y, W = poly.reference_point
+        assert {type(X), type(Y), type(W)} == {int}
+        assert W > 0 and math.gcd(X, Y, W) == 1
+        unsettled = dataclasses.replace(poly, reference_point=ref)
+        assert poly.reference_point == \
+            homogeneous(settle_oracle(unsettled, inst.vertices))
+        assert twin.reference_point == poly.reference_point
+
+
+_SETTLED = INSTANCES + [("pendant", _PENDANT)] + [
+    (f"random{seed}", random_instance(
+        seed, n_objects=2 + seed % 5, k=seed % 3, max_side=2 + seed % 3))
+    for seed in range(6, 16)]
+
+
+@pytest.mark.parametrize("name,inst", _SETTLED, ids=[n for n, _ in _SETTLED])
+def test_settled_reference_points_are_reduced_triples(name, inst):
+    _assert_settled_form(inst)
 
 
 def _benchmark_documents(seed=1):
@@ -793,11 +829,7 @@ def test_benchmark_documents_match_fraction_oracles(name, docs):
     for doc in docs:
         parsed = parse_instance(doc)
         inst = validate_and_subdivide(parsed)
-        for given_poly, poly in zip(parsed.polygons, inst.polygons):
-            unsettled = dataclasses.replace(
-                poly, reference_point=given_poly.reference_point)
-            assert repr(poly.reference_point) == \
-                repr(settle_oracle(unsettled, inst.vertices))
+        _assert_settled_form(inst, [p.reference_point for p in parsed.polygons])
         fsg = compute_free_space_edges(inst)
         assert [(e.a, e.b, e.weight, e.squeezed) for e in fsg.edges] == \
             tangent_edges_oracle(inst)
@@ -992,6 +1024,17 @@ def test_solver_walks_verify_on_degenerate_scenes(doc):
         sol = evaluate_solution(inst, walk, check_simple=True)
         assert sol.feasible and all(sol.checks.values()), sol.checks
         assert rel_close(sol.cost, cost), (sol.cost, cost)
+
+
+@SETTINGS
+@given(doc=_small_documents())
+def test_settled_reference_points_are_reduced_triples_on_degenerate_scenes(doc):
+    parsed = parse_instance(doc)
+    try:
+        inst = validate_and_subdivide(parsed)
+    except OverlapError:
+        assume(False)
+    _assert_settled_form(inst, [p.reference_point for p in parsed.polygons])
 
 
 @pytest.mark.parametrize("seed", range(25))

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,10 +9,12 @@ from enclosure.errors import DegenerateTriangle, OnBoundary
 from enclosure.geometry import (
     angular_key,
     crossing_point,
+    homogeneous,
     in_open_segment,
     on_segment,
     segments_properly_cross,
     sort_along,
+    split_at,
 )
 from enclosure.instance import InputPolygon
 from conftest import point_in_triangle_halfopen
@@ -132,10 +135,11 @@ def test_crossing_point_exact():
 
 def test_point_in_polygon():
     square = InputPolygon("sq", tuple(SQUARE), "required")
-    assert square.contains(Point(Fraction(1, 2), Fraction(1, 2))) == "inside"
-    assert square.contains_homogeneous((1, 1, 2)) == "inside"
-    assert square.contains(Point(0, 0)) == "boundary"
-    assert square.contains(Point(9, 9)) == "outside"
+    assert square.contains(homogeneous(Point(Fraction(1, 2), Fraction(1, 2)))) == "inside"
+    assert square.contains((1, 1, 2)) == "inside"
+    assert square.contains((3, 3, 6)) == "inside"
+    assert square.contains((0, 0, 1)) == "boundary"
+    assert square.contains((9, 9, 1)) == "outside"
 
 
 def test_segment_predicates():
@@ -177,3 +181,39 @@ def test_angular_key_counterclockwise_from_positive_x():
     key = angular_key(o)
     assert key(Point(2, 2)) == key(Point(5, 5))  # one direction, one place
     assert key(Point(3, 1)) == key(Point(9, 1))
+    # Against the key by exact slopes: the half-turn, then whether the
+    # direction is off the x-axis, then -dx/dy as a `Fraction`.
+    def fraction_key(origin):
+        def key(p):
+            dx, dy = p.x - origin.x, p.y - origin.y
+            return (dy < 0 or (dy == 0 and dx < 0), dy != 0,
+                    -Fraction(dx, dy) if dy else 0)
+        return key
+
+    coord = [lambda: rng.randint(-4, 4),
+             lambda: Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3)))]
+    for _ in range(300):
+        o = Point(rng.choice(coord)(), rng.choice(coord)())
+        pts = [Point(rng.choice(coord)(), rng.choice(coord)())
+               for _ in range(rng.randint(1, 12))]
+        key, oracle = angular_key(o), fraction_key(o)
+        assert sorted(pts, key=key) == sorted(pts, key=oracle)
+        for p, q in itertools.product(pts, repeat=2):
+            assert (key(p) < key(q), key(p) == key(q)) == \
+                (oracle(p) < oracle(q), oracle(p) == oracle(q)), (o, p, q)
+
+
+@pytest.mark.parametrize("a,b,points,chain", [
+    (Point(0, 0), Point(6, 0), [Point(4, 0), Point(7, 0), Point(0, 0), Point(2, 0),
+                                Point(3, 1)],
+     [Point(0, 0), Point(2, 0), Point(4, 0), Point(6, 0)]),
+    (Point(6, 3), Point(0, 0), [Point(2, 1), Point(4, 2), Point(8, 4)],
+     [Point(6, 3), Point(4, 2), Point(2, 1), Point(0, 0)]),
+    (Point(0, 0), Point(0, 3), [Point(0, Fraction(3, 2)), Point(1, 1)],
+     [Point(0, 0), Point(0, Fraction(3, 2)), Point(0, 3)]),
+    (Point(0, 0), Point(1, 1), [], [Point(0, 0), Point(1, 1)]),
+])
+def test_split_at(a, b, points, chain):
+    # Only the points inside the open segment are kept, in order from a.
+    assert split_at(a, b, points) == chain
+    assert split_at(b, a, points) == chain[::-1]

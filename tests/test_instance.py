@@ -17,7 +17,7 @@ from enclosure.errors import (
     SchemaError,
 )
 from enclosure.geometry import orient
-from conftest import build, opt, req, square
+from conftest import as_point, build, opt, req, square
 
 
 def test_parse_single_square():
@@ -123,8 +123,8 @@ def test_unbounded_rules():
     out = inst.polygons[1]
     assert out.unbounded
     # The unbounded region is everything outside the drawn boundary.
-    assert out.contains(Point(99, 99)) == "inside"
-    assert out.contains(Point(1, 1)) == "outside"
+    assert out.contains((99, 99, 1)) == "inside"
+    assert out.contains((1, 1, 1)) == "outside"
     with pytest.raises(SchemaError):  # must be optional
         parse_instance({"polygons": [
             {"id": "o", "kind": "required", "unbounded": True,
@@ -196,8 +196,8 @@ def test_reference_points_settled_interior_general_position():
                                opt("B", square(10, 0, 4), 2)]})
     verts = inst.vertices
     for p in inst.polygons:
-        ref = p.reference_point
-        assert p.contains(ref) == "inside"
+        assert p.contains(p.reference_point) == "inside"
+        ref = as_point(p.reference_point)
         for i in range(len(verts)):
             for j in range(i + 1, len(verts)):
                 assert orient(verts[i], verts[j], ref) != 0
@@ -270,6 +270,21 @@ def test_self_crossing_polygon_rejected():
     doc["polygons"][0]["vertices"] = [[0, 0], [2, 0], [2, 2], [4, 2], [4, 4],
                                       [2, 4], [2, 2], [0, 2]]
     assert len(build(doc).polygons[0].vertices) == 8
+
+
+@pytest.mark.parametrize("vertices", [
+    # Two lobes through (2, 2): the walk comes in from the west and leaves
+    # east, then comes in from the south and leaves north.
+    [[0, 2], [2, 2], [6, 2], [6, 0], [2, 0], [2, 2], [2, 4], [0, 4]],
+    # The same walk, with (2, 2) inside the edge (2, 0)-(2, 4): subdivision
+    # makes it a vertex the walk visits twice.
+    [[0, 2], [2, 2], [6, 2], [6, 0], [2, 0], [2, 4], [0, 4]],
+])
+def test_crossing_at_a_repeated_vertex_rejected(vertices):
+    # No edges properly cross, but the two passes through (2, 2) cross
+    # there, so the walk is no simple polygon pinched at a vertex.
+    with pytest.raises(DegeneratePolygon, match="crosses itself"):
+        build({"polygons": [req("A", vertices)]})
 
 
 def test_squeezed_edge_must_be_two_sided():

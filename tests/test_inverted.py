@@ -11,7 +11,7 @@ from enclosure import (
     random_instance,
     solve_inverted,
 )
-from enclosure.geometry import winding_number
+from enclosure.geometry import homogeneous_winding
 from enclosure.recursion import FutureCost, open_ids
 from conftest import (
     build, by_state, mouth_fixed_point, opt, rel_close, req, settled_labels,
@@ -65,7 +65,7 @@ def test_required_stays_outside():
                       "mode": "invert"})
     cost, walk = solve_inverted(inst, fsg)
     assert cost == pytest.approx(8.0)
-    assert winding_number(walk.points, inst.polygons[0].reference_point) == 0
+    assert homogeneous_winding(walk.points, inst.polygons[0].reference_point) == 0
     ores = brute_force(inst, fsg)
     assert rel_close(ores.best_cost, cost)
 
@@ -102,7 +102,7 @@ def test_plank_join_scans_past_the_first_disjoint_mouth():
     assert rel_close(brute_force(inst, fsg).best_cost, cost)
     assert Point(10, 7) in walk.points and Point(11, 9) in walk.points
     (required,) = inst.required
-    assert winding_number(walk.points, required.reference_point) == 0
+    assert homogeneous_winding(walk.points, required.reference_point) == 0
 
 
 def test_infinite_outside_penalty_infeasible():
@@ -311,7 +311,7 @@ def test_required_in_notch_stays_outside():
                       "mode": "invert"})
     cost, walk = solve_inverted(inst, fsg)
     assert cost == pytest.approx(38.0 + 2 * math.sqrt(26))
-    assert winding_number(walk.points, inst.polygons[1].reference_point) == 0
+    assert homogeneous_winding(walk.points, inst.polygons[1].reference_point) == 0
     sol = evaluate_solution(inst, walk, check_simple=False)
     assert sol.feasible and rel_close(sol.cost, cost)
 

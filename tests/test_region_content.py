@@ -10,21 +10,13 @@ import pytest
 from enclosure import Point, compute_free_space_edges, random_instance
 from enclosure.errors import InternalError
 from enclosure.geometry import homogeneous, orient
-from enclosure.instance import _in_general_position
-from conftest import build, opt, point_in_triangle_halfopen, req, square
+from enclosure.instance import InputPolygon, _in_general_position
+from conftest import as_point, build, opt, point_in_triangle_halfopen, req, square
 
 
 def _brute_triangle(fsg, p, r, q):
     P, R, Q = fsg.vertices[p], fsg.vertices[r], fsg.vertices[q]
-    mask = 0
-    for bit, ref in fsg._required_refs:
-        if point_in_triangle_halfopen(ref, P, R, Q):
-            mask |= 1 << bit
-    pen = 0.0
-    for penalty, ref in fsg._optional_refs:
-        if point_in_triangle_halfopen(ref, P, R, Q):
-            pen += penalty
-    return mask, pen
+    return _brute_region(fsg, lambda ref: point_in_triangle_halfopen(ref, P, R, Q))
 
 
 def _in_plank(ref, a, b, up):
@@ -38,15 +30,30 @@ def _in_plank(ref, a, b, up):
 
 
 def _brute_region(fsg, inside):
+    """(required mask, penalty sum) of the references, as `Point`s, that
+    `inside` holds: the required ones by their bits in `instance.required`
+    order, the optional penalties added in `instance.optional` order."""
     mask = 0
-    for bit, ref in fsg._required_refs:
-        if inside(ref):
+    for bit, poly in enumerate(fsg.instance.required):
+        if inside(as_point(poly.reference_point)):
             mask |= 1 << bit
     pen = 0.0
-    for penalty, ref in fsg._optional_refs:
-        if inside(ref):
-            pen += penalty
+    for poly in fsg.instance.optional:
+        if inside(as_point(poly.reference_point)):
+            pen += poly.penalty
     return mask, pen
+
+
+def _with_references(fsg, required, optional=()):
+    """The graph rebuilt over stand-in polygons that carry the given
+    reference points: `required` lists `Point`s, `optional` (penalty,
+    `Point`) pairs."""
+    polygons = [InputPolygon(f"R{i}", (), "required", reference_point=homogeneous(ref))
+                for i, ref in enumerate(required)]
+    polygons += [InputPolygon(f"O{i}", (), "optional", penalty, homogeneous(ref))
+                 for i, (penalty, ref) in enumerate(optional)]
+    return dataclasses.replace(fsg, instance=dataclasses.replace(
+        fsg.instance, polygons=tuple(polygons)))
 
 
 def _check_against_brute_force(fsg, extra_xs=()):
@@ -80,9 +87,8 @@ def _check_against_brute_force(fsg, extra_xs=()):
 def test_kernel_matches_brute_force_random(seed):
     inst = random_instance(seed, n_objects=3, k=seed % 3, max_side=2)
     fsg = compute_free_space_edges(inst)
-    refs = [ref for _b, ref in fsg._required_refs] + \
-        [ref for _p, ref in fsg._optional_refs]
-    assert any(isinstance(c, Fraction) for ref in refs for c in ref)
+    # Some reference is rational: its reduced triple has W > 1.
+    assert any(poly.reference_point[2] > 1 for poly in inst.polygons)
     _check_against_brute_force(fsg)
 
 
@@ -98,16 +104,14 @@ def test_kernel_matches_brute_force_references_at_vertex_abscissae():
         opt("B", square(4, 0, 2), 3),
         opt("C", [[1, 4], [5, 5], [3, 7]], 1.5),
     ]}))
-    fsg = dataclasses.replace(
-        fsg,
-        _required_refs=[(0, Point(1, Fraction(9, 2))), (1, Point(3, 4))],
-        _optional_refs=[(0.1, Point(5, Fraction(7, 2))),
-                        (0.2, Point(Fraction(3, 2), 7)),
-                        (0.7, Point(Fraction(7, 2), 5)),
-                        (2.5, Point(3, Fraction(-1, 2))),
-                        (0.4, Point(1, 7))])
-    for ref in [ref for _b, ref in fsg._required_refs] + \
-            [ref for _p, ref in fsg._optional_refs]:
+    required = [Point(1, Fraction(9, 2)), Point(3, 4)]
+    optional = [(0.1, Point(5, Fraction(7, 2))),
+                (0.2, Point(Fraction(3, 2), 7)),
+                (0.7, Point(Fraction(7, 2), 5)),
+                (2.5, Point(3, Fraction(-1, 2))),
+                (0.4, Point(1, 7))]
+    fsg = _with_references(fsg, required, optional)
+    for ref in required + [ref for _p, ref in optional]:
         assert _in_general_position(homogeneous(ref), fsg.vertices)
         assert ref.x in {v.x for v in fsg.vertices} \
             or ref.y in {v.y for v in fsg.vertices}
@@ -118,7 +122,7 @@ def test_reference_on_a_chord_is_an_internal_error():
     # No settled reference lies on a line through two vertices; a graph
     # built around one breaks the chord masks' invariant and says so.
     fsg = compute_free_space_edges(build({"polygons": [req("A", square(0, 0, 2))]}))
-    fsg = dataclasses.replace(fsg, _required_refs=[(0, Point(1, 0))])
+    fsg = _with_references(fsg, [Point(1, 0)])
     p, r, q = (fsg.vertices.index(Point(*v)) for v in ((0, 0), (2, 0), (2, 2)))
     with pytest.raises(InternalError):
         fsg._chord(p, r)

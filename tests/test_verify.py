@@ -18,7 +18,8 @@ from enclosure.errors import FreeSpaceViolation, ReferenceOnWalk
 from enclosure.uncrossing import subdivide_walk
 from enclosure.verify import _fmt_cost, _weak_simplicity_conditions
 from enclosure.walks import reference_windings
-from conftest import EMPTY_INSTANCE, build, opt, random_closed_walk, req, square
+from conftest import (
+    EMPTY_INSTANCE, as_point, build, opt, random_closed_walk, req, square)
 
 
 def _walk(inst, pts):
@@ -194,7 +195,7 @@ def test_reference_on_walk():
     # interior, so evaluate_solution raises FreeSpaceViolation first; the
     # windings it reads raise ReferenceOnWalk for such a walk.
     inst = build({"polygons": [req("A", square(0, 0, 2))]})
-    ref = inst.polygons[0].reference_point
+    ref = as_point(inst.polygons[0].reference_point)
     through = [Point(ref.x - 5, ref.y), Point(ref.x + 5, ref.y),
                Point(ref.x, ref.y + 5)]
     with pytest.raises(ReferenceOnWalk):
