@@ -79,19 +79,21 @@ def run(argv=None) -> int:
         inst = _load_instance(args)
         fsg = compute_free_space_edges(inst)
         t0 = time.perf_counter()
-        if args.solver == "oracle":
+        solver = args.solver
+        if solver == "oracle":
             res = brute_force(inst, fsg)
             cost, walk = res.best_cost, res.best_walk
         elif inst.mode == "invert":
+            solver = "inverted"
             cost, walk = solve_inverted(inst, fsg)
-        elif args.solver == "dp":
+        elif solver == "dp":
             cost, walk = solve_dp(fsg)
         else:
             cost, walk = solve_dijkstra(fsg)
         elapsed = time.perf_counter() - t0
 
         report = {"cost": _fmt_cost(cost), "mode": inst.mode,
-                  "solver": args.solver, "time_seconds": round(elapsed, 6)}
+                  "solver": solver, "time_seconds": round(elapsed, 6)}
         feasible = not math.isinf(cost)
         if walk is not None and feasible:
             if inst.mode == "enclose" and args.solver in ("dp", "dijkstra"):

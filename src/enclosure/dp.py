@@ -14,13 +14,18 @@ increasing edge count t and strictly decreasing value, filled in a single
 pass over a bucket queue ordered by t.  Only improvements are stored,
 which keeps the tables sparse; combination rules always produce strictly
 larger budgets, so each bucket is complete when it is processed.  The
-fill reads only the last label of each state; the settled-label index
-`Settled` holds every stored label, in the order stored.  A bucket holds
-one entry per state: a later push replaces the entry only with a strictly
-smaller (value, rank), so the earliest push wins ties.  The bucket is
-processed in (value, rank, kind, key, mask) order; the entries this drops
-would have come after the kept one and failed its staircase test, so the
-stored labels and their order are those of keeping every push.
+fill reads only the last label of each state, through the pending map it
+hands `relax`: each state's code (`recursion.py`) maps to that label's
+(value, 0), so `relax` derives a label only if it is cheaper.  `Settled`
+holds every stored label, each group in value order for the cutoffs of
+`relax`; that order never decides which push wins a bucket, as the pushes
+of one `relax` call to one state carry different edge counts.  A bucket
+holds one entry per state: a later push replaces the entry only with a
+strictly smaller (value, rank), so the earliest push wins ties.  The
+bucket is processed in (value, rank, state code) order, which is (value,
+rank, kind, key, mask) order; the entries this drops would have come after
+the kept one and failed its staircase test, so the stored labels and their
+order are those of keeping every push.
 
 The fill is bounded: it fills only what the answer can use.  It keeps
 `bound`, the cost of the cheapest walk known so far, and drops every push
@@ -55,8 +60,8 @@ the answer:
 The rules themselves (`relax`, over `Settled`), the rule ranks, the label
 type with its edge count t, the precondition check, the trivial answer, the
 incumbent and the walk rebuild come from `recursion.py`; this module keeps
-only the bucket queue, its bound and its acceptance test (a label is
-stored only if it is cheaper than its state's last stored label).
+only the bucket queue, its bound and its pending map (a label is stored
+only if it is cheaper than its state's last stored label).
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ from .freespace import FreeSpaceGraph
 from .recursion import (
     INF,
     RANK,
+    UNSEEN,
     EnclosureCost,
     Label,
     Settled,
@@ -81,18 +87,19 @@ from .walks import Walk
 
 
 def _fill(fsg: FreeSpaceGraph, stats: Optional[dict] = None,
-          bound: float = INF
-          ) -> Tuple[Dict[Tuple[int, ...], Label], Settled]:
+          bound: float = INF) -> Tuple[Dict[int, Label], Settled]:
     """The bucket loop, up to t = 6n: pushes and entries whose
     f = value + h exceeds `bound` are dropped (module docstring).  `bound`
     starts at the cost of a feasible walk (`solve_dp` passes `hull_bound`),
     or INF, and falls to each cheaper full-mask C label pushed.  Returns
-    (last, settled): the last label stored per state, keyed key + (mask,),
-    and every stored label.  `stats` gets "pushed" (entries that reached a
-    bucket) and "finalized" (labels stored)."""
-    n, full = fsg.n, fsg.full_mask
+    (last, settled): the last label stored per state, keyed by its state
+    code (`recursion.py`), and every stored label, each group of the index
+    in value order.  `stats` gets "pushed" (entries that reached a bucket)
+    and "finalized" (labels stored)."""
+    n, k, full = fsg.n, fsg._k, fsg.full_mask
     t_max = 6 * n
-    last: Dict[Tuple[int, ...], Label] = {}
+    last: Dict[int, Label] = {}
+    pending: Dict[int, Tuple[float, int]] = {}
     settled = Settled(n)
     buckets: List[Optional[dict]] = [{} for _ in range(t_max + 1)]
     pushed = stored = 0
@@ -103,15 +110,12 @@ def _fill(fsg: FreeSpaceGraph, stats: Optional[dict] = None,
         if t > t_max or value == INF or value > bound or \
                 bound < INF and value + h(key[0], key[-1], mask) > bound:
             return
-        state = key + (mask,)
-        prev = last.get(state)
-        if prev is not None and prev.value <= value:
-            return
+        code = (key[0] if kind == "C" else n + key[0] * n + key[1]) << k | mask
         bucket, rank = buckets[t], RANK[rule]
-        old = bucket.get(state)
+        old = bucket.get(code)
         if old is not None and old[:2] <= (value, rank):
             return
-        bucket[state] = (value, rank, kind, key, mask, rule, ops)
+        bucket[code] = (value, rank, code, kind, key, mask, rule, ops)
         pushed += 1
         if kind == "C" and mask == full:
             bound = value
@@ -120,22 +124,21 @@ def _fill(fsg: FreeSpaceGraph, stats: Optional[dict] = None,
         push("C", (p,), 0, 0.0, 0, "base", ())
 
     for t in range(t_max + 1):
-        # One entry per state: (value, rank, kind, key, mask) never ties.
+        # One entry per state: (value, rank, code) never ties.
         entries = sorted(buckets[t].values())
         buckets[t] = None
-        for value, _rank, kind, key, mask, rule, ops in entries:
+        for value, _rank, code, kind, key, mask, rule, ops in entries:
             if value > bound:
                 break  # the rest are dearer still
             if bound < INF and value + h(key[0], key[-1], mask) > bound:
                 continue  # its f is over the bound
-            state = key + (mask,)
-            prev = last.get(state)
-            if prev is not None and prev.value <= value:
-                continue
-            label = last[state] = Label(kind, key, mask, value, rule, ops, t)
+            if pending.get(code, UNSEEN)[0] <= value:
+                continue  # a label stored since the push is as cheap
+            label = last[code] = Label(kind, key, mask, value, rule, ops, t)
+            pending[code] = (value, 0)
             stored += 1
-            settled.add(label)
-            relax(fsg, label, settled, push)
+            settled.add_by_value(label)
+            relax(fsg, label, settled, push, True, bound, pending, h)
     if stats is not None:
         stats["pushed"] = pushed
         stats["finalized"] = stored
@@ -159,7 +162,7 @@ def solve_dp(fsg: FreeSpaceGraph,
     last, _settled = _fill(fsg, stats, incumbent)
     best, best_label = INF, None
     for p in range(fsg.n):
-        label = last.get((p, full))
+        label = last.get(p << fsg._k | full)
         if label is not None and label.value < best:
             best, best_label = label.value, label
     if best_label is None:

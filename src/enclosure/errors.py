@@ -53,7 +53,7 @@ class NonpositiveWeight(EnclosureError):
 
 
 class NotEulerian(EnclosureError):
-    """Multigraph has a vertex of odd degree."""
+    """Multigraph has a vertex of odd degree, or no edges at all."""
 
 
 class NotConnected(EnclosureError):

@@ -173,6 +173,15 @@ def segments_properly_cross(s: Segment, t: Segment) -> bool:
     return o1 * o2 < 0 and o3 * o4 < 0
 
 
+def crossing_pairs(segments: Sequence[Segment]) -> Iterable[Tuple[int, int]]:
+    """Every pair (i, j), i < j, of the segments that properly cross, in
+    lexicographic order."""
+    for i, s in enumerate(segments):
+        for j in range(i + 1, len(segments)):
+            if segments_properly_cross(s, segments[j]):
+                yield i, j
+
+
 def crossing_point(s: Segment, t: Segment) -> Point:
     """Exact rational intersection point of two properly crossing segments."""
     ax, ay = Fraction(s.a.x), Fraction(s.a.y)

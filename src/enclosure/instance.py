@@ -32,11 +32,11 @@ from .geometry import (
     Point,
     Segment,
     boxes_meet,
+    crossing_pairs,
     distance,
     homogeneous_winding,
     on_segment,
     orient,
-    segments_properly_cross,
     signed_area2,
     sort_along,
     split_at,
@@ -391,11 +391,10 @@ def _check_no_self_crossing(poly: InputPolygon) -> None:
     """Raise DegeneratePolygon when two edges of the polygon properly cross:
     the crossing is not a vertex, so no curve can pass through it."""
     edges = [Segment(a, b) for a, b in poly.edges()]
-    for i, s in enumerate(edges):
-        for t in edges[i + 2:]:  # adjacent edges cannot properly cross
-            if segments_properly_cross(s, t):
-                raise DegeneratePolygon(
-                    f"polygon {poly.id!r}: edges {s.a}-{s.b} and {t.a}-{t.b} cross")
+    for i, j in crossing_pairs(edges):
+        s, t = edges[i], edges[j]
+        raise DegeneratePolygon(
+            f"polygon {poly.id!r}: edges {s.a}-{s.b} and {t.a}-{t.b} cross")
 
 
 def _subdivide_polygon(poly: InputPolygon, all_vertices) -> InputPolygon:

@@ -3,12 +3,14 @@ instance generator.
 
 The oracle enumerates closed walks over the free-space graph up to an edge
 budget, canonicalized up to rotation, reflection and start vertex, and
-evaluates each candidate through the same uncrossing + verification
-pipeline used on solver output (no solver logic is shared).  Pruning is
-admissible — a partial walk is abandoned only when its accumulated weight
-alone already reaches the best known cost, or when it provably cannot
-return to its start within the remaining budget — so a completed run is
-equivalent to full enumeration.
+scores each raw candidate by its reference windings under the verifier's
+rule (`walks.winding_rule`), skipping walks whose windings, up to a global
+sign, leave {0, 1}; only the best walk is uncrossed and re-checked by
+`evaluate_solution`, as solver output is (no solver logic is shared).
+Pruning is admissible — a partial walk is abandoned only when its
+accumulated weight alone already reaches the best known cost, or when it
+provably cannot return to its start within the remaining budget — so a
+completed run is equivalent to full enumeration.
 """
 
 from __future__ import annotations

@@ -18,9 +18,9 @@ from .geometry import (
     Point,
     Segment,
     angular_key,
+    crossing_pairs,
     in_open_segment,
     on_segment,
-    segments_properly_cross,
     signed_area2,
     winding_number,
 )
@@ -73,11 +73,8 @@ def parse_plane_graph(data) -> PlaneGraphInput:
 
 def _check_embedding(g: PlaneGraphInput) -> None:
     segs = [Segment(g.vertices[u], g.vertices[v]) for u, v, _ in g.edges]
-    for i in range(len(segs)):
-        for j in range(i + 1, len(segs)):
-            if segments_properly_cross(segs[i], segs[j]):
-                raise EmbeddingError(
-                    f"edges {g.edges[i][:2]} and {g.edges[j][:2]} cross")
+    for i, j in crossing_pairs(segs):
+        raise EmbeddingError(f"edges {g.edges[i][:2]} and {g.edges[j][:2]} cross")
     for s in segs:
         for v in g.vertices:
             if in_open_segment(v, s.a, s.b):

@@ -23,9 +23,10 @@ pushes that cannot win are dropped.  The enclosure search drives it with
 mouths and its plank and finish rules for its U labels; both ask its
 pending map before they derive a label that could only be dropped.  The
 DP keeps its bucket queue by edge budget, where a label is kept only if
-it improves its state's staircase, and bounds it by the same f.  The
-search and the DP start their bound at the same incumbent (`hull_bound`,
-see The incumbent below).  Also here: the rule ranks, the label type, the
+it improves its state's staircase, bounds it by the same f, and drives
+`relax` with a pending map of each state's last stored label.  The search
+and the DP start their bound at the same incumbent (`hull_bound`, see The
+incumbent below).  Also here: the rule ranks, the label type, the
 precondition check of every solver entry, the answer on instances with
 nothing required, and the rebuild of a walk from a label's provenance.
 
@@ -115,14 +116,14 @@ The partner scans.  All labels of one state share h, but the labels of
 one partner group (settled open labels of one key (p, q), or settled
 closed labels at one p) differ in mask, and so in h: they settle in f
 order, and a dearer label of a larger mask may settle before a cheaper
-one of a smaller mask.  The scans of `relax` stop at the first join over
-their cut and bound a group by its first label, so they need each group
-in value order: the enclosure search adds its settled labels by
-`Settled.add_by_value`, after the labels of equal value.  A cut reads
-the target's h at a full mask, the least over its masks, so every join
-past it has f over the bound.  The inverted solver's h ignores the mask,
-so its groups settle in value order as they are; the DP's scans have no
-cutoff, and its lists keep their storing order.
+one of a smaller mask; the DP stores its labels in edge-budget order,
+which is no value order either.  The scans of `relax` stop at the first
+join over their cut and bound a group by its first label, so they need
+each group in value order: the enclosure search and the DP add their
+labels by `Settled.add_by_value`, after the labels of equal value.  A cut
+reads the target's h at a full mask, the least over its masks, so every
+join past it has f over the bound.  The inverted solver's h ignores the
+mask, so its groups settle in value order as they are.
 
 Ties.  At equal (value, rank) the first push of a state wins, and labels
 are pushed as their operands settle.  So where two walks of one state
@@ -441,9 +442,7 @@ def label_setting(fsg: FreeSpaceGraph, seeds: Iterable[tuple], expand,
 
 
 def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
-          closures: bool = True, bound: float = INF,
-          pending: Optional[dict] = None,
-          h: Optional[FutureCost] = None) -> None:
+          closures: bool, bound: float, pending: dict, h: FutureCost) -> None:
     """Derive every label one rule builds from `label` and the settled
     labels, and hand each to push(kind, key, mask, value, t, rule, ops).
 
@@ -451,18 +450,19 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
     after this call.  With closures=False rule C1 is off.  In both M2 roles
     of M(a, b) the apex lies strictly left of a -> b.
 
-    `label_setting` passes its `bound`, `pending` map and future cost `h`,
-    and each partner group (settled open labels of one key, or settled
-    closed labels at one vertex) is in nondecreasing value: the enclosure
-    search adds its labels by `Settled.add_by_value`, as its h reads the
-    mask and a group settles in f order, not value order; the inverted
-    solver's h ignores the mask, so its groups settle in value order.  The
-    cutoffs below read h(target) at a full mask, the least h of the
-    target's key.  Every push is then checked first:
+    `bound` is the caller's incumbent, `pending` maps a state code (module
+    docstring) to the (value, rank) a new label of that state must beat,
+    and `h` is the caller's future cost.  Each partner group (settled open
+    labels of one key, or settled closed labels at one vertex) is in
+    nondecreasing value: the enclosure search and the DP add their labels
+    by `Settled.add_by_value`, as the search settles in f order, with an h
+    that reads the mask, and the DP stores in edge-budget order; the
+    inverted solver's h ignores the mask, so its groups settle in value
+    order.  The cutoffs below read h(target) at a full mask, the least h of
+    the target's key.  Every push is checked first:
       * M1, C1 and each C2 or M2 join is pushed only if it beats its
-        target state's pending (value, rank), as `label_setting` requires;
-        for C2 and M2 (rank 2, the largest rank) that is pending value >
-        total;
+        target state's pending (value, rank); for C2 and M2 (rank 2, the
+        largest rank) that is pending value > total;
       * a C2 or M2 partner scan stops at the first join dearer than
         bound - h(target), where push would drop it and every later one;
       * per M2 apex group: when `mask` is already full (always when
@@ -473,22 +473,19 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
         is computed if that lower bound exceeds bound - h(target) or does
         not beat the state's pending value.
     Each skipped label could not change a settled label: its value is at
-    least the tested one and pending entries only fall.  The DP's lists
-    are not sorted, and it keeps a dearer label at a smaller edge budget
-    (a staircase per state, not one pending entry), so it passes none of
-    the three, and pays for no state code and no cutoff."""
+    least the tested one and pending entries only fall.  The DP's entries
+    are its states' last stored labels at rank 0, which a label beats
+    exactly when it is cheaper.  With bound INF, an empty pending map and
+    h = 0 every check is off."""
     value, mask, t = label.value, label.mask, label.t
-    search = pending is not None
     n, k = fsg.n, fsg._k
     if label.kind == "C":
         p = label.key[0]
         # M1: a free-space edge pq on top of the closed walk at p.
-        if search:
-            row, m1 = n + p * n, RANK["M1"]
+        row, m1 = n + p * n, RANK["M1"]
         for q, w in fsg.adjacency[p].items():
             total = value + w
-            if search and \
-                    pending.get((row + q) << k | mask, UNSEEN) <= (total, m1):
+            if pending.get((row + q) << k | mask, UNSEEN) <= (total, m1):
                 continue
             push("M", (p, q), mask, total, t + 1, "M1", (label,))
         # C2: concatenate with a closed walk at p over a disjoint nonempty set.
@@ -499,8 +496,7 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
                     break
                 if other.mask and not other.mask & mask:
                     joined = mask | other.mask
-                    if search and \
-                            pending.get(p << k | joined, UNSEEN)[0] <= total:
+                    if pending.get(p << k | joined, UNSEEN)[0] <= total:
                         continue
                     push("C", (p,), joined, total, t + other.t, "C2",
                          (label, other))
@@ -510,8 +506,7 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
     w = fsg.adjacency[b].get(a) if closures else None
     if w is not None:
         total = value + w
-        if not search or \
-                pending.get(b << k | mask, UNSEEN) > (total, RANK["C1"]):
+        if pending.get(b << k | mask, UNSEEN) > (total, RANK["C1"]):
             push("C", (b,), mask, total, t + 1, "C1", (label,))
     # M2, with the label as left part M(a, b) of M(a, x) and right parts
     # M(b, x), then as right part M(a, b) of M(x, b) and left parts M(x, a).
@@ -528,21 +523,18 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
     left = fsg.left_vertices(a, b)
     chords, penalties, full = fsg._chords, fsg._penalty_memo, fsg.full_mask
     l_ab = chords[a * n + b]
-    whole = search and mask == full
-    cut = bound
+    whole = mask == full
     for groups, end, base, stride in (
             (settled.open_from[b], a, n + a * n, 1),
             (settled.open_to[a], b, n + b, n)):
-        if search:
-            h_end = h[end]
+        h_end = h[end]
         for x, partners in groups.items():
             if not (left >> x) & 1:
                 continue
-            if search:
-                code = (base + x * stride) << k
-                low, cut = value + partners[0].value, bound - h_end[x]
-                if low > cut or whole and pending.get(code | mask, UNSEEN)[0] <= low:
-                    continue
+            code = (base + x * stride) << k
+            low, cut = value + partners[0].value, bound - h_end[x]
+            if low > cut or whole and pending.get(code | mask, UNSEEN)[0] <= low:
+                continue
             if l_ab is None:
                 l_ab = fsg._chord(a, b)
             l_bx, l_xa = chords[b * n + x], chords[x * n + a]
@@ -566,7 +558,7 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
                 if other.mask & used:
                     continue
                 joined = used | other.mask
-                if search and pending.get(code | joined, UNSEEN)[0] <= total:
+                if pending.get(code | joined, UNSEEN)[0] <= total:
                     continue
                 if end == a:
                     push("M", (a, x), joined, total, t + other.t,

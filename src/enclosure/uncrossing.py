@@ -27,8 +27,8 @@ from .geometry import (
     Point,
     Segment,
     angular_key,
+    crossing_pairs,
     crossing_point,
-    segments_properly_cross,
     signed_area2,
     split_at,
 )
@@ -76,13 +76,8 @@ def subdivide_walk(walk: Walk) -> Tuple[PlaneMultigraph, UncrossReport]:
         if len(pts) > 1 else []
     segs = [Segment(a, b) for a, b in edges]
 
-    crossings = set()
-    s = 0
-    for i in range(len(segs)):
-        for j in range(i + 1, len(segs)):
-            if segments_properly_cross(segs[i], segs[j]):
-                crossings.add(crossing_point(segs[i], segs[j]))
-                s += 1
+    pairs = list(crossing_pairs(segs))
+    crossings = {crossing_point(segs[i], segs[j]) for i, j in pairs}
     cut_candidates = set(pts) | crossings
 
     multiplicity: Dict[Tuple[Point, Point], int] = {}
@@ -97,7 +92,7 @@ def subdivide_walk(walk: Walk) -> Tuple[PlaneMultigraph, UncrossReport]:
             multiplicity[key] = multiplicity.get(key, 0) + 1
 
     g = PlaneMultigraph(multiplicity, traversal)
-    return g, UncrossReport(t=len(edges), s=s, forks=len(fork_points), discarded=0)
+    return g, UncrossReport(t=len(edges), s=len(pairs), forks=len(fork_points), discarded=0)
 
 
 def reduce_multiplicities(g: PlaneMultigraph) -> Tuple[PlaneMultigraph, int]:

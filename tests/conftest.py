@@ -19,7 +19,7 @@ from enclosure import (
 )
 from enclosure.errors import DegenerateTriangle
 from enclosure.recursion import (
-    RANK, Label, Settled, check_solvable, label_setting, relax)
+    RANK, FutureCost, Label, Settled, check_solvable, label_setting, relax)
 
 INF = math.inf
 
@@ -104,10 +104,12 @@ def by_state(labels, kind=None):
 
 def stairs_by_state(settled):
     """The labels of a `Settled` index grouped by state, key + (mask,),
-    each group in settling order: the DP fill's staircases."""
+    each group in increasing edge count t: the DP fill's staircases."""
     stairs = {}
     for lab in settled_labels(settled):
         stairs.setdefault(lab.key + (lab.mask,), []).append(lab)
+    for stair in stairs.values():
+        stair.sort(key=attrgetter("t"))
     return stairs
 
 
@@ -184,6 +186,7 @@ def every_push_tables(fsg, t_max=None):
     stairs, settled = {}, Settled(fsg.n)
     buckets = [[] for _ in range(t_max + 1)]
     seq = 0
+    zero = FutureCost(fsg, 0.0)
 
     def push(kind, key, mask, value, t, rule, ops):
         nonlocal seq
@@ -201,7 +204,8 @@ def every_push_tables(fsg, t_max=None):
                 label = Label(kind, key, mask, value, rule, ops, t)
                 stair.append(label)
                 settled.add(label)
-                relax(fsg, label, settled, push)
+                # No bound, no pending state and h = 0: every check is off.
+                relax(fsg, label, settled, push, True, INF, {}, zero)
     return StairTables(fsg, t_max, stairs)
 
 

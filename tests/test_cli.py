@@ -214,3 +214,12 @@ def test_malformed_document_is_a_schema_error(tmp_path, capsys, document):
     assert run(["--input", _write(tmp_path, document)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("solver", ["dp", "dijkstra"])
+def test_invert_mode_reports_the_inverted_solver(solver, capsys):
+    # Invert mode runs solve_inverted whichever of dp and dijkstra is asked.
+    assert run(["--gen", "4,0", "--mode", "invert", "--seed", "3",
+                "--solver", solver]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["mode"] == "invert" and out["solver"] == "inverted"

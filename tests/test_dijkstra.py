@@ -156,9 +156,11 @@ def test_k_scaling_instance_push_budget():
 @pytest.mark.parametrize("k, cost, search, fill", [
     (4, 62.39692745614887, (2052, 2590), (2261, 3855)),
     (5, 75.13217291511964, (4470, 9879), (7694, 21599)),
+    (2, 42.82386522543601, (317, 323), (322, 368)),
+    (3, 58.46560917300654, (1036, 1179), (1100, 1631)),
 ])
 def test_k_scaling_solvers_agree_at_larger_k(k, cost, search, fill):
-    # The search and the bounded DP agree on the k = 4 and 5 members of
+    # The search and the bounded DP agree on the k = 2 to 5 members of
     # the k-scaling family.  Their counters, (finalized, pushed) of the
     # search and (stored, pushed) of the fill, are pinned: with h = c·|pq|,
     # blind to the mask, they were (7,884, 18,993) and (13,420, 69,907) at

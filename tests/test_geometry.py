@@ -8,6 +8,7 @@ from enclosure import Point, Segment, orient, signed_area2, winding_number
 from enclosure.errors import DegenerateTriangle, OnBoundary
 from enclosure.geometry import (
     angular_key,
+    crossing_pairs,
     crossing_point,
     homogeneous,
     in_open_segment,
@@ -120,6 +121,16 @@ def test_segments_properly_cross():
                                        Segment(Point(1, 0), Point(2, 1)))
     assert not segments_properly_cross(Segment(Point(0, 0), Point(3, 0)),
                                        Segment(Point(1, 0), Point(2, 0)))
+    # crossing_pairs yields exactly the crossing pairs i < j, in
+    # lexicographic order, on small grids full of touches and overlaps.
+    rng = random.Random(5)
+    for _ in range(200):
+        segs = [Segment(Point(rng.randrange(4), rng.randrange(4)),
+                        Point(rng.randrange(4), rng.randrange(4)))
+                for _ in range(rng.randrange(8))]
+        assert list(crossing_pairs(segs)) == [
+            (i, j) for i, j in itertools.combinations(range(len(segs)), 2)
+            if segments_properly_cross(segs[i], segs[j])]
 
 
 def test_crossing_point_exact():
