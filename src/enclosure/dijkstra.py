@@ -21,7 +21,9 @@ partner reads).
 The future cost h, the incumbent the bound starts at, the queue, the rules
 and the walk rebuild are those of `recursion.py` (see its module
 docstring); this module only builds the settled-label index and expands
-each settled label by `relax`.
+each settled label by `relax`.  `solve_dijkstra` builds h and the
+incumbent and hands them to `_search`, as `solve_dp` hands them to its
+fill.
 """
 
 from __future__ import annotations
@@ -31,51 +33,47 @@ from typing import Optional, Tuple
 from .freespace import FreeSpaceGraph
 from .recursion import (
     INF,
-    EnclosureCost,
+    FutureCost,
     Settled,
     check_solvable,
     closed_walk,
     hull_bound,
     label_setting,
     relax,
-    trivial_answer,
 )
 from .walks import Walk
 
 
-def _search(fsg: FreeSpaceGraph, early_stop: bool,
-            stats: Optional[dict] = None):
-    """Run the label-setting search from the point walks C(p, {}) = 0.
+def _search(fsg: FreeSpaceGraph, h: FutureCost, bound: float,
+            early_stop: bool, stats: Optional[dict] = None):
+    """Run the label-setting search from the point walks C(p, {}) = 0,
+    with the future cost h and the bound starting at `bound`.
 
     Returns (answer, settled): the first finalized closed-walk label
     covering every required object (None if the queue drains first), and
     the expanded labels as a `Settled` index, each list in value order; an
     early-stopped search does not expand its answer.  With early_stop=False
-    the whole fixed point is computed.  The future cost is `EnclosureCost`,
-    and an early-stopped search starts its bound at `hull_bound`.
+    the whole fixed point is computed.
     """
     settled = Settled(fsg.n)
 
-    def expand(label, push, bound, pending, h):
+    def expand(label, push, bound, pending):
         settled.add_by_value(label)
         relax(fsg, label, settled, push, True, bound, pending, h)
 
     seeds = [("C", (p,), 0, 0.0, 0, "base", ()) for p in range(fsg.n)]
-    answer = label_setting(fsg, seeds, expand, early_stop, stats,
-                           EnclosureCost,
-                           bound=hull_bound(fsg) if early_stop else INF)
-    return answer, settled
+    return label_setting(fsg, seeds, expand, h, bound, early_stop,
+                         stats), settled
 
 
 def solve_dijkstra(fsg: FreeSpaceGraph,
                    stats: Optional[dict] = None) -> Tuple[float, Optional[Walk]]:
     """Minimum enclosure cost and an optimal closed walk (None if infeasible)."""
     check_solvable(fsg)
-    trivial = trivial_answer(fsg)
-    if trivial is not None:
-        return trivial
-    answer, _settled = _search(fsg, early_stop=True, stats=stats)
+    if fsg.n == 0:
+        return 0.0, Walk((), 0.0)
+    answer, _settled = _search(fsg, FutureCost(fsg, fsg.h_scale, fsg.full_mask),
+                               hull_bound(fsg), True, stats)
     if answer is None:
         return INF, None
     return answer.value, closed_walk(fsg, answer)
-

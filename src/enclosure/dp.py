@@ -32,15 +32,16 @@ The fill is bounded: it fills only what the answer can use.  It keeps
 whose f = value + h exceeds it (strictly: an equal f is kept, since ties
 decide the walk), and skips every bucket entry whose f exceeds it, as the
 bound may have fallen since the entry was pushed.  h and the incumbent
-`bound` starts at are the search's, `recursion.EnclosureCost` and
-`recursion.hull_bound` (The future cost and The incumbent in the
-`recursion.py` module docstring); h is looked up only once the bound is
-finite.  The bucket is sorted by value, not f, so a scan stops at the
-first entry whose value exceeds the bound and skips the others whose f
-does.  Every value `bound` takes is the cost of a walk that the fill
+`bound` starts at are the search's, `recursion.FutureCost` with every
+required reference charged and `recursion.hull_bound` (The future cost
+and The incumbent in the `recursion.py` module docstring), which
+`solve_dp` builds and hands to the fill; h is looked up only once the
+bound is finite.  The bucket is sorted by value, not f, so a scan stops at
+the first entry whose value exceeds the bound and skips the others whose
+f does.  Every value `bound` takes is the cost of a walk that the fill
 derives at no more than that value, so the answer costs at most `bound`;
-a seeded fill that stores no answer has broken that, and `solve_dp`
-raises InternalError.  This is exact for any starting bound no less than
+a seeded fill that stores no answer has broken that, and raises
+InternalError.  This is exact for any starting bound no less than
 the answer:
 
   * `check_solvable` makes every rule derive a value at least as large as
@@ -53,12 +54,12 @@ the answer:
     displaced only by one of the same state, which shares its h, so a
     dropped label (f > answer) can neither reject nor displace one of
     them, and every label derived from it has f > answer too;
-  * so `solve_dp` returns the same answer label as a fill that keeps
-    every staircase up to t = 6n, hence the same cost and walk.  The tests
+  * so the fill returns the same answer label as one that keeps every
+    staircase up to t = 6n, hence the same cost and walk.  The tests
     keep that full fill as their reference.
 
 The rules themselves (`relax`, over `Settled`), the rule ranks, the label
-type with its edge count t, the precondition check, the trivial answer, the
+type with its edge count t, the precondition check, the future cost, the
 incumbent and the walk rebuild come from `recursion.py`; this module keeps
 only the bucket queue, its bound and its pending map (a label is stored
 only if it is cheaper than its state's last stored label).
@@ -74,36 +75,36 @@ from .recursion import (
     INF,
     RANK,
     UNSEEN,
-    EnclosureCost,
+    FutureCost,
     Label,
     Settled,
     check_solvable,
     closed_walk,
     hull_bound,
     relax,
-    trivial_answer,
 )
 from .walks import Walk
 
 
-def _fill(fsg: FreeSpaceGraph, stats: Optional[dict] = None,
-          bound: float = INF) -> Tuple[Dict[int, Label], Settled]:
+def _fill(fsg: FreeSpaceGraph, h: FutureCost, bound: float,
+          stats: Optional[dict] = None) -> Tuple[Optional[Label], Settled]:
     """The bucket loop, up to t = 6n: pushes and entries whose
     f = value + h exceeds `bound` are dropped (module docstring).  `bound`
     starts at the cost of a feasible walk (`solve_dp` passes `hull_bound`),
     or INF, and falls to each cheaper full-mask C label pushed.  Returns
-    (last, settled): the last label stored per state, keyed by its state
-    code (`recursion.py`), and every stored label, each group of the index
-    in value order.  `stats` gets "pushed" (entries that reached a bucket)
-    and "finalized" (labels stored)."""
+    (answer, settled): the cheapest full-mask C label stored, at the least
+    vertex among equal values (None if there is none), and every stored
+    label, each group of the index in value order.  A state's last stored
+    label is its cheapest, so the answer is read from the first full-mask
+    label of each vertex's closed group.  `stats` gets "pushed" (entries
+    that reached a bucket) and "finalized" (labels stored)."""
     n, k, full = fsg.n, fsg._k, fsg.full_mask
     t_max = 6 * n
-    last: Dict[int, Label] = {}
     pending: Dict[int, Tuple[float, int]] = {}
     settled = Settled(n)
     buckets: List[Optional[dict]] = [{} for _ in range(t_max + 1)]
     pushed = stored = 0
-    h = EnclosureCost(fsg, fsg.h_scale)
+    incumbent = bound
 
     def push(kind, key, mask, value, t, rule, ops):
         nonlocal pushed, bound
@@ -134,7 +135,7 @@ def _fill(fsg: FreeSpaceGraph, stats: Optional[dict] = None,
                 continue  # its f is over the bound
             if pending.get(code, UNSEEN)[0] <= value:
                 continue  # a label stored since the push is as cheap
-            label = last[code] = Label(kind, key, mask, value, rule, ops, t)
+            label = Label(kind, key, mask, value, rule, ops, t)
             pending[code] = (value, 0)
             stored += 1
             settled.add_by_value(label)
@@ -142,7 +143,15 @@ def _fill(fsg: FreeSpaceGraph, stats: Optional[dict] = None,
     if stats is not None:
         stats["pushed"] = pushed
         stats["finalized"] = stored
-    return last, settled
+    answer = None
+    for group in settled.closed:
+        first = next((label for label in group if label.mask == full), None)
+        if first is not None and (answer is None or first.value < answer.value):
+            answer = first
+    if answer is None and incumbent < INF:
+        raise InternalError(
+            f"no answer filled below the incumbent walk's cost {incumbent!r}")
+    return answer, settled
 
 
 def solve_dp(fsg: FreeSpaceGraph,
@@ -154,20 +163,10 @@ def solve_dp(fsg: FreeSpaceGraph,
     `stats` dict, its "pushed" and "finalized" count the bucket entries and
     the stored labels."""
     check_solvable(fsg)
-    trivial = trivial_answer(fsg)
-    if trivial is not None:
-        return trivial
-    full = fsg.full_mask
-    incumbent = hull_bound(fsg)
-    last, _settled = _fill(fsg, stats, incumbent)
-    best, best_label = INF, None
-    for p in range(fsg.n):
-        label = last.get(p << fsg._k | full)
-        if label is not None and label.value < best:
-            best, best_label = label.value, label
-    if best_label is None:
-        if incumbent < INF:
-            raise InternalError(f"no answer filled below the incumbent "
-                                f"walk's cost {incumbent!r}")
+    if fsg.n == 0:
+        return 0.0, Walk((), 0.0)
+    answer, _settled = _fill(fsg, FutureCost(fsg, fsg.h_scale, fsg.full_mask),
+                             hull_bound(fsg), stats)
+    if answer is None:
         return INF, None
-    return best, closed_walk(fsg, best_label)
+    return answer.value, closed_walk(fsg, answer)

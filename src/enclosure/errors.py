@@ -23,9 +23,10 @@ class OverlapError(EnclosureError):
 
 
 class DegeneratePolygon(EnclosureError):
-    """Polygon crosses itself (two of its edges properly cross), has an
-    empty interior, or has no interior reference point in general position
-    with the polygon vertices."""
+    """Polygon crosses itself (two of its edges properly cross, or its walk
+    crosses itself at a vertex it visits twice), has an empty interior, or
+    has no interior reference point in general position with the polygon
+    vertices."""
 
 
 class DegenerateTriangle(EnclosureError):

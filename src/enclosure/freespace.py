@@ -93,8 +93,8 @@ class FreeSpaceGraph:
     0.0 without edges: every edge ab weighs at least c·|ab|, so c·|pq| is
     a lower bound on the weight of any walk from p to q, and c·(|pr| +
     |rq|) on that of a walk from p to q that closes around the point r.
-    The future costs of the searches of `recursion.py` (`FutureCost`,
-    `EnclosureCost`) are built from these bounds.
+    Each solver builds its future cost (`recursion.FutureCost`) from
+    these bounds.
     """
     instance: Instance
     vertices: Tuple[Point, ...]

@@ -165,12 +165,12 @@ def boxes_meet(s: Tuple[Coord, Coord, Coord, Coord],
 
 
 def segments_properly_cross(s: Segment, t: Segment) -> bool:
-    """True iff s and t share a point interior to both and are not collinear."""
-    o1 = orient(s.a, s.b, t.a)
-    o2 = orient(s.a, s.b, t.b)
-    o3 = orient(t.a, t.b, s.a)
-    o4 = orient(t.a, t.b, s.b)
-    return o1 * o2 < 0 and o3 * o4 < 0
+    """True iff s and t share a point interior to both and are not collinear:
+    each segment's ends lie strictly on opposite sides of the other's line.
+    t's ends are tested first, and s's only if they pass."""
+    if orient(s.a, s.b, t.a) * orient(s.a, s.b, t.b) >= 0:
+        return False
+    return orient(t.a, t.b, s.a) * orient(t.a, t.b, s.b) < 0
 
 
 def crossing_pairs(segments: Sequence[Segment]) -> Iterable[Tuple[int, int]]:

@@ -4,7 +4,7 @@ Coordinates are integers on a grid; the JSON header's ``scale`` records how
 many grid units make one real-world unit and is carried through unchanged
 (all weights and costs reported by the solvers are in grid units).
 
-Point objects are approximated by small right-isoceles triangles of side
+Point objects are approximated by small right-isosceles triangles of side
 ``point_epsilon`` grid units (default: one ten-thousandth of the bounding
 box, at least 1).
 """
@@ -353,15 +353,15 @@ def parse_instance(data) -> Instance:
     points = [(_claim_id(pt, f"point{i}", seen_ids, where),
                _parse_point(pt.get("at"), f"{where}.at"), *_parse_kind(pt, where))
               for i, where, pt in _entries(data, "points")]
-    eps = 0
-    if points:
-        eps = data.get("point_epsilon")
-        if eps is None:
-            corners = [v for p in polygons for v in p.vertices] + [q[1] for q in points]
-            xs, ys = [v.x for v in corners], [v.y for v in corners]
-            eps = max(1, max(max(xs) - min(xs), max(ys) - min(ys)) // 10000)
-        if not _is_int(eps) or eps <= 0:
-            raise SchemaError(f"point_epsilon must be a positive integer, got {eps!r}")
+    eps = data.get("point_epsilon")
+    if eps is not None and (not _is_int(eps) or eps <= 0):
+        raise SchemaError(f"point_epsilon must be a positive integer, got {eps!r}")
+    if not points:
+        eps = 0
+    elif eps is None:
+        corners = [v for p in polygons for v in p.vertices] + [q[1] for q in points]
+        xs, ys = [v.x for v in corners], [v.y for v in corners]
+        eps = max(1, max(max(xs) - min(xs), max(ys) - min(ys)) // 10000)
     for pid, at, kind, penalty in points:
         triangle = (at, Point(at.x + eps, at.y), Point(at.x, at.y + eps))
         polygons.append(InputPolygon(pid, triangle, kind, penalty))

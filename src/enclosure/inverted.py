@@ -36,13 +36,13 @@ weight or mouth value or a nonnegative penalty to its operands.  The mouths
 are the open labels of the enclosure recursion with the closing rule C1
 off, built from the single-edge mouths M1 on the point walks by `relax`
 over their own settled-label index.  A mouth M(p, q) and a U label U(p, q)
-get h = c·|pq| (c as in `recursion.py`), the finish h = 0: unlike the
-enclosure search's, this h charges no required reference, as here a mask
-holds references left outside the curve.  h is consistent: a walk that
-closes U(p, q) must still get from q back to p, and each down or up plank
-adds a mouth worth at least c times the length of its chord, so by the
-triangle inequality a plank from U(p, q) to U(far, q) raises h by at most
-c·|far p|, no more than the mouth adds; and v(U(p, q)) >= c·|pq|, so the
+get h = c·|pq| (c as in `recursion.py`), the finish h = 0: a `FutureCost`
+that, unlike the enclosure search's, charges no required reference
+(`charged` = 0), as here a mask holds references left outside the curve.
+h is consistent: a walk that closes U(p, q) must still get from q back
+to p, and each down or up plank adds a mouth worth at least c times the
+length of its chord, so by the triangle inequality a plank from U(p, q)
+to U(far, q) raises h by at most c·|far p|, no more than the mouth adds; and v(U(p, q)) >= c·|pq|, so the
 plank's f is no less than the mouth's (the proof for all rules is in
 `recursion.py`).  U labels are `Label("U", (p, q), ...)` with their own
 state codes, and all inverted rules rank with "base", so U labels settle by
@@ -81,8 +81,8 @@ from .errors import InternalError
 from .freespace import FreeSpaceGraph
 from .instance import Instance
 from .recursion import (
-    INF, UNSEEN, Label, Settled, check_solvable, label_setting, open_ids,
-    relax)
+    INF, UNSEEN, FutureCost, Label, Settled, check_solvable, label_setting,
+    open_ids, relax)
 from .walks import Walk, make_walk
 
 
@@ -111,8 +111,9 @@ def solve_inverted(inst: Instance, fsg: FreeSpaceGraph,
     mouths, us = Settled(n), Settled(n)
     downs: list = [{} for _ in range(n)]
     ups: list = [{} for _ in range(n)]
+    h = FutureCost(fsg, fsg.h_scale, 0)
 
-    def expand(lab: Label, push, bound: float, pending: dict, h) -> None:
+    def expand(lab: Label, push, bound: float, pending: dict) -> None:
         s, e = lab.key
         if lab.kind == "U":
             us.add(lab)
@@ -123,9 +124,9 @@ def solve_inverted(inst: Instance, fsg: FreeSpaceGraph,
                         pending.get(-1 << k | full, UNSEEN)[0] > value:
                     push("C", (), full, value, lab.t, "finish", (lab,))
             if downs[s]:
-                join(lab, downs[s], True, None, push, bound, pending, h)
+                join(lab, downs[s], True, None, push, bound, pending)
             if ups[e]:
-                join(lab, ups[e], False, None, push, bound, pending, h)
+                join(lab, ups[e], False, None, push, bound, pending)
             return
         # A counterclockwise loop hanging off the curve would give its
         # interior winding +1, which no clockwise weakly simple curve has,
@@ -142,10 +143,10 @@ def solve_inverted(inst: Instance, fsg: FreeSpaceGraph,
             if chord is None:
                 chord = chords[far] = (*fsg.plank(s, e, up), group[far])
             if partners and chord[1] != INF and not lab.mask & chord[0]:
-                join(lab, partners, up, chord[:2], push, bound, pending, h)
+                join(lab, partners, up, chord[:2], push, bound, pending)
 
     def join(lab: Label, groups: dict, before: bool, plank, push,
-             bound: float, pending: dict, h) -> None:
+             bound: float, pending: dict) -> None:
         """Join `lab` across a plank with each settled label of the other
         kind in `groups`, a plank index entry keyed by the target's free
         end; with `before` the group's labels precede `lab` in walk order.
@@ -193,7 +194,7 @@ def solve_inverted(inst: Instance, fsg: FreeSpaceGraph,
              for p in range(n) for q, w in fsg.adjacency[p].items()]
     seeds += [("U", (v, v), *fsg.split_content(fsg.x_at_most(xs[v])), 0,
                "base", ()) for v in range(n)]
-    answer = label_setting(fsg, seeds, expand, early_stop=True, stats=stats)
+    answer = label_setting(fsg, seeds, expand, h, INF, True, stats)
 
     if answer is None:
         return INF, None

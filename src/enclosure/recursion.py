@@ -17,23 +17,28 @@ once, for every solver, reading the settled labels from one index
 (`Settled`).  `label_setting` is the one label-setting queue, an A* search:
 it settles labels by f = value + h, where h is a lower bound on what a
 label's walk still has to pay before it is a complete answer
-(`FutureCost`, `EnclosureCost`); the first label per state wins, and
-pushes that cannot win are dropped.  The enclosure search drives it with
-`relax`; the inverted solver drives it in one run with `relax` for its
-mouths and its plank and finish rules for its U labels; both ask its
-pending map before they derive a label that could only be dropped.  The
+(`FutureCost`, which each solver builds and hands to its driver); the
+first label per state wins, and pushes that cannot win are dropped.  The
+enclosure search drives it with `relax`; the inverted solver drives it
+in one run with `relax` for its mouths and its plank and finish rules for
+its U labels; both ask its pending map before they derive a label that
+could only be dropped.  The
 DP keeps its bucket queue by edge budget, where a label is kept only if
 it improves its state's staircase, bounds it by the same f, and drives
 `relax` with a pending map of each state's last stored label.  The search
 and the DP start their bound at the same incumbent (`hull_bound`, see The
-incumbent below).  Also here: the rule ranks, the label type, the
-precondition check of every solver entry, the answer on instances with
-nothing required, and the rebuild of a walk from a label's provenance.
+incumbent below), and both drivers return (answer, settled).  With
+nothing required, the point walk C(p, {}) is already a full-mask label:
+the search settles C(0, {}) first and the DP stores it first, so both
+answer with the point walk at the first vertex.  Also here: the rule
+ranks, the label type, the precondition check of every solver entry, and
+the rebuild of a walk from a label's provenance.
 
 The future cost.  Let c = `FreeSpaceGraph.h_scale`, the least
 weight/length ratio c' of the free-space edges (at most 1) shaved to
 c = (1 - 1e-9)·c', and let r range over the required reference points.
-The enclosure search and the DP give their labels (`EnclosureCost`)
+The enclosure search and the DP give their labels (`FutureCost` with
+every required reference charged)
 
   h(M(p, q, B)) = c·max(|pq|, max over r not in B of |pr| + |rq|),
   h(C(p, B))    = 2c·max over r not in B of |pr|, and 0 when B is full;
@@ -199,16 +204,6 @@ def check_solvable(fsg: FreeSpaceGraph) -> None:
             raise NonpositiveWeight(f"negative penalty {penalty}")
 
 
-def trivial_answer(fsg: FreeSpaceGraph) -> Optional[Tuple[float, Walk]]:
-    """With no required object the point walk (the empty walk when there is
-    no vertex) is optimal at cost 0; None when something is required."""
-    if fsg.full_mask:
-        return None
-    if fsg.n == 0:
-        return 0.0, Walk((), 0.0)
-    return 0.0, make_walk(fsg.instance, [fsg.vertices[0]])
-
-
 def hull_bound(fsg: FreeSpaceGraph) -> float:
     """The cost of the convex-hull walk of the required objects, an upper
     bound on the optimum known before any search: the ccw hull of the
@@ -293,45 +288,37 @@ _value = itemgetter(3)  # Label.value
 
 
 class FutureCost(dict):
-    """The mask-blind future cost self[p][q] = c·|pq|, c = `scale`, of an
-    open label M(p, q) or U(p, q), whatever its mask, and 0 for a closed
-    label (q = p): the inverted solver's, whose masks hold the references
-    left outside its curve.  |pq| is the float distance the edge weights
-    use, the hypotenuse of the exact coordinate differences; a row is
-    built on first use, and self[p][q] == self[q][p] exactly.  `charged`
-    is the mask of the required references h charges while a label's mask
-    lacks them: none here."""
+    """The future cost h(p, q, mask) of a label M(p, q, mask) or
+    U(p, q, mask), and of C(p, mask) at q = p, as the module docstring
+    defines it, with c = `scale`; `charged` is the mask of the required
+    references h charges while a label's mask lacks them: `fsg.full_mask`
+    for the enclosure search and the DP, 0 for the inverted solver, whose
+    masks hold the references left outside its curve.  At scale 0 it
+    charges nothing and is 0 everywhere.
 
-    charged = 0
+    self[p][q] = c·|pq| is h where no charged reference is missing: |pq|
+    is the float distance the edge weights use, the hypotenuse of the exact
+    coordinate differences; a row is built on first use, and self[p][q] ==
+    self[q][p] exactly.  reach[p] is the row of c·|pr| over the required
+    references, each the hypotenuse of the exact differences to the
+    reference's homogeneous coordinates, rounded once as |pq| is; h takes
+    the max over the set bits of `charged` & ~mask."""
 
-    def __init__(self, fsg: FreeSpaceGraph, scale: float):
+    def __init__(self, fsg: FreeSpaceGraph, scale: float, charged: int):
         super().__init__()
         self.scale = scale
         self.points = [(v.x, v.y) for v in fsg.vertices]
+        self.charged = charged if scale else 0
+        refs, hypot = fsg._href[:fsg._k], math.hypot
+        self.reach = [[scale * hypot((X - x * W) / W, (Y - y * W) / W)
+                       for X, Y, W in refs]
+                      for x, y in self.points] if self.charged else []
 
     def __missing__(self, p: int) -> List[float]:
         scale, (x, y), hypot = self.scale, self.points[p], math.hypot
         row = self[p] = [scale * hypot(u - x, v - y) for u, v in self.points] \
             if scale else [0.0] * len(self.points)
         return row
-
-
-class EnclosureCost(FutureCost):
-    """The future cost h(p, q, mask) of the enclosure search and the DP,
-    as the module docstring defines it; self[p][q] is c·|pq|, its value
-    at a full mask, and h(p, p, mask) is that of C(p, mask).  reach[p] is
-    the row of c·|pr| over the required references, each the hypotenuse
-    of the exact differences to the reference's homogeneous coordinates,
-    rounded once as |pq| is; h takes the max over the set bits of
-    `charged` & ~mask.  At scale 0 it charges nothing."""
-
-    def __init__(self, fsg: FreeSpaceGraph, scale: float):
-        super().__init__(fsg, scale)
-        self.charged = fsg.full_mask if scale else 0
-        refs, hypot = fsg._href[:fsg._k], math.hypot
-        self.reach = [[scale * hypot((X - x * W) / W, (Y - y * W) / W)
-                       for X, Y, W in refs]
-                      for x, y in self.points] if self.charged else []
 
     def __call__(self, p: int, q: int, mask: int) -> float:
         h = self[p][q]
@@ -347,10 +334,10 @@ class EnclosureCost(FutureCost):
 
 
 def label_setting(fsg: FreeSpaceGraph, seeds: Iterable[tuple], expand,
-                  early_stop: bool, stats: Optional[dict] = None,
-                  future_cost: type = FutureCost, bound: float = INF):
+                  h: FutureCost, bound: float, early_stop: bool,
+                  stats: Optional[dict] = None):
     """Settle pending labels by f = value + h, keep the first settled label
-    per state, and hand it to expand(label, push, bound, pending, h), which
+    per state, and hand it to expand(label, push, bound, pending), which
     derives new labels through push(kind, key, mask, value, t, rule, ops)
     as `relax` does; each seed is a tuple of push's arguments, one per
     state.  Ties break by (value, RANK[rule], kind, key, mask): the int
@@ -361,19 +348,16 @@ def label_setting(fsg: FreeSpaceGraph, seeds: Iterable[tuple], expand,
     With early_stop the loop ends at the answer, else it computes the
     whole fixed point.
 
-    h is future_cost(fsg, `fsg.h_scale`) under early_stop: `EnclosureCost`
-    for the enclosure search, the mask-blind `FutureCost` for the inverted
-    solver (module docstring).  Without early_stop nothing is bounded, so h
-    could only reorder the fixed point; it runs at scale 0, h = 0, and
-    settles in value order.  Exact as long as no rule derives a label
-    cheaper than the one it expands (`check_solvable`) and h is consistent:
-    labels settle in nondecreasing f, and a state's first settled label is
-    its cheapest.  Pushes that cannot change a settled label are not queued:
-    push drops one whose f exceeds `bound` (strictly).  `bound` starts at
-    the caller's incumbent (the enclosure search passes `hull_bound`, INF
-    when there is none) and falls under early_stop to each cheaper full-mask
-    "C" value pushed (The incumbent, module docstring); a run with a finite
-    incumbent that settles no answer raises InternalError.
+    h is the caller's `FutureCost`, which its expand closes over too.
+    Exact as long as no rule derives a label cheaper than the one it
+    expands (`check_solvable`) and h is consistent: labels settle in
+    nondecreasing f, and a state's first settled label is its cheapest.
+    Pushes that cannot change a settled label are not queued: push drops
+    one whose f exceeds `bound` (strictly).  `bound` starts at the caller's
+    incumbent (the enclosure search passes `hull_bound`, INF when there is
+    none) and falls under early_stop to each cheaper full-mask "C" value
+    pushed (The incumbent, module docstring); a run with a finite incumbent
+    that settles no answer raises InternalError.
 
     `pending` maps each state code pushed so far to its (value, rank); a
     settled state holds SETTLED.  Its entries only fall: each push beats
@@ -386,7 +370,6 @@ def label_setting(fsg: FreeSpaceGraph, seeds: Iterable[tuple], expand,
     bound - h: push would drop it.  A skipped or dropped push takes no
     sequence number, so skipping it changes nothing."""
     n, k, full = fsg.n, fsg._k, fsg.full_mask
-    h = future_cost(fsg, fsg.h_scale if early_stop else 0.0)
     charged = h.charged
     pending: Dict[int, Tuple[float, int]] = {}
     heap: list = []
@@ -430,7 +413,7 @@ def label_setting(fsg: FreeSpaceGraph, seeds: Iterable[tuple], expand,
             answer = label
             if early_stop:
                 break
-        expand(label, push, bound, pending, h)
+        expand(label, push, bound, pending)
 
     if stats is not None:
         stats["finalized"] = finalized

@@ -113,14 +113,20 @@ def stairs_by_state(settled):
     return stairs
 
 
+def fixed_point(fsg, stats=None):
+    """The `Settled` index of the entire fixed point of the label-setting
+    search: unbounded, and so with h = 0, in value order."""
+    from enclosure.dijkstra import _search
+
+    return _search(fsg, FutureCost(fsg, 0.0, fsg.full_mask), INF, False,
+                   stats)[1]
+
+
 def compute_all_labels(fsg):
     """Finalize the entire fixed point of the label-setting search; returns
     (fin_C, fin_M) keyed by (p, mask) and (p, q, mask)."""
-    from enclosure.dijkstra import _search
-
     check_solvable(fsg)
-    _answer, settled = _search(fsg, early_stop=False)
-    labels = settled_labels(settled)
+    labels = settled_labels(fixed_point(fsg))
     return by_state(labels, "C"), by_state(labels, "M")
 
 
@@ -130,13 +136,14 @@ def mouth_fixed_point(fsg):
     point walks, unbounded and so with h = 0.  Returns its `Settled`
     index, the point walks and every mouth."""
     settled = Settled(fsg.n)
+    zero = FutureCost(fsg, 0.0, 0)
 
-    def expand(label, push, bound, pending, h):
+    def expand(label, push, bound, pending):
         settled.add(label)
-        relax(fsg, label, settled, push, False, bound, pending, h)
+        relax(fsg, label, settled, push, False, bound, pending, zero)
 
     seeds = [("C", (p,), 0, 0.0, 0, "base", ()) for p in range(fsg.n)]
-    label_setting(fsg, seeds, expand, early_stop=False)
+    label_setting(fsg, seeds, expand, zero, INF, False)
     return settled
 
 
@@ -186,7 +193,7 @@ def every_push_tables(fsg, t_max=None):
     stairs, settled = {}, Settled(fsg.n)
     buckets = [[] for _ in range(t_max + 1)]
     seq = 0
-    zero = FutureCost(fsg, 0.0)
+    zero = FutureCost(fsg, 0.0, 0)
 
     def push(kind, key, mask, value, t, rule, ops):
         nonlocal seq

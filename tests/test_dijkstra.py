@@ -6,6 +6,7 @@ import pytest
 from enclosure import (
     Walk,
     compute_free_space_edges,
+    make_walk,
     random_instance,
     solve_dijkstra,
     solve_dp,
@@ -14,7 +15,8 @@ from enclosure.dijkstra import _search
 from enclosure.errors import InternalError, NonpositiveWeight
 from enclosure.inverted import solve_inverted
 from enclosure.recursion import (
-    INF, RANK, EnclosureCost, Label, check_solvable, closed_ids, open_ids)
+    INF, RANK, FutureCost, Label, check_solvable, closed_ids, hull_bound,
+    open_ids)
 from conftest import (
     EMPTY_INSTANCE, build, by_state, compute_all_labels, mouth_fixed_point, opt,
     rel_close, req, settled_labels, square)
@@ -31,6 +33,22 @@ def test_k_zero_point_walk():
     fsg = compute_free_space_edges(build({"polygons": [opt("B", square(0, 0, 2), 5)]}))
     cost, walk = solve_dijkstra(fsg)
     assert cost == 0.0 and len(walk.points) == 1
+
+
+def test_k_zero_answer_is_the_first_point_walk():
+    # With nothing required, each point walk C(p, {}) is a full-mask label:
+    # the search settles C(0, {}) first of its n seeds and stops, and the
+    # DP stores all n seeds, whose bound 0 then drops every M1 push.  Both
+    # answer with the point walk at the first vertex, and count their work.
+    inst = build({"polygons": [opt("B", square(0, 0, 2), 5),
+                               opt("C", square(4, 1, 1), 2)]})
+    fsg = compute_free_space_edges(inst)
+    point = make_walk(inst, [fsg.vertices[0]])
+    counts = {solve_dijkstra: (fsg.n, 1), solve_dp: (fsg.n, fsg.n)}
+    for solve, (pushed, finalized) in counts.items():
+        stats = {}
+        assert solve(fsg, stats=stats) == (0.0, point)
+        assert (stats["pushed"], stats["finalized"]) == (pushed, finalized)
 
 
 def test_empty_instance_is_the_empty_walk():
@@ -120,10 +138,10 @@ def test_bound_pruned_search_settles_fixed_point_labels():
                   for seed, k in ((1, 1), (2, 2), (4, 3), (6, 2), (9, 3))]
     for inst in instances:
         fsg = compute_free_space_edges(inst)
-        h = EnclosureCost(fsg, fsg.h_scale)
+        h = FutureCost(fsg, fsg.h_scale, fsg.full_mask)
         fin_C, fin_M = compute_all_labels(fsg)
         fixed = {**fin_C, **fin_M}
-        answer, settled = _search(fsg, early_stop=True)
+        answer, settled = _search(fsg, h, hull_bound(fsg), True)
         # The early-stopped search settles its answer without expanding it.
         fin = by_state(settled_labels(settled) + [answer])
         assert set(fin) == {s for s, lab in fixed.items()

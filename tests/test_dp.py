@@ -14,9 +14,9 @@ from enclosure import (
 from enclosure.dp import _fill
 from enclosure.errors import ReferenceOnWalk
 from enclosure.geometry import homogeneous_winding, winding_number
-from enclosure.recursion import EnclosureCost, closed_walk, hull_bound
+from enclosure.recursion import FutureCost, closed_walk, hull_bound
 from conftest import (
-    as_point, build, by_state, dp_cell_C, dp_cell_M, every_push_tables, opt, rel_close, req,
+    as_point, build, dp_cell_C, dp_cell_M, every_push_tables, opt, rel_close, req,
     square, stairs_by_state)
 from test_recursion import INSTANCES as RECURSION_INSTANCES
 
@@ -237,7 +237,7 @@ def _check_bounded_fill(fsg):
     # every required reference.  This holds for the fill that starts its
     # bound at INF and for the one `solve_dp` runs, seeded with the
     # convex-hull walk's cost, which may only store and push less.
-    h = EnclosureCost(fsg, fsg.h_scale)
+    h = FutureCost(fsg, fsg.h_scale, fsg.full_mask)
 
     def f(lab):
         return lab.value + h(lab.key[0], lab.key[-1], lab.mask)
@@ -247,17 +247,21 @@ def _check_bounded_fill(fsg):
     counts = []
     for bound in (INF, incumbent):
         fill_stats = {}
-        last, settled = _fill(fsg, fill_stats, bound)
+        filled, settled = _fill(fsg, h, bound, fill_stats)
         bounded = stairs_by_state(settled)
         # relax's partner scans stop at their first join over the bound, so
         # every group of the index must be in nondecreasing value.
         for group in [*settled.closed, *(labs for ends in settled.open_from
                                          + settled.open_to for labs in ends.values())]:
             assert all(a.value <= b.value for a, b in zip(group, group[1:]))
-        # `last` is keyed by state code, one label per state.
-        assert len(by_state(last.values())) == len(last)
-        assert by_state(last.values()) == \
-            {state: stair[-1] for state, stair in bounded.items()}
+        # The fill's answer is the full tables' answer, the same walk, and
+        # the last label stored for its state.
+        if answer_label is None:
+            assert filled is None
+        else:
+            assert filled.value == answer
+            assert closed_walk(fsg, filled).points == walk.points
+            assert bounded[filled.key + (filled.mask,)][-1] is filled
         for state in full.stairs.keys() | bounded.keys():
             cheap = [[lab for lab in stairs.get(state, []) if f(lab) <= answer]
                      for stairs in (full.stairs, bounded)]

@@ -121,13 +121,20 @@ def test_segments_properly_cross():
                                        Segment(Point(1, 0), Point(2, 1)))
     assert not segments_properly_cross(Segment(Point(0, 0), Point(3, 0)),
                                        Segment(Point(1, 0), Point(2, 0)))
-    # crossing_pairs yields exactly the crossing pairs i < j, in
-    # lexicographic order, on small grids full of touches and overlaps.
+    # On small grids full of touches and overlaps: segments_properly_cross
+    # is the four-orientation definition, and crossing_pairs yields exactly
+    # the crossing pairs i < j, in lexicographic order.
+    def by_definition(s, t):
+        return orient(s.a, s.b, t.a) * orient(s.a, s.b, t.b) < 0 and \
+            orient(t.a, t.b, s.a) * orient(t.a, t.b, s.b) < 0
+
     rng = random.Random(5)
     for _ in range(200):
         segs = [Segment(Point(rng.randrange(4), rng.randrange(4)),
                         Point(rng.randrange(4), rng.randrange(4)))
                 for _ in range(rng.randrange(8))]
+        for s, t in itertools.product(segs, repeat=2):
+            assert segments_properly_cross(s, t) == by_definition(s, t)
         assert list(crossing_pairs(segs)) == [
             (i, j) for i, j in itertools.combinations(range(len(segs)), 2)
             if segments_properly_cross(segs[i], segs[j])]

@@ -320,14 +320,26 @@ def test_walk_weight():
                "edges": [[0, 1, 2], [1, 2, 3], [2, 0, 4]]}},
     {"graph": {"vertices": [[0, 0], [6, 0], [0, 6]],
                "edges": [[0, True, 2], [1, 2, 3], [2, 0, 4]]}},
+    {"point_epsilon": True, "polygons": [req("A", square(0, 0, 2))]},
 ], ids=["vertex", "reference-point", "scale", "point-epsilon", "point-at",
-        "graph-vertex", "graph-endpoint"])
+        "graph-vertex", "graph-endpoint", "point-epsilon-without-points"])
 def test_booleans_are_not_numbers(document):
     # Python's bool subclasses int; JSON true and false are not numbers.
     with pytest.raises(SchemaError):
         parse_instance(document)
     with pytest.raises(SchemaError):
         parse_instance(json.dumps(document))
+
+
+@pytest.mark.parametrize("eps", [-3, 0, 2.5, "abc"],
+                         ids=["negative", "zero", "fraction", "string"])
+def test_point_epsilon_must_be_a_positive_integer(eps):
+    # Checked whenever it is present, as scale is, also where there is no
+    # point object for it to size.
+    for extra in ({}, {"points": [{"kind": "required", "at": [5, 5]}]}):
+        with pytest.raises(SchemaError, match="point_epsilon"):
+            parse_instance({"point_epsilon": eps, **extra,
+                            "polygons": [req("A", square(0, 0, 2))]})
 
 
 @pytest.mark.parametrize("flag", ["no", 1, 0, None, [], {}],

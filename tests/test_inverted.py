@@ -209,14 +209,15 @@ def _recording(monkeypatch):
     from enclosure import inverted, recursion
     runs = []
 
-    def recorded(fsg, seeds, expand, early_stop, stats=None):
+    def recorded(fsg, seeds, expand, h, bound, early_stop, stats=None):
         own, settled = {}, []
 
         def record(label, *args):
             settled.append(label)
             expand(label, *args)
         runs.append((own, settled))
-        answer = recursion.label_setting(fsg, seeds, record, early_stop, own)
+        answer = recursion.label_setting(fsg, seeds, record, h, bound,
+                                         early_stop, own)
         if stats is not None:
             stats.update(own)
         return answer
@@ -279,7 +280,7 @@ def test_bounded_mouths_are_exact(monkeypatch):
             cost, _walk = solve_inverted(inst, fsg)
             ((_counters, settled),) = runs
             fixed = by_state(settled_labels(mouth_fixed_point(fsg)), "M")
-            h = FutureCost(fsg, fsg.h_scale)
+            h = FutureCost(fsg, fsg.h_scale, 0)
             for lab in settled:
                 if lab.kind == "M":
                     p, q = lab.key

@@ -18,17 +18,15 @@ from enclosure import (
     solve_inverted,
 )
 from enclosure import dijkstra, dp, inverted, oracle
-from enclosure.dijkstra import _search
 from enclosure.dp import _fill
 from enclosure.errors import GenerationFailure, InternalError, OverlapError
 from enclosure.geometry import orient
 from enclosure.recursion import (
-    INF, EnclosureCost, Label, Settled, closed_ids, hull_bound, open_ids,
-    relax)
+    INF, FutureCost, Label, Settled, closed_ids, hull_bound, open_ids, relax)
 from conftest import (
     build, compute_all_labels, dp_cell_C, dp_cell_M, every_push_tables,
-    mouth_fixed_point, opt, rel_close, req, settled_labels, square,
-    stairs_by_state)
+    fixed_point, mouth_fixed_point, opt, rel_close, req, settled_labels,
+    square, stairs_by_state)
 from test_dijkstra import _m_right_hand_side, m2_join
 from test_front_end import SETTINGS, _small_documents
 from test_planegraph import grid_graph
@@ -54,6 +52,12 @@ INSTANCES = {
 @pytest.fixture(scope="module", params=sorted(INSTANCES))
 def fsg(request):
     return compute_free_space_edges(INSTANCES[request.param]())
+
+
+def _bounded_fill(fsg):
+    """The `Settled` index of `solve_dp`'s fill with its own h and no
+    starting incumbent."""
+    return _fill(fsg, FutureCost(fsg, fsg.h_scale, fsg.full_mask), INF)[1]
 
 
 def test_dp_best_matches_label_setting_fixed_point(fsg):
@@ -91,7 +95,7 @@ def test_label_edge_count_matches_rebuilt_walk(fsg):
     assert _check_edge_counts(settled_labels(mouth_fixed_point(fsg)))
     # The reference full fill and solve_dp's bounded fill.
     for stairs in (every_push_tables(fsg).stairs,
-                   stairs_by_state(_fill(fsg)[1])):
+                   stairs_by_state(_bounded_fill(fsg))):
         stored = [lab for stair in stairs.values() for lab in stair]
         assert _check_edge_counts(stored)
         # A staircase stores strictly fewer edges for strictly more value.
@@ -102,7 +106,7 @@ def test_label_edge_count_matches_rebuilt_walk(fsg):
 
 def test_settled_index_holds_every_finalized_label(fsg):
     stats = {}
-    _answer, settled = _search(fsg, early_stop=False, stats=stats)
+    settled = fixed_point(fsg, stats)
     closed = [lab for labels in settled.closed for lab in labels]
     by_start = [lab for ends in settled.open_from for labs in ends.values()
                 for lab in labs]
@@ -190,6 +194,23 @@ def _shifted(d):
         req("T", move([[0, 5], [2, 7], [0, 9]]))]})
 
 
+def test_future_cost_charges_only_its_charged_references(fsg):
+    # Charging nothing, h is c·|pq| whatever the mask, as the inverted
+    # solver reads it; charging everything, it is c·|pq| at a full mask
+    # and no less below it.  At scale 0 it is 0 everywhere, charged or not.
+    full, c = fsg.full_mask, fsg.h_scale
+    blind = FutureCost(fsg, c, 0)
+    aware = FutureCost(fsg, c, full)
+    zeros = [FutureCost(fsg, 0.0, charged) for charged in (0, full)]
+    for p in range(fsg.n):
+        for q in range(fsg.n):
+            assert aware(p, q, full) == aware[p][q] == blind[p][q]
+            for mask in range(full + 1):
+                assert blind(p, q, mask) == blind[p][q]
+                assert aware(p, q, mask) >= aware[p][q]
+                assert all(h(p, q, mask) == h[p][q] == 0.0 for h in zeros)
+
+
 @pytest.mark.parametrize("j", (120, 122, 126, 127))
 def test_future_cost_is_exact_far_from_the_origin(j):
     # Every length h reads is the hypotenuse of exact coordinate
@@ -199,8 +220,8 @@ def test_future_cost_is_exact_far_from_the_origin(j):
     # hundreds there, and the search would settle a dearer walk.
     plain = compute_free_space_edges(_shifted(0))
     far = compute_free_space_edges(_shifted(2 ** 60 + j))
-    h0 = EnclosureCost(plain, plain.h_scale)
-    h = EnclosureCost(far, far.h_scale)
+    h0 = FutureCost(plain, plain.h_scale, plain.full_mask)
+    h = FutureCost(far, far.h_scale, far.full_mask)
     assert h.reach == h0.reach
     assert all(h[p] == h0[p] for p in range(far.n))
     for solve in (solve_dijkstra, solve_dp):
@@ -219,7 +240,7 @@ def _scan_setup():
 
     def joins(rule):
         return [entry[1:] for entry in pushed if entry[0] == rule]
-    return fsg, EnclosureCost(fsg, fsg.h_scale), push, joins
+    return fsg, FutureCost(fsg, fsg.h_scale, fsg.full_mask), push, joins
 
 
 def test_m2_partner_scan_reaches_past_a_dearer_label_of_larger_mask():
@@ -300,8 +321,8 @@ def _check_m2_labels(inst, fsg):
     if inst.mode == "invert":
         labels = _inverted_mouths(inst, fsg)
     else:
-        labels = settled_labels(_search(fsg, early_stop=False)[1]) + \
-            settled_labels(_fill(fsg)[1])
+        labels = settled_labels(fixed_point(fsg)) + \
+            settled_labels(_bounded_fill(fsg))
     verts, checked = fsg.vertices, 0
     for lab in labels:
         if lab.rule != "M2":
