@@ -21,9 +21,8 @@ partner reads).
 The future cost h, the incumbent the bound starts at, the queue, the rules
 and the walk rebuild are those of `recursion.py` (see its module
 docstring); this module only builds the settled-label index and expands
-each settled label by `relax`.  `solve_dijkstra` builds h and the
-incumbent and hands them to `_search`, as `solve_dp` hands them to its
-fill.
+each settled label by `relax`.  `_search` builds h itself, as the DP's
+fill does, and takes its incumbent from `early_stop`.
 """
 
 from __future__ import annotations
@@ -44,17 +43,20 @@ from .recursion import (
 from .walks import Walk
 
 
-def _search(fsg: FreeSpaceGraph, h: FutureCost, bound: float,
-            early_stop: bool, stats: Optional[dict] = None):
-    """Run the label-setting search from the point walks C(p, {}) = 0,
-    with the future cost h and the bound starting at `bound`.
+def _search(fsg: FreeSpaceGraph, early_stop: bool,
+            stats: Optional[dict] = None):
+    """Run the label-setting search from the point walks C(p, {}) = 0.
 
     Returns (answer, settled): the first finalized closed-walk label
     covering every required object (None if the queue drains first), and
     the expanded labels as a `Settled` index, each list in value order; an
     early-stopped search does not expand its answer.  With early_stop=False
-    the whole fixed point is computed.
+    the whole fixed point is computed.  An early-stopped search charges
+    every required reference in its `FutureCost` and starts its bound at
+    `hull_bound`; the full fixed point runs unbounded with h = 0.
     """
+    h = FutureCost(fsg, fsg.h_scale if early_stop else 0.0, fsg.full_mask)
+    bound = hull_bound(fsg) if early_stop else INF
     settled = Settled(fsg.n)
 
     def expand(label, push, bound, pending):
@@ -72,8 +74,7 @@ def solve_dijkstra(fsg: FreeSpaceGraph,
     check_solvable(fsg)
     if fsg.n == 0:
         return 0.0, Walk((), 0.0)
-    answer, _settled = _search(fsg, FutureCost(fsg, fsg.h_scale, fsg.full_mask),
-                               hull_bound(fsg), True, stats)
+    answer, _settled = _search(fsg, True, stats)
     if answer is None:
         return INF, None
     return answer.value, closed_walk(fsg, answer)

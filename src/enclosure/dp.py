@@ -34,15 +34,15 @@ decide the walk), and skips every bucket entry whose f exceeds it, as the
 bound may have fallen since the entry was pushed.  h and the incumbent
 `bound` starts at are the search's, `recursion.FutureCost` with every
 required reference charged and `recursion.hull_bound` (The future cost
-and The incumbent in the `recursion.py` module docstring), which
-`solve_dp` builds and hands to the fill; h is looked up only once the
-bound is finite.  The bucket is sorted by value, not f, so a scan stops at
-the first entry whose value exceeds the bound and skips the others whose
-f does.  Every value `bound` takes is the cost of a walk that the fill
-derives at no more than that value, so the answer costs at most `bound`;
-a seeded fill that stores no answer has broken that, and raises
-InternalError.  This is exact for any starting bound no less than
-the answer:
+and The incumbent in the `recursion.py` module docstring): the fill
+builds h, and `solve_dp` hands it the incumbent; h is looked up only
+once the bound is finite.  The bucket is sorted by value, not f, so a
+scan stops at the first entry whose value exceeds the bound and skips
+the others whose f does.  Every value `bound` takes is the cost of a
+walk that the fill derives at no more than that value, so the answer
+costs at most `bound`; a seeded fill that stores no answer has broken
+that, and raises InternalError.  This is exact for any starting bound no
+less than the answer:
 
   * `check_solvable` makes every rule derive a value at least as large as
     each operand, and h is consistent (`recursion.py`): no rule derives a
@@ -86,7 +86,7 @@ from .recursion import (
 from .walks import Walk
 
 
-def _fill(fsg: FreeSpaceGraph, h: FutureCost, bound: float,
+def _fill(fsg: FreeSpaceGraph, bound: float,
           stats: Optional[dict] = None) -> Tuple[Optional[Label], Settled]:
     """The bucket loop, up to t = 6n: pushes and entries whose
     f = value + h exceeds `bound` are dropped (module docstring).  `bound`
@@ -99,6 +99,7 @@ def _fill(fsg: FreeSpaceGraph, h: FutureCost, bound: float,
     label of each vertex's closed group.  `stats` gets "pushed" (entries
     that reached a bucket) and "finalized" (labels stored)."""
     n, k, full = fsg.n, fsg._k, fsg.full_mask
+    h = FutureCost(fsg, fsg.h_scale, full)
     t_max = 6 * n
     pending: Dict[int, Tuple[float, int]] = {}
     settled = Settled(n)
@@ -165,8 +166,7 @@ def solve_dp(fsg: FreeSpaceGraph,
     check_solvable(fsg)
     if fsg.n == 0:
         return 0.0, Walk((), 0.0)
-    answer, _settled = _fill(fsg, FutureCost(fsg, fsg.h_scale, fsg.full_mask),
-                             hull_bound(fsg), stats)
+    answer, _settled = _fill(fsg, hull_bound(fsg), stats)
     if answer is None:
         return INF, None
     return answer.value, closed_walk(fsg, answer)

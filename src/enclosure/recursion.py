@@ -17,7 +17,7 @@ once, for every solver, reading the settled labels from one index
 (`Settled`).  `label_setting` is the one label-setting queue, an A* search:
 it settles labels by f = value + h, where h is a lower bound on what a
 label's walk still has to pay before it is a complete answer
-(`FutureCost`, which each solver builds and hands to its driver); the
+(`FutureCost`, which each driver builds for itself); the
 first label per state wins, and pushes that cannot win are dropped.  The
 enclosure search drives it with `relax`; the inverted solver drives it
 in one run with `relax` for its mouths and its plank and finish rules for
@@ -321,7 +321,7 @@ class FutureCost(dict):
         return row
 
     def __call__(self, p: int, q: int, mask: int) -> float:
-        h = self[p][q]
+        h = self[p][q] if p != q else 0.0  # a C label needs no row
         missing = self.charged & ~mask
         if missing:
             rp, rq, i = self.reach[p], self.reach[q], 0

@@ -118,8 +118,7 @@ def fixed_point(fsg, stats=None):
     search: unbounded, and so with h = 0, in value order."""
     from enclosure.dijkstra import _search
 
-    return _search(fsg, FutureCost(fsg, 0.0, fsg.full_mask), INF, False,
-                   stats)[1]
+    return _search(fsg, False, stats)[1]
 
 
 def compute_all_labels(fsg):

@@ -15,8 +15,7 @@ from enclosure.dijkstra import _search
 from enclosure.errors import InternalError, NonpositiveWeight
 from enclosure.inverted import solve_inverted
 from enclosure.recursion import (
-    INF, RANK, FutureCost, Label, check_solvable, closed_ids, hull_bound,
-    open_ids)
+    INF, RANK, FutureCost, Label, check_solvable, closed_ids, open_ids)
 from conftest import (
     EMPTY_INSTANCE, build, by_state, compute_all_labels, mouth_fixed_point, opt,
     rel_close, req, settled_labels, square)
@@ -30,12 +29,6 @@ def test_single_square_perimeter():
 
 
 def test_k_zero_point_walk():
-    fsg = compute_free_space_edges(build({"polygons": [opt("B", square(0, 0, 2), 5)]}))
-    cost, walk = solve_dijkstra(fsg)
-    assert cost == 0.0 and len(walk.points) == 1
-
-
-def test_k_zero_answer_is_the_first_point_walk():
     # With nothing required, each point walk C(p, {}) is a full-mask label:
     # the search settles C(0, {}) first of its n seeds and stops, and the
     # DP stores all n seeds, whose bound 0 then drops every M1 push.  Both
@@ -141,7 +134,7 @@ def test_bound_pruned_search_settles_fixed_point_labels():
         h = FutureCost(fsg, fsg.h_scale, fsg.full_mask)
         fin_C, fin_M = compute_all_labels(fsg)
         fixed = {**fin_C, **fin_M}
-        answer, settled = _search(fsg, h, hull_bound(fsg), True)
+        answer, settled = _search(fsg, True)
         # The early-stopped search settles its answer without expanding it.
         fin = by_state(settled_labels(settled) + [answer])
         assert set(fin) == {s for s, lab in fixed.items()

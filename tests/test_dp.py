@@ -247,7 +247,7 @@ def _check_bounded_fill(fsg):
     counts = []
     for bound in (INF, incumbent):
         fill_stats = {}
-        filled, settled = _fill(fsg, h, bound, fill_stats)
+        filled, settled = _fill(fsg, bound, fill_stats)
         bounded = stairs_by_state(settled)
         # relax's partner scans stop at their first join over the bound, so
         # every group of the index must be in nondecreasing value.

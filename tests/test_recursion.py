@@ -55,9 +55,9 @@ def fsg(request):
 
 
 def _bounded_fill(fsg):
-    """The `Settled` index of `solve_dp`'s fill with its own h and no
-    starting incumbent."""
-    return _fill(fsg, FutureCost(fsg, fsg.h_scale, fsg.full_mask), INF)[1]
+    """The `Settled` index of `solve_dp`'s fill with no starting
+    incumbent."""
+    return _fill(fsg, INF)[1]
 
 
 def test_dp_best_matches_label_setting_fixed_point(fsg):
