@@ -16,16 +16,16 @@ which keeps the tables sparse; combination rules always produce strictly
 larger budgets, so each bucket is complete when it is processed.  The
 fill reads only the last label of each state, through the pending map it
 hands `relax`: each state's code (`recursion.py`) maps to that label's
-(value, 0), so `relax` derives a label only if it is cheaper.  `Settled`
+value, so `relax` derives a label only if it is cheaper.  `Settled`
 holds every stored label, each group in value order for the cutoffs of
 `relax`; that order never decides which push wins a bucket, as the pushes
 of one `relax` call to one state carry different edge counts.  A bucket
-holds one entry per state: a later push replaces the entry only with a
-strictly smaller (value, rank), so the earliest push wins ties.  The
-bucket is processed in (value, rank, state code) order, which is (value,
-rank, kind, key, mask) order; the entries this drops would have come after
-the kept one and failed its staircase test, so the stored labels and their
-order are those of keeping every push.
+holds one entry per state: a later push replaces the entry only if it is
+strictly cheaper, so the earliest push wins ties, the tie rule of
+`recursion.py`.  The bucket is processed in (value, state code) order,
+which is (value, kind, key, mask) order; the entries this drops would
+have come after the kept one and failed its staircase test, so the stored
+labels and their order are those of keeping every push.
 
 The fill is bounded: it fills only what the answer can use.  It keeps
 `bound`, the cost of the cheapest walk known so far, and drops every push
@@ -58,8 +58,8 @@ less than the answer:
     staircase up to t = 6n, hence the same cost and walk.  The tests
     keep that full fill as their reference.
 
-The rules themselves (`relax`, over `Settled`), the rule ranks, the label
-type with its edge count t, the precondition check, the future cost, the
+The rules themselves (`relax`, over `Settled`), the label type with its
+edge count t, the precondition check, the future cost, the
 incumbent and the walk rebuild come from `recursion.py`; this module keeps
 only the bucket queue, its bound and its pending map (a label is stored
 only if it is cheaper than its state's last stored label).
@@ -73,8 +73,6 @@ from .errors import InternalError
 from .freespace import FreeSpaceGraph
 from .recursion import (
     INF,
-    RANK,
-    UNSEEN,
     FutureCost,
     Label,
     Settled,
@@ -101,7 +99,7 @@ def _fill(fsg: FreeSpaceGraph, bound: float,
     n, k, full = fsg.n, fsg._k, fsg.full_mask
     h = FutureCost(fsg, fsg.h_scale, full)
     t_max = 6 * n
-    pending: Dict[int, Tuple[float, int]] = {}
+    pending: Dict[int, float] = {}
     settled = Settled(n)
     buckets: List[Optional[dict]] = [{} for _ in range(t_max + 1)]
     pushed = stored = 0
@@ -113,11 +111,11 @@ def _fill(fsg: FreeSpaceGraph, bound: float,
                 bound < INF and value + h(key[0], key[-1], mask) > bound:
             return
         code = (key[0] if kind == "C" else n + key[0] * n + key[1]) << k | mask
-        bucket, rank = buckets[t], RANK[rule]
+        bucket = buckets[t]
         old = bucket.get(code)
-        if old is not None and old[:2] <= (value, rank):
+        if old is not None and old[0] <= value:
             return
-        bucket[code] = (value, rank, code, kind, key, mask, rule, ops)
+        bucket[code] = (value, code, kind, key, mask, rule, ops)
         pushed += 1
         if kind == "C" and mask == full:
             bound = value
@@ -126,18 +124,18 @@ def _fill(fsg: FreeSpaceGraph, bound: float,
         push("C", (p,), 0, 0.0, 0, "base", ())
 
     for t in range(t_max + 1):
-        # One entry per state: (value, rank, code) never ties.
+        # One entry per state: (value, code) never ties.
         entries = sorted(buckets[t].values())
         buckets[t] = None
-        for value, _rank, code, kind, key, mask, rule, ops in entries:
+        for value, code, kind, key, mask, rule, ops in entries:
             if value > bound:
                 break  # the rest are dearer still
             if bound < INF and value + h(key[0], key[-1], mask) > bound:
                 continue  # its f is over the bound
-            if pending.get(code, UNSEEN)[0] <= value:
+            if pending.get(code, INF) <= value:
                 continue  # a label stored since the push is as cheap
             label = Label(kind, key, mask, value, rule, ops, t)
-            pending[code] = (value, 0)
+            pending[code] = value
             stored += 1
             settled.add_by_value(label)
             relax(fsg, label, settled, push, True, bound, pending, h)

@@ -354,7 +354,7 @@ def parse_instance(data) -> Instance:
                _parse_point(pt.get("at"), f"{where}.at"), *_parse_kind(pt, where))
               for i, where, pt in _entries(data, "points")]
     eps = data.get("point_epsilon")
-    if eps is not None and (not _is_int(eps) or eps <= 0):
+    if "point_epsilon" in data and (not _is_int(eps) or eps <= 0):
         raise SchemaError(f"point_epsilon must be a positive integer, got {eps!r}")
     if not points:
         eps = 0
@@ -387,16 +387,6 @@ def parse_instance(data) -> Instance:
 # Validation and subdivision
 
 
-def _check_no_self_crossing(poly: InputPolygon) -> None:
-    """Raise DegeneratePolygon when two edges of the polygon properly cross:
-    the crossing is not a vertex, so no curve can pass through it."""
-    edges = [Segment(a, b) for a, b in poly.edges()]
-    for i, j in crossing_pairs(edges):
-        s, t = edges[i], edges[j]
-        raise DegeneratePolygon(
-            f"polygon {poly.id!r}: edges {s.a}-{s.b} and {t.a}-{t.b} cross")
-
-
 def _subdivide_polygon(poly: InputPolygon, all_vertices) -> InputPolygon:
     new_verts: List[Point] = []
     for a, b in poly.edges():
@@ -404,13 +394,21 @@ def _subdivide_polygon(poly: InputPolygon, all_vertices) -> InputPolygon:
     return replace(poly, vertices=tuple(new_verts))
 
 
-def _check_no_crossing_at_repeated_vertex(poly: InputPolygon) -> None:
+def _check_no_self_crossing(poly: InputPolygon) -> None:
     """Raise DegeneratePolygon when the subdivided walk of the polygon
-    crosses itself at a vertex it visits more than once: the transition
-    chords of its passes there cross (`transitions_non_crossing`).  Passes
-    that only touch, like two lobes meeting at a corner or the two sides
-    of a bridge, are kept; a walk that visits every vertex once has
-    nothing to test."""
+    crosses itself: two of its edges properly cross, at a point that is no
+    vertex, so no curve can pass through it; or the transition chords of
+    its passes through a vertex it visits more than once cross
+    (`transitions_non_crossing`).  A proper crossing of the input's edges
+    at another polygon's vertex becomes a vertex the subdivided walk
+    visits twice, where its passes cross.  Passes that only touch, like
+    two lobes meeting at a corner or the two sides of a bridge, are kept;
+    a walk that visits every vertex once has no passes to test."""
+    edges = [Segment(a, b) for a, b in poly.edges()]
+    for i, j in crossing_pairs(edges):
+        s, t = edges[i], edges[j]
+        raise DegeneratePolygon(
+            f"polygon {poly.id!r}: edges {s.a}-{s.b} and {t.a}-{t.b} cross")
     if len(set(poly.vertices)) < len(poly.vertices) \
             and not transitions_non_crossing(poly.vertices):
         raise DegeneratePolygon(
@@ -426,7 +424,10 @@ def _check_disjoint_interiors(polygons) -> None:
     Meeting interiors put a boundary point of one polygon inside the
     other, and so a piece of one of its edges, which
     `segment_meets_interior` finds, unless the interiors are equal; then
-    each holds the other's reference point."""
+    each holds the other's reference point.  Both polygons' edges are
+    tested, as that boundary point may be the other's only: a lobe of Q
+    hanging inside P from a point of P's boundary puts no edge of P inside
+    Q, and Q's reference point may lie in another lobe, outside P."""
     for i in range(len(polygons)):
         for j in range(i + 1, len(polygons)):
             P, Q = polygons[i], polygons[j]
@@ -587,12 +588,10 @@ def validate_and_subdivide(inst: Instance) -> Instance:
     """
     if inst.k > MAX_REQUIRED:
         raise CapacityError(f"{inst.k} required objects exceed the cap of {MAX_REQUIRED}")
-    for p in inst.polygons:
-        _check_no_self_crossing(p)
     all_vertices = inst.vertices
     polygons = tuple(_subdivide_polygon(p, all_vertices) for p in inst.polygons)
     for p in polygons:
-        _check_no_crossing_at_repeated_vertex(p)
+        _check_no_self_crossing(p)
     polygons = tuple(
         replace(p, reference_point=_settle_reference_point(p, all_vertices))
         for p in polygons)

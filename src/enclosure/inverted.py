@@ -42,12 +42,14 @@ that, unlike the enclosure search's, charges no required reference
 h is consistent: a walk that closes U(p, q) must still get from q back
 to p, and each down or up plank adds a mouth worth at least c times the
 length of its chord, so by the triangle inequality a plank from U(p, q)
-to U(far, q) raises h by at most c·|far p|, no more than the mouth adds; and v(U(p, q)) >= c·|pq|, so the
-plank's f is no less than the mouth's (the proof for all rules is in
-`recursion.py`).  U labels are `Label("U", (p, q), ...)` with their own
-state codes, and all inverted rules rank with "base", so U labels settle by
-(f, value, p, q, B, push order); at equal f and value a finish settles
-before any mouth or U label, and the first finish settled is the answer.
+to U(far, q) raises h by at most c·|far p|, no more than the mouth adds;
+and v(U(p, q)) >= c·|pq|, so the plank's f is no less than the mouth's
+(the proof for all rules is in `recursion.py`).  U labels are
+`Label("U", (p, q), ...)` with their own state codes, so they settle by
+(f, value, p, q, B), and within one state at equal value the first push
+wins, as for every label (Ties, `recursion.py`); at equal f and value a
+finish settles before any mouth or U label, and the first finish settled
+is the answer.
 
 A plank joins a mouth with a U label, whichever settles second: a settled
 U label joins the settled mouths of the chords that reach its ends, a
@@ -81,8 +83,8 @@ from .errors import InternalError
 from .freespace import FreeSpaceGraph
 from .instance import Instance
 from .recursion import (
-    INF, UNSEEN, FutureCost, Label, Settled, check_solvable, label_setting,
-    open_ids, relax)
+    INF, FutureCost, Label, Settled, check_solvable, label_setting, open_ids,
+    relax)
 from .walks import Walk, make_walk
 
 
@@ -117,11 +119,11 @@ def solve_inverted(inst: Instance, fsg: FreeSpaceGraph,
         s, e = lab.key
         if lab.kind == "U":
             us.add(lab)
-            if s == e:  # a finish ranks 0, as every rule into its state does
+            if s == e:
                 right, pen = fsg.split_content(fsg._all & ~fsg.x_at_most(xs[s]))
                 value = lab.value + pen
                 if not (right & lab.mask) and (right | lab.mask) == full and \
-                        pending.get(-1 << k | full, UNSEEN)[0] > value:
+                        pending.get(-1 << k | full, INF) > value:
                     push("C", (), full, value, lab.t, "finish", (lab,))
             if downs[s]:
                 join(lab, downs[s], True, None, push, bound, pending)
@@ -153,9 +155,7 @@ def solve_inverted(inst: Instance, fsg: FreeSpaceGraph,
         `plank` is the (inside, penalty) of `lab` if it is a mouth, and
         each group a list of U labels from `us`; else each group is a
         chord's (inside, penalty, mouths), mouths being that chord's list
-        in the mouths' `Settled` index.  Every rule into a U state ranks
-        0, so pending (value, rank) is no larger than (total, 0) exactly
-        when its value is <= total."""
+        in the mouths' `Settled` index."""
         mask, value, t = lab.mask, lab.value, lab.t
         whole = mask == full
         rule = "up" if before == (plank is not None) else "down"
@@ -178,7 +178,7 @@ def solve_inverted(inst: Instance, fsg: FreeSpaceGraph,
                 if used & other.mask:
                     continue
                 joined = used | other.mask
-                if pending.get(code | joined, UNSEEN)[0] > total:
+                if pending.get(code | joined, INF) > total:
                     push("U", (end, fixed) if before else (fixed, end), joined,
                          total, t + other.t, rule,
                          (other, lab) if before else (lab, other))

@@ -25,14 +25,14 @@ its U labels; both ask its pending map before they derive a label that
 could only be dropped.  The
 DP keeps its bucket queue by edge budget, where a label is kept only if
 it improves its state's staircase, bounds it by the same f, and drives
-`relax` with a pending map of each state's last stored label.  The search
+`relax` with a pending map of each state's last stored value.  The search
 and the DP start their bound at the same incumbent (`hull_bound`, see The
 incumbent below), and both drivers return (answer, settled).  With
 nothing required, the point walk C(p, {}) is already a full-mask label:
 the search settles C(0, {}) first and the DP stores it first, so both
-answer with the point walk at the first vertex.  Also here: the rule
-ranks, the label type, the precondition check of every solver entry, and
-the rebuild of a walk from a label's provenance.
+answer with the point walk at the first vertex.  Also here: the label
+type, the precondition check of every solver entry, and the rebuild of a
+walk from a label's provenance.
 
 The future cost.  Let c = `FreeSpaceGraph.h_scale`, the least
 weight/length ratio c' of the free-space edges (at most 1) shaved to
@@ -130,17 +130,19 @@ reads the target's h at a full mask, the least over its masks, so every
 join past it has f over the bound.  The inverted solver's h ignores the
 mask, so its groups settle in value order as they are.
 
-Ties.  At equal (value, rank) the first push of a state wins, and labels
-are pushed as their operands settle.  So where two walks of one state
-cost the same, which of them a solver keeps follows the order of the
-pushes, and with it h: another h may return another optimal walk, never
-another cost.
+Ties.  A state's pending entry is its value: a label is pushed only if
+it is strictly cheaper, so at equal value the first push of a state wins,
+whatever rule derived it, and labels are pushed as their operands settle.
+So where two walks of one state cost the same, which of them a solver
+keeps follows the order of the pushes, and with it h: another h may
+return another optimal walk, never another cost.
 
 States are coded as one int, code << k | mask for k required objects,
 with code(C(p)) = p, code(M(p, q)) = n + p·n + q, code(U(p, q)) =
 n + n² + p·n + q and code(C(())) = -1 for the inverted finish.  The code
-is increasing in (kind, key, mask), so the queue order (f, value, rank,
-state) breaks ties exactly as (f, value, rank, kind, key, mask) would.
+is increasing in (kind, key, mask), so ties between states in the queue
+order (f, value, state) break exactly as (f, value, kind, key, mask)
+would.
 """
 
 from __future__ import annotations
@@ -158,17 +160,6 @@ from .instance import MAX_REQUIRED
 from .walks import Walk, make_walk
 
 INF = math.inf
-
-# Rank of each rule for deterministic tie-breaking at equal value:
-# single-edge extensions win over compositions.  The inverted rules all
-# rank with "base".
-RANK = {"base": 0, "C1": 1, "M1": 1, "C2": 2, "M2": 2,
-        "down": 0, "up": 0, "finish": 0}
-
-# The pending (value, rank) of a state nothing has been pushed to, and of a
-# settled one: below every push.
-UNSEEN = (INF, 0)
-SETTLED = (-INF, 0)
 
 
 class Label(NamedTuple):
@@ -340,10 +331,10 @@ def label_setting(fsg: FreeSpaceGraph, seeds: Iterable[tuple], expand,
     per state, and hand it to expand(label, push, bound, pending), which
     derives new labels through push(kind, key, mask, value, t, rule, ops)
     as `relax` does; each seed is a tuple of push's arguments, one per
-    state.  Ties break by (value, RANK[rule], kind, key, mask): the int
-    state code orders like (kind, key, mask) (module docstring), and two
-    entries of one state never tie, as a label is pushed only if it beats
-    its state's pending (value, rank).  Returns the answer: the first
+    state.  Ties break by (value, kind, key, mask): the int state code
+    orders like (kind, key, mask) (module docstring), and two entries of
+    one state never tie, as a label is pushed only if it is cheaper than
+    its state's pending value.  Returns the answer: the first
     settled "C" label with mask `fsg.full_mask` (None if the queue drains).
     With early_stop the loop ends at the answer, else it computes the
     whole fixed point.
@@ -359,28 +350,27 @@ def label_setting(fsg: FreeSpaceGraph, seeds: Iterable[tuple], expand,
     pushed (The incumbent, module docstring); a run with a finite incumbent
     that settles no answer raises InternalError.
 
-    `pending` maps each state code pushed so far to its (value, rank); a
-    settled state holds SETTLED.  Its entries only fall: each push beats
+    `pending` maps each state code pushed so far to its value; a settled
+    state holds -INF.  Its entries only fall: each push is cheaper than
     its state's pending entry, so it pops first, and a state's first
-    popped entry is its best; one popped once its state is SETTLED is
+    popped entry is its best; one popped once its state holds -INF is
     stale.  push does not read it: expand must skip every label whose
-    (value, rank) is not below pending.get(state, UNSEEN), as its state
-    is settled or it would lose to the pending label on push order.  It
-    may also skip, without deriving it, any label whose value exceeds
-    bound - h: push would drop it.  A skipped or dropped push takes no
-    sequence number, so skipping it changes nothing."""
+    value is not below pending.get(state, INF), as its state is settled
+    or the pending label, pushed first, wins the tie.  It may also skip,
+    without deriving it, any label whose value exceeds bound - h: push
+    would drop it."""
     n, k, full = fsg.n, fsg._k, fsg.full_mask
     charged = h.charged
-    pending: Dict[int, Tuple[float, int]] = {}
+    pending: Dict[int, float] = {}
     heap: list = []
-    seq = finalized = 0
+    pushed = finalized = 0
     incumbent = bound
 
     u_base = n + n * n
     new = tuple.__new__  # builds a Label without its Python-level __new__
 
     def push(kind, key, mask, value, t, rule, ops):
-        nonlocal seq, bound
+        nonlocal pushed, bound
         if kind == "C":
             p = key[0] if key else -1
             f = value + h(p, p, mask) if charged & ~mask else value
@@ -391,23 +381,22 @@ def label_setting(fsg: FreeSpaceGraph, seeds: Iterable[tuple], expand,
             state = ((n if kind == "M" else u_base) + p * n + q) << k | mask
         if value == INF or f > bound:
             return
-        rank = RANK[rule]
-        pending[state] = (value, rank)
+        pending[state] = value
         if early_stop and kind == "C" and mask == full:
             bound = value
-        heappush(heap, (f, value, rank, state,
+        heappush(heap, (f, value, state,
                         new(Label, (kind, key, mask, value, rule, ops, t))))
-        seq += 1
+        pushed += 1
 
     for seed in seeds:
         push(*seed)
 
     answer: Optional[Label] = None
     while heap:
-        state, label = heappop(heap)[3:]
-        if pending[state] is SETTLED:
+        state, label = heappop(heap)[2:]
+        if pending[state] == -INF:
             continue
-        pending[state] = SETTLED
+        pending[state] = -INF
         finalized += 1
         if label.kind == "C" and label.mask == full and answer is None:
             answer = label
@@ -417,7 +406,7 @@ def label_setting(fsg: FreeSpaceGraph, seeds: Iterable[tuple], expand,
 
     if stats is not None:
         stats["finalized"] = finalized
-        stats["pushed"] = seq
+        stats["pushed"] = pushed
     if answer is None and incumbent < INF:
         raise InternalError(
             f"no answer settled below the incumbent walk's cost {incumbent!r}")
@@ -434,18 +423,17 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
     of M(a, b) the apex lies strictly left of a -> b.
 
     `bound` is the caller's incumbent, `pending` maps a state code (module
-    docstring) to the (value, rank) a new label of that state must beat,
-    and `h` is the caller's future cost.  Each partner group (settled open
-    labels of one key, or settled closed labels at one vertex) is in
-    nondecreasing value: the enclosure search and the DP add their labels
-    by `Settled.add_by_value`, as the search settles in f order, with an h
-    that reads the mask, and the DP stores in edge-budget order; the
-    inverted solver's h ignores the mask, so its groups settle in value
-    order.  The cutoffs below read h(target) at a full mask, the least h of
-    the target's key.  Every push is checked first:
-      * M1, C1 and each C2 or M2 join is pushed only if it beats its
-        target state's pending (value, rank); for C2 and M2 (rank 2, the
-        largest rank) that is pending value > total;
+    docstring) to the value a new label of that state must be cheaper
+    than, and `h` is the caller's future cost.  Each partner group
+    (settled open labels of one key, or settled closed labels at one
+    vertex) is in nondecreasing value: the enclosure search and the DP
+    add their labels by `Settled.add_by_value`, as the search settles in f
+    order, with an h that reads the mask, and the DP stores in edge-budget
+    order; the inverted solver's h ignores the mask, so its groups settle
+    in value order.  The cutoffs below read h(target) at a full mask, the
+    least h of the target's key.  Every push is checked first:
+      * M1, C1 and each C2 or M2 join is pushed only if it is cheaper
+        than its target state's pending value;
       * a C2 or M2 partner scan stops at the first join dearer than
         bound - h(target), where push would drop it and every later one;
       * per M2 apex group: when `mask` is already full (always when
@@ -457,18 +445,17 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
         not beat the state's pending value.
     Each skipped label could not change a settled label: its value is at
     least the tested one and pending entries only fall.  The DP's entries
-    are its states' last stored labels at rank 0, which a label beats
-    exactly when it is cheaper.  With bound INF, an empty pending map and
-    h = 0 every check is off."""
+    are its states' last stored values.  With bound INF, an empty pending
+    map and h = 0 every check is off."""
     value, mask, t = label.value, label.mask, label.t
     n, k = fsg.n, fsg._k
     if label.kind == "C":
         p = label.key[0]
         # M1: a free-space edge pq on top of the closed walk at p.
-        row, m1 = n + p * n, RANK["M1"]
+        row = n + p * n
         for q, w in fsg.adjacency[p].items():
             total = value + w
-            if pending.get((row + q) << k | mask, UNSEEN) <= (total, m1):
+            if pending.get((row + q) << k | mask, INF) <= total:
                 continue
             push("M", (p, q), mask, total, t + 1, "M1", (label,))
         # C2: concatenate with a closed walk at p over a disjoint nonempty set.
@@ -479,7 +466,7 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
                     break
                 if other.mask and not other.mask & mask:
                     joined = mask | other.mask
-                    if pending.get(p << k | joined, UNSEEN)[0] <= total:
+                    if pending.get(p << k | joined, INF) <= total:
                         continue
                     push("C", (p,), joined, total, t + other.t, "C2",
                          (label, other))
@@ -489,7 +476,7 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
     w = fsg.adjacency[b].get(a) if closures else None
     if w is not None:
         total = value + w
-        if pending.get(b << k | mask, UNSEEN) > (total, RANK["C1"]):
+        if pending.get(b << k | mask, INF) > total:
             push("C", (b,), mask, total, t + 1, "C1", (label,))
     # M2, with the label as left part M(a, b) of M(a, x) and right parts
     # M(b, x), then as right part M(a, b) of M(x, b) and left parts M(x, a).
@@ -516,7 +503,7 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
                 continue
             code = (base + x * stride) << k
             low, cut = value + partners[0].value, bound - h_end[x]
-            if low > cut or whole and pending.get(code | mask, UNSEEN)[0] <= low:
+            if low > cut or whole and pending.get(code | mask, INF) <= low:
                 continue
             if l_ab is None:
                 l_ab = fsg._chord(a, b)
@@ -541,7 +528,7 @@ def relax(fsg: FreeSpaceGraph, label: Label, settled: Settled, push,
                 if other.mask & used:
                     continue
                 joined = used | other.mask
-                if pending.get(code | joined, UNSEEN)[0] <= total:
+                if pending.get(code | joined, INF) <= total:
                     continue
                 if end == a:
                     push("M", (a, x), joined, total, t + other.t,

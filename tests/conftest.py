@@ -19,7 +19,7 @@ from enclosure import (
 )
 from enclosure.errors import DegenerateTriangle
 from enclosure.recursion import (
-    RANK, FutureCost, Label, Settled, check_solvable, label_setting, relax)
+    FutureCost, Label, Settled, check_solvable, label_setting, relax)
 
 INF = math.inf
 
@@ -181,8 +181,8 @@ class StairTables:
 
 def every_push_tables(fsg, t_max=None):
     """The reference staircase fill, up to t_max (default 6n): every push
-    is kept in its bucket and the buckets are sorted by (value, rank, kind,
-    key, mask, push order), with no bound.  `solve_dp`'s fill keeps one
+    is kept in its bucket and the buckets are sorted by (value, kind, key,
+    mask, push order), with no bound.  `solve_dp`'s fill keeps one
     entry per state and bucket and drops labels whose value + h exceeds
     its bound; the labels it stores with value + h at most the answer must
     be this fill's."""
@@ -198,13 +198,13 @@ def every_push_tables(fsg, t_max=None):
         nonlocal seq
         stair = stairs.get(key + (mask,))
         if t <= t_max and value < INF and not (stair and stair[-1].value <= value):
-            buckets[t].append((value, RANK[rule], kind, key, mask, seq, rule, ops))
+            buckets[t].append((value, kind, key, mask, seq, rule, ops))
             seq += 1
 
     for p in range(fsg.n):
         push("C", (p,), 0, 0.0, 0, "base", ())
     for t in range(t_max + 1):
-        for value, _rank, kind, key, mask, _seq, rule, ops in sorted(buckets[t]):
+        for value, kind, key, mask, _seq, rule, ops in sorted(buckets[t]):
             stair = stairs.setdefault(key + (mask,), [])
             if not (stair and stair[-1].value <= value):
                 label = Label(kind, key, mask, value, rule, ops, t)

@@ -168,6 +168,18 @@ def test_overlap_rejected():
     with pytest.raises(OverlapError):  # containment is overlap too
         build({"polygons": [req("A", square(0, 0, 10)),
                             opt("B", square(4, 4, 2), 1)]})
+    # Q is two lobes meeting at (10, 5), a point of P's edge x = 10; its
+    # left lobe lies inside P, and its reference point (13, 5) in the
+    # right lobe, outside P.  Q's edges meet P's interior, but no edge of
+    # P meets Q's, and neither reference point lies inside the other
+    # polygon: only testing the edges of both polygons, each against the
+    # other's interior, sees the overlap, in either order.
+    P = req("P", square(0, 0, 10))
+    Q = {**opt("Q", [[10, 5], [8, 6], [8, 4], [10, 5], [14, 3], [14, 7]], 1),
+         "reference_point": [13, 5]}
+    for polygons in ([P, Q], [Q, P]):
+        with pytest.raises(OverlapError):
+            build({"polygons": polygons})
 
 
 def test_validate_idempotent():
@@ -287,6 +299,20 @@ def test_crossing_at_a_repeated_vertex_rejected(vertices):
         build({"polygons": [req("A", vertices)]})
 
 
+def test_proper_self_crossing_at_a_foreign_vertex_rejected():
+    # The edges (0,0)-(6,6) and (6,0)-(0,3) of A properly cross at (2, 2),
+    # where B, below A's crossing, has a vertex.  Subdivision splits both
+    # edges there, so no two edges of A's walk properly cross any more:
+    # the crossing is caught at (2, 2), the vertex the walk now visits
+    # twice, whose two passes cross.
+    doc = {"polygons": [req("A", [[0, 0], [6, 6], [6, 0], [0, 3]]),
+                        opt("B", [[2, 2], [1, -1], [3, -1]], 1)]}
+    for polygons in (doc["polygons"], doc["polygons"][::-1]):
+        with pytest.raises(DegeneratePolygon, match="'A' crosses itself at "
+                                                    "a vertex it visits twice"):
+            build({"polygons": polygons})
+
+
 def test_squeezed_edge_must_be_two_sided():
     with pytest.raises(SchemaError):
         build({"polygons": [req("A", square(0, 0, 4))],
@@ -331,11 +357,12 @@ def test_booleans_are_not_numbers(document):
         parse_instance(json.dumps(document))
 
 
-@pytest.mark.parametrize("eps", [-3, 0, 2.5, "abc"],
-                         ids=["negative", "zero", "fraction", "string"])
+@pytest.mark.parametrize(
+    "eps", [-3, 0, 2.5, "abc", None],
+    ids=["negative", "zero", "fraction", "string", "null"])
 def test_point_epsilon_must_be_a_positive_integer(eps):
     # Checked whenever it is present, as scale is, also where there is no
-    # point object for it to size.
+    # point object for it to size; a null is present, not absent.
     for extra in ({}, {"points": [{"kind": "required", "at": [5, 5]}]}):
         with pytest.raises(SchemaError, match="point_epsilon"):
             parse_instance({"point_epsilon": eps, **extra,

@@ -295,6 +295,31 @@ def test_c2_partner_scan_reaches_past_a_dearer_label_of_larger_mask():
     assert joins("C2") == [((p,), 0b11, (label, p2))]
 
 
+def test_a_pending_value_equal_to_a_derived_total_blocks_the_push():
+    # A state's pending entry is its value, and at equal value the first
+    # push wins, whatever rule derived it: an entry equal to the M1 total
+    # of C(p) + pq, or to the C1 total of M(q, p) + pq, blocks that push
+    # (as if an M2 or C2 label of that value had been pushed first), and
+    # an entry just above it lets the push through.
+    fsg, h, push, joins = _scan_setup()
+    n, k = fsg.n, fsg._k
+    p = 0
+    q, w = next(iter(fsg.adjacency[p].items()))
+    closed = Label("C", (p,), 0b01, 1.0, "base")
+    mouth = Label("M", (q, p), 0b01, 1.0, "M1", (), 1)
+    m1_state = (n + p * n + q) << k | 0b01
+    c1_state = p << k | 0b01
+    total = 1.0 + w
+    for pending in ({m1_state: total, c1_state: total},
+                    {m1_state: math.nextafter(total, INF),
+                     c1_state: math.nextafter(total, INF)}):
+        relax(fsg, closed, Settled(n), push, True, INF, pending, h)
+        relax(fsg, mouth, Settled(n), push, True, INF, pending, h)
+    m1 = [key for key, mask, _ops in joins("M1")]
+    assert m1.count((p, q)) == 1 and len(m1) == 2 * len(fsg.adjacency[p]) - 1
+    assert joins("C1") == [((p,), 0b01, (mouth,))]
+
+
 def _inverted_mouths(inst, fsg):
     """Every mouth `solve_inverted` settles: each label its expand step
     hands to `relax`."""
